@@ -85,7 +85,9 @@ void NodeRuntime::start_telemetry(
     obs::TelemetrySampler::EmitFn emit) {
   sampler_ = std::make_unique<obs::TelemetrySampler>(
       options, [this, emit = std::move(emit)](const obs::TelemetrySample& s) {
-        if (station_->flight() != nullptr) station_->flight()->on_sample(s);
+        if (observers_ != nullptr && observers_->flight() != nullptr) {
+          observers_->flight()->on_sample(s);
+        }
         if (emit) emit(s);
       });
   const auto period = sim::SimTime::from_sec_double(options.interval_s);
@@ -110,23 +112,10 @@ void NodeRuntime::emit_telemetry_sample() {
   // Per-node samples carry no offset error: a live node has no ground
   // truth to compare against (the swarm's cluster samples do).
   s.queue_depth = sim_.events_pending();
-  if (station_->monitor() != nullptr) {
-    s.audit_records = station_->monitor()->total_violations();
-  }
-  s.recovery_pending =
-      station_->recovery() != nullptr && station_->recovery()->pending();
-
-  const auto& stats = station_->protocol().stats();
-  obs::TelemetryCumulative cum;
-  cum.beacons_tx = stats.beacons_sent;
-  cum.beacons_rx = stats.beacons_received;
-  cum.adjustments = stats.adjustments + stats.adoptions;
-  cum.coarse_steps = stats.coarse_steps;
-  cum.rejects = stats.rejected_interval + stats.rejected_key +
-                stats.rejected_mac + stats.rejected_guard;
-  cum.elections = stats.elections_won;
-  cum.events = sim_.events_processed();
-  sampler_->emit(sim_.now().to_sec(), std::move(s), cum);
+  if (observers_ != nullptr) observers_->stamp(s);
+  sampler_->emit(sim_.now().to_sec(), std::move(s),
+                 obs::telemetry_cumulative(station_->protocol().stats(),
+                                           sim_.events_processed()));
 }
 
 void NodeRuntime::on_local_frame(const mac::Frame& frame) {

@@ -155,26 +155,15 @@ class NodeRuntime {
     wall_now_ = std::move(wall_now);
   }
 
-  // Observability attachment, same sharing model as run::Network.
-  void set_trace(trace::EventTrace* sink) { station_->set_trace(sink); }
-  void set_instruments(obs::Instruments* instruments) {
-    station_->set_instruments(instruments);
-    channel_.set_instruments(instruments);
+  /// Attaches the deployment's observers (obs/observers.h): the station
+  /// fans its protocol events out to them, the hosting simulator and the
+  /// private channel record into them.  Same sharing model as
+  /// run::Network.
+  void attach_observers(const obs::Observers& observers) {
+    observers_ = &observers;
+    station_->set_observers(observers.for_stations());
+    observers.attach(sim_, channel_);
   }
-  void set_profiler(obs::Profiler* profiler) {
-    station_->set_profiler(profiler);
-    channel_.set_profiler(profiler);
-  }
-  void set_monitor(obs::InvariantMonitor* monitor) {
-    station_->set_monitor(monitor);
-  }
-  void set_lifecycle(trace::BeaconLifecycle* lifecycle) {
-    station_->set_lifecycle(lifecycle);
-  }
-  void set_recovery(fault::RecoveryTracker* recovery) {
-    station_->set_recovery(recovery);
-  }
-  void set_flight(obs::FlightRecorder* flight) { station_->set_flight(flight); }
 
   /// Starts periodic telemetry sampling: one source="node" sample per
   /// options.interval_s of the hosting timeline (wall-paced when a Reactor
@@ -206,6 +195,7 @@ class NodeRuntime {
   mac::Channel channel_;
   core::KeyDirectory directory_;
   std::unique_ptr<proto::Station> station_;
+  const obs::Observers* observers_{nullptr};
   std::unique_ptr<obs::TelemetrySampler> sampler_;
   NetRunStats stats_;  ///< transport sub-struct filled on read
   std::array<std::uint64_t, kDecodeErrorCount> decode_error_by_kind_{};

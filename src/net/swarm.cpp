@@ -5,8 +5,7 @@
 #include <cmath>
 #include <cstdio>
 #include <functional>
-
-#include "core/discipline.h"
+#include <stdexcept>
 
 namespace sstsp::net {
 
@@ -22,74 +21,21 @@ const char* transport_kind_name(TransportKind kind) {
 
 Swarm::Swarm(const SwarmConfig& config)
     : config_(config), sim_(config.seed) {
-  if (config_.collect_metrics) {
-    instruments_ = std::make_unique<obs::Instruments>(registry_);
-    sim_.set_instruments(instruments_.get());
-    if (config_.sstsp.discipline.effective_name() != "paper") {
-      instruments_->enable_discipline(
-          config_.sstsp.discipline.effective_name(),
-          core::discipline_verdict_names());
-    }
+  obs::ObservedRun run;
+  run.sstsp = config_.sstsp;
+  run.beacon_period_us = config_.phy.beacon_period.to_us();
+  run.faults = config_.faults;
+  run.diverge_threshold_us = config_.monitor_diverge_us;
+  if (run.diverge_threshold_us < 0.0 &&
+      config_.transport == TransportKind::kUdp) {
+    run.diverge_threshold_us = kUdpDivergeThresholdUs;
   }
-  if (config_.profile) {
-    profiler_ = std::make_unique<obs::Profiler>();
-    sim_.set_profiler(profiler_.get());
-  }
-  if (config_.phase_sampler) {
-    obs::PhaseSampler::Options opt;
-    if (config_.phase_sampler_interval_s > 0.0) {
-      opt.interval_s = config_.phase_sampler_interval_s;
-    }
-    phase_sampler_ = std::make_unique<obs::PhaseSampler>(opt, registry_);
-    phase_sampler_->attach_profiler(profiler_.get());
-    sim_.set_phase_sampler(phase_sampler_.get());
-  }
-  if (config_.monitor) {
-    obs::InvariantConfig cfg;
-    cfg.sstsp_checks = true;
-    cfg.bp_us = config_.phy.beacon_period.to_us();
-    cfg.m = config_.sstsp.m;
-    cfg.l = config_.sstsp.l;
-    cfg.t0_us = config_.sstsp.t0_us;
-    cfg.interval_slack_us = config_.sstsp.interval_slack_us;
-    cfg.k_min = config_.sstsp.k_min;
-    cfg.k_max = config_.sstsp.k_max;
-    double diverge_us = config_.monitor_diverge_us;
-    if (diverge_us < 0.0 && config_.transport == TransportKind::kUdp) {
-      diverge_us = kUdpDivergeThresholdUs;
-    }
-    if (diverge_us >= 0.0) cfg.diverge_threshold_us = diverge_us;
-    monitor_ = std::make_unique<obs::InvariantMonitor>(cfg);
-    lifecycle_ = std::make_unique<trace::BeaconLifecycle>(registry_);
-  }
-  if (!config_.faults.empty()) {
-    // Same substream discipline as run::Network: the injector draws only
-    // from its own stream, so attaching a plan never perturbs the nodes'
-    // seeded clock/latency draws.
-    injector_ = std::make_unique<fault::FaultInjector>(
-        config_.faults, sim_.substream("faults", config_.faults.seed));
-    recovery_ = std::make_unique<fault::RecoveryTracker>(
-        config_.phy.beacon_period.to_us() * 1e-6,
-        /*sync_threshold_us=*/25.0);
-    if (monitor_ != nullptr) {
-      for (const auto& p : config_.faults.partitions) {
-        monitor_->add_disturbance(
-            sim::SimTime::from_sec_double(p.start_s),
-            p.end_s < 0.0 ? sim::SimTime::never()
-                          : sim::SimTime::from_sec_double(p.end_s));
-      }
-      for (const auto& f : config_.faults.node_faults) {
-        monitor_->add_disturbance(
-            sim::SimTime::from_sec_double(f.at_s),
-            f.restart_s < 0.0 ? sim::SimTime::from_sec_double(f.at_s)
-                              : sim::SimTime::from_sec_double(f.restart_s));
-      }
-      for (const auto& c : config_.faults.clock_faults) {
-        monitor_->add_disturbance(sim::SimTime::from_sec_double(c.at_s),
-                                  sim::SimTime::from_sec_double(c.at_s));
-      }
-    }
-  }
+  run.telemetry_source = "swarm";
+  // Process stats (RSS, wall clock) only on the wall-paced transport; a
+  // virtual-time loopback run stays bit-reproducible.
+  run.process_stats = config_.transport == TransportKind::kUdp;
+  if (config_.watch) run.on_sample = print_watch_line;
+  observers_ = std::make_unique<obs::Observers>(config_, run, sim_);
 }
 
 std::unique_ptr<Swarm> Swarm::create(const SwarmConfig& config,
@@ -106,7 +52,12 @@ std::unique_ptr<Swarm> Swarm::create(const SwarmConfig& config,
   }
   if (config.duration_s <= 0.0) return fail("duration must be positive");
 
-  auto swarm = std::unique_ptr<Swarm>(new Swarm(config));
+  std::unique_ptr<Swarm> swarm;
+  try {
+    swarm.reset(new Swarm(config));
+  } catch (const std::runtime_error& e) {
+    return fail(e.what());  // an unopenable telemetry / flight path
+  }
   if (!swarm->init(error)) return nullptr;
   return swarm;
 }
@@ -160,13 +111,13 @@ bool Swarm::init(std::string* error) {
     }
   }
 
-  if (injector_ != nullptr) {
+  if (fault::FaultInjector* injector = observers_->injector()) {
     // Decorate every endpoint: the node installs its rx handler on the
     // decorator, which consults the injector per arriving datagram —
     // identical verdict semantics to the simulated channel's hook.
     for (int i = 0; i < config_.nodes; ++i) {
       faulty_.push_back(std::make_unique<fault::FaultyTransport>(
-          *endpoints[static_cast<std::size_t>(i)], sim_, *injector_,
+          *endpoints[static_cast<std::size_t>(i)], sim_, *injector,
           static_cast<mac::NodeId>(i)));
       endpoints[static_cast<std::size_t>(i)] =
           faulty_.back().get();
@@ -197,9 +148,6 @@ bool Swarm::init(std::string* error) {
         sim_, *endpoints[static_cast<std::size_t>(i)], nc));
   }
 
-  if (config_.trace_capacity > 0) {
-    trace_ = std::make_unique<trace::EventTrace>(config_.trace_capacity);
-  }
   for (auto& node : nodes_) {
     if (reactor_ != nullptr) {
       // Wall-paced mode: let every node measure its own tx dispatch
@@ -208,12 +156,7 @@ bool Swarm::init(std::string* error) {
       node->set_wall_clock(
           [reactor = reactor_.get()] { return reactor->wall_sim_now(); });
     }
-    node->set_trace(trace_.get());
-    node->set_instruments(instruments_.get());
-    node->set_profiler(profiler_.get());
-    node->set_monitor(monitor_.get());
-    node->set_lifecycle(lifecycle_.get());
-    node->set_recovery(recovery_.get());
+    node->attach_observers(*observers_);
   }
   expected_down_.assign(nodes_.size(), false);
 
@@ -239,7 +182,7 @@ std::string Swarm::prometheus_scrape_body() {
   // Fold the SIGPROF hit counters in first so a scrape always sees current
   // totals, then attach the cluster-state gauges the registry does not
   // carry (they are instantaneous derivations, not recorded metrics).
-  if (phase_sampler_ != nullptr) phase_sampler_->publish_live();
+  if (auto* sampler = observers_->phase_sampler()) sampler->publish_live();
   std::vector<std::pair<std::string, double>> extra;
   int awake = 0;
   int synced = 0;
@@ -262,57 +205,12 @@ std::string Swarm::prometheus_scrape_body() {
     extra.emplace_back("reactor_work_seconds",
                        static_cast<double>(reactor_->work_ns()) * 1e-9);
   }
-  return prometheus_body(registry_.snapshot(), extra);
+  return prometheus_body(observers_->registry().snapshot(), extra);
 }
 
 bool Swarm::init_telemetry(std::string* error) {
-  if (!config_.flight_recorder_out.empty()) {
-    flight_sink_ = std::make_unique<obs::JsonlSink>();
-    std::string sink_error;
-    if (!flight_sink_->open(config_.flight_recorder_out, &sink_error)) {
-      if (error != nullptr) *error = std::move(sink_error);
-      return false;
-    }
-    obs::FlightRecorder::Config fc;
-    fc.event_capacity = config_.flight_capacity;
-    flight_ =
-        std::make_unique<obs::FlightRecorder>(fc, flight_sink_.get());
-    for (auto& node : nodes_) node->set_flight(flight_.get());
-    if (monitor_ != nullptr) {
-      monitor_->set_on_new_record(
-          [this](sim::SimTime now, const obs::AuditRecord& rec) {
-            flight_->on_audit_record(now.to_sec(), rec);
-          });
-    }
-  }
-
-  const bool want_telemetry = !config_.telemetry_out.empty() || config_.watch;
-  if (!want_telemetry) return true;
-  if (!config_.telemetry_out.empty()) {
-    telemetry_sink_ = std::make_unique<obs::JsonlSink>();
-    std::string sink_error;
-    if (!telemetry_sink_->open(config_.telemetry_out, &sink_error)) {
-      if (error != nullptr) *error = std::move(sink_error);
-      return false;
-    }
-  }
-
-  // Process stats (RSS, wall clock) only on the wall-paced transport; a
-  // virtual-time loopback run stays bit-reproducible.
-  const bool wall_paced = config_.transport == TransportKind::kUdp;
-  obs::TelemetrySampler::Options opts;
-  opts.interval_s =
-      config_.telemetry_interval_s > 0.0 ? config_.telemetry_interval_s : 1.0;
-  opts.source = "swarm";
-  opts.process_stats = wall_paced;
-  sampler_ = std::make_unique<obs::TelemetrySampler>(
-      opts, [this](const obs::TelemetrySample& sample) {
-        write_sample(sample);
-        if (flight_ != nullptr) flight_->on_sample(sample);
-        if (config_.watch) print_watch_line(sample);
-      });
-
-  if (wall_paced) {
+  if (observers_->telemetry_sampler() == nullptr) return true;
+  if (config_.transport == TransportKind::kUdp) {
     // Live export path: each node publishes its sample as one datagram to
     // the swarm's collector socket on the reactor — the same path an
     // external collector would use — and the collector folds whatever
@@ -320,7 +218,9 @@ bool Swarm::init_telemetry(std::string* error) {
     std::string link_error;
     collector_ = TelemetryCollector::open(
         *reactor_, "127.0.0.1", 0,
-        [this](const obs::TelemetrySample& sample) { write_sample(sample); },
+        [this](const obs::TelemetrySample& sample) {
+          observers_->write_sample(sample);
+        },
         &link_error);
     if (collector_ == nullptr) {
       if (error != nullptr) *error = "telemetry collector: " + link_error;
@@ -346,13 +246,13 @@ void Swarm::arm() {
   if (armed_) return;
   armed_ = true;
   for (auto& node : nodes_) node->start();
-  if (sampler_ != nullptr) {
+  if (const obs::TelemetrySampler* sampler = observers_->telemetry_sampler()) {
     // Per-node samplers ride the hosting timeline: wall-paced through the
     // reactor in UDP mode (published as datagrams), virtual-time in
     // loopback mode (folded straight into the aggregate stream).
     const auto until = sim::SimTime::from_sec_double(config_.duration_s);
     const bool wall_paced = config_.transport == TransportKind::kUdp;
-    obs::TelemetrySampler::Options node_opts = sampler_->options();
+    obs::TelemetrySampler::Options node_opts = sampler->options();
     node_opts.source = "node";
     for (std::size_t i = 0; i < nodes_.size(); ++i) {
       obs::TelemetrySampler::EmitFn emit;
@@ -363,7 +263,7 @@ void Swarm::arm() {
         };
       } else {
         emit = [this](const obs::TelemetrySample& sample) {
-          write_sample(sample);
+          observers_->write_sample(sample);
         };
       }
       nodes_[i]->start_telemetry(node_opts, until, std::move(emit));
@@ -374,7 +274,6 @@ void Swarm::arm() {
 }
 
 void Swarm::schedule_faults() {
-  if (injector_ == nullptr) return;
   fault::FaultHooks hooks;
   hooks.current_reference = [this] { return current_reference(); };
   hooks.set_power = [this](mac::NodeId id, bool powered) {
@@ -393,29 +292,7 @@ void Swarm::schedule_faults() {
     if (idx >= nodes_.size()) return;
     nodes_[idx]->station().inject_clock_fault(step_us, drift_delta_ppm);
   };
-  if (recovery_ != nullptr) {
-    hooks.on_node_fault = [this](const fault::NodeFault& f, mac::NodeId id) {
-      if (f.reference) {
-        recovery_->expect_reelection(f.kind == fault::NodeFaultKind::kCrash
-                                         ? "reference-crash"
-                                         : "reference-pause",
-                                     id, sim_.now().to_sec());
-      }
-    };
-    hooks.on_clock_fault = [this](const fault::ClockFault&, mac::NodeId id) {
-      recovery_->expect_resync("clock-fault", id, sim_.now().to_sec());
-    };
-    for (const auto& p : config_.faults.partitions) {
-      if (p.end_s >= 0.0 && p.end_s < config_.duration_s) {
-        const double heal_s = p.end_s;
-        sim_.at(sim::SimTime::from_sec_double(heal_s), [this, heal_s] {
-          recovery_->expect_resync("partition-heal", mac::kNoNode, heal_s);
-        });
-      }
-    }
-  }
-  fault::schedule_fault_events(sim_, config_.faults, injector_.get(),
-                               std::move(hooks));
+  observers_->schedule_faults(sim_, config_.duration_s, std::move(hooks));
 }
 
 void Swarm::schedule_sampling() {
@@ -452,25 +329,14 @@ void Swarm::sample_clock_spread() {
     }
     const double diff = hi - lo;
     max_diff_.push(now.to_sec(), diff);
-    if (monitor_ != nullptr) monitor_->on_max_diff_sample(now, diff);
-    if (recovery_ != nullptr) {
-      recovery_->on_max_diff_sample(now.to_sec(), diff);
-    }
-    if (instruments_ != nullptr) {
-      instruments_->on_max_diff_sample(diff);
-      const double mean = sum / static_cast<double>(sample_values_.size());
-      for (const double v : sample_values_) {
-        instruments_->on_node_error_sample(std::fabs(v - mean));
-      }
-    }
+    observers_->on_spread_sample(
+        now, sample_values_, diff,
+        sum / static_cast<double>(sample_values_.size()));
   }
-  if (sampler_ != nullptr && sampler_->due(now.to_sec())) {
+  if (observers_->telemetry_due(now.to_sec())) {
     emit_telemetry(now, have, lo, hi, sum);
   }
-  if (dump_flag_ != nullptr && *dump_flag_ != 0 && flight_ != nullptr) {
-    *dump_flag_ = 0;
-    flight_->dump(now.to_sec(), "dump-request", nullptr);
-  }
+  observers_->poll_dump_request(now.to_sec());
 }
 
 void Swarm::emit_telemetry(sim::SimTime now, bool have, double lo, double hi,
@@ -492,24 +358,13 @@ void Swarm::emit_telemetry(sim::SimTime now, bool have, double lo, double hi,
     for (const double v : sample_values_) dev += std::fabs(v - mean);
     s.mean_offset_us = dev / static_cast<double>(sample_values_.size());
   }
-  s.queue_depth = sim_.events_pending();
-  if (monitor_ != nullptr) s.audit_records = monitor_->total_violations();
-  s.recovery_pending = recovery_ != nullptr && recovery_->pending();
-
   const bool per_node =
       config_.telemetry_per_node > 0 ||
       (config_.telemetry_per_node < 0 && config_.nodes <= 64);
-  obs::TelemetryCumulative cum;
+  proto::ProtocolStats totals;
   for (const auto& node : nodes_) {
     const proto::Station& st = node->station();
-    const proto::ProtocolStats& ps = st.protocol().stats();
-    cum.beacons_tx += ps.beacons_sent;
-    cum.beacons_rx += ps.beacons_received;
-    cum.adjustments += ps.adjustments + ps.adoptions;
-    cum.coarse_steps += ps.coarse_steps;
-    cum.rejects += ps.rejected_interval + ps.rejected_key + ps.rejected_mac +
-                   ps.rejected_guard;
-    cum.elections += ps.elections_won;
+    totals += st.protocol().stats();
     if (per_node && have && st.awake() && st.protocol().is_synchronized()) {
       obs::TelemetrySample::NodeError ne;
       ne.node = static_cast<std::int64_t>(node->config().id);
@@ -518,14 +373,7 @@ void Swarm::emit_telemetry(sim::SimTime now, bool have, double lo, double hi,
       s.node_errors.push_back(ne);
     }
   }
-  cum.events = sim_.events_processed();
-  sampler_->emit(now.to_sec(), std::move(s), cum);
-}
-
-void Swarm::write_sample(const obs::TelemetrySample& sample) {
-  if (telemetry_sink_ != nullptr) {
-    telemetry_sink_->write_line(obs::telemetry_to_jsonl(sample));
-  }
+  observers_->emit_telemetry(now.to_sec(), std::move(s), totals, sim_);
 }
 
 void Swarm::print_watch_line(const obs::TelemetrySample& sample) {
@@ -559,15 +407,16 @@ void Swarm::run() {
     // Wall-paced runs add the statistical SIGPROF sampler on top of the
     // dispatch-gated one: ITIMER_PROF fires on consumed CPU time, so
     // reactor sleeps are invisible to it (the wait/work gauges cover them).
-    if (phase_sampler_ != nullptr) {
+    obs::PhaseSampler* sampler = observers_->phase_sampler();
+    if (sampler != nullptr) {
       std::string live_error;
-      if (!phase_sampler_->start_live(&live_error)) {
+      if (!sampler->start_live(&live_error)) {
         std::fprintf(stderr, "warning: live phase sampler: %s\n",
                      live_error.c_str());
       }
     }
     reactor_->run_until(horizon);
-    if (phase_sampler_ != nullptr) phase_sampler_->stop_live();
+    if (sampler != nullptr) sampler->stop_live();
   } else {
     sim_.run_until(horizon);
   }
@@ -592,23 +441,7 @@ run::RunResult Swarm::collect() {
     result.channel.half_duplex_suppressed += ch.half_duplex_suppressed;
     result.channel.bytes_on_air += ch.bytes_on_air;
 
-    const proto::ProtocolStats& s = node->station().protocol().stats();
-    result.honest.beacons_sent += s.beacons_sent;
-    result.honest.beacons_received += s.beacons_received;
-    result.honest.adoptions += s.adoptions;
-    result.honest.adjustments += s.adjustments;
-    result.honest.rejected_interval += s.rejected_interval;
-    result.honest.rejected_key += s.rejected_key;
-    result.honest.rejected_mac += s.rejected_mac;
-    result.honest.rejected_guard += s.rejected_guard;
-    result.honest.elections_won += s.elections_won;
-    result.honest.demotions += s.demotions;
-    result.honest.coarse_steps += s.coarse_steps;
-    result.honest.solver_rejections += s.solver_rejections;
-    for (std::size_t v = 0; v < result.honest.discipline_verdicts.size();
-         ++v) {
-      result.honest.discipline_verdicts[v] += s.discipline_verdicts[v];
-    }
+    result.honest += node->station().protocol().stats();
   }
 
   NetRunStats net;
@@ -630,23 +463,14 @@ run::RunResult Swarm::collect() {
   result.net = net;
 
   if (reactor_ != nullptr) {
-    registry_.gauge("reactor.wait_seconds")
+    obs::Registry& registry = observers_->registry();
+    registry.gauge("reactor.wait_seconds")
         .set(static_cast<double>(reactor_->wait_ns()) * 1e-9);
-    registry_.gauge("reactor.work_seconds")
+    registry.gauge("reactor.work_seconds")
         .set(static_cast<double>(reactor_->work_ns()) * 1e-9);
   }
-  result.metrics = registry_.snapshot();
   result.events_processed = sim_.events_processed();
-  result.wall_seconds = wall_seconds_;
-  if (profiler_ != nullptr) {
-    result.profile =
-        profiler_->snapshot(result.events_processed, wall_seconds_);
-  }
-  if (monitor_ != nullptr) result.audit = monitor_->report();
-  if (recovery_ != nullptr) {
-    recovery_->finalize(injector_->stats());
-    result.recovery = recovery_->report();
-  }
+  run::collect_observers(result, *observers_, wall_seconds_);
 
   // A node that died or stayed deaf without a planned fault must not pass
   // as a clean (just quieter) run: flag it as a node-failure audit record
@@ -686,11 +510,11 @@ run::RunResult Swarm::collect() {
     record.detail = dead ? "node is down with no planned fault"
                          : "node received no frame while peers sent " +
                                std::to_string(peer_frames);
-    if (flight_ != nullptr) {
+    if (obs::FlightRecorder* flight = observers_->flight()) {
       // Unplanned death is exactly what the flight recorder exists for:
       // dump the recent history with the failure record attached (never
       // rate-limited, unlike audit-triggered dumps).
-      flight_->dump(sim_.now().to_sec(), "node-failure", &record);
+      flight->dump(sim_.now().to_sec(), "node-failure", &record);
     }
     result.audit->records.push_back(std::move(record));
   }
@@ -712,17 +536,7 @@ run::Scenario Swarm::reporting_scenario() const {
   s.preestablished_reference = config_.preestablished_reference;
   s.faults = config_.faults;
   s.sample_period_s = config_.sample_period_s;
-  s.trace_capacity = config_.trace_capacity;
-  s.collect_metrics = config_.collect_metrics;
-  s.profile = config_.profile;
-  s.monitor = config_.monitor;
-  s.telemetry_out = config_.telemetry_out;
-  s.telemetry_interval_s = config_.telemetry_interval_s;
-  s.telemetry_per_node = config_.telemetry_per_node;
-  s.flight_recorder_out = config_.flight_recorder_out;
-  s.flight_capacity = config_.flight_capacity;
-  s.phase_sampler = config_.phase_sampler;
-  s.phase_sampler_interval_s = config_.phase_sampler_interval_s;
+  static_cast<obs::ObserverConfig&>(s) = config_;
   return s;
 }
 

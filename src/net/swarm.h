@@ -26,9 +26,7 @@
 #include <string>
 #include <vector>
 
-#include "fault/injector.h"
 #include "fault/plan.h"
-#include "fault/recovery.h"
 #include "fault/transport.h"
 #include "metrics/series.h"
 #include "net/loopback.h"
@@ -37,18 +35,10 @@
 #include "net/reactor.h"
 #include "net/telemetry_link.h"
 #include "net/udp.h"
-#include "obs/flight_recorder.h"
-#include "obs/telemetry.h"
-#include "obs/instruments.h"
-#include "obs/invariants.h"
-#include "obs/metrics.h"
-#include "obs/profiler.h"
-#include "obs/sampler.h"
+#include "obs/observers.h"
 #include "runner/experiment.h"
 #include "runner/scenario.h"
 #include "sim/simulator.h"
-#include "trace/event_trace.h"
-#include "trace/lifecycle.h"
 
 namespace sstsp::net {
 
@@ -56,7 +46,15 @@ enum class TransportKind { kLoopback, kUdp };
 
 [[nodiscard]] const char* transport_kind_name(TransportKind kind);
 
-struct SwarmConfig {
+/// The observer switches come from obs::ObserverConfig, with the same
+/// semantics as for run::Scenario.  Live specifics: cluster samples
+/// (source="swarm") are emitted from the clock-spread sampling tick;
+/// per-node samples (source="node") are emitted by each NodeRuntime and
+/// aggregated into the same JSONL stream — over a datagram socket on the
+/// reactor in UDP mode, by direct callback in virtual-time loopback mode.
+/// The phase sampler adds a SIGPROF statistical sampler on wall-paced UDP
+/// runs.
+struct SwarmConfig : obs::ObserverConfig {
   int nodes = 5;
   double duration_s = 10.0;
   std::uint64_t seed = 1;
@@ -90,7 +88,6 @@ struct SwarmConfig {
   /// Node 0 boots directly in the reference role (skips election).
   bool preestablished_reference = false;
 
-  // Observability — same semantics as the run::Scenario fields.
   /// Lemma-1 divergence bound handed to the invariant monitor.  < 0 =
   /// auto: the library default (sim-calibrated 50 us) for virtual-time
   /// loopback runs, or kUdpDivergeThresholdUs for wall-paced UDP runs —
@@ -101,34 +98,11 @@ struct SwarmConfig {
   /// "Live stack").  Convergence stays judged at the strict 25 us.
   double monitor_diverge_us = -1.0;
   double sample_period_s = 0.1;
-  std::size_t trace_capacity = 0;
-  bool collect_metrics = true;
-  bool profile = false;
-  bool monitor = false;
 
-  // Streaming telemetry + flight recorder (DESIGN.md §10) — same semantics
-  // as the run::Scenario fields.  Cluster samples (source="swarm") are
-  // emitted from the existing clock-spread sampling tick; per-node samples
-  // (source="node") are emitted by each NodeRuntime and aggregated into the
-  // same JSONL stream — over a datagram socket on the reactor in UDP mode,
-  // by direct callback in virtual-time loopback mode.
-  std::string telemetry_out{};
-  double telemetry_interval_s = 1.0;
-  /// Attach the per-node error array to cluster samples: 1 = always,
-  /// 0 = never, < 0 = auto (deployments of <= 64 nodes).
-  int telemetry_per_node = -1;
-  std::string flight_recorder_out{};
-  std::size_t flight_capacity = 512;
   /// Live status line on stderr, refreshed once per telemetry interval
   /// (wall-paced UDP runs; a loopback run finishes in milliseconds).
   bool watch = false;
 
-  // Performance observatory (DESIGN.md §11).
-  /// Phase-sampling profiler into the metrics registry: virtual-time gated
-  /// on the dispatch loop, plus a SIGPROF statistical sampler on wall-paced
-  /// UDP runs.
-  bool phase_sampler = false;
-  double phase_sampler_interval_s = 0.001;
   /// Prometheus /metrics endpoint on the reactor (UDP mode only):
   /// -1 = off, 0 = ephemeral (port printed at startup), > 0 = fixed port.
   int prom_port = -1;
@@ -162,36 +136,12 @@ class Swarm {
     return *nodes_[static_cast<std::size_t>(i)];
   }
   [[nodiscard]] sim::Simulator& simulator() { return sim_; }
-  [[nodiscard]] trace::EventTrace* trace() { return trace_.get(); }
-  [[nodiscard]] obs::Profiler* profiler() { return profiler_.get(); }
-  [[nodiscard]] obs::PhaseSampler* phase_sampler() {
-    return phase_sampler_.get();
-  }
   [[nodiscard]] PromExporter* prom_exporter() { return prom_.get(); }
-  [[nodiscard]] obs::InvariantMonitor* monitor() { return monitor_.get(); }
-  [[nodiscard]] trace::BeaconLifecycle* lifecycle() {
-    return lifecycle_.get();
-  }
   [[nodiscard]] const SwarmConfig& config() const { return config_; }
-  [[nodiscard]] fault::RecoveryTracker* recovery_tracker() {
-    return recovery_.get();
-  }
-  [[nodiscard]] obs::TelemetrySampler* telemetry_sampler() {
-    return sampler_.get();
-  }
-  [[nodiscard]] obs::FlightRecorder* flight_recorder() {
-    return flight_.get();
-  }
-  [[nodiscard]] TelemetryCollector* telemetry_collector() {
-    return collector_.get();
-  }
 
-  /// Arms SIGUSR1-style dump requests: when *flag becomes nonzero, the next
-  /// sampling tick resets it and dumps the flight recorder (no-op without
-  /// --flight-recorder).
-  void set_dump_request_flag(volatile std::sig_atomic_t* flag) {
-    dump_flag_ = flag;
-  }
+  /// The swarm's observers, shared by every node (obs/observers.h).  A
+  /// dump-request flag set on them is polled at each sampling tick.
+  [[nodiscard]] obs::Observers& observers() { return *observers_; }
 
   /// Nodes that collect() found dead or silent without a planned fault —
   /// a partial deployment must not masquerade as a clean run; the caller
@@ -224,8 +174,7 @@ class Swarm {
   void sample_clock_spread();
   void emit_telemetry(sim::SimTime now, bool have, double lo, double hi,
                       double sum);
-  void write_sample(const obs::TelemetrySample& sample);
-  void print_watch_line(const obs::TelemetrySample& sample);
+  static void print_watch_line(const obs::TelemetrySample& sample);
   [[nodiscard]] std::string prometheus_scrape_body();
 
   SwarmConfig config_;
@@ -235,17 +184,8 @@ class Swarm {
   std::vector<std::unique_ptr<UdpTransport>> udp_;
   std::unique_ptr<LoopbackHub> hub_;             ///< loopback mode
 
-  obs::Registry registry_;
-  std::unique_ptr<obs::Instruments> instruments_;
-  std::unique_ptr<obs::Profiler> profiler_;
-  std::unique_ptr<obs::PhaseSampler> phase_sampler_;
+  std::unique_ptr<obs::Observers> observers_;
   std::unique_ptr<PromExporter> prom_;
-  std::unique_ptr<obs::InvariantMonitor> monitor_;
-  std::unique_ptr<trace::BeaconLifecycle> lifecycle_;
-  std::unique_ptr<trace::EventTrace> trace_;
-
-  std::unique_ptr<fault::FaultInjector> injector_;
-  std::unique_ptr<fault::RecoveryTracker> recovery_;
   std::vector<std::unique_ptr<fault::FaultyTransport>> faulty_;
 
   std::vector<std::unique_ptr<NodeRuntime>> nodes_;
@@ -259,15 +199,10 @@ class Swarm {
   bool armed_{false};
   double wall_seconds_{0.0};
 
-  // Telemetry pipeline.  Everything below runs on the single sim/reactor
+  // Live telemetry export.  Everything runs on the single sim/reactor
   // thread (collector callbacks included), so no locking is needed.
-  std::unique_ptr<obs::JsonlSink> telemetry_sink_;
-  std::unique_ptr<obs::TelemetrySampler> sampler_;  ///< cluster samples
-  std::unique_ptr<obs::JsonlSink> flight_sink_;
-  std::unique_ptr<obs::FlightRecorder> flight_;
   std::vector<std::unique_ptr<TelemetryExporter>> exporters_;  ///< UDP mode
   std::unique_ptr<TelemetryCollector> collector_;              ///< UDP mode
-  volatile std::sig_atomic_t* dump_flag_{nullptr};
 };
 
 }  // namespace sstsp::net

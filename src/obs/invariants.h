@@ -254,6 +254,10 @@ class InvariantMonitor {
   /// other invariants keep being enforced, so a strict-clean audit under an
   /// injected fault still certifies the recovery path.
   void add_disturbance(sim::SimTime start, sim::SimTime end);
+  [[nodiscard]] const std::vector<std::pair<sim::SimTime, sim::SimTime>>&
+  disturbances() const {
+    return disturbances_;
+  }
 
   /// Observer fired once per *new* record class, at first occurrence (the
   /// record already holds count = 1 and its detail).  Repeat violations

@@ -6,17 +6,12 @@
 #include <string>
 
 #include "clock/hardware_clock.h"
-#include "fault/recovery.h"
 #include "mac/medium.h"
-#include "obs/flight_recorder.h"
-#include "obs/instruments.h"
-#include "obs/invariants.h"
-#include "obs/profiler.h"
+#include "obs/observers.h"
 #include "protocols/sync_protocol.h"
 #include "sim/rng.h"
 #include "sim/simulator.h"
 #include "trace/event_trace.h"
-#include "trace/lifecycle.h"
 
 namespace sstsp::proto {
 
@@ -63,56 +58,22 @@ class Station {
     return channel_.would_detect_busy(channel_index_, at);
   }
 
-  /// Attaches a trace sink (nullptr detaches).  Shared across stations by
-  /// the scenario runner when Scenario::trace_capacity > 0.
-  void set_trace(trace::EventTrace* sink) {
-    trace_ = sink;
-    refresh_observed();
+  /// Attaches the run's observer bundle (obs/observers.h), shared by every
+  /// station of the run (or shard); nullptr — the bundle's for_stations()
+  /// on an unobserved run — detaches.
+  void set_observers(const obs::Observers* observers) {
+    observers_ = observers;
   }
-  [[nodiscard]] trace::EventTrace* trace() { return trace_; }
-
-  /// Attaches the shared metrics instruments / profiler (nullptr detaches);
-  /// wired by the scenario runner, same sharing model as the trace.
-  void set_instruments(obs::Instruments* instruments) {
-    obs_ = instruments;
-    refresh_observed();
+  // The observers protocol code calls directly (null-checked at each site).
+  [[nodiscard]] obs::Instruments* instruments() const {
+    return observers_ != nullptr ? observers_->instruments() : nullptr;
   }
-  [[nodiscard]] obs::Instruments* instruments() { return obs_; }
-  void set_profiler(obs::Profiler* profiler) { profiler_ = profiler; }
-  [[nodiscard]] obs::Profiler* profiler() { return profiler_; }
-
-  /// Attaches the shared invariant monitor / beacon-lifecycle tracker
-  /// (nullptr detaches); wired by the scenario runner when
-  /// Scenario::monitor is set.  The protocol calls the monitor's pipeline
-  /// hooks through monitor() directly (null-checked at each site).
-  void set_monitor(obs::InvariantMonitor* monitor) {
-    monitor_ = monitor;
-    refresh_observed();
+  [[nodiscard]] obs::Profiler* profiler() const {
+    return observers_ != nullptr ? observers_->profiler() : nullptr;
   }
-  [[nodiscard]] obs::InvariantMonitor* monitor() { return monitor_; }
-  void set_lifecycle(trace::BeaconLifecycle* lifecycle) {
-    lifecycle_ = lifecycle;
-    refresh_observed();
+  [[nodiscard]] obs::InvariantMonitor* monitor() const {
+    return observers_ != nullptr ? observers_->monitor() : nullptr;
   }
-  [[nodiscard]] trace::BeaconLifecycle* lifecycle() { return lifecycle_; }
-
-  /// Attaches the shared per-fault recovery tracker (nullptr detaches);
-  /// wired by the runners when the scenario carries a fault plan.
-  void set_recovery(fault::RecoveryTracker* recovery) {
-    recovery_ = recovery;
-    refresh_observed();
-  }
-  [[nodiscard]] fault::RecoveryTracker* recovery() { return recovery_; }
-
-  /// Attaches the flight recorder (nullptr detaches): a bounded ring of
-  /// the newest events, dumped as a post-mortem on audit records, node
-  /// failures and SIGUSR1.  Shared per run in the simulator, per node in
-  /// the live stack.
-  void set_flight(obs::FlightRecorder* flight) {
-    flight_ = flight;
-    refresh_observed();
-  }
-  [[nodiscard]] obs::FlightRecorder* flight() { return flight_; }
 
   /// Fault injection: applies a hardware-clock step and/or drift change at
   /// the current instant (fault::ClockFault).  The protocol keeps running on
@@ -125,30 +86,18 @@ class Station {
   }
 
   /// Records a protocol event into every attached observer (trace ring,
-  /// metrics registry, invariant monitor, lifecycle tracker).  When none
-  /// is attached the call is a single branch on a flag cached at
-  /// attachment time — the event struct is not even built.  `trace_id`
+  /// metrics registry, invariant monitor, lifecycle tracker, recovery
+  /// tracker, flight recorder).  Unobserved, the call is a single branch on
+  /// the bundle pointer — the event struct is not even built.  `trace_id`
   /// ties the event to a beacon transmission (0 = not beacon-scoped).
   void trace_event(trace::EventKind kind, mac::NodeId peer = mac::kNoNode,
                    double value_us = 0.0, std::uint64_t trace_id = 0) {
-    if (!observed_) return;
-    const trace::TraceEvent event{sim_.now(), id_,      kind,
-                                  peer,       value_us, trace_id};
-    if (trace_ != nullptr) trace_->record(event);
-    if (obs_ != nullptr) obs_->on_protocol_event(kind, value_us);
-    if (monitor_ != nullptr) monitor_->on_event(event);
-    if (lifecycle_ != nullptr) lifecycle_->on_event(event);
-    if (recovery_ != nullptr) recovery_->on_trace_event(event);
-    if (flight_ != nullptr) flight_->on_trace_event(event);
+    if (observers_ == nullptr) return;
+    observers_->on_event(trace::TraceEvent{sim_.now(), id_, kind, peer,
+                                           value_us, trace_id});
   }
 
  private:
-  void refresh_observed() {
-    observed_ = trace_ != nullptr || obs_ != nullptr || monitor_ != nullptr ||
-                lifecycle_ != nullptr || recovery_ != nullptr ||
-                flight_ != nullptr;
-  }
-
   sim::Simulator& sim_;
   mac::Medium& channel_;
   mac::NodeId id_;
@@ -156,14 +105,7 @@ class Station {
   sim::Rng rng_;
   std::size_t channel_index_;
   std::unique_ptr<SyncProtocol> proto_;
-  trace::EventTrace* trace_{nullptr};
-  obs::Instruments* obs_{nullptr};
-  obs::Profiler* profiler_{nullptr};
-  obs::InvariantMonitor* monitor_{nullptr};
-  trace::BeaconLifecycle* lifecycle_{nullptr};
-  fault::RecoveryTracker* recovery_{nullptr};
-  obs::FlightRecorder* flight_{nullptr};
-  bool observed_{false};  ///< any observer attached (cached for trace_event)
+  const obs::Observers* observers_{nullptr};
   bool awake_{false};
 };
 

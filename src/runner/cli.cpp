@@ -12,8 +12,6 @@
 
 namespace sstsp::run {
 
-namespace {
-
 bool parse_double(const std::string& s, double* out) {
   try {
     std::size_t used = 0;
@@ -38,6 +36,121 @@ std::vector<std::string> split(const std::string& s, char sep) {
   while (std::getline(ss, item, sep)) parts.push_back(item);
   return parts;
 }
+
+FlagParse parse_observer_flag(const std::vector<std::string>& argv,
+                              std::size_t& i, ConfigTool tool,
+                              obs::ObserverConfig& o, OutputOptions& out,
+                              std::string* error) {
+  const std::string& arg = argv[i];
+  if (arg.rfind("--", 0) != 0) return FlagParse::kNotMine;
+  const std::string key = arg == "--monitor=strict" ? "monitor" : arg.substr(2);
+  if (!config_key_applies(key, tool)) return FlagParse::kNotMine;
+
+  auto fail = [error](const std::string& message) {
+    if (error != nullptr) *error = message;
+    return FlagParse::kFailed;
+  };
+  auto next = [&](std::string* value) {
+    if (i + 1 >= argv.size()) return false;
+    *value = argv[++i];
+    return true;
+  };
+  // Printing the trace needs a ring that holds the whole run; the streaming
+  // outputs (--json-out, --timeline-out) write at record time, so a modest
+  // ring suffices for them.
+  auto keep_trace = [&o](std::size_t capacity) {
+    o.trace_capacity = std::max(o.trace_capacity, capacity);
+  };
+  std::string v;
+  long long n = 0;
+  double d = 0;
+
+  if (arg == "--csv") {
+    if (!next(&out.csv_path)) return fail("--csv needs a path");
+  } else if (arg == "--chart") {
+    out.ascii_chart = true;
+  } else if (arg == "--trace") {
+    out.dump_trace = true;
+    keep_trace(1 << 18);
+  } else if (arg == "--trace-limit") {
+    if (!next(&v) || !parse_int(v, &n) || n < 1) {
+      return fail("--trace-limit needs a positive integer");
+    }
+    out.trace_limit = static_cast<std::size_t>(n);
+    out.dump_trace = true;
+    keep_trace(1 << 18);
+  } else if (arg == "--trace-kind") {
+    if (!next(&v)) return fail("--trace-kind needs an event kind");
+    const auto kind = trace::kind_from_string(v);
+    if (!kind) {
+      std::string valid;
+      for (int k = 0; k < static_cast<int>(trace::kEventKindCount); ++k) {
+        if (!valid.empty()) valid += ", ";
+        valid += trace::to_string(static_cast<trace::EventKind>(k));
+      }
+      return fail("unknown event kind: " + v + " (valid kinds: " + valid +
+                  ")");
+    }
+    out.trace_kind = *kind;
+    out.dump_trace = true;
+    keep_trace(1 << 18);
+  } else if (arg == "--json-out") {
+    if (!next(&out.json_out_path)) return fail("--json-out needs a path");
+    keep_trace(1 << 12);
+  } else if (arg == "--metrics-out") {
+    if (!next(&out.metrics_out_path)) {
+      return fail("--metrics-out needs a path");
+    }
+  } else if (arg == "--profile") {
+    o.profile = true;
+  } else if (arg == "--monitor" || arg == "--monitor=strict") {
+    o.monitor = true;
+    if (arg == "--monitor=strict") out.monitor_strict = true;
+  } else if (arg == "--telemetry-out") {
+    if (!next(&o.telemetry_out)) return fail("--telemetry-out needs a path");
+  } else if (arg == "--telemetry-interval") {
+    if (!next(&v) || !parse_double(v, &d) || d <= 0) {
+      return fail("--telemetry-interval needs a positive number of seconds");
+    }
+    o.telemetry_interval_s = d;
+  } else if (arg == "--telemetry-per-node") {
+    if (!next(&v) || !parse_int(v, &n) || n < 0 || n > 1) {
+      return fail("--telemetry-per-node needs 0 or 1");
+    }
+    o.telemetry_per_node = static_cast<int>(n);
+  } else if (arg == "--flight-recorder") {
+    if (!next(&o.flight_recorder_out)) {
+      return fail("--flight-recorder needs a path");
+    }
+  } else if (arg == "--flight-capacity") {
+    if (!next(&v) || !parse_int(v, &n) || n < 16) {
+      return fail("--flight-capacity needs an integer >= 16");
+    }
+    o.flight_capacity = static_cast<std::size_t>(n);
+  } else if (arg == "--timeline-out") {
+    if (!next(&out.timeline_out_path)) {
+      return fail("--timeline-out needs a path");
+    }
+    keep_trace(1 << 12);
+  } else if (arg == "--sampler") {
+    o.phase_sampler = true;
+  } else if (arg == "--sampler-interval") {
+    if (!next(&v) || !parse_double(v, &d) || d <= 0) {
+      return fail("--sampler-interval needs a positive number of seconds");
+    }
+    o.phase_sampler_interval_s = d;
+    o.phase_sampler = true;
+  } else if (arg == "--prom-textfile") {
+    if (!next(&out.prom_textfile_path)) {
+      return fail("--prom-textfile needs a path");
+    }
+  } else {
+    return FlagParse::kNotMine;
+  }
+  return FlagParse::kParsed;
+}
+
+namespace {
 
 std::optional<ProtocolKind> parse_protocol(const std::string& name) {
   if (name == "tsf") return ProtocolKind::kTsf;
@@ -218,6 +331,11 @@ std::optional<CliOptions> parse_cli(const std::vector<std::string>& args,
       return true;
     };
     std::string v;
+
+    const FlagParse shared =
+        parse_observer_flag(argv, i, ConfigTool::kSim, s, opts, error);
+    if (shared == FlagParse::kFailed) return std::nullopt;
+    if (shared == FlagParse::kParsed) continue;
 
     if (arg == "--help" || arg == "-h") {
       opts.help = true;
@@ -482,92 +600,6 @@ std::optional<CliOptions> parse_cli(const std::vector<std::string>& args,
       if (!cfg_args) return fail(cfg_error);
       argv.insert(argv.begin() + static_cast<std::ptrdiff_t>(i) + 1,
                   cfg_args->begin(), cfg_args->end());
-    } else if (arg == "--csv") {
-      if (!next(&opts.csv_path)) return fail("--csv needs a path");
-    } else if (arg == "--chart") {
-      opts.ascii_chart = true;
-    } else if (arg == "--trace") {
-      opts.dump_trace = true;
-      s.trace_capacity = std::max<std::size_t>(s.trace_capacity, 1 << 18);
-    } else if (arg == "--trace-limit") {
-      long long n = 0;
-      if (!next(&v) || !parse_int(v, &n) || n < 1) {
-        return fail("--trace-limit needs a positive integer");
-      }
-      opts.trace_limit = static_cast<std::size_t>(n);
-      opts.dump_trace = true;
-      s.trace_capacity = std::max<std::size_t>(s.trace_capacity, 1 << 18);
-    } else if (arg == "--trace-kind") {
-      if (!next(&v)) return fail("--trace-kind needs an event kind");
-      const auto kind = trace::kind_from_string(v);
-      if (!kind) {
-        std::string valid;
-        for (int k = 0; k < static_cast<int>(trace::kEventKindCount); ++k) {
-          if (!valid.empty()) valid += ", ";
-          valid += trace::to_string(static_cast<trace::EventKind>(k));
-        }
-        return fail("unknown event kind: " + v + " (valid kinds: " + valid +
-                    ")");
-      }
-      opts.trace_kind = *kind;
-      opts.dump_trace = true;
-      s.trace_capacity = std::max<std::size_t>(s.trace_capacity, 1 << 18);
-    } else if (arg == "--json-out") {
-      if (!next(&opts.json_out_path)) return fail("--json-out needs a path");
-      // The sink streams at record time, so a modest ring suffices.
-      s.trace_capacity = std::max<std::size_t>(s.trace_capacity, 1 << 12);
-    } else if (arg == "--metrics-out") {
-      if (!next(&opts.metrics_out_path)) {
-        return fail("--metrics-out needs a path");
-      }
-    } else if (arg == "--profile") {
-      s.profile = true;
-    } else if (arg == "--monitor" || arg == "--monitor=strict") {
-      s.monitor = true;
-      if (arg == "--monitor=strict") opts.monitor_strict = true;
-    } else if (arg == "--telemetry-out") {
-      if (!next(&s.telemetry_out)) return fail("--telemetry-out needs a path");
-    } else if (arg == "--telemetry-interval") {
-      double p = 0;
-      if (!next(&v) || !parse_double(v, &p) || p <= 0) {
-        return fail("--telemetry-interval needs a positive number of seconds");
-      }
-      s.telemetry_interval_s = p;
-    } else if (arg == "--telemetry-per-node") {
-      long long n = 0;
-      if (!next(&v) || !parse_int(v, &n) || n < 0 || n > 1) {
-        return fail("--telemetry-per-node needs 0 or 1");
-      }
-      s.telemetry_per_node = static_cast<int>(n);
-    } else if (arg == "--flight-recorder") {
-      if (!next(&s.flight_recorder_out)) {
-        return fail("--flight-recorder needs a path");
-      }
-    } else if (arg == "--flight-capacity") {
-      long long n = 0;
-      if (!next(&v) || !parse_int(v, &n) || n < 16) {
-        return fail("--flight-capacity needs an integer >= 16");
-      }
-      s.flight_capacity = static_cast<std::size_t>(n);
-    } else if (arg == "--timeline-out") {
-      if (!next(&opts.timeline_out_path)) {
-        return fail("--timeline-out needs a path");
-      }
-      // Timeline events stream at record time; a modest ring suffices.
-      s.trace_capacity = std::max<std::size_t>(s.trace_capacity, 1 << 12);
-    } else if (arg == "--sampler") {
-      s.phase_sampler = true;
-    } else if (arg == "--sampler-interval") {
-      double p = 0;
-      if (!next(&v) || !parse_double(v, &p) || p <= 0) {
-        return fail("--sampler-interval needs a positive number of seconds");
-      }
-      s.phase_sampler_interval_s = p;
-      s.phase_sampler = true;
-    } else if (arg == "--prom-textfile") {
-      if (!next(&opts.prom_textfile_path)) {
-        return fail("--prom-textfile needs a path");
-      }
     } else {
       return fail("unknown option: " + arg);
     }

@@ -176,6 +176,11 @@ std::string at_line(const obs::json::Value& v) {
 
 }  // namespace
 
+bool config_key_applies(std::string_view key, ConfigTool tool) {
+  const KeySpec* spec = find_key(key);
+  return spec != nullptr && (spec->tools & tool_mask(tool)) != 0;
+}
+
 std::optional<clk::DriftStressKind> clock_model_kind_from_string(
     std::string_view name) {
   if (name == "none") return clk::DriftStressKind::kNone;

@@ -78,6 +78,10 @@ namespace sstsp::run {
 /// kAny accepts every known key — used by tests and the legacy overloads.
 enum class ConfigTool { kAny, kSim, kNode, kSwarm };
 
+/// Does the universal schema give `key` (a flag name without "--") to
+/// `tool`?  false for keys outside the schema.
+[[nodiscard]] bool config_key_applies(std::string_view key, ConfigTool tool);
+
 /// Converts a parsed config object into argv-style flags for `tool`.
 /// nullopt + *error (naming the offending key and line) on malformed
 /// documents or keys outside the universal schema.

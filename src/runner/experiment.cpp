@@ -19,6 +19,22 @@ void derive_series_stats(RunResult& result, double duration_s) {
       result.max_diff.quantile_in(0.99, steady_from, duration_s);
 }
 
+void collect_observers(RunResult& result, const obs::Observers& observers,
+                       double wall_seconds) {
+  result.metrics = observers.registry().snapshot();
+  result.wall_seconds = wall_seconds;
+  if (const obs::Profiler* profiler = observers.profiler()) {
+    result.profile = profiler->snapshot(result.events_processed, wall_seconds);
+  }
+  if (const obs::InvariantMonitor* monitor = observers.monitor()) {
+    result.audit = monitor->report();
+  }
+  if (fault::RecoveryTracker* recovery = observers.recovery()) {
+    recovery->finalize(observers.injector()->stats());
+    result.recovery = recovery->report();
+  }
+}
+
 RunResult collect_result(Network& net, double wall_seconds) {
   const Scenario& scenario = net.scenario();
   RunResult result;
@@ -26,14 +42,8 @@ RunResult collect_result(Network& net, double wall_seconds) {
   result.channel = net.channel_stats();
   result.honest = net.honest_stats();
   if (const auto* atk = net.attacker_stats()) result.attacker = *atk;
-  result.metrics = net.metrics_registry().snapshot();
   result.events_processed = net.simulator().events_processed();
-  result.wall_seconds = wall_seconds;
-  if (net.profiler() != nullptr) {
-    result.profile =
-        net.profiler()->snapshot(result.events_processed, wall_seconds);
-  }
-  if (net.monitor() != nullptr) result.audit = net.monitor()->report();
+  collect_observers(result, net.observers(), wall_seconds);
   if (scenario.cluster.enabled()) {
     result.cluster_spread = net.cluster_spread_series();
     result.attach_fraction = net.attach_fraction_series();
@@ -47,11 +57,6 @@ RunResult collect_result(Network& net, double wall_seconds) {
     result.cluster_steady_max_us =
         result.cluster_spread.max_in(steady_from, scenario.duration_s);
   }
-  if (net.recovery_tracker() != nullptr) {
-    net.recovery_tracker()->finalize(net.fault_injector()->stats());
-    result.recovery = net.recovery_tracker()->report();
-  }
-
   derive_series_stats(result, scenario.duration_s);
   return result;
 }

@@ -10,6 +10,7 @@
 #include "net/transport.h"
 #include "obs/invariants.h"
 #include "obs/metrics.h"
+#include "obs/observers.h"
 #include "obs/profiler.h"
 #include "protocols/sync_protocol.h"
 #include "runner/scenario.h"
@@ -76,6 +77,12 @@ struct RunResult {
 /// result.max_diff over [0, duration_s] — the derivation shared by the
 /// simulation collector below and the live-stack net::Swarm collector.
 void derive_series_stats(RunResult& result, double duration_s);
+
+/// Fills the observer-derived parts of a finished run's result — metrics
+/// snapshot, profile, audit report, recovery block — and wall_seconds.
+/// Every host ends its collection here; set events_processed first.
+void collect_observers(RunResult& result, const obs::Observers& observers,
+                       double wall_seconds);
 
 class Network;
 

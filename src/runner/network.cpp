@@ -48,138 +48,15 @@ Network::Network(const Scenario& scenario)
           "(need 2*radius, spacing/2 + radius and spacing <= range)");
     }
   }
-  if (scenario_.collect_metrics) {
-    instruments_ = std::make_unique<obs::Instruments>(registry_);
-    sim_.set_instruments(instruments_.get());
-    channel_.set_instruments(instruments_.get());
-    if (scenario_.sstsp.discipline.effective_name() != "paper") {
-      // Per-verdict counters only for non-default disciplines: the default
-      // path's registry snapshot (and with it the seeded run JSON) must
-      // stay byte-identical (DESIGN.md §14).
-      instruments_->enable_discipline(
-          scenario_.sstsp.discipline.effective_name(),
-          core::discipline_verdict_names());
-    }
-  }
-  if (scenario_.profile) {
-    profiler_ = std::make_unique<obs::Profiler>();
-    sim_.set_profiler(profiler_.get());
-    channel_.set_profiler(profiler_.get());
-  }
-  if (scenario_.phase_sampler) {
-    obs::PhaseSampler::Options opt;
-    if (scenario_.phase_sampler_interval_s > 0.0) {
-      opt.interval_s = scenario_.phase_sampler_interval_s;
-    }
-    phase_sampler_ = std::make_unique<obs::PhaseSampler>(opt, registry_);
-    phase_sampler_->attach_profiler(profiler_.get());
-    sim_.set_phase_sampler(phase_sampler_.get());
-  }
-  if (scenario_.monitor) {
-    obs::InvariantConfig cfg;
-    cfg.sstsp_checks = scenario_.protocol == ProtocolKind::kSstsp;
-    cfg.bp_us = scenario_.phy.beacon_period.to_us();
-    cfg.m = scenario_.sstsp.m;
-    cfg.l = scenario_.sstsp.l;
-    cfg.t0_us = scenario_.sstsp.t0_us;
-    cfg.interval_slack_us = scenario_.sstsp.interval_slack_us;
-    cfg.k_min = scenario_.sstsp.k_min;
-    cfg.k_max = scenario_.sstsp.k_max;
-    if (scenario_.cluster.enabled()) {
-      // The global spread now includes the inter-cluster translation error,
-      // so the single-domain Lemma-1 thresholds widen by the documented
-      // cross-cluster bound; the dedicated cluster-spread check enforces
-      // the bound itself.
-      const double bound = scenario_.cluster.cross_cluster_bound_us();
-      cfg.converged_threshold_us += bound;
-      cfg.diverge_threshold_us += bound;
-      cfg.cluster_max_depth = scenario_.cluster.max_depth();
-      cfg.cluster_hop_bound_us = scenario_.cluster.hop_bound_us;
-    }
-    monitor_ = std::make_unique<obs::InvariantMonitor>(cfg);
-    lifecycle_ = std::make_unique<trace::BeaconLifecycle>(registry_);
-    if (scenario_.cluster.enabled()) {
-      std::vector<obs::NodeDomainInfo> topo(
-          static_cast<std::size_t>(scenario_.num_nodes));
-      for (int i = 0; i < scenario_.num_nodes; ++i) {
-        const int c = cluster::cluster_of(scenario_.cluster,
-                                          static_cast<mac::NodeId>(i));
-        topo[static_cast<std::size_t>(i)].cluster = c;
-        topo[static_cast<std::size_t>(i)].phase_us =
-            cluster::phase_of(scenario_.cluster, c);
-      }
-      monitor_->set_cluster_topology(std::move(topo));
-    }
-  }
-  if (!scenario_.faults.empty()) {
-    // The injector owns its RNG substream, keyed by the plan's seed: the
-    // channel's own draw sequence is untouched, so attaching a plan never
-    // perturbs the baseline run and the same (plan, seed) pair replays
-    // bit-identically.
-    injector_ = std::make_unique<fault::FaultInjector>(
-        scenario_.faults, sim_.substream("faults", scenario_.faults.seed));
-    channel_.set_fault_injector(injector_.get());
-    recovery_ = std::make_unique<fault::RecoveryTracker>(
-        scenario_.phy.beacon_period.to_us() * 1e-6,
-        /*sync_threshold_us=*/25.0);
-    if (monitor_ != nullptr) {
-      // Planned partitions and node outages are disturbances, not
-      // violations: suspend the invariants a healthy network is *supposed*
-      // to break while recovering (one reference per partition, Lemma 1
-      // restart).
-      for (const auto& p : scenario_.faults.partitions) {
-        monitor_->add_disturbance(
-            sim::SimTime::from_sec_double(p.start_s),
-            p.end_s < 0.0 ? sim::SimTime::never()
-                          : sim::SimTime::from_sec_double(p.end_s));
-      }
-      for (const auto& f : scenario_.faults.node_faults) {
-        monitor_->add_disturbance(
-            sim::SimTime::from_sec_double(f.at_s),
-            f.restart_s < 0.0 ? sim::SimTime::from_sec_double(f.at_s)
-                              : sim::SimTime::from_sec_double(f.restart_s));
-      }
-      for (const auto& c : scenario_.faults.clock_faults) {
-        monitor_->add_disturbance(sim::SimTime::from_sec_double(c.at_s),
-                                  sim::SimTime::from_sec_double(c.at_s));
-      }
-    }
-  }
-  if (!scenario_.flight_recorder_out.empty()) {
-    flight_sink_ = std::make_unique<obs::JsonlSink>();
-    std::string err;
-    if (!flight_sink_->open(scenario_.flight_recorder_out, &err)) {
-      throw std::runtime_error(err);
-    }
-    obs::FlightRecorder::Config cfg;
-    cfg.event_capacity = scenario_.flight_capacity;
-    flight_ = std::make_unique<obs::FlightRecorder>(cfg, flight_sink_.get());
-    if (monitor_ != nullptr) {
-      // Dump the retained history the instant a *new* violation class
-      // appears — the post-mortem is written before the failure cascades.
-      monitor_->set_on_new_record(
-          [this](sim::SimTime now, const obs::AuditRecord& rec) {
-            flight_->on_audit_record(now.to_sec(), rec);
-          });
-    }
-  }
-  if (!scenario_.telemetry_out.empty()) {
-    telemetry_sink_ = std::make_unique<obs::JsonlSink>();
-    std::string err;
-    if (!telemetry_sink_->open(scenario_.telemetry_out, &err)) {
-      throw std::runtime_error(err);
-    }
-    obs::TelemetrySampler::Options opt;
-    opt.interval_s =
-        scenario_.telemetry_interval_s > 0.0 ? scenario_.telemetry_interval_s
-                                             : 1.0;
-    opt.source = "sim";
-    sampler_ = std::make_unique<obs::TelemetrySampler>(
-        opt, [this](const obs::TelemetrySample& sample) {
-          telemetry_sink_->write_line(obs::telemetry_to_jsonl(sample));
-          if (flight_ != nullptr) flight_->on_sample(sample);
-        });
-  }
+  obs::ObservedRun run;
+  run.sstsp_checks = scenario_.protocol == ProtocolKind::kSstsp;
+  run.sstsp = scenario_.sstsp;
+  run.beacon_period_us = scenario_.phy.beacon_period.to_us();
+  run.cluster = scenario_.cluster;
+  run.faults = scenario_.faults;
+  observers_ = std::make_unique<obs::Observers>(scenario_, run, sim_);
+  observers_->attach(sim_, channel_);
+  channel_.set_fault_injector(observers_->injector());
   build_stations();
 }
 
@@ -328,17 +205,8 @@ void Network::build_stations() {
     st.set_protocol(std::move(proto));
   }
 
-  if (scenario_.trace_capacity > 0) {
-    trace_ = std::make_unique<trace::EventTrace>(scenario_.trace_capacity);
-    for (auto& station : stations_) station->set_trace(trace_.get());
-  }
   for (auto& station : stations_) {
-    station->set_instruments(instruments_.get());
-    station->set_profiler(profiler_.get());
-    station->set_monitor(monitor_.get());
-    station->set_lifecycle(lifecycle_.get());
-    station->set_recovery(recovery_.get());
-    station->set_flight(flight_.get());
+    station->set_observers(observers_->for_stations());
   }
 }
 
@@ -352,7 +220,6 @@ void Network::arm() {
 }
 
 void Network::schedule_faults() {
-  if (scenario_.faults.empty()) return;
   fault::FaultHooks hooks;
   hooks.current_reference = [this]() -> std::optional<mac::NodeId> {
     const auto idx = current_reference_index();
@@ -375,40 +242,7 @@ void Network::schedule_faults() {
     if (idx >= stations_.size()) return;
     stations_[idx]->inject_clock_fault(step_us, drift_delta_ppm);
   };
-  if (recovery_ != nullptr) {
-    hooks.on_node_fault = [this](const fault::NodeFault& f, mac::NodeId id) {
-      // Losing the reference forces a re-election (the paper's l-BP
-      // silence tolerance, §3.3); losing a follower only dents coverage.
-      if (f.reference) {
-        recovery_->expect_reelection(f.kind == fault::NodeFaultKind::kCrash
-                                         ? "reference-crash"
-                                         : "reference-pause",
-                                     id, sim_.now().to_sec());
-      } else if (scenario_.cluster.enabled() &&
-                 cluster::is_gateway(scenario_.cluster, id)) {
-        // Losing a gateway severs a cluster's translation path: wait for
-        // the attach fraction to dip (stale-tau detachment) and return.
-        recovery_->expect_reattach(f.kind == fault::NodeFaultKind::kCrash
-                                       ? "gateway-crash"
-                                       : "gateway-pause",
-                                   id, sim_.now().to_sec());
-      }
-    };
-    hooks.on_clock_fault = [this](const fault::ClockFault&, mac::NodeId id) {
-      recovery_->expect_resync("clock-fault", id, sim_.now().to_sec());
-    };
-    // Partition heals that happen inside the run are re-sync deadlines.
-    for (const auto& p : scenario_.faults.partitions) {
-      if (p.end_s >= 0.0 && p.end_s < scenario_.duration_s) {
-        const double heal_s = p.end_s;
-        sim_.at(sim::SimTime::from_sec_double(heal_s), [this, heal_s] {
-          recovery_->expect_resync("partition-heal", mac::kNoNode, heal_s);
-        });
-      }
-    }
-  }
-  fault::schedule_fault_events(sim_, scenario_.faults, injector_.get(),
-                               std::move(hooks));
+  observers_->schedule_faults(sim_, scenario_.duration_s, std::move(hooks));
 }
 
 void Network::schedule_environment() {
@@ -527,30 +361,17 @@ void Network::sample_clock_spread() {
     }
     const double diff = hi - lo;
     max_diff_.push(now.to_sec(), diff);
-    if (monitor_ != nullptr) monitor_->on_max_diff_sample(now, diff);
-    if (recovery_ != nullptr) {
-      recovery_->on_max_diff_sample(now.to_sec(), diff);
-    }
-    if (instruments_ != nullptr) {
-      instruments_->on_max_diff_sample(diff);
-      const double mean = sum / static_cast<double>(sample_values_.size());
-      for (const double v : sample_values_) {
-        instruments_->on_node_error_sample(std::fabs(v - mean));
-      }
-    }
+    observers_->on_spread_sample(
+        now, sample_values_, diff,
+        sum / static_cast<double>(sample_values_.size()));
   }
   if (scenario_.cluster.enabled()) sample_cluster(now);
   // Telemetry rides the same tick — no extra events, so a seeded run's
   // event/RNG sequence is identical with telemetry on or off.
-  if (sampler_ != nullptr && sampler_->due(now.to_sec())) {
+  if (observers_->telemetry_due(now.to_sec())) {
     emit_telemetry(now, have, lo, hi, sum);
   }
-  if (dump_flag_ != nullptr && *dump_flag_ != 0) {
-    *dump_flag_ = 0;
-    if (flight_ != nullptr) {
-      flight_->dump(now.to_sec(), "dump-request", nullptr);
-    }
-  }
+  observers_->poll_dump_request(now.to_sec());
 }
 
 void Network::sample_cluster(sim::SimTime now) {
@@ -587,18 +408,16 @@ void Network::sample_cluster(sim::SimTime now) {
       hi = std::max(hi, mean);
     }
   }
+  std::optional<double> spread;
   if (have) {
-    const double spread = hi - lo;
-    cluster_spread_.push(now.to_sec(), spread);
-    if (monitor_ != nullptr) monitor_->on_cluster_spread_sample(now, spread);
+    spread = hi - lo;
+    cluster_spread_.push(now.to_sec(), *spread);
   }
   const double fraction =
       awake > 0 ? static_cast<double>(attached) / static_cast<double>(awake)
                 : 0.0;
   attach_fraction_.push(now.to_sec(), fraction);
-  if (recovery_ != nullptr) {
-    recovery_->on_cluster_attach_sample(now.to_sec(), fraction);
-  }
+  observers_->on_cluster_sample(now, spread, fraction);
 }
 
 void Network::emit_telemetry(sim::SimTime now, bool have, double lo,
@@ -622,10 +441,6 @@ void Network::emit_telemetry(sim::SimTime now, bool have, double lo,
     for (const double v : sample_values_) abs_dev += std::fabs(v - mean);
     s.mean_offset_us = abs_dev / static_cast<double>(count);
   }
-  s.queue_depth = sim_.events_pending();
-  if (monitor_ != nullptr) s.audit_records = monitor_->total_violations();
-  s.recovery_pending = recovery_ != nullptr && recovery_->pending();
-
   const bool per_node =
       scenario_.telemetry_per_node > 0 ||
       (scenario_.telemetry_per_node < 0 && scenario_.num_nodes <= 64);
@@ -640,18 +455,7 @@ void Network::emit_telemetry(sim::SimTime now, bool have, double lo,
       s.node_errors.push_back(e);
     }
   }
-
-  obs::TelemetryCumulative cum;
-  const proto::ProtocolStats hs = honest_stats();
-  cum.beacons_tx = hs.beacons_sent;
-  cum.beacons_rx = hs.beacons_received;
-  cum.adjustments = hs.adjustments + hs.adoptions;
-  cum.coarse_steps = hs.coarse_steps;
-  cum.rejects = hs.rejected_interval + hs.rejected_key + hs.rejected_mac +
-                hs.rejected_guard;
-  cum.elections = hs.elections_won;
-  cum.events = sim_.events_processed();
-  sampler_->emit(now.to_sec(), std::move(s), cum);
+  observers_->emit_telemetry(now.to_sec(), std::move(s), honest_stats(), sim_);
 }
 
 std::optional<std::size_t> Network::current_reference_index() const {
@@ -709,22 +513,7 @@ proto::ProtocolStats Network::honest_stats() const {
   proto::ProtocolStats agg;
   for (std::size_t i = 0; i < stations_.size(); ++i) {
     if (i == attacker_index_) continue;
-    const auto& s = stations_[i]->protocol().stats();
-    agg.beacons_sent += s.beacons_sent;
-    agg.beacons_received += s.beacons_received;
-    agg.adoptions += s.adoptions;
-    agg.adjustments += s.adjustments;
-    agg.rejected_interval += s.rejected_interval;
-    agg.rejected_key += s.rejected_key;
-    agg.rejected_mac += s.rejected_mac;
-    agg.rejected_guard += s.rejected_guard;
-    agg.elections_won += s.elections_won;
-    agg.demotions += s.demotions;
-    agg.coarse_steps += s.coarse_steps;
-    agg.solver_rejections += s.solver_rejections;
-    for (std::size_t v = 0; v < agg.discipline_verdicts.size(); ++v) {
-      agg.discipline_verdicts[v] += s.discipline_verdicts[v];
-    }
+    agg += stations_[i]->protocol().stats();
   }
   return agg;
 }

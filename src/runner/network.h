@@ -3,23 +3,12 @@
 // metric sampling), then runs it.
 #pragma once
 
-#include <csignal>
 #include <memory>
 #include <vector>
 
 #include "core/key_directory.h"
-#include "fault/injector.h"
-#include "fault/recovery.h"
-#include "obs/flight_recorder.h"
-#include "obs/instruments.h"
-#include "obs/invariants.h"
-#include "obs/metrics.h"
-#include "obs/profiler.h"
-#include "obs/sampler.h"
-#include "obs/telemetry.h"
-#include "trace/event_trace.h"
-#include "trace/lifecycle.h"
 #include "metrics/series.h"
+#include "obs/observers.h"
 #include "protocols/station.h"
 #include "runner/scenario.h"
 
@@ -75,60 +64,14 @@ class Network {
   /// awake, synchronized, honest stations (max - min; O(N)).
   [[nodiscard]] std::optional<double> instant_max_diff_us() const;
 
+  /// The run's observers (obs/observers.h), built from the scenario's
+  /// ObserverConfig.  The constructor throws std::runtime_error when the
+  /// telemetry or flight-recorder path cannot be opened.
+  [[nodiscard]] obs::Observers& observers() { return *observers_; }
+  [[nodiscard]] const obs::Observers& observers() const { return *observers_; }
   /// The shared protocol-event trace; nullptr unless
   /// Scenario::trace_capacity > 0.
-  [[nodiscard]] trace::EventTrace* trace() { return trace_.get(); }
-
-  /// The run's metrics registry (always present; empty when
-  /// Scenario::collect_metrics is false).
-  [[nodiscard]] obs::Registry& metrics_registry() { return registry_; }
-  [[nodiscard]] const obs::Registry& metrics_registry() const {
-    return registry_;
-  }
-
-  /// The hot-path profiler; nullptr unless Scenario::profile is set.
-  [[nodiscard]] obs::Profiler* profiler() { return profiler_.get(); }
-
-  /// The phase-sampling profiler; nullptr unless Scenario::phase_sampler is
-  /// set.  Records into metrics_registry().
-  [[nodiscard]] obs::PhaseSampler* phase_sampler() {
-    return phase_sampler_.get();
-  }
-
-  /// The invariant monitor / lifecycle tracker; nullptr unless
-  /// Scenario::monitor is set.
-  [[nodiscard]] obs::InvariantMonitor* monitor() { return monitor_.get(); }
-  [[nodiscard]] const obs::InvariantMonitor* monitor() const {
-    return monitor_.get();
-  }
-  [[nodiscard]] trace::BeaconLifecycle* lifecycle() {
-    return lifecycle_.get();
-  }
-
-  /// Fault machinery; nullptr unless the scenario carries a fault plan.
-  [[nodiscard]] fault::FaultInjector* fault_injector() {
-    return injector_.get();
-  }
-  [[nodiscard]] fault::RecoveryTracker* recovery_tracker() {
-    return recovery_.get();
-  }
-
-  /// Streaming telemetry / flight recorder; nullptr unless the scenario
-  /// sets telemetry_out / flight_recorder_out.  The Network constructor
-  /// throws std::runtime_error when either output path cannot be opened.
-  [[nodiscard]] obs::TelemetrySampler* telemetry_sampler() {
-    return sampler_.get();
-  }
-  [[nodiscard]] obs::FlightRecorder* flight_recorder() {
-    return flight_.get();
-  }
-
-  /// Registers an async-signal flag (SIGUSR1 handler storage): when the
-  /// flag is non-zero at a sampling tick, the flight recorder dumps with
-  /// reason "dump-request" and the flag is cleared.
-  void set_dump_request_flag(volatile std::sig_atomic_t* flag) {
-    dump_flag_ = flag;
-  }
+  [[nodiscard]] trace::EventTrace* trace() { return observers_->trace(); }
 
  private:
   void build_stations();
@@ -143,23 +86,10 @@ class Network {
 
   Scenario scenario_;
   sim::Simulator sim_;
+  std::unique_ptr<obs::Observers> observers_;  // outlives its attachments
   mac::Channel channel_;
   core::KeyDirectory directory_;
   std::vector<std::unique_ptr<proto::Station>> stations_;
-  std::unique_ptr<trace::EventTrace> trace_;
-  obs::Registry registry_;
-  std::unique_ptr<obs::Instruments> instruments_;
-  std::unique_ptr<obs::Profiler> profiler_;
-  std::unique_ptr<obs::PhaseSampler> phase_sampler_;
-  std::unique_ptr<obs::InvariantMonitor> monitor_;
-  std::unique_ptr<trace::BeaconLifecycle> lifecycle_;
-  std::unique_ptr<fault::FaultInjector> injector_;
-  std::unique_ptr<fault::RecoveryTracker> recovery_;
-  std::unique_ptr<obs::JsonlSink> flight_sink_;
-  std::unique_ptr<obs::FlightRecorder> flight_;
-  std::unique_ptr<obs::JsonlSink> telemetry_sink_;
-  std::unique_ptr<obs::TelemetrySampler> sampler_;
-  volatile std::sig_atomic_t* dump_flag_{nullptr};
   std::size_t attacker_index_;  // == stations_.size() when no attacker
   metrics::Series max_diff_;
   metrics::Series cluster_spread_;

@@ -65,41 +65,20 @@ ParallelNetwork::ParallelNetwork(const Scenario& scenario)
       exec_(exec_options(scenario), scenario.seed),
       attacker_index_(0) {
   const int shards = exec_.shard_count();
-  if (scenario_.collect_metrics) {
-    registries_.reserve(static_cast<std::size_t>(shards));
-    instruments_.reserve(static_cast<std::size_t>(shards));
-    for (int s = 0; s < shards; ++s) {
-      registries_.push_back(std::make_unique<obs::Registry>());
-      instruments_.push_back(
-          std::make_unique<obs::Instruments>(*registries_.back()));
-    }
-    control_instruments_ =
-        std::make_unique<obs::Instruments>(control_registry_);
-    if (scenario_.sstsp.discipline.effective_name() != "paper") {
-      // Same non-default-only rule as Network: the default registry
-      // snapshot must stay byte-identical across kernels.
-      for (auto& ins : instruments_) {
-        ins->enable_discipline(scenario_.sstsp.discipline.effective_name(),
-                               core::discipline_verdict_names());
-      }
-      control_instruments_->enable_discipline(
-          scenario_.sstsp.discipline.effective_name(),
-          core::discipline_verdict_names());
-    }
-    // Note: unlike Network, no Instruments hook on the simulators — the
-    // queue-depth histogram would describe per-shard queues and change
-    // with the partition, breaking the any-shard-count bit-identity of
-    // the metrics snapshot.  Every other instrument records quantities
-    // the exactness contract fixes.
+  // One bundle per shard with the observers the sharded kernel supports
+  // (trace, metrics, profiler; exec_options rejects the rest), and one for
+  // the control timeline: clock-spread instruments and the kernel gauges.
+  obs::ObservedRun run;
+  run.sstsp = scenario_.sstsp;
+  for (int s = 0; s < shards; ++s) {
+    shard_observers_.push_back(
+        std::make_unique<obs::Observers>(scenario_, run, exec_.shard(s)));
   }
-  if (scenario_.profile) {
-    profilers_.reserve(static_cast<std::size_t>(shards));
-    for (int s = 0; s < shards; ++s) {
-      profilers_.push_back(std::make_unique<obs::Profiler>());
-      exec_.shard(s).set_profiler(profilers_.back().get());
-    }
-    exec_.set_collect_wall_stats(true);
-  }
+  obs::ObserverConfig control;
+  control.collect_metrics = scenario_.collect_metrics;
+  control_observers_ =
+      std::make_unique<obs::Observers>(control, run, exec_.control());
+  if (scenario_.profile) exec_.set_collect_wall_stats(true);
 
   std::vector<sim::Simulator*> sims;
   sims.reserve(static_cast<std::size_t>(shards));
@@ -177,17 +156,9 @@ void ParallelNetwork::build_stations() {
     }
   }
 
-  if (scenario_.trace_capacity > 0) {
-    for (int s = 0; s < shards; ++s) {
-      traces_.push_back(
-          std::make_unique<trace::EventTrace>(scenario_.trace_capacity));
-    }
-  }
-  if (scenario_.collect_metrics) {
-    for (int s = 0; s < shards; ++s) {
-      world_->channel(s).set_instruments(
-          instruments_[static_cast<std::size_t>(s)].get());
-    }
+  for (int s = 0; s < shards; ++s) {
+    shard_observers_[static_cast<std::size_t>(s)]->attach_shard(
+        exec_.shard(s), world_->channel(s));
   }
 
   for (int i = 0; i < total; ++i) {
@@ -252,11 +223,7 @@ void ParallelNetwork::build_stations() {
       }
     }
     station->set_protocol(std::move(proto));
-    if (!traces_.empty()) station->set_trace(traces_[shard].get());
-    if (!instruments_.empty()) {
-      station->set_instruments(instruments_[shard].get());
-    }
-    if (!profilers_.empty()) station->set_profiler(profilers_[shard].get());
+    station->set_observers(shard_observers_[shard]->for_stations());
     stations_.push_back(std::move(station));
   }
 }
@@ -379,13 +346,9 @@ void ParallelNetwork::sample_clock_spread() {
   }
   const double diff = hi - lo;
   max_diff_.push(now.to_sec(), diff);
-  if (control_instruments_ != nullptr) {
-    control_instruments_->on_max_diff_sample(diff);
-    const double mean = sum / static_cast<double>(sample_values_.size());
-    for (const double v : sample_values_) {
-      control_instruments_->on_node_error_sample(std::fabs(v - mean));
-    }
-  }
+  control_observers_->on_spread_sample(
+      now, sample_values_, diff,
+      sum / static_cast<double>(sample_values_.size()));
 }
 
 std::optional<std::size_t> ParallelNetwork::current_reference_index() const {
@@ -407,8 +370,7 @@ void ParallelNetwork::run() {
         // Attribute barrier settlement (interference + delivery fan-out)
         // to the channel-delivery phase, like Channel::finish_transmission.
         obs::Span span(
-            profilers_.empty() ? nullptr
-                               : profilers_[static_cast<std::size_t>(s)].get(),
+            shard_observers_[static_cast<std::size_t>(s)]->profiler(),
             obs::Phase::kChannelDelivery);
         world_->settle(s, end);
       },
@@ -417,7 +379,7 @@ void ParallelNetwork::run() {
 }
 
 void ParallelNetwork::publish_shard_metrics() {
-  obs::Registry& r = control_registry_;
+  obs::Registry& r = control_observers_->registry();
   r.gauge("shard.count").set(static_cast<double>(exec_.shard_count()));
   r.counter("shard.windows").inc(exec_.windows());
   r.counter("shard.announcements").inc(world_->announcements_total());
@@ -450,22 +412,7 @@ proto::ProtocolStats ParallelNetwork::honest_stats() const {
   proto::ProtocolStats agg;
   for (std::size_t i = 0; i < stations_.size(); ++i) {
     if (i == attacker_index_) continue;
-    const auto& s = stations_[i]->protocol().stats();
-    agg.beacons_sent += s.beacons_sent;
-    agg.beacons_received += s.beacons_received;
-    agg.adoptions += s.adoptions;
-    agg.adjustments += s.adjustments;
-    agg.rejected_interval += s.rejected_interval;
-    agg.rejected_key += s.rejected_key;
-    agg.rejected_mac += s.rejected_mac;
-    agg.rejected_guard += s.rejected_guard;
-    agg.elections_won += s.elections_won;
-    agg.demotions += s.demotions;
-    agg.coarse_steps += s.coarse_steps;
-    agg.solver_rejections += s.solver_rejections;
-    for (std::size_t v = 0; v < agg.discipline_verdicts.size(); ++v) {
-      agg.discipline_verdicts[v] += s.discipline_verdicts[v];
-    }
+    agg += stations_[i]->protocol().stats();
   }
   return agg;
 }
@@ -477,15 +424,17 @@ const proto::ProtocolStats* ParallelNetwork::attacker_stats() const {
 
 obs::RegistrySnapshot ParallelNetwork::metrics_snapshot() const {
   obs::Registry merged;
-  merged.merge_from(control_registry_);
-  for (const auto& r : registries_) merged.merge_from(*r);
+  merged.merge_from(control_observers_->registry());
+  for (const auto& o : shard_observers_) merged.merge_from(o->registry());
   return merged.snapshot();
 }
 
 obs::ProfileSnapshot ParallelNetwork::profile_snapshot(
     double wall_seconds) const {
   obs::ProfileSnapshot snap;
-  for (const auto& p : profilers_) {
+  for (const auto& o : shard_observers_) {
+    const obs::Profiler* p = o->profiler();
+    if (p == nullptr) continue;
     for (std::size_t ph = 0; ph < obs::kPhaseCount; ++ph) {
       const obs::PhaseStats& st = p->stats(static_cast<obs::Phase>(ph));
       snap.phases[ph].exclusive_ns += st.exclusive_ns;
@@ -498,10 +447,19 @@ obs::ProfileSnapshot ParallelNetwork::profile_snapshot(
   return snap;
 }
 
+std::vector<trace::EventTrace*> ParallelNetwork::shard_traces() const {
+  std::vector<trace::EventTrace*> traces;
+  for (const auto& o : shard_observers_) {
+    if (o->trace() != nullptr) traces.push_back(o->trace());
+  }
+  return traces;
+}
+
 std::unique_ptr<trace::EventTrace> ParallelNetwork::merged_trace() const {
-  if (traces_.empty()) return nullptr;
+  const auto traces = shard_traces();
+  if (traces.empty()) return nullptr;
   std::vector<trace::TraceEvent> all;
-  for (const auto& t : traces_) {
+  for (const auto* t : traces) {
     const auto events =
         t->select([](const trace::TraceEvent&) { return true; });
     all.insert(all.end(), events.begin(), events.end());

@@ -21,14 +21,12 @@
 #include "core/key_directory.h"
 #include "mac/sharded_channel.h"
 #include "metrics/series.h"
-#include "obs/instruments.h"
 #include "obs/metrics.h"
-#include "obs/profiler.h"
+#include "obs/observers.h"
 #include "protocols/station.h"
 #include "runner/experiment.h"
 #include "runner/scenario.h"
 #include "sim/shard_exec.h"
-#include "trace/event_trace.h"
 
 namespace sstsp::run {
 
@@ -72,10 +70,7 @@ class ParallelNetwork {
   /// Per-shard protocol-event traces; empty unless trace_capacity > 0.
   /// Events of one shard are in record order; use trace::EventTrace::select
   /// and sort across shards for a global view.
-  [[nodiscard]] const std::vector<std::unique_ptr<trace::EventTrace>>&
-  shard_traces() const {
-    return traces_;
-  }
+  [[nodiscard]] std::vector<trace::EventTrace*> shard_traces() const;
 
   /// Merged per-shard profiler phases; meaningful only when
   /// Scenario::profile is set.
@@ -102,19 +97,16 @@ class ParallelNetwork {
 
   Scenario scenario_;
   sim::ShardExecutor exec_;
+  /// Per shard: trace, instruments and profiler (shard_observers_[s]);
+  /// the control bundle holds the sampling-side instruments and the
+  /// kernel's own gauges.
+  std::vector<std::unique_ptr<obs::Observers>> shard_observers_;
+  std::unique_ptr<obs::Observers> control_observers_;
   std::unique_ptr<mac::ShardedWorld> world_;
   /// One key directory per shard (verification caches are per-receiver-
   /// shard); each holds the chains of every node audible to that shard.
   std::vector<std::unique_ptr<core::KeyDirectory>> directories_;
   std::vector<std::unique_ptr<proto::Station>> stations_;  // global id order
-  std::vector<std::unique_ptr<trace::EventTrace>> traces_;
-  /// registries_[0..S-1] per shard; control_registry_ for sampling-side
-  /// instruments and the kernel's own gauges.
-  std::vector<std::unique_ptr<obs::Registry>> registries_;
-  obs::Registry control_registry_;
-  std::vector<std::unique_ptr<obs::Instruments>> instruments_;
-  std::unique_ptr<obs::Instruments> control_instruments_;
-  std::vector<std::unique_ptr<obs::Profiler>> profilers_;
   std::size_t attacker_index_;  // == stations_.size() when no attacker
   metrics::Series max_diff_;
   std::vector<double> sample_values_;  // reused per sampling tick

@@ -10,21 +10,6 @@
 
 namespace sstsp::run {
 
-OutputOptions OutputOptions::from_cli(const CliOptions& opts) {
-  OutputOptions out;
-  out.csv_path = opts.csv_path;
-  out.json_out_path = opts.json_out_path;
-  out.metrics_out_path = opts.metrics_out_path;
-  out.timeline_out_path = opts.timeline_out_path;
-  out.prom_textfile_path = opts.prom_textfile_path;
-  out.ascii_chart = opts.ascii_chart;
-  out.dump_trace = opts.dump_trace;
-  out.trace_limit = opts.trace_limit;
-  out.trace_kind = opts.trace_kind;
-  out.monitor_strict = opts.monitor_strict;
-  return out;
-}
-
 void print_result_summary(std::ostream& out, const RunResult& result) {
   const auto& honest = result.honest;
   out << "\nsync latency (<25 us sustained): "

@@ -9,7 +9,7 @@
 // (the PR-2 audit/trace tooling reads all three the same way).
 //
 // Usage:
-//   run::RunOutput output(run::OutputOptions::from_cli(*opts));
+//   run::RunOutput output(*opts);  // the OutputOptions part of the CLI
 //   if (!output.begin(net.trace(), &error)) { ... return 1; }
 //   ... run ...
 //   return output.finish(std::cout, std::cerr, scenario, result,
@@ -28,21 +28,6 @@
 #include "trace/event_trace.h"
 
 namespace sstsp::run {
-
-struct OutputOptions {
-  std::string csv_path;          ///< empty: no CSV dump
-  std::string json_out_path;     ///< empty: no JSONL event/summary stream
-  std::string metrics_out_path;  ///< empty: no metrics JSON document
-  std::string timeline_out_path;  ///< empty: no Perfetto trace JSON
-  std::string prom_textfile_path;  ///< empty: no Prometheus textfile dump
-  bool ascii_chart = false;
-  bool dump_trace = false;
-  std::size_t trace_limit = 40;
-  std::optional<trace::EventKind> trace_kind;
-  bool monitor_strict = false;
-
-  [[nodiscard]] static OutputOptions from_cli(const CliOptions& opts);
-};
 
 /// Prints the result block (latency/steady/beacons/rejections, wire stats
 /// when present, profile, audit) — the part of the summary that does not

@@ -14,6 +14,7 @@
 #include "core/sstsp_config.h"
 #include "fault/plan.h"
 #include "mac/phy_params.h"
+#include "obs/observers.h"
 #include "protocols/atsp.h"
 #include "protocols/rentel_kunz.h"
 #include "protocols/satsf.h"
@@ -34,7 +35,10 @@ struct ChurnSpec {
   double absence_s = 50.0;
 };
 
-struct Scenario {
+/// The observer switches (trace, metrics, profile, monitor, telemetry,
+/// phase sampler, flight recorder) come from obs::ObserverConfig; the
+/// network reads its trace back through Network::trace().
+struct Scenario : obs::ObserverConfig {
   ProtocolKind protocol = ProtocolKind::kSstsp;
   int num_nodes = 100;          ///< honest stations (attacker is extra)
   double duration_s = 1000.0;   ///< paper: 1000 s runs
@@ -93,52 +97,6 @@ struct Scenario {
 
   /// Max-clock-difference sampling cadence.
   double sample_period_s = 0.1;
-
-  /// When > 0, the network attaches a shared protocol-event trace (ring
-  /// buffer of this capacity) to every station; read it back through
-  /// Network::trace().
-  std::size_t trace_capacity = 0;
-
-  /// Metrics collection (counters/histograms through obs::Instruments).
-  /// On by default: the recording cost is a pointer-indirect increment per
-  /// event; RunResult carries the snapshot.
-  bool collect_metrics = true;
-
-  /// Wall-clock profiling of the simulation hot paths (obs::Profiler).
-  /// Off by default; when off, the only cost is a null-pointer test at
-  /// each span site.
-  bool profile = false;
-
-  /// Online invariant monitor + beacon-lifecycle tracking
-  /// (obs::InvariantMonitor / trace::BeaconLifecycle).  Off by default;
-  /// when off, every hook site is a null-pointer test.  Violations are
-  /// collected as audit records in RunResult::audit.
-  bool monitor = false;
-
-  /// Streaming telemetry (DESIGN.md §10): when non-empty, append one
-  /// TelemetrySample JSONL line per telemetry_interval_s of virtual time to
-  /// this path.  Piggybacks on the clock-spread sampling tick, so enabling
-  /// it adds no simulator events and leaves seeded runs bit-identical.
-  std::string telemetry_out{};
-  double telemetry_interval_s = 1.0;
-  /// Attach per-node offset errors to cluster samples: 1 on, 0 off,
-  /// -1 auto (on while num_nodes <= 64).
-  int telemetry_per_node = -1;
-
-  /// Phase-sampling profiler (obs::PhaseSampler, DESIGN.md §11): samples
-  /// the current profiler phase, event-queue depth and per-phase exclusive
-  /// time every phase_sampler_interval_s of virtual time.  Gated on the
-  /// dispatch loop (one compare per event) — adds no simulator events and
-  /// leaves seeded runs bit-identical.  Implies nothing about `profile`;
-  /// phase attribution needs it, queue-depth sampling does not.
-  bool phase_sampler = false;
-  double phase_sampler_interval_s = 0.001;
-
-  /// Flight recorder (obs::FlightRecorder): when non-empty, retain the
-  /// newest flight_capacity protocol events and dump them to this path on
-  /// any new audit record or an external dump request (SIGUSR1).
-  std::string flight_recorder_out{};
-  std::size_t flight_capacity = 512;
 
   /// Sharded parallel kernel (sim::ShardExecutor + mac::ShardedWorld).
   /// threads > 0 or shards > 0 selects it; shards defaults to the thread

@@ -10,11 +10,20 @@
 #include "core/sstsp.h"
 #include "crypto/hash_chain.h"
 #include "runner/experiment.h"
+#include "obs/observers.h"
 #include "runner/network.h"
 #include "trace/event_trace.h"
 
 namespace sstsp::run {
 namespace {
+
+/// Observers with only the event trace on.
+obs::ObserverConfig trace_only() {
+  obs::ObserverConfig cfg;
+  cfg.trace_capacity = 1 << 16;
+  cfg.collect_metrics = false;
+  return cfg;
+}
 
 /// Small SSTSP cell plus a replay attacker that re-transmits every beacon
 /// three intervals late — a sustained stream of interval-check failures,
@@ -25,7 +34,8 @@ struct ReplayedCell {
   std::unique_ptr<mac::Channel> channel;
   core::KeyDirectory directory;
   core::SstspConfig cfg;
-  trace::EventTrace trace{1 << 16};
+  obs::Observers observers{trace_only(), {}, sim};
+  trace::EventTrace& trace = *observers.trace();
   std::vector<std::unique_ptr<proto::Station>> stations;
 
   explicit ReplayedCell(int blacklist_threshold,
@@ -61,7 +71,7 @@ struct ReplayedCell {
         sim, *channel, id,
         clk::HardwareClock(clk::DriftModel::from_ppm(ppm), offset_us),
         mac::Position{static_cast<double>(id) * 2.0, 0.0}));
-    stations.back()->set_trace(&trace);
+    stations.back()->set_observers(observers.for_stations());
     return *stations.back();
   }
 
@@ -147,7 +157,8 @@ struct ForgedCell {
   std::unique_ptr<mac::Channel> channel;
   core::KeyDirectory directory;
   core::SstspConfig cfg;
-  trace::EventTrace trace{1 << 16};
+  obs::Observers observers{trace_only(), {}, sim};
+  trace::EventTrace& trace = *observers.trace();
   std::vector<std::unique_ptr<proto::Station>> stations;
 
   explicit ForgedCell(int blacklist_threshold, double penalty_s = 30.0) {
@@ -178,7 +189,7 @@ struct ForgedCell {
         sim, *channel, id,
         clk::HardwareClock(clk::DriftModel::from_ppm(ppm), offset_us),
         mac::Position{static_cast<double>(id) * 2.0, 0.0}));
-    stations.back()->set_trace(&trace);
+    stations.back()->set_observers(observers.for_stations());
     return *stations.back();
   }
 

@@ -32,7 +32,7 @@ run::RunResult run_swarm(const SwarmConfig& config, std::ostream& jsonl,
   std::string error;
   std::unique_ptr<Swarm> swarm = Swarm::create(config, &error);
   EXPECT_NE(swarm, nullptr) << error;
-  obs::attach_jsonl_sink(*swarm->trace(), jsonl);
+  obs::attach_jsonl_sink(*swarm->observers().trace(), jsonl);
   swarm->run();
   if (reference != nullptr) *reference = swarm->current_reference();
   if (final_diff != nullptr) *final_diff = swarm->instant_max_diff_us();

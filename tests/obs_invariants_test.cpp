@@ -277,13 +277,23 @@ struct MonitoredSstspNet {
   std::unique_ptr<mac::Channel> channel;
   core::KeyDirectory directory;
   core::SstspConfig cfg;
-  InvariantMonitor monitor;
+  std::unique_ptr<Observers> observers;
   std::vector<std::unique_ptr<proto::Station>> stations;
 
-  MonitoredSstspNet() : monitor(InvariantConfig{}) {
+  MonitoredSstspNet() {
     phy.packet_error_rate = 0.0;
     cfg.chain_length = 1200;
     channel = std::make_unique<mac::Channel>(sim, phy);
+    ObserverConfig monitored;
+    monitored.collect_metrics = false;
+    monitored.monitor = true;
+    ObservedRun run;
+    run.sstsp = cfg;
+    observers = std::make_unique<Observers>(monitored, run, sim);
+  }
+
+  [[nodiscard]] AuditReport report() const {
+    return observers->monitor()->report();
   }
 
   proto::Station& add_station(double ppm, double offset_us) {
@@ -292,7 +302,7 @@ struct MonitoredSstspNet {
         sim, *channel, id,
         clk::HardwareClock(clk::DriftModel::from_ppm(ppm), offset_us),
         mac::Position{static_cast<double>(id), 0.0});
-    st->set_monitor(&monitor);
+    st->set_observers(observers->for_stations());
     stations.push_back(std::move(st));
     return *stations.back();
   }
@@ -324,7 +334,7 @@ TEST(InvariantMonitorIntegration, PulseDelayAttackProducesGuardRecords) {
                                     /*delay_bps=*/0,
                                     /*extra_delay_us=*/30000.0}));
   net.run(40.0);
-  const auto report = net.monitor.report();
+  const auto report = net.report();
   const auto* rec = find_kind(report, InvariantKind::kGuardViolation);
   ASSERT_NE(rec, nullptr);
   EXPECT_EQ(rec->severity, Severity::kWarning);
@@ -339,7 +349,7 @@ TEST(InvariantMonitorIntegration, ReplayAttackProducesKeyDisclosureRecords) {
       replayer, attack::ReplayParams{/*start_s=*/5.0, /*end_s=*/35.0,
                                      /*delay_bps=*/3}));
   net.run(40.0);
-  const auto report = net.monitor.report();
+  const auto report = net.report();
   const auto* rec = find_kind(report, InvariantKind::kKeyDisclosure);
   ASSERT_NE(rec, nullptr);
   // The protocol *rejected* the stale beacons — evidence, not breakage.

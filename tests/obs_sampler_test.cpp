@@ -72,11 +72,11 @@ TEST(Sampler, ScenarioFlagPopulatesRegistryMetrics) {
   s.phase_sampler = true;
   s.phase_sampler_interval_s = 0.01;
   run::Network net(s);
-  ASSERT_NE(net.phase_sampler(), nullptr);
+  ASSERT_NE(net.observers().phase_sampler(), nullptr);
   net.run();
-  EXPECT_GT(net.phase_sampler()->samples(), 0u);
+  EXPECT_GT(net.observers().phase_sampler()->samples(), 0u);
 
-  const RegistrySnapshot snap = net.metrics_registry().snapshot();
+  const RegistrySnapshot snap = net.observers().registry().snapshot();
   bool found = false;
   for (const auto& [name, value] : snap.counters) {
     if (name == "sampler.samples") {

@@ -185,15 +185,65 @@ TEST(Cli, ClockModelFlags) {
 }
 
 TEST(Cli, UnknownTraceKindListsEveryValidName) {
+  // The message enumerates every kind to_string knows about.
+  const auto expect_every_kind = [](const std::string& err) {
+    EXPECT_NE(err.find("unknown event kind: bogus"), std::string::npos);
+    for (std::size_t i = 0; i < trace::kEventKindCount; ++i) {
+      const auto name =
+          std::string(trace::to_string(static_cast<trace::EventKind>(i)));
+      EXPECT_NE(err.find(name), std::string::npos) << name;
+    }
+  };
   std::string err;
   EXPECT_FALSE(parse({"--trace-kind", "bogus"}, &err).has_value());
-  EXPECT_NE(err.find("unknown event kind: bogus"), std::string::npos);
-  // The message enumerates every kind to_string knows about.
-  for (std::size_t i = 0; i < trace::kEventKindCount; ++i) {
-    const auto name =
-        std::string(trace::to_string(static_cast<trace::EventKind>(i)));
-    EXPECT_NE(err.find(name), std::string::npos) << name;
+  expect_every_kind(err);
+  // sstsp_swarm and sstsp_node parse the flag through the same group.
+  for (const ConfigTool tool : {ConfigTool::kSwarm, ConfigTool::kNode}) {
+    const std::vector<std::string> argv{"--trace-kind", "bogus"};
+    std::size_t i = 0;
+    obs::ObserverConfig observers;
+    OutputOptions output;
+    err.clear();
+    EXPECT_EQ(parse_observer_flag(argv, i, tool, observers, output, &err),
+              FlagParse::kFailed);
+    expect_every_kind(err);
   }
+}
+
+TEST(Cli, ObserverFlagsFollowTheToolSchema) {
+  const auto offer = [](std::vector<std::string> argv, ConfigTool tool,
+                        obs::ObserverConfig& observers, OutputOptions& output) {
+    std::size_t i = 0;
+    std::string err;
+    const FlagParse result =
+        parse_observer_flag(argv, i, tool, observers, output, &err);
+    EXPECT_EQ(i, result == FlagParse::kParsed ? argv.size() - 1 : 0u);
+    return result;
+  };
+  obs::ObserverConfig observers;
+  OutputOptions output;
+  EXPECT_EQ(offer({"--telemetry-per-node", "1"}, ConfigTool::kSwarm,
+                  observers, output),
+            FlagParse::kParsed);
+  EXPECT_EQ(observers.telemetry_per_node, 1);
+  // sstsp_node has no per-node switch and no CSV/chart output: those stay
+  // unknown options there, as before the flag group was shared.
+  EXPECT_EQ(offer({"--telemetry-per-node", "0"}, ConfigTool::kNode,
+                  observers, output),
+            FlagParse::kNotMine);
+  EXPECT_EQ(offer({"--csv", "x.csv"}, ConfigTool::kNode, observers, output),
+            FlagParse::kNotMine);
+  EXPECT_EQ(offer({"--nodes", "5"}, ConfigTool::kSim, observers, output),
+            FlagParse::kNotMine);
+  EXPECT_EQ(offer({"--monitor=strict"}, ConfigTool::kNode, observers, output),
+            FlagParse::kParsed);
+  EXPECT_TRUE(observers.monitor);
+  EXPECT_TRUE(output.monitor_strict);
+  EXPECT_EQ(offer({"--json-out", "run.jsonl"}, ConfigTool::kNode, observers,
+                  output),
+            FlagParse::kParsed);
+  EXPECT_EQ(output.json_out_path, "run.jsonl");
+  EXPECT_EQ(observers.trace_capacity, std::size_t{1} << 12);
 }
 
 }  // namespace

@@ -239,7 +239,7 @@ TEST(TraceAnalyzer, PartitionedSwarmShowsSpikeAndReconvergence) {
   {
     std::ofstream events(events_path);
     ASSERT_TRUE(events.is_open());
-    obs::attach_jsonl_sink(*swarm->trace(), events);
+    obs::attach_jsonl_sink(*swarm->observers().trace(), events);
     swarm->run();
   }
   // The partition is a *planned* fault: no node may be flagged as failed.

@@ -71,7 +71,7 @@ TEST(BeaconLifecycle, SpansThreadTxRxAuthAdjust) {
 TEST(BeaconLifecycle, FunnelCountersAndLatencyHistograms) {
   run::Network net(small_scenario());
   net.run();
-  const auto snap = net.metrics_registry().snapshot();
+  const auto snap = net.observers().registry().snapshot();
 
   auto counter = [&snap](std::string_view name) -> std::uint64_t {
     for (const auto& [n, v] : snap.counters) {

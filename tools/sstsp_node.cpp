@@ -28,7 +28,6 @@
 #include <vector>
 
 #include "core/discipline.h"
-#include "fault/injector.h"
 #include "fault/plan.h"
 #include "fault/transport.h"
 #include "metrics/report.h"
@@ -37,15 +36,10 @@
 #include "net/reactor.h"
 #include "net/telemetry_link.h"
 #include "net/udp.h"
-#include "obs/flight_recorder.h"
-#include "obs/instruments.h"
-#include "obs/invariants.h"
-#include "obs/profiler.h"
-#include "obs/sampler.h"
-#include "obs/telemetry.h"
+#include "obs/observers.h"
+#include "runner/cli.h"
 #include "runner/config_file.h"
 #include "runner/run_output.h"
-#include "trace/lifecycle.h"
 
 namespace {
 
@@ -55,25 +49,8 @@ volatile std::sig_atomic_t g_dump_requested = 0;
 void on_signal(int) { g_interrupted = 1; }
 void on_sigusr1(int) { g_dump_requested = 1; }
 
-bool parse_double(const std::string& s, double* out) {
-  try {
-    std::size_t used = 0;
-    *out = std::stod(s, &used);
-    return used == s.size();
-  } catch (...) {
-    return false;
-  }
-}
-
-bool parse_int(const std::string& s, long long* out) {
-  try {
-    std::size_t used = 0;
-    *out = std::stoll(s, &used);
-    return used == s.size();
-  } catch (...) {
-    return false;
-  }
-}
+using sstsp::run::parse_double;
+using sstsp::run::parse_int;
 
 bool parse_endpoint(const std::string& s, std::string* host,
                     std::uint16_t* port) {
@@ -181,18 +158,9 @@ struct NodeCli {
   double duration_s = 10.0;
   double epoch_unix_s = -1.0;  ///< <0: unset
   bool chain_set = false;
-  std::size_t trace_capacity = 0;
-  bool collect_metrics = true;
-  bool profile = false;
-  bool monitor = false;
-  std::string telemetry_out;
+  sstsp::obs::ObserverConfig observers;
   std::string telemetry_udp_host;
   std::uint16_t telemetry_udp_port = 0;
-  double telemetry_interval_s = 1.0;
-  std::string flight_recorder_out;
-  std::size_t flight_capacity = 512;
-  bool phase_sampler = false;
-  double phase_sampler_interval_s = 0.001;
   int prom_port = -1;  ///< -1 off, 0 ephemeral, > 0 fixed
   sstsp::run::OutputOptions output;
   bool help = false;
@@ -220,6 +188,12 @@ std::optional<NodeCli> parse_args(const std::vector<std::string>& args,
     std::string v;
     long long n = 0;
     double d = 0;
+
+    const auto shared = sstsp::run::parse_observer_flag(
+        argv, i, sstsp::run::ConfigTool::kNode, cli.observers, cli.output,
+        error);
+    if (shared == sstsp::run::FlagParse::kFailed) return std::nullopt;
+    if (shared == sstsp::run::FlagParse::kParsed) continue;
 
     if (arg == "--help" || arg == "-h") {
       cli.help = true;
@@ -369,76 +343,10 @@ std::optional<NodeCli> parse_args(const std::vector<std::string>& args,
       if (!cfg_args) return fail(cfg_error);
       argv.insert(argv.begin() + static_cast<std::ptrdiff_t>(i) + 1,
                   cfg_args->begin(), cfg_args->end());
-    } else if (arg == "--trace") {
-      cli.output.dump_trace = true;
-      cli.trace_capacity = std::max<std::size_t>(cli.trace_capacity, 1 << 18);
-    } else if (arg == "--trace-limit") {
-      if (!next(&v) || !parse_int(v, &n) || n < 1) {
-        return fail("--trace-limit needs a positive integer");
-      }
-      cli.output.trace_limit = static_cast<std::size_t>(n);
-      cli.output.dump_trace = true;
-      cli.trace_capacity = std::max<std::size_t>(cli.trace_capacity, 1 << 18);
-    } else if (arg == "--trace-kind") {
-      if (!next(&v)) return fail("--trace-kind needs an event kind");
-      const auto kind = sstsp::trace::kind_from_string(v);
-      if (!kind) return fail("unknown event kind: " + v);
-      cli.output.trace_kind = *kind;
-      cli.output.dump_trace = true;
-      cli.trace_capacity = std::max<std::size_t>(cli.trace_capacity, 1 << 18);
-    } else if (arg == "--json-out") {
-      if (!next(&cli.output.json_out_path)) {
-        return fail("--json-out needs a path");
-      }
-      cli.trace_capacity = std::max<std::size_t>(cli.trace_capacity, 1 << 12);
-    } else if (arg == "--metrics-out") {
-      if (!next(&cli.output.metrics_out_path)) {
-        return fail("--metrics-out needs a path");
-      }
-    } else if (arg == "--profile") {
-      cli.profile = true;
-    } else if (arg == "--monitor" || arg == "--monitor=strict") {
-      cli.monitor = true;
-      if (arg == "--monitor=strict") cli.output.monitor_strict = true;
-    } else if (arg == "--telemetry-out") {
-      if (!next(&cli.telemetry_out)) {
-        return fail("--telemetry-out needs a path");
-      }
     } else if (arg == "--telemetry-udp") {
       if (!next(&v) || !parse_endpoint(v, &cli.telemetry_udp_host,
                                        &cli.telemetry_udp_port)) {
         return fail("--telemetry-udp needs HOST:PORT");
-      }
-    } else if (arg == "--telemetry-interval") {
-      if (!next(&v) || !parse_double(v, &d) || d <= 0) {
-        return fail("--telemetry-interval needs a positive number of seconds");
-      }
-      cli.telemetry_interval_s = d;
-    } else if (arg == "--flight-recorder") {
-      if (!next(&cli.flight_recorder_out)) {
-        return fail("--flight-recorder needs a path");
-      }
-    } else if (arg == "--flight-capacity") {
-      if (!next(&v) || !parse_int(v, &n) || n < 16) {
-        return fail("--flight-capacity needs an integer >= 16");
-      }
-      cli.flight_capacity = static_cast<std::size_t>(n);
-    } else if (arg == "--timeline-out") {
-      if (!next(&cli.output.timeline_out_path)) {
-        return fail("--timeline-out needs a path");
-      }
-      cli.trace_capacity = std::max<std::size_t>(cli.trace_capacity, 1 << 12);
-    } else if (arg == "--sampler") {
-      cli.phase_sampler = true;
-    } else if (arg == "--sampler-interval") {
-      if (!next(&v) || !parse_double(v, &d) || d <= 0) {
-        return fail("--sampler-interval needs a positive number of seconds");
-      }
-      cli.phase_sampler_interval_s = d;
-      cli.phase_sampler = true;
-    } else if (arg == "--prom-textfile") {
-      if (!next(&cli.output.prom_textfile_path)) {
-        return fail("--prom-textfile needs a path");
       }
     } else if (arg == "--prom-port") {
       if (!next(&v) || !parse_int(v, &n) || n < 0 || n > 65535) {
@@ -506,111 +414,48 @@ int main(int argc, char** argv) {
     return 1;
   }
 
+  // Observability: same sharing model as run::Network, scoped to one node.
+  // Recovery accounting needs the network-wide view only an orchestrator
+  // (sstsp_swarm) has, so a lone node leaves it off.
+  obs::ObservedRun observed;
+  observed.sstsp = cli->node.sstsp;
+  observed.beacon_period_us = cli->node.phy.beacon_period.to_us();
+  observed.faults = cli->faults;
+  observed.track_recovery = false;
+  observed.telemetry_source.clear();  // sampled per node below
+  std::unique_ptr<obs::Observers> observers;
+  try {
+    observers = std::make_unique<obs::Observers>(cli->observers, observed, sim);
+  } catch (const std::runtime_error& e) {
+    std::cerr << "error: " << e.what() << '\n';
+    return 1;
+  }
+
   // Fault plan: decorate the transport so packet directives apply to this
   // node's received datagrams; clock faults fire against the emulated
   // oscillator on this node's timeline.  Node crash/pause directives need
   // an orchestrator that owns every process — sstsp_swarm — and are
   // ignored here.
-  std::unique_ptr<fault::FaultInjector> injector;
   std::unique_ptr<fault::FaultyTransport> faulty;
   net::Transport* endpoint = transport.get();
-  if (!cli->faults.empty()) {
-    injector = std::make_unique<fault::FaultInjector>(
-        cli->faults, sim.substream("faults", cli->faults.seed));
-    faulty = std::make_unique<fault::FaultyTransport>(
-        *transport, sim, *injector, cli->node.id);
+  if (fault::FaultInjector* injector = observers->injector()) {
+    faulty = std::make_unique<fault::FaultyTransport>(*transport, sim,
+                                                      *injector, cli->node.id);
     endpoint = faulty.get();
   }
 
   net::NodeRuntime node(sim, *endpoint, cli->node);
   node.set_wall_clock([&reactor] { return reactor.wall_sim_now(); });
-  if (injector) {
-    fault::FaultHooks hooks;
-    hooks.clock_fault = [&node](mac::NodeId id, double step_us,
-                                double drift_delta_ppm) {
-      if (id == node.config().id) {
-        node.station().inject_clock_fault(step_us, drift_delta_ppm);
-      }
-    };
-    fault::schedule_fault_events(sim, cli->faults, injector.get(),
-                                 std::move(hooks));
-  }
+  node.attach_observers(*observers);
+  fault::FaultHooks hooks;
+  hooks.clock_fault = [&node](mac::NodeId id, double step_us,
+                              double drift_delta_ppm) {
+    if (id == node.config().id) {
+      node.station().inject_clock_fault(step_us, drift_delta_ppm);
+    }
+  };
+  observers->schedule_faults(sim, cli->duration_s, std::move(hooks));
 
-  // Observability: same sharing model as run::Network, scoped to one node.
-  obs::Registry registry;
-  std::unique_ptr<obs::Instruments> instruments;
-  std::unique_ptr<obs::Profiler> profiler;
-  std::unique_ptr<obs::InvariantMonitor> monitor;
-  std::unique_ptr<trace::BeaconLifecycle> lifecycle;
-  std::unique_ptr<trace::EventTrace> event_trace;
-  if (cli->collect_metrics) {
-    instruments = std::make_unique<obs::Instruments>(registry);
-    sim.set_instruments(instruments.get());
-  }
-  if (cli->profile) {
-    profiler = std::make_unique<obs::Profiler>();
-    sim.set_profiler(profiler.get());
-  }
-  std::unique_ptr<obs::PhaseSampler> phase_sampler;
-  if (cli->phase_sampler) {
-    obs::PhaseSampler::Options popts;
-    if (cli->phase_sampler_interval_s > 0.0) {
-      popts.interval_s = cli->phase_sampler_interval_s;
-    }
-    phase_sampler = std::make_unique<obs::PhaseSampler>(popts, registry);
-    phase_sampler->attach_profiler(profiler.get());
-    sim.set_phase_sampler(phase_sampler.get());
-  }
-  if (cli->monitor) {
-    obs::InvariantConfig cfg;
-    cfg.sstsp_checks = true;
-    cfg.bp_us = cli->node.phy.beacon_period.to_us();
-    cfg.m = cli->node.sstsp.m;
-    cfg.l = cli->node.sstsp.l;
-    cfg.t0_us = cli->node.sstsp.t0_us;
-    cfg.interval_slack_us = cli->node.sstsp.interval_slack_us;
-    cfg.k_min = cli->node.sstsp.k_min;
-    cfg.k_max = cli->node.sstsp.k_max;
-    monitor = std::make_unique<obs::InvariantMonitor>(cfg);
-    lifecycle = std::make_unique<trace::BeaconLifecycle>(registry);
-  }
-  if (cli->trace_capacity > 0) {
-    event_trace = std::make_unique<trace::EventTrace>(cli->trace_capacity);
-  }
-  node.set_trace(event_trace.get());
-  node.set_instruments(instruments.get());
-  node.set_profiler(profiler.get());
-  node.set_monitor(monitor.get());
-  node.set_lifecycle(lifecycle.get());
-
-  // Telemetry + flight recorder (DESIGN.md §10).
-  std::unique_ptr<obs::JsonlSink> flight_sink;
-  std::unique_ptr<obs::FlightRecorder> flight;
-  if (!cli->flight_recorder_out.empty()) {
-    flight_sink = std::make_unique<obs::JsonlSink>();
-    if (!flight_sink->open(cli->flight_recorder_out, &error)) {
-      std::cerr << "error: " << error << '\n';
-      return 1;
-    }
-    obs::FlightRecorder::Config fc;
-    fc.event_capacity = cli->flight_capacity;
-    flight = std::make_unique<obs::FlightRecorder>(fc, flight_sink.get());
-    node.set_flight(flight.get());
-    if (monitor) {
-      monitor->set_on_new_record(
-          [&flight](sim::SimTime when, const obs::AuditRecord& rec) {
-            flight->on_audit_record(when.to_sec(), rec);
-          });
-    }
-  }
-  std::unique_ptr<obs::JsonlSink> telemetry_sink;
-  if (!cli->telemetry_out.empty()) {
-    telemetry_sink = std::make_unique<obs::JsonlSink>();
-    if (!telemetry_sink->open(cli->telemetry_out, &error)) {
-      std::cerr << "error: " << error << '\n';
-      return 1;
-    }
-  }
   std::unique_ptr<net::TelemetryExporter> telemetry_exporter;
   if (!cli->telemetry_udp_host.empty()) {
     telemetry_exporter = net::TelemetryExporter::open(
@@ -622,17 +467,17 @@ int main(int argc, char** argv) {
   }
 
   run::RunOutput output(cli->output);
-  if (!output.begin(event_trace.get(), &error)) {
+  if (!output.begin(observers->trace(), &error)) {
     std::cerr << "error: " << error << '\n';
     return 1;
   }
-  output.attach_profiler(profiler.get());
+  output.attach_profiler(observers->profiler());
 
   std::unique_ptr<net::PromExporter> prom;
   if (cli->prom_port >= 0) {
     prom = std::make_unique<net::PromExporter>();
     const auto body = [&] {
-      if (phase_sampler) phase_sampler->publish_live();
+      if (auto* sampler = observers->phase_sampler()) sampler->publish_live();
       std::vector<std::pair<std::string, double>> extra;
       extra.emplace_back("node_id", static_cast<double>(cli->node.id));
       extra.emplace_back("node_sim_time_seconds", sim.now().to_sec());
@@ -640,7 +485,7 @@ int main(int argc, char** argv) {
                          static_cast<double>(reactor.wait_ns()) * 1e-9);
       extra.emplace_back("reactor_work_seconds",
                          static_cast<double>(reactor.work_ns()) * 1e-9);
-      return net::prometheus_body(registry.snapshot(), extra);
+      return net::prometheus_body(observers->registry().snapshot(), extra);
     };
     if (!prom->open(reactor, static_cast<std::uint16_t>(cli->prom_port), body,
                     &error)) {
@@ -677,40 +522,39 @@ int main(int argc, char** argv) {
       start_sim + sim::SimTime::from_sec_double(cli->duration_s);
   sim.at(start_sim, [&] {
     node.start();
-    if (telemetry_sink || telemetry_exporter || flight) {
+    if (observers->keeps_samples() || telemetry_exporter) {
       // Scheduled from the start instant so the first tick lands one
       // interval into the run, not at a stale pre-epoch time.
       obs::TelemetrySampler::Options topts;
-      topts.interval_s = cli->telemetry_interval_s;
+      topts.interval_s = cli->observers.telemetry_interval_s;
       topts.source = "node";
       topts.process_stats = true;  // wall-paced: RSS + wall clock apply
       node.start_telemetry(
           topts, end_sim, [&](const obs::TelemetrySample& sample) {
-            if (telemetry_sink) {
-              telemetry_sink->write_line(obs::telemetry_to_jsonl(sample));
-            }
+            observers->write_sample(sample);
             if (telemetry_exporter) telemetry_exporter->publish(sample);
             // SIGUSR1 poll, piggybacked on the telemetry tick (the only
             // periodic event this tool owns).
-            if (flight && g_dump_requested != 0) {
-              g_dump_requested = 0;
-              flight->dump(sim.now().to_sec(), "dump-request", nullptr);
-            }
+            observers->poll_dump_request(sim.now().to_sec());
           });
     }
   });
-  if (flight) std::signal(SIGUSR1, on_sigusr1);
+  if (observers->flight() != nullptr) {
+    std::signal(SIGUSR1, on_sigusr1);
+    observers->set_dump_request_flag(&g_dump_requested);
+  }
   reactor.anchor(start_sim);
 
   const auto wall_start = std::chrono::steady_clock::now();
-  if (phase_sampler) {
+  obs::PhaseSampler* phase_sampler = observers->phase_sampler();
+  if (phase_sampler != nullptr) {
     std::string live_error;
     if (!phase_sampler->start_live(&live_error)) {
       std::cerr << "warning: live phase sampler: " << live_error << '\n';
     }
   }
   reactor.run_until(end_sim);
-  if (phase_sampler) phase_sampler->stop_live();
+  if (phase_sampler != nullptr) phase_sampler->stop_live();
   const double wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                     wall_start)
@@ -723,17 +567,13 @@ int main(int argc, char** argv) {
   result.channel = node.channel().stats();
   result.honest = node.station().protocol().stats();
   result.net = node.net_stats();
+  obs::Registry& registry = observers->registry();
   registry.gauge("reactor.wait_seconds")
       .set(static_cast<double>(reactor.wait_ns()) * 1e-9);
   registry.gauge("reactor.work_seconds")
       .set(static_cast<double>(reactor.work_ns()) * 1e-9);
-  result.metrics = registry.snapshot();
   result.events_processed = sim.events_processed();
-  result.wall_seconds = wall_seconds;
-  if (profiler) {
-    result.profile = profiler->snapshot(result.events_processed, wall_seconds);
-  }
-  if (monitor) result.audit = monitor->report();
+  run::collect_observers(result, *observers, wall_seconds);
   // No pairwise series from a single vantage point: sync_latency_s and the
   // steady stats stay null in the report.
 
@@ -755,13 +595,8 @@ int main(int argc, char** argv) {
   scenario.phy = cli->node.phy;
   scenario.max_drift_ppm = cli->node.max_drift_ppm;
   scenario.initial_offset_us = cli->node.initial_offset_us;
-  scenario.trace_capacity = cli->trace_capacity;
-  scenario.collect_metrics = cli->collect_metrics;
-  scenario.profile = cli->profile;
-  scenario.monitor = cli->monitor;
-  scenario.phase_sampler = cli->phase_sampler;
-  scenario.phase_sampler_interval_s = cli->phase_sampler_interval_s;
+  static_cast<obs::ObserverConfig&>(scenario) = cli->observers;
 
   return output.finish(std::cout, std::cerr, scenario, result,
-                       event_trace.get());
+                       observers->trace());
 }

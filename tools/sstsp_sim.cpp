@@ -61,7 +61,7 @@ int main(int argc, char** argv) {
         return 2;
       }
       run::ParallelNetwork net(s);
-      run::RunOutput output(run::OutputOptions::from_cli(*opts));
+      run::RunOutput output(*opts);
       if (!output.begin(nullptr, &error)) {
         std::cerr << "error: " << error << '\n';
         return 1;
@@ -79,15 +79,15 @@ int main(int argc, char** argv) {
     run::Network net(s);
     if (!s.flight_recorder_out.empty()) {
       std::signal(SIGUSR1, on_sigusr1);
-      net.set_dump_request_flag(&g_dump_requested);
+      net.observers().set_dump_request_flag(&g_dump_requested);
     }
 
-    run::RunOutput output(run::OutputOptions::from_cli(*opts));
+    run::RunOutput output(*opts);
     if (!output.begin(net.trace(), &error)) {
       std::cerr << "error: " << error << '\n';
       return 1;
     }
-    output.attach_profiler(net.profiler());
+    output.attach_profiler(net.observers().profiler());
 
     const auto wall_start = std::chrono::steady_clock::now();
     net.run();
