@@ -84,8 +84,8 @@ inline void summarize(const run::RunResult& r, double duration_s) {
 ///   {"bench":"fig2","runs":[{"label":...,"run":{...}},
 ///                           {"label":...,"values":{...}}]}
 ///
-/// Benches that don't go through run_scenario (abl_multihop's line-topology
-/// driver) use add_values() to report their custom quantities instead.
+/// Benches that report quantities a RunResult does not carry (abl_overhead's
+/// crypto costs) use add_values() instead.
 class JsonReport {
  public:
   explicit JsonReport(const std::string& id)

@@ -57,7 +57,8 @@ struct PhyParams {
   /// Radio range: stations further apart than this neither receive nor
   /// carrier-sense each other.  <= 0 means unlimited (the paper's IBSS
   /// setting: all nodes in each other's transmission range).  Finite
-  /// ranges enable the multi-hop extension (src/multihop/).
+  /// ranges enable the spatial partition of large runs and the
+  /// hierarchical clusters (src/cluster/).
   double radio_range_m = 0.0;
 
   /// On-air frame sizes, for traffic accounting only (paper §3.4: 56-byte

@@ -36,6 +36,16 @@ clk::HardwareClock NodeRuntime::make_clock(const NodeConfig& cfg) {
   return clk::HardwareClock(drift, offset);
 }
 
+NodeConfig node_config(const run::Scenario& s, NodeConfig base) {
+  base.total_nodes = s.num_nodes;
+  base.seed = s.seed;
+  base.sstsp = s.sstsp;
+  base.phy = s.phy;
+  base.max_drift_ppm = s.max_drift_ppm;
+  base.initial_offset_us = s.initial_offset_us;
+  return base;
+}
+
 NodeRuntime::NodeRuntime(sim::Simulator& sim, Transport& transport,
                          const NodeConfig& config)
     : sim_(sim),

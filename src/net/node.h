@@ -37,6 +37,7 @@
 #include "net/codec.h"
 #include "net/transport.h"
 #include "protocols/station.h"
+#include "runner/scenario.h"
 #include "sim/simulator.h"
 
 namespace sstsp::net {
@@ -113,6 +114,11 @@ struct NodeConfig {
   /// Boot directly in the reference role (convergence experiments).
   bool start_as_reference = false;
 };
+
+/// `base` with the deployment-wide settings of the run's Scenario: node
+/// count, seed, SSTSP and PHY parameters, emulated clock bounds.
+[[nodiscard]] NodeConfig node_config(const run::Scenario& s,
+                                     NodeConfig base = {});
 
 class NodeRuntime {
  public:

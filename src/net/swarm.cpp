@@ -19,6 +19,12 @@ const char* transport_kind_name(TransportKind kind) {
   return "?";
 }
 
+SwarmConfig::SwarmConfig() {
+  num_nodes = 5;
+  duration_s = 10.0;
+  sstsp = live_sstsp_defaults();
+}
+
 Swarm::Swarm(const SwarmConfig& config)
     : config_(config), sim_(config.seed) {
   obs::ObservedRun run;
@@ -44,8 +50,8 @@ std::unique_ptr<Swarm> Swarm::create(const SwarmConfig& config,
     if (error != nullptr) *error = std::move(message);
     return nullptr;
   };
-  if (config.nodes < 1) return fail("swarm needs at least one node");
-  if (config.nodes > 250) {
+  if (config.num_nodes < 1) return fail("swarm needs at least one node");
+  if (config.num_nodes > 250) {
     // One UDP socket and one private channel per node; the cap is a sanity
     // bound well past the paper's 100-node deployments.
     return fail("swarm is capped at 250 nodes");
@@ -64,11 +70,11 @@ std::unique_ptr<Swarm> Swarm::create(const SwarmConfig& config,
 
 bool Swarm::init(std::string* error) {
   std::vector<Transport*> endpoints;
-  endpoints.reserve(static_cast<std::size_t>(config_.nodes));
+  endpoints.reserve(static_cast<std::size_t>(config_.num_nodes));
 
   if (config_.transport == TransportKind::kUdp) {
     reactor_ = std::make_unique<Reactor>(sim_);
-    for (int i = 0; i < config_.nodes; ++i) {
+    for (int i = 0; i < config_.num_nodes; ++i) {
       UdpConfig uc;
       uc.bind_address = config_.bind_address;
       uc.bind_port =
@@ -87,10 +93,10 @@ bool Swarm::init(std::string* error) {
     }
     // Every socket is bound (ephemeral ports resolved) — wire the full
     // unicast mesh.
-    for (int i = 0; i < config_.nodes; ++i) {
+    for (int i = 0; i < config_.num_nodes; ++i) {
       std::vector<UdpEndpoint> peers;
-      peers.reserve(static_cast<std::size_t>(config_.nodes - 1));
-      for (int j = 0; j < config_.nodes; ++j) {
+      peers.reserve(static_cast<std::size_t>(config_.num_nodes - 1));
+      for (int j = 0; j < config_.num_nodes; ++j) {
         if (j == i) continue;
         peers.push_back(UdpEndpoint{
             config_.bind_address,
@@ -106,7 +112,7 @@ bool Swarm::init(std::string* error) {
     }
   } else {
     hub_ = std::make_unique<LoopbackHub>(sim_, config_.loopback);
-    for (int i = 0; i < config_.nodes; ++i) {
+    for (int i = 0; i < config_.num_nodes; ++i) {
       endpoints.push_back(&hub_->create_endpoint());
     }
   }
@@ -115,7 +121,7 @@ bool Swarm::init(std::string* error) {
     // Decorate every endpoint: the node installs its rx handler on the
     // decorator, which consults the injector per arriving datagram —
     // identical verdict semantics to the simulated channel's hook.
-    for (int i = 0; i < config_.nodes; ++i) {
+    for (int i = 0; i < config_.num_nodes; ++i) {
       faulty_.push_back(std::make_unique<fault::FaultyTransport>(
           *endpoints[static_cast<std::size_t>(i)], sim_, *injector,
           static_cast<mac::NodeId>(i)));
@@ -133,15 +139,9 @@ bool Swarm::init(std::string* error) {
             : kUdpWireLatencyUs;
   }
 
-  for (int i = 0; i < config_.nodes; ++i) {
-    NodeConfig nc;
+  for (int i = 0; i < config_.num_nodes; ++i) {
+    NodeConfig nc = node_config(config_);
     nc.id = static_cast<mac::NodeId>(i);
-    nc.total_nodes = config_.nodes;
-    nc.seed = config_.seed;
-    nc.sstsp = config_.sstsp;
-    nc.phy = config_.phy;
-    nc.max_drift_ppm = config_.max_drift_ppm;
-    nc.initial_offset_us = config_.initial_offset_us;
     nc.wire_latency_us = wire_latency_us;
     nc.start_as_reference = config_.preestablished_reference && i == 0;
     nodes_.push_back(std::make_unique<NodeRuntime>(
@@ -192,7 +192,8 @@ std::string Swarm::prometheus_scrape_body() {
     ++awake;
     if (st.protocol().is_synchronized()) ++synced;
   }
-  extra.emplace_back("swarm_nodes_total", static_cast<double>(config_.nodes));
+  extra.emplace_back("swarm_nodes_total",
+                     static_cast<double>(config_.num_nodes));
   extra.emplace_back("swarm_nodes_awake", static_cast<double>(awake));
   extra.emplace_back("swarm_nodes_synced", static_cast<double>(synced));
   if (const auto diff = instant_max_diff_us()) {
@@ -226,7 +227,7 @@ bool Swarm::init_telemetry(std::string* error) {
       if (error != nullptr) *error = "telemetry collector: " + link_error;
       return false;
     }
-    for (int i = 0; i < config_.nodes; ++i) {
+    for (int i = 0; i < config_.num_nodes; ++i) {
       auto exporter = TelemetryExporter::open(
           "127.0.0.1", collector_->local_port(), &link_error);
       if (exporter == nullptr) {
@@ -342,7 +343,7 @@ void Swarm::sample_clock_spread() {
 void Swarm::emit_telemetry(sim::SimTime now, bool have, double lo, double hi,
                            double sum) {
   obs::TelemetrySample s;
-  s.nodes_total = config_.nodes;
+  s.nodes_total = config_.num_nodes;
   for (const auto& node : nodes_) {
     if (node->station().awake()) ++s.nodes_awake;
   }
@@ -360,7 +361,7 @@ void Swarm::emit_telemetry(sim::SimTime now, bool have, double lo, double hi,
   }
   const bool per_node =
       config_.telemetry_per_node > 0 ||
-      (config_.telemetry_per_node < 0 && config_.nodes <= 64);
+      (config_.telemetry_per_node < 0 && config_.num_nodes <= 64);
   proto::ProtocolStats totals;
   for (const auto& node : nodes_) {
     const proto::Station& st = node->station();
@@ -521,23 +522,6 @@ run::RunResult Swarm::collect() {
 
   run::derive_series_stats(result, config_.duration_s);
   return result;
-}
-
-run::Scenario Swarm::reporting_scenario() const {
-  run::Scenario s;
-  s.protocol = run::ProtocolKind::kSstsp;
-  s.num_nodes = config_.nodes;
-  s.duration_s = config_.duration_s;
-  s.seed = config_.seed;
-  s.phy = config_.phy;
-  s.sstsp = config_.sstsp;
-  s.initial_offset_us = config_.initial_offset_us;
-  s.max_drift_ppm = config_.max_drift_ppm;
-  s.preestablished_reference = config_.preestablished_reference;
-  s.faults = config_.faults;
-  s.sample_period_s = config_.sample_period_s;
-  static_cast<obs::ObserverConfig&>(s) = config_;
-  return s;
 }
 
 std::optional<mac::NodeId> Swarm::current_reference() const {

@@ -15,9 +15,9 @@
 // a live run unchanged.
 //
 // The result is reported as a run::RunResult (plus RunResult::net wire
-// accounting) against a synthesized run::Scenario, which makes the JSON
-// report and the strict-audit exit-code plumbing of sstsp_sim directly
-// reusable by sstsp_swarm.
+// accounting) against the run::Scenario the SwarmConfig is built on, which
+// makes the JSON report and the strict-audit exit-code plumbing of
+// sstsp_sim directly reusable by sstsp_swarm.
 #pragma once
 
 #include <csignal>
@@ -46,19 +46,10 @@ enum class TransportKind { kLoopback, kUdp };
 
 [[nodiscard]] const char* transport_kind_name(TransportKind kind);
 
-/// The observer switches come from obs::ObserverConfig, with the same
-/// semantics as for run::Scenario.  Live specifics: cluster samples
-/// (source="swarm") are emitted from the clock-spread sampling tick;
-/// per-node samples (source="node") are emitted by each NodeRuntime and
-/// aggregated into the same JSONL stream — over a datagram socket on the
-/// reactor in UDP mode, by direct callback in virtual-time loopback mode.
-/// The phase sampler adds a SIGPROF statistical sampler on wall-paced UDP
-/// runs.
-struct SwarmConfig : obs::ObserverConfig {
-  int nodes = 5;
-  double duration_s = 10.0;
-  std::uint64_t seed = 1;
-
+/// The live-stack settings beyond the run's Scenario, set by the flags
+/// sstsp_swarm and sstsp_node share (runner/cli.h).  sstsp_node reads
+/// bind_address, wire_latency_us and prom_port.
+struct LiveOptions {
   TransportKind transport = TransportKind::kUdp;
 
   /// UDP mode: one socket per node, bound to this (loopback) address.
@@ -75,19 +66,6 @@ struct SwarmConfig : obs::ObserverConfig {
   /// real sockets.
   double wire_latency_us = -1.0;
 
-  core::SstspConfig sstsp = live_sstsp_defaults();
-  mac::PhyParams phy{};
-
-  /// Injected faults (fault/plan.h) — the same plan format run::Network
-  /// consumes; packet directives apply through a FaultyTransport decorator
-  /// on each node's endpoint, node faults stop/start NodeRuntimes.
-  fault::FaultPlan faults{};
-
-  double max_drift_ppm = 100.0;
-  double initial_offset_us = 112.0;
-  /// Node 0 boots directly in the reference role (skips election).
-  bool preestablished_reference = false;
-
   /// Lemma-1 divergence bound handed to the invariant monitor.  < 0 =
   /// auto: the library default (sim-calibrated 50 us) for virtual-time
   /// loopback runs, or kUdpDivergeThresholdUs for wall-paced UDP runs —
@@ -97,7 +75,6 @@ struct SwarmConfig : obs::ObserverConfig {
   /// than the hardware-timestamping model allows (see DESIGN.md
   /// "Live stack").  Convergence stays judged at the strict 25 us.
   double monitor_diverge_us = -1.0;
-  double sample_period_s = 0.1;
 
   /// Live status line on stderr, refreshed once per telemetry interval
   /// (wall-paced UDP runs; a loopback run finishes in milliseconds).
@@ -106,6 +83,25 @@ struct SwarmConfig : obs::ObserverConfig {
   /// Prometheus /metrics endpoint on the reactor (UDP mode only):
   /// -1 = off, 0 = ephemeral (port printed at startup), > 0 = fixed port.
   int prom_port = -1;
+};
+
+/// A swarm run: a run::Scenario plus the live settings.  Of the Scenario
+/// the swarm runs the deployment (node count, duration, seed, SSTSP and
+/// PHY parameters, clock bounds, preestablished reference, sampling
+/// period), the fault plan — packet directives through a FaultyTransport
+/// decorator on each node's endpoint, node faults stopping/starting
+/// NodeRuntimes — and the observer switches, with the same semantics as
+/// for run::Network.  Live specifics: cluster samples (source="swarm") are
+/// emitted from the clock-spread sampling tick; per-node samples
+/// (source="node") are emitted by each NodeRuntime and aggregated into the
+/// same JSONL stream — over a datagram socket on the reactor in UDP mode,
+/// by direct callback in virtual-time loopback mode.  The phase sampler
+/// adds a SIGPROF statistical sampler on wall-paced UDP runs.
+struct SwarmConfig : run::Scenario, LiveOptions {
+  /// The live defaults: 5 nodes, 10 s, live_sstsp_defaults().
+  SwarmConfig();
+  SwarmConfig(const run::Scenario& scenario, const LiveOptions& live)
+      : run::Scenario(scenario), LiveOptions(live) {}
 };
 
 class Swarm {
@@ -125,9 +121,6 @@ class Swarm {
 
   /// Derives the run report; call after run().
   [[nodiscard]] run::RunResult collect();
-
-  /// The scenario the report is written against (for json_report).
-  [[nodiscard]] run::Scenario reporting_scenario() const;
 
   [[nodiscard]] int node_count() const {
     return static_cast<int>(nodes_.size());

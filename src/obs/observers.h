@@ -48,9 +48,9 @@ class ShardChannel;
 
 namespace sstsp::obs {
 
-/// The user-facing observer switches, shared by run::Scenario,
-/// net::SwarmConfig and sstsp_node (all three take them from the same
-/// command-line flag group, run::parse_observer_flag).
+/// The user-facing observer switches: the base of run::Scenario, which
+/// sstsp_sim, sstsp_swarm and sstsp_node all fill from one flag table
+/// (runner/cli.h).
 struct ObserverConfig {
   /// When > 0, a shared protocol-event trace (ring buffer of this capacity)
   /// records every station's events.

@@ -2,15 +2,39 @@
 
 #include <algorithm>
 #include <charconv>
+#include <chrono>
+#include <limits>
 #include <sstream>
+#include <type_traits>
 
 #include "attack/adversary.h"
 #include "core/discipline.h"
 #include "fault/plan.h"
 #include "obs/json.h"
-#include "runner/config_file.h"
 
 namespace sstsp::run {
+
+namespace {
+
+constexpr unsigned kSim = 1U;
+constexpr unsigned kNode = 2U;
+constexpr unsigned kSwarm = 4U;
+constexpr unsigned kLive = kNode | kSwarm;
+constexpr unsigned kAll = kSim | kNode | kSwarm;
+
+unsigned tool_mask(ConfigTool tool) {
+  switch (tool) {
+    case ConfigTool::kSim:
+      return kSim;
+    case ConfigTool::kNode:
+      return kNode;
+    case ConfigTool::kSwarm:
+      return kSwarm;
+    case ConfigTool::kAny:
+      break;
+  }
+  return kAll;
+}
 
 bool parse_double(const std::string& s, double* out) {
   try {
@@ -22,13 +46,6 @@ bool parse_double(const std::string& s, double* out) {
   }
 }
 
-bool parse_int(const std::string& s, long long* out) {
-  const char* begin = s.data();
-  const char* end = begin + s.size();
-  const auto [ptr, ec] = std::from_chars(begin, end, *out);
-  return ec == std::errc() && ptr == end;
-}
-
 std::vector<std::string> split(const std::string& s, char sep) {
   std::vector<std::string> parts;
   std::stringstream ss(s);
@@ -37,120 +54,52 @@ std::vector<std::string> split(const std::string& s, char sep) {
   return parts;
 }
 
-FlagParse parse_observer_flag(const std::vector<std::string>& argv,
-                              std::size_t& i, ConfigTool tool,
-                              obs::ObserverConfig& o, OutputOptions& out,
-                              std::string* error) {
-  const std::string& arg = argv[i];
-  if (arg.rfind("--", 0) != 0) return FlagParse::kNotMine;
-  const std::string key = arg == "--monitor=strict" ? "monitor" : arg.substr(2);
-  if (!config_key_applies(key, tool)) return FlagParse::kNotMine;
-
-  auto fail = [error](const std::string& message) {
-    if (error != nullptr) *error = message;
-    return FlagParse::kFailed;
-  };
-  auto next = [&](std::string* value) {
-    if (i + 1 >= argv.size()) return false;
-    *value = argv[++i];
-    return true;
-  };
-  // Printing the trace needs a ring that holds the whole run; the streaming
-  // outputs (--json-out, --timeline-out) write at record time, so a modest
-  // ring suffices for them.
-  auto keep_trace = [&o](std::size_t capacity) {
-    o.trace_capacity = std::max(o.trace_capacity, capacity);
-  };
-  std::string v;
-  long long n = 0;
-  double d = 0;
-
-  if (arg == "--csv") {
-    if (!next(&out.csv_path)) return fail("--csv needs a path");
-  } else if (arg == "--chart") {
-    out.ascii_chart = true;
-  } else if (arg == "--trace") {
-    out.dump_trace = true;
-    keep_trace(1 << 18);
-  } else if (arg == "--trace-limit") {
-    if (!next(&v) || !parse_int(v, &n) || n < 1) {
-      return fail("--trace-limit needs a positive integer");
-    }
-    out.trace_limit = static_cast<std::size_t>(n);
-    out.dump_trace = true;
-    keep_trace(1 << 18);
-  } else if (arg == "--trace-kind") {
-    if (!next(&v)) return fail("--trace-kind needs an event kind");
-    const auto kind = trace::kind_from_string(v);
-    if (!kind) {
-      std::string valid;
-      for (int k = 0; k < static_cast<int>(trace::kEventKindCount); ++k) {
-        if (!valid.empty()) valid += ", ";
-        valid += trace::to_string(static_cast<trace::EventKind>(k));
-      }
-      return fail("unknown event kind: " + v + " (valid kinds: " + valid +
-                  ")");
-    }
-    out.trace_kind = *kind;
-    out.dump_trace = true;
-    keep_trace(1 << 18);
-  } else if (arg == "--json-out") {
-    if (!next(&out.json_out_path)) return fail("--json-out needs a path");
-    keep_trace(1 << 12);
-  } else if (arg == "--metrics-out") {
-    if (!next(&out.metrics_out_path)) {
-      return fail("--metrics-out needs a path");
-    }
-  } else if (arg == "--profile") {
-    o.profile = true;
-  } else if (arg == "--monitor" || arg == "--monitor=strict") {
-    o.monitor = true;
-    if (arg == "--monitor=strict") out.monitor_strict = true;
-  } else if (arg == "--telemetry-out") {
-    if (!next(&o.telemetry_out)) return fail("--telemetry-out needs a path");
-  } else if (arg == "--telemetry-interval") {
-    if (!next(&v) || !parse_double(v, &d) || d <= 0) {
-      return fail("--telemetry-interval needs a positive number of seconds");
-    }
-    o.telemetry_interval_s = d;
-  } else if (arg == "--telemetry-per-node") {
-    if (!next(&v) || !parse_int(v, &n) || n < 0 || n > 1) {
-      return fail("--telemetry-per-node needs 0 or 1");
-    }
-    o.telemetry_per_node = static_cast<int>(n);
-  } else if (arg == "--flight-recorder") {
-    if (!next(&o.flight_recorder_out)) {
-      return fail("--flight-recorder needs a path");
-    }
-  } else if (arg == "--flight-capacity") {
-    if (!next(&v) || !parse_int(v, &n) || n < 16) {
-      return fail("--flight-capacity needs an integer >= 16");
-    }
-    o.flight_capacity = static_cast<std::size_t>(n);
-  } else if (arg == "--timeline-out") {
-    if (!next(&out.timeline_out_path)) {
-      return fail("--timeline-out needs a path");
-    }
-    keep_trace(1 << 12);
-  } else if (arg == "--sampler") {
-    o.phase_sampler = true;
-  } else if (arg == "--sampler-interval") {
-    if (!next(&v) || !parse_double(v, &d) || d <= 0) {
-      return fail("--sampler-interval needs a positive number of seconds");
-    }
-    o.phase_sampler_interval_s = d;
-    o.phase_sampler = true;
-  } else if (arg == "--prom-textfile") {
-    if (!next(&out.prom_textfile_path)) {
-      return fail("--prom-textfile needs a path");
-    }
-  } else {
-    return FlagParse::kNotMine;
-  }
-  return FlagParse::kParsed;
+/// Whole-string integer parse straight into the field's own type, so a
+/// value the field cannot hold is rejected rather than narrowed.  Stores
+/// only values in [lo, hi].
+template <class T>
+bool int_in(const std::string& s, T* out,
+            std::type_identity_t<T> lo = std::numeric_limits<T>::min(),
+            std::type_identity_t<T> hi = std::numeric_limits<T>::max()) {
+  T value{};
+  const auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), value);
+  if (ec != std::errc() || ptr != s.data() + s.size()) return false;
+  if (value < lo || value > hi) return false;
+  *out = value;
+  return true;
 }
 
-namespace {
+/// Whole-string real parse; stores only values `ok` accepts.
+template <class Ok>
+bool real(const std::string& s, double* out, Ok ok) {
+  double value = 0;
+  if (!parse_double(s, &value) || !ok(value)) return false;
+  *out = value;
+  return true;
+}
+constexpr auto kAnyReal = [](double) { return true; };
+constexpr auto kNonNegative = [](double d) { return d >= 0; };
+constexpr auto kPositive = [](double d) { return d > 0; };
+constexpr auto kProbability = [](double d) { return d >= 0 && d < 1; };
+
+bool endpoint(const std::string& s, std::string* host, std::uint16_t* port) {
+  const auto colon = s.rfind(':');
+  if (colon == std::string::npos || colon == 0) return false;
+  if (!int_in(s.substr(colon + 1), port, 1)) return false;
+  *host = s.substr(0, colon);
+  return true;
+}
+
+/// "a, b, c" for an error message's list of valid names.
+template <class Names>
+std::string joined(const Names& names) {
+  std::string out;
+  for (const auto& name : names) {
+    if (!out.empty()) out += ", ";
+    out += name;
+  }
+  return out;
+}
 
 std::optional<ProtocolKind> parse_protocol(const std::string& name) {
   if (name == "tsf") return ProtocolKind::kTsf;
@@ -162,460 +111,584 @@ std::optional<ProtocolKind> parse_protocol(const std::string& name) {
   return std::nullopt;
 }
 
+bool store(std::string* field, const std::string& value) {
+  *field = value;
+  return true;
+}
+bool on(bool* flag) {
+  *flag = true;
+  return true;
+}
+
+// Printing the trace needs a ring that holds the whole run; the streaming
+// outputs (--json-out, --timeline-out) write at record time, so a modest
+// ring suffices for them.
+void keep_trace(CliOptions& o, std::size_t capacity) {
+  o.scenario.trace_capacity = std::max(o.scenario.trace_capacity, capacity);
+}
+void print_trace(CliOptions& o) {
+  o.dump_trace = true;
+  keep_trace(o, 1 << 18);
+}
+
+using Cli = CliOptions;
+using Arg = const std::string&;
+using Why = std::string*;
+
+/// One flag of one or more tools.  The setter gets the flag's value (empty
+/// for a bare switch; "strict" for --monitor=strict) and returns false on
+/// an invalid one, optionally with its own message in *why.
+struct Flag {
+  std::string_view key;   ///< flag name without "--"; also the config key
+  unsigned tools;         ///< kSim | kNode | kSwarm
+  std::string_view need;  ///< "": bare switch; else the missing/bad message
+  bool (*set)(Cli& o, Arg v, Why why);
+};
+
+// The one flag table: every flag of the three tools, and so every config
+// key.  Each row applies only to the tools it names; a row shared by
+// several tools sets the same field for all of them.
+constexpr Flag kFlags[] = {
+    // scenario / deployment
+    {"protocol", kSim, "--protocol needs a value",
+     [](Cli& o, Arg v, Why why) {
+       const auto kind = parse_protocol(v);
+       if (!kind) {
+         *why = "unknown protocol: " + v;
+         return false;
+       }
+       o.scenario.protocol = *kind;
+       return true;
+     }},
+    {"nodes", kAll, "--nodes needs a positive integer (max 1000000)",
+     [](Cli& o, Arg v, Why) {
+       return int_in(v, &o.scenario.num_nodes, 1, 1000000);
+     }},
+    {"duration", kAll, "--duration needs a positive number of seconds",
+     [](Cli& o, Arg v, Why) {
+       return real(v, &o.scenario.duration_s, kPositive);
+     }},
+    {"seed", kAll, "--seed needs an integer",
+     [](Cli& o, Arg v, Why) { return int_in(v, &o.scenario.seed); }},
+    {"paper-env", kSim, "",
+     [](Cli& o, Arg, Why) {
+       Scenario& s = o.scenario;
+       s.churn = ChurnSpec{};
+       s.duration_s = 1000.0;
+       if (s.protocol == ProtocolKind::kSstsp) {
+         s.reference_departures_s = {300.0, 500.0, 800.0};
+       }
+       return true;
+     }},
+    {"threads", kSim, "--threads needs an integer in [0, 1024]",
+     [](Cli& o, Arg v, Why) {
+       return int_in(v, &o.scenario.threads, 0, 1024);
+     }},
+    {"shards", kSim, "--shards needs an integer in [0, 4096]",
+     [](Cli& o, Arg v, Why) {
+       return int_in(v, &o.scenario.shards, 0, 4096);
+     }},
+    {"radio-range", kSim, "--radio-range needs a distance in metres >= 0",
+     [](Cli& o, Arg v, Why) {
+       return real(v, &o.scenario.phy.radio_range_m, kNonNegative);
+     }},
+    {"placement-radius", kSim,
+     "--placement-radius needs a distance in metres > 0",
+     [](Cli& o, Arg v, Why) {
+       return real(v, &o.scenario.phy.placement_radius_m, kPositive);
+     }},
+    {"id", kNode, "--id needs a non-negative integer",
+     [](Cli& o, Arg v, Why) { return int_in(v, &o.node.config.id); }},
+    // protocol parameters
+    {"m", kAll, "--m needs a positive integer",
+     [](Cli& o, Arg v, Why) { return int_in(v, &o.scenario.sstsp.m, 1); }},
+    {"l", kAll, "--l needs a positive integer",
+     [](Cli& o, Arg v, Why) { return int_in(v, &o.scenario.sstsp.l, 1); }},
+    {"guard", kAll, "--guard needs a positive value in us",
+     [](Cli& o, Arg v, Why) {
+       return real(v, &o.scenario.sstsp.guard_fine_us, kPositive);
+     }},
+    {"chain-length", kAll, "--chain-length needs an integer >= 10",
+     [](Cli& o, Arg v, Why) {
+       return int_in(v, &o.scenario.sstsp.chain_length, 10);
+     }},
+    {"per", kSim, "--per needs a probability in [0, 1)",
+     [](Cli& o, Arg v, Why) {
+       return real(v, &o.scenario.phy.packet_error_rate, kProbability);
+     }},
+    {"preestablished", kSim | kSwarm, "",
+     [](Cli& o, Arg, Why) {
+       return on(&o.scenario.preestablished_reference);
+     }},
+    {"reference", kNode, "",
+     [](Cli& o, Arg, Why) { return on(&o.node.config.start_as_reference); }},
+    // clusters (hierarchical multi-domain sync, DESIGN.md §13)
+    {"clusters", kSim, "--clusters needs an integer in [0, 127]",
+     [](Cli& o, Arg v, Why) {
+       return int_in(v, &o.scenario.cluster.clusters, 0, 0x7f);
+     }},
+    {"cluster-nodes", kSim, "--cluster-nodes needs an integer >= 2",
+     [](Cli& o, Arg v, Why) {
+       return int_in(v, &o.scenario.cluster.nodes_per_cluster, 2);
+     }},
+    {"cluster-gateways", kSim, "--cluster-gateways needs a positive integer",
+     [](Cli& o, Arg v, Why) {
+       return int_in(v, &o.scenario.cluster.gateways, 1);
+     }},
+    {"cluster-spacing", kSim,
+     "--cluster-spacing needs a distance in metres > 0",
+     [](Cli& o, Arg v, Why) {
+       return real(v, &o.scenario.cluster.spacing_m, kPositive);
+     }},
+    {"cluster-radius", kSim, "--cluster-radius needs a distance in metres > 0",
+     [](Cli& o, Arg v, Why) {
+       return real(v, &o.scenario.cluster.radius_m, kPositive);
+     }},
+    {"cluster-phase", kSim, "--cluster-phase needs a us value >= 0",
+     [](Cli& o, Arg v, Why) {
+       return real(v, &o.scenario.cluster.phase_us, kNonNegative);
+     }},
+    {"cluster-hop-bound", kSim,
+     "--cluster-hop-bound needs a positive us value",
+     [](Cli& o, Arg v, Why) {
+       return real(v, &o.scenario.cluster.hop_bound_us, kPositive);
+     }},
+    // environment
+    {"churn", kSim, "--churn needs period,fraction,absence",
+     [](Cli& o, Arg v, Why) {
+       const auto parts = split(v, ',');
+       ChurnSpec churn;
+       if (parts.size() != 3 || !parse_double(parts[0], &churn.period_s) ||
+           !parse_double(parts[1], &churn.fraction) ||
+           !parse_double(parts[2], &churn.absence_s)) {
+         return false;
+       }
+       o.scenario.churn = churn;
+       return true;
+     }},
+    {"departures", kSim, "--departures needs t1,t2,...",
+     [](Cli& o, Arg v, Why why) {
+       auto& times = o.scenario.reference_departures_s;
+       times.clear();
+       for (const auto& part : split(v, ',')) {
+         double t = 0;
+         if (!parse_double(part, &t)) {
+           *why = "--departures needs numeric times";
+           return false;
+         }
+         times.push_back(t);
+       }
+       return true;
+     }},
+    {"sample-period", kSim | kSwarm,
+     "--sample-period needs a positive number of seconds",
+     [](Cli& o, Arg v, Why) {
+       return real(v, &o.scenario.sample_period_s, kPositive);
+     }},
+    {"max-drift", kAll, "--max-drift needs a ppm value >= 0",
+     [](Cli& o, Arg v, Why) {
+       return real(v, &o.scenario.max_drift_ppm, kNonNegative);
+     }},
+    {"initial-offset", kAll, "--initial-offset needs a us value >= 0",
+     [](Cli& o, Arg v, Why) {
+       return real(v, &o.scenario.initial_offset_us, kNonNegative);
+     }},
+    {"drift", kNode, "--drift needs a value in ppm",
+     [](Cli& o, Arg v, Why) {
+       o.node.config.emulate_clock = false;
+       return real(v, &o.node.config.drift_ppm, kAnyReal);
+     }},
+    {"offset", kNode, "--offset needs a value in us",
+     [](Cli& o, Arg v, Why) {
+       o.node.config.emulate_clock = false;
+       return real(v, &o.node.config.offset_us, kAnyReal);
+     }},
+    // attack + faults
+    {"attack", kSim, "--attack needs a kind",
+     [](Cli& o, Arg v, Why why) {
+       if (!attack::adversary_known(v)) {
+         *why = "unknown attack: " + v +
+                " (known: " + joined(attack::adversary_names()) + ")";
+         return false;
+       }
+       o.scenario.attack = v;
+       return true;
+     }},
+    {"attack-window", kSim, "--attack-window needs start,end",
+     [](Cli& o, Arg v, Why why) {
+       const auto parts = split(v, ',');
+       double a = 0;
+       double b = 0;
+       if (parts.size() != 2 || !parse_double(parts[0], &a) ||
+           !parse_double(parts[1], &b) || b <= a) {
+         *why = "--attack-window needs start,end with end > start";
+         return false;
+       }
+       Scenario& s = o.scenario;
+       s.tsf_attack.start_s = s.sstsp_attack.start_s = a;
+       s.tsf_attack.end_s = s.sstsp_attack.end_s = b;
+       return true;
+     }},
+    {"attack-params", kSim, "--attack-params needs a JSON object",
+     [](Cli& o, Arg v, Why why) {
+       if (!obs::json::parse(v)) {
+         *why = "--attack-params is not valid JSON: " + v;
+         return false;
+       }
+       o.scenario.attack_params_json = v;
+       return true;
+     }},
+    {"skew", kSim, "--skew needs a rate in us/s",
+     [](Cli& o, Arg v, Why) {
+       return real(v, &o.scenario.sstsp_attack.skew_rate_us_per_s, kAnyReal);
+     }},
+    {"faults", kAll, "--faults needs a path",
+     [](Cli& o, Arg v, Why why) {
+       const auto plan = fault::load_plan(v, why);
+       if (plan) o.scenario.faults = *plan;
+       return plan.has_value();
+     }},
+    {"faults-json", kAll, "--faults-json needs JSON text",
+     [](Cli& o, Arg v, Why why) {
+       const auto plan = fault::parse_plan_text(v, why);
+       if (!plan) {
+         *why = "--faults-json: " + *why;
+         return false;
+       }
+       o.scenario.faults = *plan;
+       return true;
+     }},
+    // clock discipline + oscillator stress (DESIGN.md §14)
+    {"discipline", kAll, "--discipline needs a name",
+     [](Cli& o, Arg v, Why why) {
+       if (!core::discipline_known(v)) {
+         *why = "unknown discipline: " + v +
+                " (known: " + joined(core::discipline_names()) + ")";
+         return false;
+       }
+       o.scenario.sstsp.discipline.name = v;
+       return true;
+     }},
+    {"discipline-params", kAll, "--discipline-params needs a JSON object",
+     [](Cli& o, Arg v, Why why) {
+       const auto parsed = obs::json::parse(v);
+       if (!parsed) {
+         *why = "--discipline-params is not valid JSON: " + v;
+         return false;
+       }
+       if (!core::apply_discipline_json(*parsed, &o.scenario.sstsp, why)) {
+         *why = "--discipline-params: " + *why;
+         return false;
+       }
+       return true;
+     }},
+    {"clock-model", kSim, "--clock-model needs a kind",
+     [](Cli& o, Arg v, Why why) {
+       const auto kind = clock_model_kind_from_string(v);
+       if (!kind) {
+         *why = "unknown clock model: " + v +
+                " (known: none, temp-ramp, aging, random-walk)";
+         return false;
+       }
+       o.scenario.clock_stress.kind = *kind;
+       return true;
+     }},
+    {"clock-model-params", kSim, "--clock-model-params needs a JSON object",
+     [](Cli& o, Arg v, Why why) {
+       const auto parsed = obs::json::parse(v);
+       if (!parsed) {
+         *why = "--clock-model-params is not valid JSON: " + v;
+         return false;
+       }
+       if (!apply_clock_model_json(*parsed, &o.scenario.clock_stress, why)) {
+         *why = "--clock-model-params: " + *why;
+         return false;
+       }
+       return true;
+     }},
+    // live endpoints / pacing
+    {"transport", kSwarm, "--transport needs udp | loopback",
+     [](Cli& o, Arg v, Why why) {
+       if (v == "udp") {
+         o.live.transport = net::TransportKind::kUdp;
+       } else if (v == "loopback") {
+         o.live.transport = net::TransportKind::kLoopback;
+       } else {
+         *why = "unknown transport: " + v;
+         return false;
+       }
+       return true;
+     }},
+    {"bind", kLive, "--bind needs an address",
+     [](Cli& o, Arg v, Why) { return store(&o.live.bind_address, v); }},
+    {"port", kNode, "--port needs a port number",
+     [](Cli& o, Arg v, Why) { return int_in(v, &o.node.udp.bind_port); }},
+    {"base-port", kSwarm, "--base-port needs a port number",
+     [](Cli& o, Arg v, Why) { return int_in(v, &o.live.base_port); }},
+    {"peer", kNode, "--peer needs HOST:PORT",
+     [](Cli& o, Arg v, Why) {
+       net::UdpEndpoint peer;
+       if (!endpoint(v, &peer.host, &peer.port)) return false;
+       o.node.udp.peers.push_back(peer);
+       return true;
+     }},
+    {"multicast", kNode, "--multicast needs GROUP:PORT",
+     [](Cli& o, Arg v, Why) {
+       return endpoint(v, &o.node.udp.multicast_group,
+                       &o.node.udp.multicast_port);
+     }},
+    {"mcast-if", kNode, "--mcast-if needs an address",
+     [](Cli& o, Arg v, Why) {
+       return store(&o.node.udp.multicast_interface, v);
+     }},
+    {"ttl", kNode, "--ttl needs a value in [0, 255]",
+     [](Cli& o, Arg v, Why) {
+       return int_in(v, &o.node.udp.multicast_ttl, 0, 255);
+     }},
+    {"latency", kSwarm, "--latency needs min,max in us",
+     [](Cli& o, Arg v, Why why) {
+       const auto parts = split(v, ',');
+       double lo = 0;
+       double hi = 0;
+       if (parts.size() != 2 || !parse_double(parts[0], &lo) ||
+           !parse_double(parts[1], &hi) || lo < 0 || hi < lo) {
+         *why = "--latency needs min,max in us with max >= min >= 0";
+         return false;
+       }
+       o.live.loopback.latency_min = sim::SimTime::from_us_double(lo);
+       o.live.loopback.latency_max = sim::SimTime::from_us_double(hi);
+       return true;
+     }},
+    {"drop", kSwarm, "--drop needs a probability in [0, 1)",
+     [](Cli& o, Arg v, Why) {
+       return real(v, &o.live.loopback.drop_probability, kProbability);
+     }},
+    {"wire-latency", kLive, "--wire-latency needs a value in us",
+     [](Cli& o, Arg v, Why) {
+       return real(v, &o.live.wire_latency_us, kNonNegative);
+     }},
+    {"diverge-threshold", kSwarm, "--diverge-threshold needs a value in us",
+     [](Cli& o, Arg v, Why) {
+       return real(v, &o.live.monitor_diverge_us, kNonNegative);
+     }},
+    {"epoch", kNode, "--epoch needs a UNIX time in seconds",
+     [](Cli& o, Arg v, Why) {
+       return real(v, &o.node.epoch_unix_s, kNonNegative);
+     }},
+    // output / checks
+    {"csv", kSim | kSwarm, "--csv needs a path",
+     [](Cli& o, Arg v, Why) { return store(&o.csv_path, v); }},
+    {"chart", kSim | kSwarm, "",
+     [](Cli& o, Arg, Why) { return on(&o.ascii_chart); }},
+    {"trace", kAll, "",
+     [](Cli& o, Arg, Why) {
+       print_trace(o);
+       return true;
+     }},
+    {"trace-limit", kAll, "--trace-limit needs a positive integer",
+     [](Cli& o, Arg v, Why) {
+       if (!int_in(v, &o.trace_limit, 1)) return false;
+       print_trace(o);
+       return true;
+     }},
+    {"trace-kind", kAll, "--trace-kind needs an event kind",
+     [](Cli& o, Arg v, Why why) {
+       const auto kind = trace::kind_from_string(v);
+       if (!kind) {
+         std::vector<std::string_view> valid;
+         for (int k = 0; k < static_cast<int>(trace::kEventKindCount); ++k) {
+           valid.push_back(trace::to_string(static_cast<trace::EventKind>(k)));
+         }
+         *why = "unknown event kind: " + v + " (valid kinds: " +
+                joined(valid) + ")";
+         return false;
+       }
+       o.trace_kind = *kind;
+       print_trace(o);
+       return true;
+     }},
+    {"json-out", kAll, "--json-out needs a path",
+     [](Cli& o, Arg v, Why) {
+       o.json_out_path = v;
+       keep_trace(o, 1 << 12);
+       return true;
+     }},
+    {"metrics-out", kAll, "--metrics-out needs a path",
+     [](Cli& o, Arg v, Why) { return store(&o.metrics_out_path, v); }},
+    {"profile", kAll, "",
+     [](Cli& o, Arg, Why) { return on(&o.scenario.profile); }},
+    {"monitor", kAll, "",
+     [](Cli& o, Arg v, Why) {
+       o.monitor_strict = o.monitor_strict || v == "strict";
+       return on(&o.scenario.monitor);
+     }},
+    {"expect-sync", kSwarm, "",
+     [](Cli& o, Arg, Why) { return on(&o.expect_sync); }},
+    // telemetry / flight recorder (DESIGN.md §10)
+    {"telemetry-out", kAll, "--telemetry-out needs a path",
+     [](Cli& o, Arg v, Why) {
+       return store(&o.scenario.telemetry_out, v);
+     }},
+    {"telemetry-interval", kAll,
+     "--telemetry-interval needs a positive number of seconds",
+     [](Cli& o, Arg v, Why) {
+       return real(v, &o.scenario.telemetry_interval_s, kPositive);
+     }},
+    {"telemetry-per-node", kSim | kSwarm, "--telemetry-per-node needs 0 or 1",
+     [](Cli& o, Arg v, Why) {
+       return int_in(v, &o.scenario.telemetry_per_node, 0, 1);
+     }},
+    {"telemetry-udp", kNode, "--telemetry-udp needs HOST:PORT",
+     [](Cli& o, Arg v, Why) {
+       return endpoint(v, &o.node.telemetry_udp_host,
+                       &o.node.telemetry_udp_port);
+     }},
+    {"flight-recorder", kAll, "--flight-recorder needs a path",
+     [](Cli& o, Arg v, Why) {
+       return store(&o.scenario.flight_recorder_out, v);
+     }},
+    {"flight-capacity", kAll, "--flight-capacity needs an integer >= 16",
+     [](Cli& o, Arg v, Why) {
+       return int_in(v, &o.scenario.flight_capacity, 16);
+     }},
+    {"watch", kSwarm, "", [](Cli& o, Arg, Why) { return on(&o.live.watch); }},
+    // performance observatory (DESIGN.md §11)
+    {"timeline-out", kAll, "--timeline-out needs a path",
+     [](Cli& o, Arg v, Why) {
+       o.timeline_out_path = v;
+       keep_trace(o, 1 << 12);
+       return true;
+     }},
+    {"sampler", kAll, "",
+     [](Cli& o, Arg, Why) { return on(&o.scenario.phase_sampler); }},
+    {"sampler-interval", kAll,
+     "--sampler-interval needs a positive number of seconds",
+     [](Cli& o, Arg v, Why) {
+       o.scenario.phase_sampler = true;
+       return real(v, &o.scenario.phase_sampler_interval_s, kPositive);
+     }},
+    {"prom-textfile", kAll, "--prom-textfile needs a path",
+     [](Cli& o, Arg v, Why) {
+       return store(&o.prom_textfile_path, v);
+     }},
+    {"prom-port", kLive, "--prom-port needs a port number (0 = ephemeral)",
+     [](Cli& o, Arg v, Why) {
+       return int_in(v, &o.live.prom_port, 0, 65535);
+     }},
+};
+
+const Flag* find_flag(std::string_view key) {
+  for (const Flag& flag : kFlags) {
+    if (flag.key == key) return &flag;
+  }
+  return nullptr;
+}
+
+double unix_now_s() {
+  return std::chrono::duration<double>(
+             std::chrono::system_clock::now().time_since_epoch())
+      .count();
+}
+
 }  // namespace
 
-std::string cli_usage() {
-  return R"(usage: sstsp_sim [options]
+bool config_key_applies(std::string_view key, ConfigTool tool) {
+  const Flag* flag = find_flag(key);
+  return flag != nullptr && (flag->tools & tool_mask(tool)) != 0;
+}
 
-scenario:
-  --protocol P          tsf | atsp | tatsp | satsf | rentel-kunz | sstsp
-                        (default sstsp)
-  --nodes N             honest station count (default 100)
-  --duration S          simulated seconds (default 200)
-  --threads N           run on the sharded parallel kernel with N worker
-                        threads (0 = legacy single-threaded kernel);
-                        results are bit-identical for any thread count
-  --shards N            shard count for the parallel kernel (default: the
-                        thread count); pinning it keeps runs with
-                        different --threads byte-identical
-  --radio-range M       radio range in metres (0 = single-hop: everyone
-                        hears everyone; finite ranges enable the spatial
-                        partition large runs need)
-  --placement-radius M  deployment disc radius in metres (default 50)
-  --seed S              RNG seed; identical seeds reproduce bit-exactly
-  --paper-env           the paper's §5 environment: 1000 s, 5% churn every
-                        200 s, reference departures at 300/500/800 s
-
-protocol parameters:
-  --m M                 SSTSP aggressiveness (default 3)
-  --l L                 SSTSP missed-beacon tolerance (default 1)
-  --guard US            SSTSP base guard time in us
-  --chain-length N      µTESLA chain length (default sized to duration)
-  --per P               packet error rate (default 1e-4)
-  --preestablished      node 0 boots as the SSTSP reference
-
-clock discipline (DESIGN.md §14):
-  --discipline NAME     clock-discipline estimator: paper (the §3.3 span
-                        solver, default; bit-identical to the legacy path),
-                        rls (recursive least squares with forgetting +
-                        innovation gating), holdover (paper solver that
-                        coasts on the last fitted rate through droughts)
-  --discipline-params JSON
-                        discipline overrides as a JSON object, same keys as
-                        the config "discipline" block (e.g. '{"name":"rls",
-                        "window":16,"forgetting":0.98,
-                        "innovation-gate":200,"holdover-max-age":32,
-                        "span":8,"k-min":0.95,"k-max":1.05}')
-  --clock-model KIND    oscillator stressor beyond the paper's constant
-                        drift: none (default) | temp-ramp | aging |
-                        random-walk
-  --clock-model-params JSON
-                        stressor overrides, same keys as the config
-                        "clock-model" block (e.g. '{"kind":"temp-ramp",
-                        "period":1,"ramp-ppm-per-s":0.5,"ramp-start":0,
-                        "ramp-end":-1,"aging-ppm-per-day":25,
-                        "walk-sigma-ppm":0.25}')
-
-clusters (hierarchical multi-domain sync, SSTSP only; DESIGN.md §13):
-  --clusters N          partition the network into N broadcast-domain
-                        clusters chained off a root timescale (0 = off);
-                        overrides --nodes with clusters * cluster-nodes
-  --cluster-nodes K     nodes per cluster, gateways included (default 20)
-  --cluster-gateways G  gateway nodes per non-root cluster (default 1)
-  --cluster-spacing M   distance between adjacent cluster centers (default
-                        45; the geometry contract needs spacing <= range)
-  --cluster-radius M    per-cluster placement disc radius (default 14)
-  --cluster-phase US    per-depth schedule phase stagger (default 1500)
-  --cluster-hop-bound US
-                        documented per-gateway-hop error bound; the monitor
-                        checks inter-cluster spread <= bound * max depth
-
-environment:
-  --churn P,F,A         period_s, fraction, absence_s (e.g. 200,0.05,50)
-  --departures T1,T2    reference departure times (SSTSP)
-
-attack:
-  --attack NAME         adversary by registry name: tsf-slow, internal-ref,
-                        replay, forge, delayed-disclosure
-  --attack-window A,B   active interval in seconds (default 400,600)
-  --attack-params JSON  adversary-specific overrides as a JSON object
-                        (e.g. '{"skew":80,"delay_us":5000}')
-  --skew R              internal-ref skew rate in us/s (default 50)
-
-faults:
-  --faults PATH         load a fault plan (JSON; see DESIGN.md §9): packet
-                        drop/dup/delay/reorder/corrupt directives,
-                        partitions, node crash/pause, clock steps/drift
-  --faults-json TEXT    the same plan given inline as JSON text
-
-environment overrides:
-  --sample-period S     max-diff sampling cadence (default 0.1)
-  --max-drift PPM       hardware drift bound (default 100)
-  --initial-offset US   initial clock offset bound (default 112)
-
-config:
-  --config PATH         load a run config (JSON object; see README "Config
-                        files"): scenario keys plus nested "faults" /
-                        "attack" objects; flags after --config override the
-                        file
-
-output:
-  --csv PATH            write the max-clock-difference series as CSV
-  --chart               print an ASCII strip chart of the series
-  --trace               record and print the newest protocol events
-  --trace-limit N       how many events --trace prints (default 40)
-  --trace-kind KIND     only print events of KIND (e.g. adjustment,
-                        reject-guard; implies --trace)
-  --json-out PATH       stream every protocol event as JSON Lines to PATH,
-                        terminated by a {"type":"summary"} record
-  --metrics-out PATH    write the run's metrics registry (+ profile when
-                        --profile) as one JSON document
-  --profile             profile the hot paths; prints the per-phase
-                        wall-time breakdown and events/sec after the run
-  --monitor[=strict]    online invariant monitor + beacon-lifecycle tracing;
-                        violations become audit records in the JSON report.
-                        strict: exit 3 when any audit record was produced
-
-telemetry (DESIGN.md §10):
-  --telemetry-out PATH  append one JSONL telemetry sample per interval:
-                        max/mean offset error, beacon funnel rates, engine
-                        load, recovery state (schema v1; feed sstsp_tracetool)
-  --telemetry-interval S
-                        sampling interval in simulated seconds (default 1)
-  --telemetry-per-node 0|1
-                        attach per-node error arrays to cluster samples
-                        (default: auto, on for runs of <= 64 nodes)
-  --flight-recorder PATH
-                        keep a ring of recent events + samples per run and
-                        dump it to PATH on any new audit record class or on
-                        SIGUSR1 (JSONL, "flight_seq"-tagged)
-  --flight-capacity N   flight-recorder event ring size (default 512)
-
-performance observatory (DESIGN.md §11):
-  --timeline-out PATH   write the run as Chrome-trace-event JSON loadable in
-                        ui.perfetto.dev: protocol events per node, beacon
-                        flow arrows, profiler phase spans (with --profile),
-                        fault/audit marks
-  --sampler             phase-sampling profiler: sample current phase,
-                        event-queue depth and per-phase exclusive time into
-                        the metrics registry (see --metrics-out)
-  --sampler-interval S  sampling interval in simulated seconds (default
-                        0.001; implies --sampler)
-  --prom-textfile PATH  dump the final metrics registry in Prometheus text
-                        exposition format (node_exporter textfile shape)
-  --help                this text
-)";
+std::vector<std::string_view> cli_flags(ConfigTool tool) {
+  std::vector<std::string_view> keys;
+  for (const Flag& flag : kFlags) {
+    if ((flag.tools & tool_mask(tool)) != 0) keys.push_back(flag.key);
+  }
+  return keys;
 }
 
 std::optional<CliOptions> parse_cli(const std::vector<std::string>& args,
-                                    std::string* error) {
-  CliOptions opts;
-  Scenario& s = opts.scenario;
-  s.num_nodes = 100;
-  s.duration_s = 200.0;
-  bool chain_set = false;
-  bool config_loaded = false;
-
+                                    ConfigTool tool, std::string* error) {
   auto fail = [error](const std::string& message) {
     if (error != nullptr) *error = message;
     return std::nullopt;
   };
 
+  CliOptions o;
+  Scenario& s = o.scenario;
+  if (tool == ConfigTool::kNode || tool == ConfigTool::kSwarm) {
+    s = net::SwarmConfig();  // the live defaults
+  } else {
+    s.num_nodes = 100;
+    s.duration_s = 200.0;
+  }
+  if (tool == ConfigTool::kNode) {
+    // A lone node binds every interface and faces a real UDP hop.
+    o.live.bind_address = o.node.udp.bind_address;
+    o.live.wire_latency_us = net::kUdpWireLatencyUs;
+  }
+  s.sstsp.chain_length = 0;  // derived below unless --chain-length sets it
+  bool config_loaded = false;
+
   // --config splices the file's flags in place, so iterate a mutable copy.
   std::vector<std::string> argv = args;
   for (std::size_t i = 0; i < argv.size(); ++i) {
     const std::string arg = argv[i];
-    auto next = [&](std::string* out) {
-      if (i + 1 >= argv.size()) return false;
-      *out = argv[++i];
-      return true;
-    };
-    std::string v;
-
-    const FlagParse shared =
-        parse_observer_flag(argv, i, ConfigTool::kSim, s, opts, error);
-    if (shared == FlagParse::kFailed) return std::nullopt;
-    if (shared == FlagParse::kParsed) continue;
-
     if (arg == "--help" || arg == "-h") {
-      opts.help = true;
-      return opts;
-    } else if (arg == "--protocol") {
-      if (!next(&v)) return fail("--protocol needs a value");
-      const auto kind = parse_protocol(v);
-      if (!kind) return fail("unknown protocol: " + v);
-      s.protocol = *kind;
-    } else if (arg == "--nodes") {
-      long long n = 0;
-      if (!next(&v) || !parse_int(v, &n) || n < 1 || n > 1000000) {
-        return fail("--nodes needs a positive integer (max 1000000)");
-      }
-      s.num_nodes = static_cast<int>(n);
-    } else if (arg == "--threads") {
-      long long n = 0;
-      if (!next(&v) || !parse_int(v, &n) || n < 0 || n > 1024) {
-        return fail("--threads needs an integer in [0, 1024]");
-      }
-      s.threads = static_cast<int>(n);
-    } else if (arg == "--shards") {
-      long long n = 0;
-      if (!next(&v) || !parse_int(v, &n) || n < 0 || n > 4096) {
-        return fail("--shards needs an integer in [0, 4096]");
-      }
-      s.shards = static_cast<int>(n);
-    } else if (arg == "--radio-range") {
-      double m = 0;
-      if (!next(&v) || !parse_double(v, &m) || m < 0) {
-        return fail("--radio-range needs a distance in metres >= 0");
-      }
-      s.phy.radio_range_m = m;
-    } else if (arg == "--placement-radius") {
-      double m = 0;
-      if (!next(&v) || !parse_double(v, &m) || m <= 0) {
-        return fail("--placement-radius needs a distance in metres > 0");
-      }
-      s.phy.placement_radius_m = m;
-    } else if (arg == "--duration") {
-      double d = 0;
-      if (!next(&v) || !parse_double(v, &d) || d <= 0) {
-        return fail("--duration needs a positive number of seconds");
-      }
-      s.duration_s = d;
-    } else if (arg == "--seed") {
-      long long n = 0;
-      if (!next(&v) || !parse_int(v, &n)) return fail("--seed needs an integer");
-      s.seed = static_cast<std::uint64_t>(n);
-    } else if (arg == "--paper-env") {
-      s.churn = ChurnSpec{};
-      s.duration_s = 1000.0;
-      if (s.protocol == ProtocolKind::kSstsp) {
-        s.reference_departures_s = {300.0, 500.0, 800.0};
-      }
-    } else if (arg == "--m") {
-      long long n = 0;
-      if (!next(&v) || !parse_int(v, &n) || n < 1) {
-        return fail("--m needs a positive integer");
-      }
-      s.sstsp.m = static_cast<int>(n);
-    } else if (arg == "--l") {
-      long long n = 0;
-      if (!next(&v) || !parse_int(v, &n) || n < 1) {
-        return fail("--l needs a positive integer");
-      }
-      s.sstsp.l = static_cast<int>(n);
-    } else if (arg == "--guard") {
-      double g = 0;
-      if (!next(&v) || !parse_double(v, &g) || g <= 0) {
-        return fail("--guard needs a positive value in us");
-      }
-      s.sstsp.guard_fine_us = g;
-    } else if (arg == "--chain-length") {
-      long long n = 0;
-      if (!next(&v) || !parse_int(v, &n) || n < 10) {
-        return fail("--chain-length needs an integer >= 10");
-      }
-      s.sstsp.chain_length = static_cast<std::size_t>(n);
-      chain_set = true;
-    } else if (arg == "--per") {
-      double p = 0;
-      if (!next(&v) || !parse_double(v, &p) || p < 0 || p >= 1) {
-        return fail("--per needs a probability in [0, 1)");
-      }
-      s.phy.packet_error_rate = p;
-    } else if (arg == "--preestablished") {
-      s.preestablished_reference = true;
-    } else if (arg == "--discipline") {
-      if (!next(&v)) return fail("--discipline needs a name");
-      if (!core::discipline_known(v)) {
-        std::string valid;
-        for (const auto& name : core::discipline_names()) {
-          if (!valid.empty()) valid += ", ";
-          valid += name;
-        }
-        return fail("unknown discipline: " + v + " (known: " + valid + ")");
-      }
-      s.sstsp.discipline.name = v;
-    } else if (arg == "--discipline-params") {
-      if (!next(&v)) return fail("--discipline-params needs a JSON object");
-      const auto parsed = obs::json::parse(v);
-      if (!parsed) {
-        return fail("--discipline-params is not valid JSON: " + v);
-      }
-      std::string dsc_error;
-      if (!core::apply_discipline_json(*parsed, &s.sstsp, &dsc_error)) {
-        return fail("--discipline-params: " + dsc_error);
-      }
-    } else if (arg == "--clock-model") {
-      if (!next(&v)) return fail("--clock-model needs a kind");
-      const auto kind = clock_model_kind_from_string(v);
-      if (!kind) {
-        return fail("unknown clock model: " + v +
-                    " (known: none, temp-ramp, aging, random-walk)");
-      }
-      s.clock_stress.kind = *kind;
-    } else if (arg == "--clock-model-params") {
-      if (!next(&v)) return fail("--clock-model-params needs a JSON object");
-      const auto parsed = obs::json::parse(v);
-      if (!parsed) {
-        return fail("--clock-model-params is not valid JSON: " + v);
-      }
-      std::string clk_error;
-      if (!apply_clock_model_json(*parsed, &s.clock_stress, &clk_error)) {
-        return fail("--clock-model-params: " + clk_error);
-      }
-    } else if (arg == "--clusters") {
-      long long n = 0;
-      if (!next(&v) || !parse_int(v, &n) || n < 0 || n > 0x7f) {
-        return fail("--clusters needs an integer in [0, 127]");
-      }
-      s.cluster.clusters = static_cast<int>(n);
-    } else if (arg == "--cluster-nodes") {
-      long long n = 0;
-      if (!next(&v) || !parse_int(v, &n) || n < 2) {
-        return fail("--cluster-nodes needs an integer >= 2");
-      }
-      s.cluster.nodes_per_cluster = static_cast<int>(n);
-    } else if (arg == "--cluster-gateways") {
-      long long n = 0;
-      if (!next(&v) || !parse_int(v, &n) || n < 1) {
-        return fail("--cluster-gateways needs a positive integer");
-      }
-      s.cluster.gateways = static_cast<int>(n);
-    } else if (arg == "--cluster-spacing") {
-      double m = 0;
-      if (!next(&v) || !parse_double(v, &m) || m <= 0) {
-        return fail("--cluster-spacing needs a distance in metres > 0");
-      }
-      s.cluster.spacing_m = m;
-    } else if (arg == "--cluster-radius") {
-      double m = 0;
-      if (!next(&v) || !parse_double(v, &m) || m <= 0) {
-        return fail("--cluster-radius needs a distance in metres > 0");
-      }
-      s.cluster.radius_m = m;
-    } else if (arg == "--cluster-phase") {
-      double p = 0;
-      if (!next(&v) || !parse_double(v, &p) || p < 0) {
-        return fail("--cluster-phase needs a us value >= 0");
-      }
-      s.cluster.phase_us = p;
-    } else if (arg == "--cluster-hop-bound") {
-      double b = 0;
-      if (!next(&v) || !parse_double(v, &b) || b <= 0) {
-        return fail("--cluster-hop-bound needs a positive us value");
-      }
-      s.cluster.hop_bound_us = b;
-    } else if (arg == "--churn") {
-      if (!next(&v)) return fail("--churn needs period,fraction,absence");
-      const auto parts = split(v, ',');
-      ChurnSpec churn;
-      if (parts.size() != 3 || !parse_double(parts[0], &churn.period_s) ||
-          !parse_double(parts[1], &churn.fraction) ||
-          !parse_double(parts[2], &churn.absence_s)) {
-        return fail("--churn needs period,fraction,absence");
-      }
-      s.churn = churn;
-    } else if (arg == "--departures") {
-      if (!next(&v)) return fail("--departures needs t1,t2,...");
-      s.reference_departures_s.clear();
-      for (const auto& part : split(v, ',')) {
-        double t = 0;
-        if (!parse_double(part, &t)) {
-          return fail("--departures needs numeric times");
-        }
-        s.reference_departures_s.push_back(t);
-      }
-    } else if (arg == "--attack") {
-      if (!next(&v)) return fail("--attack needs a kind");
-      if (!attack::adversary_known(v)) {
-        std::string valid;
-        for (const auto& name : attack::adversary_names()) {
-          if (!valid.empty()) valid += ", ";
-          valid += name;
-        }
-        return fail("unknown attack: " + v + " (known: " + valid + ")");
-      }
-      s.attack = v;
-    } else if (arg == "--attack-params") {
-      if (!next(&v)) return fail("--attack-params needs a JSON object");
-      if (!obs::json::parse(v)) {
-        return fail("--attack-params is not valid JSON: " + v);
-      }
-      s.attack_params_json = v;
-    } else if (arg == "--faults") {
-      if (!next(&v)) return fail("--faults needs a path");
-      std::string plan_error;
-      const auto plan = fault::load_plan(v, &plan_error);
-      if (!plan) return fail(plan_error);
-      s.faults = *plan;
-    } else if (arg == "--faults-json") {
-      if (!next(&v)) return fail("--faults-json needs JSON text");
-      std::string plan_error;
-      const auto plan = fault::parse_plan_text(v, &plan_error);
-      if (!plan) return fail("--faults-json: " + plan_error);
-      s.faults = *plan;
-    } else if (arg == "--sample-period") {
-      double p = 0;
-      if (!next(&v) || !parse_double(v, &p) || p <= 0) {
-        return fail("--sample-period needs a positive number of seconds");
-      }
-      s.sample_period_s = p;
-    } else if (arg == "--max-drift") {
-      double p = 0;
-      if (!next(&v) || !parse_double(v, &p) || p < 0) {
-        return fail("--max-drift needs a ppm value >= 0");
-      }
-      s.max_drift_ppm = p;
-    } else if (arg == "--initial-offset") {
-      double p = 0;
-      if (!next(&v) || !parse_double(v, &p) || p < 0) {
-        return fail("--initial-offset needs a us value >= 0");
-      }
-      s.initial_offset_us = p;
-    } else if (arg == "--attack-window") {
-      if (!next(&v)) return fail("--attack-window needs start,end");
-      const auto parts = split(v, ',');
-      double a = 0;
-      double b = 0;
-      if (parts.size() != 2 || !parse_double(parts[0], &a) ||
-          !parse_double(parts[1], &b) || b <= a) {
-        return fail("--attack-window needs start,end with end > start");
-      }
-      s.tsf_attack.start_s = a;
-      s.tsf_attack.end_s = b;
-      s.sstsp_attack.start_s = a;
-      s.sstsp_attack.end_s = b;
-    } else if (arg == "--skew") {
-      double r = 0;
-      if (!next(&v) || !parse_double(v, &r)) {
-        return fail("--skew needs a rate in us/s");
-      }
-      s.sstsp_attack.skew_rate_us_per_s = r;
-    } else if (arg == "--config") {
-      if (!next(&v)) return fail("--config needs a path");
+      o.help = true;
+      return o;
+    }
+    if (arg == "--config") {
+      if (i + 1 >= argv.size()) return fail("--config needs a path");
       if (config_loaded) return fail("--config may be given only once");
       config_loaded = true;
       std::string cfg_error;
-      const auto cfg_args = load_config_args(v, ConfigTool::kSim, &cfg_error);
+      const auto cfg_args = load_config_args(argv[++i], tool, &cfg_error);
       if (!cfg_args) return fail(cfg_error);
       argv.insert(argv.begin() + static_cast<std::ptrdiff_t>(i) + 1,
                   cfg_args->begin(), cfg_args->end());
-    } else {
+      continue;
+    }
+    const bool strict = arg == "--monitor=strict";
+    const Flag* flag = arg.rfind("--", 0) == 0
+                           ? find_flag(strict ? "monitor" : arg.substr(2))
+                           : nullptr;
+    if (flag == nullptr || (flag->tools & tool_mask(tool)) == 0) {
       return fail("unknown option: " + arg);
+    }
+    std::string value = strict ? "strict" : "";
+    if (!flag->need.empty()) {
+      if (i + 1 >= argv.size()) return fail(std::string(flag->need));
+      value = argv[++i];
+    }
+    std::string why;
+    if (!flag->set(o, value, &why)) {
+      return fail(why.empty() ? std::string(flag->need) : why);
     }
   }
 
-  if (!chain_set) {
+  if (s.sstsp.chain_length == 0) {
     // Size the chain to the run, with slack for the coarse/election phases.
-    s.sstsp.chain_length =
-        static_cast<std::size_t>(s.duration_s * 10.0) + 200;
+    // A live node's interval indices count from the shared epoch, so its
+    // chain also covers the time since then.
+    double span_s = s.duration_s;
+    if (tool == ConfigTool::kNode && o.node.epoch_unix_s >= 0.0) {
+      span_s += std::max(0.0, unix_now_s() - o.node.epoch_unix_s);
+    }
+    s.sstsp.chain_length = static_cast<std::size_t>(span_s * 10.0) + 200;
   }
   if (s.cluster.enabled()) {
     // The cluster layout fixes the node count; --nodes would silently
     // disagree with the cluster-major id arithmetic otherwise.
     s.num_nodes = s.cluster.total_nodes();
   }
-  return opts;
+  if (tool == ConfigTool::kNode) {
+    if (o.node.config.id >= static_cast<mac::NodeId>(s.num_nodes)) {
+      return fail("--id must be < --nodes");
+    }
+    if (o.node.udp.multicast_group.empty() && o.node.udp.peers.empty()) {
+      return fail("need at least one --peer or a --multicast group");
+    }
+  }
+  return o;
 }
 
 }  // namespace sstsp::run

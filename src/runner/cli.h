@@ -1,23 +1,30 @@
-// Command-line front end for the scenario runner (used by tools/sstsp_sim).
+// Command-line front end of sstsp_sim, sstsp_swarm and sstsp_node.
 //
-// Kept in the library (rather than the tool's main.cpp) so the parsing is
+// One flag table (cli.cpp) holds every flag of the three tools: its name,
+// which is also its config-file key (config_file.h), the tools it applies
+// to, and the single step that parses, validates and sets it.  parse_cli
+// walks argv through that table; config_key_applies and config_to_args
+// read the same table.  Kept in the library so the parsing is
 // unit-testable; see tests/runner_cli_test.cpp.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
-#include "obs/observers.h"
+#include "net/node.h"
+#include "net/swarm.h"
+#include "net/udp.h"
 #include "runner/config_file.h"
 #include "runner/scenario.h"
 #include "trace/event_trace.h"
 
 namespace sstsp::run {
 
-/// The output half of the shared observer/output flag group (see
-/// parse_observer_flag); consumed by run::RunOutput.
+/// The output flags; consumed by run::RunOutput.
 struct OutputOptions {
   std::string csv_path;          ///< empty: no CSV dump
   std::string json_out_path;     ///< empty: no JSONL event/summary stream
@@ -33,37 +40,39 @@ struct OutputOptions {
   bool monitor_strict = false;
 };
 
+/// sstsp_node's own flags.  The deployment-wide half of its NodeConfig
+/// comes from the Scenario (net::node_config).
+struct NodeOptions {
+  net::NodeConfig config;  ///< id, explicit clock, boot as reference
+  net::UdpConfig udp;      ///< port, peers, multicast group
+  double epoch_unix_s = -1.0;  ///< < 0: unset
+  std::string telemetry_udp_host;
+  std::uint16_t telemetry_udp_port = 0;
+};
+
 struct CliOptions : OutputOptions {
+  /// The run.  sstsp_sim runs it as is; the live tools start from the
+  /// live defaults (net::SwarmConfig) and run it through `live`/`node`.
   Scenario scenario;
+  net::LiveOptions live;  ///< sstsp_swarm and sstsp_node
+  NodeOptions node;       ///< sstsp_node
+  bool expect_sync = false;  ///< sstsp_swarm --expect-sync
   bool help = false;
 };
 
-/// Whole-string numeric parses shared by the tools' flag parsers.
-[[nodiscard]] bool parse_double(const std::string& s, double* out);
-[[nodiscard]] bool parse_int(const std::string& s, long long* out);
-/// Splits on `sep` (a trailing separator adds no empty field).
-[[nodiscard]] std::vector<std::string> split(const std::string& s, char sep);
-
-enum class FlagParse { kNotMine, kParsed, kFailed };
-
-/// The observer/output flag group shared by sstsp_sim, sstsp_swarm and
-/// sstsp_node: --trace, --trace-limit, --trace-kind, --json-out,
-/// --metrics-out, --csv, --chart, --profile, --monitor[=strict],
-/// --telemetry-out/-interval/-per-node, --flight-recorder/-capacity,
-/// --timeline-out, --sampler, --sampler-interval, --prom-textfile.  Only
-/// the flags the ConfigTool schema gives `tool` are recognized.  Looks at
-/// argv[i], advancing i past a consumed value; kFailed stores a one-line
-/// message in *error.
-[[nodiscard]] FlagParse parse_observer_flag(
-    const std::vector<std::string>& argv, std::size_t& i, ConfigTool tool,
-    obs::ObserverConfig& observers, OutputOptions& output, std::string* error);
-
-/// Parses argv-style arguments (without the program name).  On failure
-/// returns nullopt and stores a one-line message in *error.
+/// Parses `tool`'s argv-style arguments (without the program name): the
+/// flag-table rows of that tool, --help and one --config file spliced in
+/// place.  Fills in the derived defaults (the µTESLA chain sized to the
+/// run).  On failure returns nullopt and stores a one-line message in
+/// *error.  ConfigTool::kAny accepts every row, on sstsp_sim's defaults.
 [[nodiscard]] std::optional<CliOptions> parse_cli(
-    const std::vector<std::string>& args, std::string* error);
+    const std::vector<std::string>& args, ConfigTool tool,
+    std::string* error);
 
-/// Usage text for --help and parse failures.
-[[nodiscard]] std::string cli_usage();
+/// The flags (names without "--") the table gives `tool`, in table order.
+[[nodiscard]] std::vector<std::string_view> cli_flags(ConfigTool tool);
+
+/// `tool`'s usage text for --help and parse failures.
+[[nodiscard]] std::string cli_usage(ConfigTool tool = ConfigTool::kSim);
 
 }  // namespace sstsp::run

@@ -13,130 +13,6 @@ namespace sstsp::run {
 
 namespace {
 
-// Universal key schema: the union of the three tools' flag sets, each key
-// tagged with the tools it applies to.  A config key outside this table is
-// an error everywhere; a key inside it is silently skipped by tools it
-// does not apply to, so one file drives sim and live runs alike.
-constexpr unsigned kSim = 1U;
-constexpr unsigned kNode = 2U;
-constexpr unsigned kSwarm = 4U;
-constexpr unsigned kAll = kSim | kNode | kSwarm;
-
-struct KeySpec {
-  std::string_view key;
-  unsigned tools;
-};
-
-constexpr KeySpec kSchema[] = {
-    // scenario / deployment
-    {"protocol", kSim},
-    {"nodes", kAll},
-    {"duration", kAll},
-    {"seed", kAll},
-    {"paper-env", kSim},
-    {"threads", kSim},
-    {"shards", kSim},
-    {"radio-range", kSim},
-    {"placement-radius", kSim},
-    {"id", kNode},
-    // protocol parameters
-    {"m", kAll},
-    {"l", kAll},
-    {"guard", kAll},
-    {"chain-length", kAll},
-    {"per", kSim},
-    {"preestablished", kSim | kSwarm},
-    {"reference", kNode},
-    // clusters (hierarchical multi-domain sync, DESIGN.md §13)
-    {"clusters", kSim},
-    {"cluster-nodes", kSim},
-    {"cluster-gateways", kSim},
-    {"cluster-spacing", kSim},
-    {"cluster-radius", kSim},
-    {"cluster-phase", kSim},
-    {"cluster-hop-bound", kSim},
-    // environment
-    {"churn", kSim},
-    {"departures", kSim},
-    {"sample-period", kSim | kSwarm},
-    {"max-drift", kAll},
-    {"initial-offset", kAll},
-    {"drift", kNode},
-    {"offset", kNode},
-    // attack + faults (first-class; see conversion below)
-    {"attack", kSim},
-    {"attack-window", kSim},
-    {"attack-params", kSim},
-    {"skew", kSim},
-    {"faults", kAll},
-    {"faults-json", kAll},
-    // clock discipline + oscillator stress (DESIGN.md §14)
-    {"discipline", kAll},
-    {"discipline-params", kAll},
-    {"clock-model", kSim},
-    {"clock-model-params", kSim},
-    // live endpoints / pacing
-    {"transport", kSwarm},
-    {"bind", kNode | kSwarm},
-    {"port", kNode},
-    {"base-port", kSwarm},
-    {"peer", kNode},
-    {"multicast", kNode},
-    {"mcast-if", kNode},
-    {"ttl", kNode},
-    {"latency", kSwarm},
-    {"drop", kSwarm},
-    {"wire-latency", kNode | kSwarm},
-    {"diverge-threshold", kSwarm},
-    {"epoch", kNode},
-    // output / checks
-    {"csv", kSim | kSwarm},
-    {"chart", kSim | kSwarm},
-    {"trace", kAll},
-    {"trace-limit", kAll},
-    {"trace-kind", kAll},
-    {"json-out", kAll},
-    {"metrics-out", kAll},
-    {"profile", kAll},
-    {"monitor", kAll},
-    {"expect-sync", kSwarm},
-    // telemetry / flight recorder (DESIGN.md §10)
-    {"telemetry-out", kAll},
-    {"telemetry-interval", kAll},
-    {"telemetry-per-node", kSim | kSwarm},
-    {"telemetry-udp", kNode},
-    {"flight-recorder", kAll},
-    {"flight-capacity", kAll},
-    {"watch", kSwarm},
-    // performance observatory (DESIGN.md §11)
-    {"timeline-out", kAll},
-    {"sampler", kAll},
-    {"sampler-interval", kAll},
-    {"prom-textfile", kAll},
-    {"prom-port", kNode | kSwarm},
-};
-
-const KeySpec* find_key(std::string_view key) {
-  for (const auto& spec : kSchema) {
-    if (spec.key == key) return &spec;
-  }
-  return nullptr;
-}
-
-unsigned tool_mask(ConfigTool tool) {
-  switch (tool) {
-    case ConfigTool::kSim:
-      return kSim;
-    case ConfigTool::kNode:
-      return kNode;
-    case ConfigTool::kSwarm:
-      return kSwarm;
-    case ConfigTool::kAny:
-      break;
-  }
-  return kAll;
-}
-
 /// Renders a JSON number the way a user would type it on the command line:
 /// whole values without a decimal point, everything else round-trippable.
 std::string format_number(double v) {
@@ -175,11 +51,6 @@ std::string at_line(const obs::json::Value& v) {
 }
 
 }  // namespace
-
-bool config_key_applies(std::string_view key, ConfigTool tool) {
-  const KeySpec* spec = find_key(key);
-  return spec != nullptr && (spec->tools & tool_mask(tool)) != 0;
-}
 
 std::optional<clk::DriftStressKind> clock_model_kind_from_string(
     std::string_view name) {
@@ -286,7 +157,6 @@ std::optional<std::vector<std::string>> config_to_args(
   };
 
   if (!root.is_object()) return fail("config must be a JSON object");
-  const unsigned mask = tool_mask(tool);
 
   std::vector<std::string> args;
   for (const auto& [key, value] : root.object) {
@@ -294,11 +164,10 @@ std::optional<std::vector<std::string>> config_to_args(
     if (key == "config") {
       return fail(at_line(value) + "config files cannot nest (key 'config')");
     }
-    const KeySpec* spec = find_key(key);
-    if (spec == nullptr) {
+    if (!config_key_applies(key, ConfigTool::kAny)) {
       return fail(at_line(value) + "unknown config key '" + key + "'");
     }
-    if ((spec->tools & mask) == 0) continue;  // another tool's key
+    if (!config_key_applies(key, tool)) continue;  // another tool's key
     const std::string flag = "--" + key;
 
     // First-class structured keys.

@@ -29,8 +29,10 @@
 //
 // The object is converted to the equivalent argv vector and spliced into
 // the command line at the position of the --config flag, so flags after
-// --config override the file and flags before it are overridden by it —
-// the per-tool CLI flags are thin aliases of the config keys.
+// --config override the file and flags before it are overridden by it.
+// The per-tool CLI flags are thin aliases of the config keys: both are the
+// rows of one flag table (runner/cli.cpp), which names each key's tools
+// and parses its value.
 // Conversion rules:
 //   * true        -> bare flag ("chart": true -> --chart); false is omitted
 //   * number      -> flag + value (integers render without a decimal point)
@@ -75,11 +77,12 @@ namespace sstsp::run {
 
 /// Which tool is consuming the config; selects the subset of the universal
 /// key schema that turns into flags (the rest is skipped, not rejected).
-/// kAny accepts every known key — used by tests and the legacy overloads.
+/// kAny accepts every known key.
 enum class ConfigTool { kAny, kSim, kNode, kSwarm };
 
 /// Does the universal schema give `key` (a flag name without "--") to
-/// `tool`?  false for keys outside the schema.
+/// `tool`?  false for keys outside the schema.  Reads the flag table in
+/// runner/cli.cpp.
 [[nodiscard]] bool config_key_applies(std::string_view key, ConfigTool tool);
 
 /// Converts a parsed config object into argv-style flags for `tool`.
@@ -91,15 +94,5 @@ enum class ConfigTool { kAny, kSim, kNode, kSwarm };
 /// Reads + parses `path` and converts it (see config_to_args).
 [[nodiscard]] std::optional<std::vector<std::string>> load_config_args(
     const std::string& path, ConfigTool tool, std::string* error);
-
-/// Legacy spellings: ConfigTool::kAny.
-[[nodiscard]] inline std::optional<std::vector<std::string>> config_to_args(
-    const obs::json::Value& root, std::string* error) {
-  return config_to_args(root, ConfigTool::kAny, error);
-}
-[[nodiscard]] inline std::optional<std::vector<std::string>> load_config_args(
-    const std::string& path, std::string* error) {
-  return load_config_args(path, ConfigTool::kAny, error);
-}
 
 }  // namespace sstsp::run

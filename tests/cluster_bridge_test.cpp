@@ -35,8 +35,14 @@ struct BridgeRig {
 
   TauIngest feed(std::int64_t j, double local_us, double tau_us) {
     const double ts_est = local_us + tau_us;
-    const auto body = signer.sign(
-        j, static_cast<std::int64_t>(std::llround(ts_est)), kGw, /*level=*/1);
+    const auto ts = static_cast<std::int64_t>(std::llround(ts_est));
+    // Chain indices start at 1, so no key exists to sign an earlier claim:
+    // such an announcement goes out with an empty MAC and key.
+    mac::SstspBeaconBody body;
+    body.timestamp_us = ts;
+    body.interval = j;
+    body.level = 1;
+    if (j >= 1) body = signer.sign(j, ts, kGw, /*level=*/1);
     return tracker.ingest(body, kGw, /*arrival_hw_us=*/local_us, ts_est,
                           local_us, static_cast<std::uint64_t>(j));
   }

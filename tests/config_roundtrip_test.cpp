@@ -50,11 +50,25 @@ bool has_flag(const std::vector<std::string>& args, const std::string& flag) {
 TEST(ConfigRoundTrip, UniversalConfigIsAcceptedByAllThreeTools) {
   for (const ConfigTool tool :
        {ConfigTool::kSim, ConfigTool::kNode, ConfigTool::kSwarm}) {
-    const auto args = args_for(kUniversalConfig, tool);
+    auto args = args_for(kUniversalConfig, tool);
     // Universal keys survive everywhere.
     EXPECT_TRUE(has_flag(args, "--nodes")) << static_cast<int>(tool);
     EXPECT_TRUE(has_flag(args, "--monitor=strict")) << static_cast<int>(tool);
     EXPECT_TRUE(has_flag(args, "--faults-json")) << static_cast<int>(tool);
+
+    // And each tool's own parser takes them.  A deployment-wide config
+    // leaves each node process its own endpoint.
+    if (tool == ConfigTool::kNode) {
+      args.insert(args.end(), {"--peer", "127.0.0.1:9"});
+    }
+    std::string error;
+    const auto cli = parse_cli(args, tool, &error);
+    ASSERT_TRUE(cli.has_value()) << static_cast<int>(tool) << ": " << error;
+    EXPECT_EQ(cli->scenario.num_nodes, 5);
+    EXPECT_DOUBLE_EQ(cli->scenario.duration_s, 45.0);
+    EXPECT_TRUE(cli->monitor_strict);
+    EXPECT_EQ(cli->scenario.faults.packet.size(), 1u);
+    EXPECT_EQ(cli->scenario.faults.node_faults.size(), 1u);
   }
 }
 
@@ -139,7 +153,7 @@ TEST(ConfigRoundTrip, SimArgsParseBackIntoScenarioWithPlan) {
   // and bit-equal (via the serializer fixpoint) to the config's object.
   const auto args = args_for(kUniversalConfig, ConfigTool::kSim);
   std::string error;
-  const auto cli = parse_cli(args, &error);
+  const auto cli = parse_cli(args, ConfigTool::kSim, &error);
   ASSERT_TRUE(cli.has_value()) << error;
   EXPECT_EQ(cli->scenario.num_nodes, 5);
   EXPECT_DOUBLE_EQ(cli->scenario.duration_s, 45.0);
@@ -174,7 +188,7 @@ TEST(ConfigRoundTrip, DisciplineObjectRoundTripsIntoScenario) {
       ConfigTool::kSim);
   ASSERT_TRUE(has_flag(args, "--discipline-params"));
   std::string error;
-  const auto cli = parse_cli(args, &error);
+  const auto cli = parse_cli(args, ConfigTool::kSim, &error);
   ASSERT_TRUE(cli.has_value()) << error;
   EXPECT_EQ(cli->scenario.sstsp.discipline.name, "rls");
   EXPECT_EQ(cli->scenario.sstsp.discipline.window_bps, 24);
@@ -200,7 +214,7 @@ TEST(ConfigRoundTrip, ClockModelRoundTripsIntoScenario) {
                           "ramp-ppm-per-s": 1.5, "ramp-start": 10}})",
       ConfigTool::kSim);
   std::string error;
-  const auto cli = parse_cli(args, &error);
+  const auto cli = parse_cli(args, ConfigTool::kSim, &error);
   ASSERT_TRUE(cli.has_value()) << error;
   EXPECT_EQ(cli->scenario.clock_stress.kind, clk::DriftStressKind::kTempRamp);
   EXPECT_DOUBLE_EQ(cli->scenario.clock_stress.period_s, 0.5);

@@ -44,7 +44,7 @@ Scenario golden_scenario(const std::vector<std::string>& extra = {}) {
                                 "--seed",  "7",    "--json-out", "/dev/null"};
   args.insert(args.end(), extra.begin(), extra.end());
   std::string error;
-  const auto opts = parse_cli(args, &error);
+  const auto opts = parse_cli(args, ConfigTool::kSim, &error);
   EXPECT_TRUE(opts.has_value()) << error;
   return opts->scenario;
 }

@@ -16,7 +16,7 @@ namespace {
 SwarmConfig loopback_config(std::uint64_t seed, double duration_s) {
   SwarmConfig config;
   config.transport = TransportKind::kLoopback;
-  config.nodes = 5;
+  config.num_nodes = 5;
   config.duration_s = duration_s;
   config.seed = seed;
   config.monitor = true;

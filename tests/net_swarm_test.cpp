@@ -17,7 +17,7 @@ namespace {
 SwarmConfig loopback_config(std::uint64_t seed) {
   SwarmConfig config;
   config.transport = TransportKind::kLoopback;
-  config.nodes = 5;
+  config.num_nodes = 5;
   config.duration_s = 8.0;
   config.seed = seed;
   config.monitor = true;
@@ -104,7 +104,7 @@ TEST(NetSwarm, DifferentSeedsDiverge) {
 TEST(NetSwarm, RejectsBadConfig) {
   std::string error;
   SwarmConfig config = loopback_config(1);
-  config.nodes = 0;
+  config.num_nodes = 0;
   EXPECT_EQ(Swarm::create(config, &error), nullptr);
   EXPECT_FALSE(error.empty());
   config = loopback_config(1);

@@ -203,7 +203,7 @@ TEST(FlightRecorder, SwarmAuditRecordTriggersDumpWithTriggerAttached) {
   const std::string path = temp_path("flight_swarm.jsonl");
   net::SwarmConfig config;
   config.transport = net::TransportKind::kLoopback;
-  config.nodes = 5;
+  config.num_nodes = 5;
   config.duration_s = 15.0;
   config.seed = 7;
   config.monitor = true;

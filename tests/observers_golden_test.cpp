@@ -174,7 +174,7 @@ TEST(ObserversGolden, LoopbackSwarmRunByteIdentical) {
   const std::string flight = temp_path("golden_swarm_flight.jsonl");
   net::SwarmConfig config;
   config.transport = net::TransportKind::kLoopback;
-  config.nodes = 5;
+  config.num_nodes = 5;
   config.duration_s = 20.0;
   config.seed = 7;
   config.sstsp.chain_length = 400;
@@ -189,7 +189,7 @@ TEST(ObserversGolden, LoopbackSwarmRunByteIdentical) {
     swarm->run();
     const run::RunResult r = swarm->collect();
     expect_golden(kSwarmGolden,
-                  normalized_summary(swarm->reporting_scenario(), r),
+                  normalized_summary(swarm->config(), r),
                   telemetry, flight);
   }
   std::remove(telemetry.c_str());

@@ -1,6 +1,12 @@
-// CLI parser (src/runner/cli.h).
+// CLI parser (src/runner/cli.h): the one flag table behind sstsp_sim,
+// sstsp_swarm and sstsp_node.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
+#include <set>
+
+#include "core/discipline.h"
 #include "runner/cli.h"
 
 namespace sstsp::run {
@@ -9,8 +15,21 @@ namespace {
 std::optional<CliOptions> parse(std::vector<std::string> args,
                                 std::string* err = nullptr) {
   std::string local;
-  return parse_cli(args, err != nullptr ? err : &local);
+  return parse_cli(args, ConfigTool::kSim, err != nullptr ? err : &local);
 }
+
+// Parses `args` as `tool` does; sstsp_node also needs an endpoint.
+std::optional<CliOptions> parse_as(ConfigTool tool,
+                                   std::vector<std::string> args,
+                                   std::string* err) {
+  if (tool == ConfigTool::kNode) {
+    args.insert(args.begin(), {"--peer", "127.0.0.1:9"});
+  }
+  return parse_cli(args, tool, err);
+}
+
+constexpr ConfigTool kTools[] = {ConfigTool::kSim, ConfigTool::kSwarm,
+                                 ConfigTool::kNode};
 
 TEST(Cli, DefaultsAreSane) {
   const auto opts = parse({});
@@ -197,53 +216,150 @@ TEST(Cli, UnknownTraceKindListsEveryValidName) {
   std::string err;
   EXPECT_FALSE(parse({"--trace-kind", "bogus"}, &err).has_value());
   expect_every_kind(err);
-  // sstsp_swarm and sstsp_node parse the flag through the same group.
+  // sstsp_swarm and sstsp_node parse the flag through the same table row.
   for (const ConfigTool tool : {ConfigTool::kSwarm, ConfigTool::kNode}) {
-    const std::vector<std::string> argv{"--trace-kind", "bogus"};
-    std::size_t i = 0;
-    obs::ObserverConfig observers;
-    OutputOptions output;
     err.clear();
-    EXPECT_EQ(parse_observer_flag(argv, i, tool, observers, output, &err),
-              FlagParse::kFailed);
+    EXPECT_FALSE(parse_as(tool, {"--trace-kind", "bogus"}, &err).has_value());
     expect_every_kind(err);
   }
 }
 
 TEST(Cli, ObserverFlagsFollowTheToolSchema) {
-  const auto offer = [](std::vector<std::string> argv, ConfigTool tool,
-                        obs::ObserverConfig& observers, OutputOptions& output) {
-    std::size_t i = 0;
-    std::string err;
-    const FlagParse result =
-        parse_observer_flag(argv, i, tool, observers, output, &err);
-    EXPECT_EQ(i, result == FlagParse::kParsed ? argv.size() - 1 : 0u);
-    return result;
+  std::string err;
+  const auto swarm =
+      parse_as(ConfigTool::kSwarm, {"--telemetry-per-node", "1"}, &err);
+  ASSERT_TRUE(swarm.has_value()) << err;
+  EXPECT_EQ(swarm->scenario.telemetry_per_node, 1);
+  // sstsp_node has no per-node switch and no CSV/chart output: those are
+  // unknown options there.
+  EXPECT_FALSE(
+      parse_as(ConfigTool::kNode, {"--telemetry-per-node", "0"}, &err));
+  EXPECT_NE(err.find("unknown option"), std::string::npos);
+  EXPECT_FALSE(parse_as(ConfigTool::kNode, {"--csv", "x.csv"}, &err));
+  EXPECT_NE(err.find("unknown option"), std::string::npos);
+  const auto node = parse_as(ConfigTool::kNode,
+                             {"--monitor=strict", "--json-out", "run.jsonl"},
+                             &err);
+  ASSERT_TRUE(node.has_value()) << err;
+  EXPECT_TRUE(node->scenario.monitor);
+  EXPECT_TRUE(node->monitor_strict);
+  EXPECT_EQ(node->json_out_path, "run.jsonl");
+  EXPECT_EQ(node->scenario.trace_capacity, std::size_t{1} << 12);
+}
+
+TEST(Cli, LiveToolsStartFromTheLiveDefaults) {
+  std::string err;
+  for (const ConfigTool tool : {ConfigTool::kSwarm, ConfigTool::kNode}) {
+    const auto opts = parse_as(tool, {}, &err);
+    ASSERT_TRUE(opts.has_value()) << err;
+    EXPECT_EQ(opts->scenario.num_nodes, 5);
+    EXPECT_DOUBLE_EQ(opts->scenario.duration_s, 10.0);
+    EXPECT_EQ(opts->scenario.sstsp.solver_span_bps,
+              net::live_sstsp_defaults().solver_span_bps);
+    EXPECT_EQ(opts->scenario.sstsp.chain_length, 300u);
+  }
+  const auto node = parse_as(ConfigTool::kNode, {}, &err);
+  ASSERT_TRUE(node.has_value()) << err;
+  EXPECT_EQ(node->live.bind_address, "0.0.0.0");
+  EXPECT_DOUBLE_EQ(node->live.wire_latency_us, net::kUdpWireLatencyUs);
+  const auto swarm = parse_as(ConfigTool::kSwarm, {}, &err);
+  ASSERT_TRUE(swarm.has_value()) << err;
+  EXPECT_EQ(swarm->live.bind_address, "127.0.0.1");
+  EXPECT_LT(swarm->live.wire_latency_us, 0.0);  // auto
+}
+
+TEST(Cli, SimRejectsIntegersItsFieldsCannotHold) {
+  std::string err;
+  // 2^32 + 1 used to narrow to m = 1.
+  EXPECT_FALSE(parse({"--m", "4294967297"}, &err).has_value());
+  EXPECT_EQ(err, "--m needs a positive integer");
+  EXPECT_FALSE(parse({"--chain-length", "99999999999999999999"}, &err));
+  EXPECT_FALSE(parse({"--seed", "-1"}, &err).has_value());
+  EXPECT_EQ(parse({"--seed", "18446744073709551615"})->scenario.seed,
+            18446744073709551615u);
+}
+
+TEST(Cli, SwarmRejectsIntegersItsFieldsCannotHold) {
+  std::string err;
+  // 2^32 + 2 used to narrow to a 2-node swarm.
+  EXPECT_FALSE(parse_as(ConfigTool::kSwarm,
+                        {"--transport", "loopback", "--nodes", "4294967298"},
+                        &err)
+                   .has_value());
+  EXPECT_EQ(err, "--nodes needs a positive integer (max 1000000)");
+  EXPECT_FALSE(parse_as(ConfigTool::kSwarm, {"--base-port", "65536"}, &err));
+}
+
+TEST(Cli, NodeRejectsIntegersItsFieldsCannotHold) {
+  std::string err;
+  // 2^32 used to narrow to node 0.
+  EXPECT_FALSE(parse_cli({"--id", "4294967296", "--nodes", "2", "--peer",
+                          "127.0.0.1:9"},
+                         ConfigTool::kNode, &err)
+                   .has_value());
+  EXPECT_EQ(err, "--id needs a non-negative integer");
+  EXPECT_FALSE(parse_as(ConfigTool::kNode, {"--port", "65536"}, &err));
+  EXPECT_FALSE(parse_as(ConfigTool::kNode, {"--peer", "h:70000"}, &err));
+  const auto ok = parse_cli(
+      {"--id", "1", "--nodes", "2", "--peer", "127.0.0.1:9"},
+      ConfigTool::kNode, &err);
+  ASSERT_TRUE(ok.has_value()) << err;
+  EXPECT_EQ(ok->node.config.id, 1u);
+  ASSERT_EQ(ok->node.udp.peers.size(), 1u);
+  EXPECT_EQ(ok->node.udp.peers[0].port, 9);
+}
+
+TEST(Cli, UsageNamesExactlyTheToolsFlags) {
+  const auto flag_char = [](char c) {
+    return (c >= 'a' && c <= 'z') || (c >= '0' && c <= '9') || c == '-';
   };
-  obs::ObserverConfig observers;
-  OutputOptions output;
-  EXPECT_EQ(offer({"--telemetry-per-node", "1"}, ConfigTool::kSwarm,
-                  observers, output),
-            FlagParse::kParsed);
-  EXPECT_EQ(observers.telemetry_per_node, 1);
-  // sstsp_node has no per-node switch and no CSV/chart output: those stay
-  // unknown options there, as before the flag group was shared.
-  EXPECT_EQ(offer({"--telemetry-per-node", "0"}, ConfigTool::kNode,
-                  observers, output),
-            FlagParse::kNotMine);
-  EXPECT_EQ(offer({"--csv", "x.csv"}, ConfigTool::kNode, observers, output),
-            FlagParse::kNotMine);
-  EXPECT_EQ(offer({"--nodes", "5"}, ConfigTool::kSim, observers, output),
-            FlagParse::kNotMine);
-  EXPECT_EQ(offer({"--monitor=strict"}, ConfigTool::kNode, observers, output),
-            FlagParse::kParsed);
-  EXPECT_TRUE(observers.monitor);
-  EXPECT_TRUE(output.monitor_strict);
-  EXPECT_EQ(offer({"--json-out", "run.jsonl"}, ConfigTool::kNode, observers,
-                  output),
-            FlagParse::kParsed);
-  EXPECT_EQ(output.json_out_path, "run.jsonl");
-  EXPECT_EQ(observers.trace_capacity, std::size_t{1} << 12);
+  for (const ConfigTool tool : kTools) {
+    const std::string usage = cli_usage(tool);
+    std::set<std::string> named;  // every "--name" the text mentions
+    for (auto at = usage.find("--"); at != std::string::npos;
+         at = usage.find("--", at)) {
+      auto end = at + 2;
+      while (end < usage.size() && flag_char(usage[end])) ++end;
+      named.insert(usage.substr(at + 2, end - at - 2));
+      at = end;
+    }
+    // The entry point's own flags, not table rows.
+    EXPECT_EQ(named.erase("help"), 1u);
+    EXPECT_EQ(named.erase("config"), 1u);
+    std::set<std::string> table;
+    for (const auto key : cli_flags(tool)) table.emplace(key);
+    EXPECT_EQ(named, table) << static_cast<int>(tool);
+  }
+}
+
+TEST(Cli, UnknownDisciplineListsTheRegistryForEveryTool) {
+  for (const ConfigTool tool : kTools) {
+    std::string err;
+    EXPECT_FALSE(parse_as(tool, {"--discipline", "bogus"}, &err).has_value());
+    EXPECT_NE(err.find("unknown discipline: bogus"), std::string::npos);
+    for (const auto& name : core::discipline_names()) {
+      EXPECT_NE(err.find(name), std::string::npos)
+          << name << " / " << static_cast<int>(tool);
+    }
+  }
+}
+
+TEST(Cli, ConfigIsSplicedOnceForEveryTool) {
+  const std::string path = ::testing::TempDir() + "cli_seed_config.json";
+  std::ofstream(path) << R"({"seed": 9, "discipline": "rls"})";
+  for (const ConfigTool tool : kTools) {
+    std::string err;
+    const auto opts = parse_as(tool, {"--config", path, "--seed", "4"}, &err);
+    ASSERT_TRUE(opts.has_value()) << err;
+    EXPECT_EQ(opts->scenario.seed, 4u);  // flags after --config override it
+    EXPECT_EQ(opts->scenario.sstsp.discipline.name, "rls");
+    EXPECT_FALSE(parse_as(tool, {"--config", path, "--config", path}, &err));
+    EXPECT_EQ(err, "--config may be given only once");
+    EXPECT_FALSE(parse_as(tool, {"--config"}, &err).has_value());
+    EXPECT_EQ(err, "--config needs a path");
+    EXPECT_TRUE(parse_as(tool, {"--help"}, &err)->help);
+  }
+  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -19,7 +19,7 @@ std::vector<std::string> args_of(const std::string& json) {
   const std::optional<obs::json::Value> root = obs::json::parse(json);
   EXPECT_TRUE(root.has_value()) << json;
   std::string error;
-  const auto args = config_to_args(*root, &error);
+  const auto args = config_to_args(*root, ConfigTool::kAny, &error);
   EXPECT_TRUE(args.has_value()) << error;
   return args.value_or(std::vector<std::string>{});
 }
@@ -28,7 +28,7 @@ bool rejects(const std::string& json) {
   const std::optional<obs::json::Value> root = obs::json::parse(json);
   if (!root.has_value()) return true;
   std::string error;
-  const auto args = config_to_args(*root, &error);
+  const auto args = config_to_args(*root, ConfigTool::kAny, &error);
   EXPECT_TRUE(args.has_value() || !error.empty());
   return !args.has_value();
 }
@@ -93,7 +93,7 @@ TEST(RunnerConfig, LoadReadsFileAndReportsMissingOnes) {
     out << R"({"nodes": 4, "monitor": "strict", "expect-sync": true})";
   }
   std::string error;
-  const auto args = load_config_args(path, &error);
+  const auto args = load_config_args(path, ConfigTool::kAny, &error);
   ASSERT_TRUE(args.has_value()) << error;
   const std::vector<std::string> expected = {"--nodes", "4",
                                              "--monitor=strict",
@@ -101,14 +101,14 @@ TEST(RunnerConfig, LoadReadsFileAndReportsMissingOnes) {
   EXPECT_EQ(*args, expected);
   std::remove(path.c_str());
 
-  EXPECT_FALSE(load_config_args(path, &error).has_value());
+  EXPECT_FALSE(load_config_args(path, ConfigTool::kAny, &error).has_value());
   EXPECT_FALSE(error.empty());
 
   {
     std::ofstream out(path);
     out << "{ not json";
   }
-  EXPECT_FALSE(load_config_args(path, &error).has_value());
+  EXPECT_FALSE(load_config_args(path, ConfigTool::kAny, &error).has_value());
   std::remove(path.c_str());
 }
 

@@ -219,7 +219,7 @@ TEST(TraceAnalyzer, PartitionedSwarmShowsSpikeAndReconvergence) {
 
   net::SwarmConfig config;
   config.transport = net::TransportKind::kLoopback;
-  config.nodes = 5;
+  config.num_nodes = 5;
   config.duration_s = 40.0;
   config.seed = 7;
   config.monitor = true;

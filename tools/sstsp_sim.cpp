@@ -32,13 +32,14 @@ int main(int argc, char** argv) {
 
   std::vector<std::string> args(argv + 1, argv + argc);
   std::string error;
-  const auto opts = run::parse_cli(args, &error);
+  const auto opts = run::parse_cli(args, run::ConfigTool::kSim, &error);
   if (!opts) {
-    std::cerr << "error: " << error << "\n\n" << run::cli_usage();
+    std::cerr << "error: " << error << "\n\n"
+              << run::cli_usage(run::ConfigTool::kSim);
     return 2;
   }
   if (opts->help) {
-    std::cout << run::cli_usage();
+    std::cout << run::cli_usage(run::ConfigTool::kSim);
     return 0;
   }
 
