@@ -6,6 +6,7 @@
 // tests/attack_replay_test.cpp and examples/attack_forensics.cpp.
 #pragma once
 
+#include <memory>
 #include <optional>
 
 #include "protocols/station.h"
@@ -44,9 +45,13 @@ class ReplayAttacker final : public proto::SyncProtocol {
     const sim::SimTime delay =
         phy.beacon_period * params_.delay_bps +
         sim::SimTime::from_us_double(params_.extra_delay_us);
-    station_.sim().after(delay, [this, frame] {
+    // The frame is held by handle: a Frame by value is too large for the
+    // event queue's inline callback storage.
+    auto captured = std::make_shared<const mac::Frame>(frame);
+    station_.sim().after(delay, [this, captured] {
       if (!running_) return;
-      station_.transmit(frame, station_.channel().phy().sstsp_beacon_duration);
+      station_.transmit(*captured,
+                        station_.channel().phy().sstsp_beacon_duration);
       ++stats_.beacons_sent;
     });
   }

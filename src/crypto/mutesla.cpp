@@ -1,19 +1,20 @@
 #include "crypto/mutesla.h"
 
 #include <cassert>
+#include <stdexcept>
 
 namespace sstsp::crypto {
 
-std::vector<std::uint8_t> mac_input(std::int64_t j,
-                                    std::span<const std::uint8_t> body) {
-  std::vector<std::uint8_t> input;
-  input.reserve(body.size() + 8);
-  input.insert(input.end(), body.begin(), body.end());
-  const auto uj = static_cast<std::uint64_t>(j);
-  for (int i = 0; i < 8; ++i) {
-    input.push_back(static_cast<std::uint8_t>(uj >> (8 * i)));
+MacInput::MacInput(std::int64_t j, std::span<const std::uint8_t> body)
+    : size_(body.size() + 8) {
+  if (body.size() > kMaxBody) {
+    throw std::length_error("mac_input: body exceeds MacInput::kMaxBody");
   }
-  return input;
+  std::copy(body.begin(), body.end(), bytes_.begin());
+  const auto uj = static_cast<std::uint64_t>(j);
+  for (std::size_t i = 0; i < 8; ++i) {
+    bytes_[body.size() + i] = static_cast<std::uint8_t>(uj >> (8 * i));
+  }
 }
 
 MuTeslaSigner::MuTeslaSigner(const ChainParams& chain,
@@ -36,10 +37,8 @@ Digest MuTeslaSigner::disclosed_key(std::int64_t j) const {
 Digest128 MuTeslaSigner::mac(std::int64_t j,
                              std::span<const std::uint8_t> body) const {
   const Digest key = key_for_interval(j);
-  const auto input = mac_input(j, body);
   return hmac_sha256_128(std::span<const std::uint8_t>(key.data(), key.size()),
-                         std::span<const std::uint8_t>(input.data(),
-                                                       input.size()));
+                         mac_input(j, body).bytes());
 }
 
 bool MuTeslaVerifier::verify_key(std::int64_t j, const Digest& key) {
@@ -67,10 +66,9 @@ bool MuTeslaVerifier::verify_key(std::int64_t j, const Digest& key) {
 bool MuTeslaVerifier::verify_mac(const Digest& key, std::int64_t j,
                                  std::span<const std::uint8_t> body,
                                  const Digest128& mac) {
-  const auto input = mac_input(j, body);
   const Digest128 expected = hmac_sha256_128(
       std::span<const std::uint8_t>(key.data(), key.size()),
-      std::span<const std::uint8_t>(input.data(), input.size()));
+      mac_input(j, body).bytes());
   return digest_equal(expected, mac);
 }
 
@@ -78,9 +76,7 @@ bool MuTeslaVerifier::check_mac(const Digest& key, std::int64_t j,
                                 std::span<const std::uint8_t> body,
                                 const Digest128& mac) const {
   if (cache_ == nullptr) return verify_mac(key, j, body, mac);
-  const auto input = mac_input(j, body);
-  return cache_->mac_matches(
-      key, std::span<const std::uint8_t>(input.data(), input.size()), mac);
+  return cache_->mac_matches(key, mac_input(j, body).bytes(), mac);
 }
 
 }  // namespace sstsp::crypto

@@ -12,10 +12,11 @@
 // spans and interval indices; frame assembly lives in core/beacon_security.
 #pragma once
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <span>
-#include <vector>
 
 #include "crypto/hash_chain.h"
 #include "crypto/hmac.h"
@@ -125,8 +126,34 @@ class MuTeslaVerifier {
 };
 
 /// Canonical MAC input for beacon interval j: body || LE64(j).  Shared by
-/// signer and verifier so there is exactly one encoding.
-[[nodiscard]] std::vector<std::uint8_t> mac_input(
-    std::int64_t j, std::span<const std::uint8_t> body);
+/// signer and verifier so there is exactly one encoding.  Held inline, so
+/// building it per sign and per check allocates nothing.
+class MacInput {
+ public:
+  /// Longest body accepted.  Beacon bodies are 13 bytes
+  /// (mac::serialize_unsecured_beacon); VerifyCache caches inputs up to 48.
+  static constexpr std::size_t kMaxBody = 56;
+
+  /// Throws std::length_error when body.size() > kMaxBody.
+  MacInput(std::int64_t j, std::span<const std::uint8_t> body);
+
+  [[nodiscard]] std::span<const std::uint8_t> bytes() const {
+    return {bytes_.data(), size_};
+  }
+  [[nodiscard]] std::size_t size() const { return size_; }
+
+  friend bool operator==(const MacInput& a, const MacInput& b) {
+    return std::ranges::equal(a.bytes(), b.bytes());
+  }
+
+ private:
+  std::array<std::uint8_t, kMaxBody + 8> bytes_{};
+  std::size_t size_;
+};
+
+[[nodiscard]] inline MacInput mac_input(std::int64_t j,
+                                        std::span<const std::uint8_t> body) {
+  return MacInput(j, body);
+}
 
 }  // namespace sstsp::crypto

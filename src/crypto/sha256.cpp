@@ -254,18 +254,16 @@ void Sha256::update(std::span<const std::uint8_t> data) {
 }
 
 Digest Sha256::finish() {
+  // One update with the whole tail: 0x80, zeros up to 56 mod 64, then the
+  // big-endian bit length.  That is 9..72 bytes, ending on a block boundary.
   const std::uint64_t bit_len = total_bytes_ * 8;
-  const std::uint8_t pad_byte = 0x80;
-  update(std::span<const std::uint8_t>(&pad_byte, 1));
-  const std::uint8_t zero = 0x00;
-  while (buffered_ != 56) {
-    update(std::span<const std::uint8_t>(&zero, 1));
+  const std::size_t zeros = (buffered_ < 56 ? 55 : 119) - buffered_;
+  std::array<std::uint8_t, 72> tail{};
+  tail[0] = 0x80;
+  for (std::size_t i = 0; i < 8; ++i) {
+    tail[1 + zeros + i] = static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
   }
-  std::array<std::uint8_t, 8> len_bytes;
-  for (int i = 0; i < 8; ++i) {
-    len_bytes[i] = static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
-  }
-  update(std::span<const std::uint8_t>(len_bytes.data(), len_bytes.size()));
+  update(std::span<const std::uint8_t>(tail.data(), 1 + zeros + 8));
 
   Digest out;
   for (int i = 0; i < 8; ++i) {

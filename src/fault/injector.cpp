@@ -109,53 +109,78 @@ void corrupt_datagram(std::vector<std::uint8_t>& bytes) {
   bytes.back() ^= 0xFF;
 }
 
+namespace {
+
+/// What the scheduled fault events share.  Each event captures a handle to
+/// it plus its fault's index, so the closures stay small enough for the
+/// event queue's inline callback storage.
+struct ScheduledFaults {
+  FaultHooks hooks;
+  FaultInjector* injector;
+  std::vector<NodeFault> node_faults;
+  std::vector<ClockFault> clock_faults;
+
+  [[nodiscard]] std::optional<mac::NodeId> resolve(bool reference,
+                                                   mac::NodeId node) const {
+    if (!reference) return node;
+    if (!hooks.current_reference) return std::nullopt;
+    return hooks.current_reference();
+  }
+
+  void set_down(const NodeFault& f, mac::NodeId id, bool down) const {
+    if (f.kind == NodeFaultKind::kCrash) {
+      if (hooks.set_power) hooks.set_power(id, !down);
+    } else if (injector != nullptr) {
+      injector->set_isolated(id, down);
+    }
+  }
+};
+
+}  // namespace
+
 void schedule_fault_events(sim::Simulator& sim, const FaultPlan& plan,
                            FaultInjector* injector, FaultHooks hooks) {
-  const auto shared = std::make_shared<FaultHooks>(std::move(hooks));
-  const auto resolve = [shared](bool reference, mac::NodeId node)
-      -> std::optional<mac::NodeId> {
-    if (!reference) return node;
-    if (!shared->current_reference) return std::nullopt;
-    return shared->current_reference();
-  };
+  const auto shared = std::make_shared<const ScheduledFaults>(ScheduledFaults{
+      std::move(hooks), injector, plan.node_faults, plan.clock_faults});
 
-  for (const NodeFault& f : plan.node_faults) {
-    sim.at(sim::SimTime::from_sec_double(f.at_s),
-           [&sim, shared, injector, resolve, f] {
-             const auto victim = resolve(f.reference, f.node);
+  for (std::size_t i = 0; i < shared->node_faults.size(); ++i) {
+    sim.at(sim::SimTime::from_sec_double(shared->node_faults[i].at_s),
+           [&sim, shared, i] {
+             const NodeFault& f = shared->node_faults[i];
+             const auto victim = shared->resolve(f.reference, f.node);
              if (!victim) return;  // no reference to kill right now
-             if (f.kind == NodeFaultKind::kCrash) {
-               if (shared->set_power) shared->set_power(*victim, false);
-             } else if (injector != nullptr) {
-               injector->set_isolated(*victim, true);
+             shared->set_down(f, *victim, true);
+             if (shared->hooks.on_node_fault) {
+               shared->hooks.on_node_fault(f, *victim);
              }
-             if (shared->on_node_fault) shared->on_node_fault(f, *victim);
              if (f.restart_s >= 0.0) {
                const mac::NodeId id = *victim;
                sim.at(sim::SimTime::from_sec_double(f.restart_s),
-                      [shared, injector, f, id] {
-                        if (f.kind == NodeFaultKind::kCrash) {
-                          if (shared->set_power) shared->set_power(id, true);
-                        } else if (injector != nullptr) {
-                          injector->set_isolated(id, false);
-                        }
-                        if (shared->on_node_restart) {
-                          shared->on_node_restart(f, id);
+                      [shared, i, id] {
+                        const NodeFault& f = shared->node_faults[i];
+                        shared->set_down(f, id, false);
+                        if (shared->hooks.on_node_restart) {
+                          shared->hooks.on_node_restart(f, id);
                         }
                       });
              }
            });
   }
 
-  for (const ClockFault& f : plan.clock_faults) {
-    sim.at(sim::SimTime::from_sec_double(f.at_s), [shared, resolve, f] {
-      const auto victim = resolve(f.reference, f.node);
-      if (!victim) return;
-      if (shared->clock_fault) {
-        shared->clock_fault(*victim, f.step_us, f.drift_delta_ppm);
-      }
-      if (shared->on_clock_fault) shared->on_clock_fault(f, *victim);
-    });
+  for (std::size_t i = 0; i < shared->clock_faults.size(); ++i) {
+    sim.at(sim::SimTime::from_sec_double(shared->clock_faults[i].at_s),
+           [shared, i] {
+             const ClockFault& f = shared->clock_faults[i];
+             const auto victim = shared->resolve(f.reference, f.node);
+             if (!victim) return;
+             if (shared->hooks.clock_fault) {
+               shared->hooks.clock_fault(*victim, f.step_us,
+                                         f.drift_delta_ppm);
+             }
+             if (shared->hooks.on_clock_fault) {
+               shared->hooks.on_clock_fault(f, *victim);
+             }
+           });
   }
 }
 

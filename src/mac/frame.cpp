@@ -2,19 +2,17 @@
 
 namespace sstsp::mac {
 
-std::vector<std::uint8_t> serialize_unsecured_beacon(std::int64_t timestamp_us,
-                                                     NodeId sender,
-                                                     std::uint8_t level) {
-  std::vector<std::uint8_t> bytes;
-  bytes.reserve(13);
+std::array<std::uint8_t, 13> serialize_unsecured_beacon(
+    std::int64_t timestamp_us, NodeId sender, std::uint8_t level) {
+  std::array<std::uint8_t, 13> bytes{};
   const auto ts = static_cast<std::uint64_t>(timestamp_us);
-  for (int i = 0; i < 8; ++i) {
-    bytes.push_back(static_cast<std::uint8_t>(ts >> (8 * i)));
+  for (std::size_t i = 0; i < 8; ++i) {
+    bytes[i] = static_cast<std::uint8_t>(ts >> (8 * i));
   }
-  for (int i = 0; i < 4; ++i) {
-    bytes.push_back(static_cast<std::uint8_t>(sender >> (8 * i)));
+  for (std::size_t i = 0; i < 4; ++i) {
+    bytes[8 + i] = static_cast<std::uint8_t>(sender >> (8 * i));
   }
-  bytes.push_back(level);
+  bytes[12] = level;
   return bytes;
 }
 

@@ -6,9 +6,9 @@
 // sizes can be accounted against the paper's 56-byte / 92-byte figures.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <variant>
-#include <vector>
 
 #include "crypto/sha256.h"
 #include "mac/phy_params.h"
@@ -65,8 +65,9 @@ struct Frame {
 };
 
 /// Serializes the unsecured beacon content B = (timestamp, sender, level) —
-/// the exact octets the µTESLA MAC covers.  Shared by signer and verifier.
-[[nodiscard]] std::vector<std::uint8_t> serialize_unsecured_beacon(
+/// the exact octets the µTESLA MAC covers: LE64 timestamp, LE32 sender,
+/// level.  Shared by signer and verifier.
+[[nodiscard]] std::array<std::uint8_t, 13> serialize_unsecured_beacon(
     std::int64_t timestamp_us, NodeId sender, std::uint8_t level = 0);
 
 }  // namespace sstsp::mac

@@ -100,13 +100,16 @@ void NodeRuntime::start_telemetry(
         }
         if (emit) emit(s);
       });
-  const auto period = sim::SimTime::from_sec_double(options.interval_s);
-  auto tick = std::make_shared<std::function<void()>>();
-  *tick = [this, period, until, tick] {
-    emit_telemetry_sample();
-    if (sim_.now() + period <= until) sim_.after(period, *tick);
-  };
-  sim_.after(period, *tick);
+  telemetry_period_ = sim::SimTime::from_sec_double(options.interval_s);
+  telemetry_until_ = until;
+  sim_.after(telemetry_period_, [this] { telemetry_tick(); });
+}
+
+void NodeRuntime::telemetry_tick() {
+  emit_telemetry_sample();
+  if (sim_.now() + telemetry_period_ <= telemetry_until_) {
+    sim_.after(telemetry_period_, [this] { telemetry_tick(); });
+  }
 }
 
 void NodeRuntime::emit_telemetry_sample() {

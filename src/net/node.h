@@ -187,6 +187,7 @@ class NodeRuntime {
   /// Tap handler: a locally transmitted frame completed its (private) air
   /// time — serialize and put it on the wire.
   void on_local_frame(const mac::Frame& frame);
+  void telemetry_tick();
   void emit_telemetry_sample();
   /// Transport rx handler: strict-decode and feed the protocol.
   void on_datagram(std::span<const std::uint8_t> bytes, const RxMeta& meta);
@@ -203,6 +204,8 @@ class NodeRuntime {
   std::unique_ptr<proto::Station> station_;
   const obs::Observers* observers_{nullptr};
   std::unique_ptr<obs::TelemetrySampler> sampler_;
+  sim::SimTime telemetry_period_;
+  sim::SimTime telemetry_until_;
   NetRunStats stats_;  ///< transport sub-struct filled on read
   std::array<std::uint64_t, kDecodeErrorCount> decode_error_by_kind_{};
 };

@@ -4,7 +4,6 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <functional>
 #include <stdexcept>
 
 namespace sstsp::net {
@@ -297,16 +296,17 @@ void Swarm::schedule_faults() {
 }
 
 void Swarm::schedule_sampling() {
+  sim_.at(sim::SimTime::from_sec_double(config_.sample_period_s),
+          [this] { sampling_tick(); });
+}
+
+void Swarm::sampling_tick() {
+  sample_clock_spread();
   const auto period = sim::SimTime::from_sec_double(config_.sample_period_s);
-  auto tick = std::make_shared<std::function<void()>>();
-  *tick = [this, period, tick] {
-    sample_clock_spread();
-    if (sim_.now() + period <=
-        sim::SimTime::from_sec_double(config_.duration_s)) {
-      sim_.after(period, *tick);
-    }
-  };
-  sim_.at(period, *tick);
+  if (sim_.now() + period <=
+      sim::SimTime::from_sec_double(config_.duration_s)) {
+    sim_.after(period, [this] { sampling_tick(); });
+  }
 }
 
 void Swarm::sample_clock_spread() {

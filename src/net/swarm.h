@@ -164,6 +164,7 @@ class Swarm {
   void arm();
   void schedule_faults();
   void schedule_sampling();
+  void sampling_tick();
   void sample_clock_spread();
   void emit_telemetry(sim::SimTime now, bool have, double lo, double hi,
                       double sum);

@@ -300,43 +300,43 @@ void Network::schedule_clock_stress() {
   // frequency deltas via inject_clock_fault, so phase stays continuous.
   if (!scenario_.clock_stress.enabled()) return;
   const auto honest_count = std::min(stations_.size(), attacker_index_);
-  auto stressors = std::make_shared<std::vector<clk::DriftStressor>>();
-  stressors->reserve(honest_count);
+  stressors_.reserve(honest_count);
   for (std::size_t i = 0; i < honest_count; ++i) {
-    stressors->emplace_back(scenario_.clock_stress,
+    stressors_.emplace_back(scenario_.clock_stress,
                             sim_.substream("clock-stress", i));
   }
+  sim_.at(sim::SimTime::from_sec_double(scenario_.clock_stress.period_s),
+          [this] { clock_stress_tick(); });
+}
+
+void Network::clock_stress_tick() {
   const double dt_s = scenario_.clock_stress.period_s;
+  const double t_s = sim_.now().to_sec();
+  for (std::size_t i = 0; i < stressors_.size(); ++i) {
+    const double delta = stressors_[i].step_delta_ppm(t_s, dt_s);
+    if (delta != 0.0) stations_[i]->inject_clock_fault(0.0, delta);
+  }
   const auto period = sim::SimTime::from_sec_double(dt_s);
-  auto tick = std::make_shared<std::function<void()>>();
-  *tick = [this, stressors, dt_s, period, tick, honest_count] {
-    const double t_s = sim_.now().to_sec();
-    for (std::size_t i = 0; i < honest_count; ++i) {
-      const double delta = (*stressors)[i].step_delta_ppm(t_s, dt_s);
-      if (delta != 0.0) stations_[i]->inject_clock_fault(0.0, delta);
-    }
-    if (sim_.now() + period <=
-        sim::SimTime::from_sec_double(scenario_.duration_s)) {
-      sim_.after(period, *tick);
-    }
-  };
-  sim_.at(period, *tick);
+  if (sim_.now() + period <=
+      sim::SimTime::from_sec_double(scenario_.duration_s)) {
+    sim_.after(period, [this] { clock_stress_tick(); });
+  }
 }
 
 void Network::schedule_sampling() {
+  // Each sample schedules the next, re-armed through `this`.
+  sim_.at(sim::SimTime::from_sec_double(scenario_.sample_period_s),
+          [this] { sampling_tick(); });
+}
+
+void Network::sampling_tick() {
+  sample_clock_spread();
   const auto period =
       sim::SimTime::from_sec_double(scenario_.sample_period_s);
-  // Each sample schedules the next; the recursive closure lives in a
-  // shared_ptr so the copies the event queue stores stay coherent.
-  auto tick = std::make_shared<std::function<void()>>();
-  *tick = [this, period, tick] {
-    sample_clock_spread();
-    if (sim_.now() + period <=
-        sim::SimTime::from_sec_double(scenario_.duration_s)) {
-      sim_.after(period, *tick);
-    }
-  };
-  sim_.at(period, *tick);
+  if (sim_.now() + period <=
+      sim::SimTime::from_sec_double(scenario_.duration_s)) {
+    sim_.after(period, [this] { sampling_tick(); });
+  }
 }
 
 void Network::sample_clock_spread() {

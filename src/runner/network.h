@@ -6,6 +6,7 @@
 #include <memory>
 #include <vector>
 
+#include "clock/drift_model.h"
 #include "core/key_directory.h"
 #include "metrics/series.h"
 #include "obs/observers.h"
@@ -77,8 +78,10 @@ class Network {
   void build_stations();
   void schedule_environment();
   void schedule_clock_stress();
+  void clock_stress_tick();
   void schedule_faults();
   void schedule_sampling();
+  void sampling_tick();
   void sample_clock_spread();
   void sample_cluster(sim::SimTime now);
   void emit_telemetry(sim::SimTime now, bool have, double lo, double hi,
@@ -91,6 +94,7 @@ class Network {
   core::KeyDirectory directory_;
   std::vector<std::unique_ptr<proto::Station>> stations_;
   std::size_t attacker_index_;  // == stations_.size() when no attacker
+  std::vector<clk::DriftStressor> stressors_;  // per honest node, if stressed
   metrics::Series max_diff_;
   metrics::Series cluster_spread_;
   metrics::Series attach_fraction_;

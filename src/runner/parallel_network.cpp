@@ -287,41 +287,43 @@ void ParallelNetwork::schedule_environment() {
   // kernels drive the same per-node frequency walk.
   if (scenario_.clock_stress.enabled()) {
     const auto honest_count = std::min(stations_.size(), attacker_index_);
-    auto stressors = std::make_shared<std::vector<clk::DriftStressor>>();
-    stressors->reserve(honest_count);
+    stressors_.reserve(honest_count);
     for (std::size_t i = 0; i < honest_count; ++i) {
-      stressors->emplace_back(scenario_.clock_stress,
+      stressors_.emplace_back(scenario_.clock_stress,
                               control().substream("clock-stress", i));
     }
-    const double dt_s = scenario_.clock_stress.period_s;
-    const auto period = sim::SimTime::from_sec_double(dt_s);
-    auto tick = std::make_shared<std::function<void()>>();
-    *tick = [this, stressors, dt_s, period, tick, honest_count] {
-      const double t_s = control().now().to_sec();
-      for (std::size_t i = 0; i < honest_count; ++i) {
-        const double delta = (*stressors)[i].step_delta_ppm(t_s, dt_s);
-        if (delta != 0.0) stations_[i]->inject_clock_fault(0.0, delta);
-      }
-      if (control().now() + period <=
-          sim::SimTime::from_sec_double(scenario_.duration_s)) {
-        control().after(period, *tick);
-      }
-    };
-    control().at(period, *tick);
+    control().at(
+        sim::SimTime::from_sec_double(scenario_.clock_stress.period_s),
+        [this] { clock_stress_tick(); });
+  }
+}
+
+void ParallelNetwork::clock_stress_tick() {
+  const double dt_s = scenario_.clock_stress.period_s;
+  const double t_s = control().now().to_sec();
+  for (std::size_t i = 0; i < stressors_.size(); ++i) {
+    const double delta = stressors_[i].step_delta_ppm(t_s, dt_s);
+    if (delta != 0.0) stations_[i]->inject_clock_fault(0.0, delta);
+  }
+  const auto period = sim::SimTime::from_sec_double(dt_s);
+  if (control().now() + period <=
+      sim::SimTime::from_sec_double(scenario_.duration_s)) {
+    control().after(period, [this] { clock_stress_tick(); });
   }
 }
 
 void ParallelNetwork::schedule_sampling() {
+  control().at(sim::SimTime::from_sec_double(scenario_.sample_period_s),
+               [this] { sampling_tick(); });
+}
+
+void ParallelNetwork::sampling_tick() {
+  sample_clock_spread();
   const auto period = sim::SimTime::from_sec_double(scenario_.sample_period_s);
-  auto tick = std::make_shared<std::function<void()>>();
-  *tick = [this, period, tick] {
-    sample_clock_spread();
-    if (control().now() + period <=
-        sim::SimTime::from_sec_double(scenario_.duration_s)) {
-      control().after(period, *tick);
-    }
-  };
-  control().at(period, *tick);
+  if (control().now() + period <=
+      sim::SimTime::from_sec_double(scenario_.duration_s)) {
+    control().after(period, [this] { sampling_tick(); });
+  }
 }
 
 void ParallelNetwork::sample_clock_spread() {

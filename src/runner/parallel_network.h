@@ -18,6 +18,7 @@
 #include <memory>
 #include <vector>
 
+#include "clock/drift_model.h"
 #include "core/key_directory.h"
 #include "mac/sharded_channel.h"
 #include "metrics/series.h"
@@ -89,7 +90,9 @@ class ParallelNetwork {
   void build_stations();
   void arm();
   void schedule_environment();
+  void clock_stress_tick();
   void schedule_sampling();
+  void sampling_tick();
   void sample_clock_spread();
   [[nodiscard]] std::optional<std::size_t> current_reference_index() const;
   [[nodiscard]] sim::Simulator& control() { return exec_.control(); }
@@ -108,6 +111,7 @@ class ParallelNetwork {
   std::vector<std::unique_ptr<core::KeyDirectory>> directories_;
   std::vector<std::unique_ptr<proto::Station>> stations_;  // global id order
   std::size_t attacker_index_;  // == stations_.size() when no attacker
+  std::vector<clk::DriftStressor> stressors_;  // per honest node, if stressed
   metrics::Series max_diff_;
   std::vector<double> sample_values_;  // reused per sampling tick
   bool armed_{false};

@@ -14,7 +14,8 @@ std::uint32_t EventQueue::acquire_slot() {
     slots_[slot].in_use = true;
     return slot;
   }
-  slots_.push_back(Slot{0, false, true});
+  Slot& fresh = slots_.emplace_back();
+  fresh.in_use = true;
   return static_cast<std::uint32_t>(slots_.size() - 1);
 }
 
@@ -25,12 +26,41 @@ void EventQueue::release_slot(std::uint32_t slot) {
   free_slots_.push_back(slot);
 }
 
-EventId EventQueue::schedule(SimTime at, Callback fn) {
-  const std::uint32_t slot = acquire_slot();
-  heap_.push_back(Entry{at, next_seq_++, slot, std::move(fn)});
-  std::push_heap(heap_.begin(), heap_.end(), Later{});
-  ++live_;
-  return make_id(slot, slots_[slot].generation);
+void EventQueue::push_key(Key key) {
+  std::size_t hole = heap_.size();
+  heap_.push_back(key);
+  while (hole > 0) {
+    const std::size_t parent = (hole - 1) / kArity;
+    if (!before(key, heap_[parent])) break;
+    heap_[hole] = heap_[parent];
+    hole = parent;
+  }
+  heap_[hole] = key;
+}
+
+EventQueue::Key EventQueue::pop_top() {
+  const Key top = heap_.front();
+  const Key last = heap_.back();
+  heap_.pop_back();
+  const std::size_t n = heap_.size();
+  if (n == 0) return top;
+  // Sift `last` down from the root: move the least child up while it
+  // orders before `last`.
+  std::size_t hole = 0;
+  for (;;) {
+    const std::size_t first = hole * kArity + 1;
+    if (first >= n) break;
+    const std::size_t end = std::min(first + kArity, n);
+    std::size_t least = first;
+    for (std::size_t c = first + 1; c < end; ++c) {
+      if (before(heap_[c], heap_[least])) least = c;
+    }
+    if (!before(heap_[least], last)) break;
+    heap_[hole] = heap_[least];
+    hole = least;
+  }
+  heap_[hole] = last;
+  return top;
 }
 
 bool EventQueue::cancel(EventId id) {
@@ -49,9 +79,11 @@ bool EventQueue::cancel(EventId id) {
 
 void EventQueue::drop_cancelled_head() {
   while (!heap_.empty() && slots_[heap_.front().slot].cancelled) {
-    release_slot(heap_.front().slot);
-    std::pop_heap(heap_.begin(), heap_.end(), Later{});
-    heap_.pop_back();
+    const std::uint32_t slot = pop_top().slot;
+    // Destroy the callback only once the queue is consistent again: its
+    // captures' destructors may schedule or cancel.
+    Callback dead = std::move(slots_[slot].fn);
+    release_slot(slot);
   }
 }
 
@@ -63,13 +95,12 @@ SimTime EventQueue::next_time() {
 EventQueue::Fired EventQueue::pop() {
   drop_cancelled_head();
   assert(!heap_.empty() && "pop() on empty EventQueue");
-  std::pop_heap(heap_.begin(), heap_.end(), Later{});
-  Entry e = std::move(heap_.back());
-  heap_.pop_back();
-  const EventId id = make_id(e.slot, slots_[e.slot].generation);
-  release_slot(e.slot);
+  const Key key = pop_top();
+  Slot& s = slots_[key.slot];
+  Fired fired{key.time, make_id(key.slot, s.generation), std::move(s.fn)};
+  release_slot(key.slot);
   --live_;
-  return Fired{e.time, id, std::move(e.fn)};
+  return fired;
 }
 
 }  // namespace sstsp::sim

@@ -1,20 +1,29 @@
 // Priority event queue for the discrete-event kernel.
 //
-// A binary heap keyed by (time, sequence number).  The sequence number gives
+// Events are ordered by (time, sequence number).  The sequence number gives
 // FIFO ordering among simultaneous events, which keeps runs deterministic.
 //
-// Cancellation is lazy, with no hash tables on the per-event path: every
-// scheduled event owns a slot in a slot vector, and the EventId handed back
-// to callers packs (slot index, generation).  cancel() flips a tombstone bit
-// in the slot (O(1)); a tombstoned heap entry is discarded when it reaches
-// the head (pop()/next_time() compact cancelled heads away), so pop() stays
-// amortized O(log n) and next_time() never degrades to a linear scan.  Slot
-// generations are bumped on release, so a stale EventId (already fired or
-// cancelled) can never alias a newer event.
+// Keys and callbacks live apart.  The heap is a 4-ary min-heap of small
+// trivially-copyable keys {time, seq, slot}; a sift moves 24-byte keys and
+// never touches a callback.  The callback lives in its slot of a slot vector,
+// stored inline (EventQueue::Callback), so scheduling an event allocates
+// nothing once the heap and slot vectors have grown to the run's peak depth.
+//
+// Cancellation is lazy, with no hash tables on the per-event path: the
+// EventId handed back to callers packs (slot index, generation).  cancel()
+// flips a tombstone bit in the slot (O(1)); a tombstoned key is discarded
+// when it reaches the head (pop()/next_time() compact cancelled heads away),
+// and its callback, with everything it captured, is destroyed then.  So pop()
+// stays amortized O(log n) and next_time() never degrades to a linear scan.
+// Slot generations are bumped on release, so a stale EventId (already fired
+// or cancelled) can never alias a newer event.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <functional>
+#include <new>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "sim/time_types.h"
@@ -24,12 +33,88 @@ namespace sstsp::sim {
 /// Opaque handle identifying a scheduled event; 0 is never issued.
 using EventId = std::uint64_t;
 
+/// Move-only `void()` callable held in fixed inline storage; it never
+/// allocates.  A closure larger than kCapacity bytes does not compile:
+/// capture a handle (shared_ptr, index, `this`) instead of a large value.
+class InlineCallback {
+ public:
+  /// Fits the largest hot closure, the channel delivery lambdas
+  /// (`this`, receiver index, shared frame, RxInfo: 56 bytes).
+  static constexpr std::size_t kCapacity = 64;
+
+  InlineCallback() noexcept = default;
+
+  /// Replaces the held callable with `fn`, constructed in place.
+  template <class F, class D = std::remove_cvref_t<F>>
+    requires std::is_invocable_v<D&>
+  void emplace(F&& fn) {
+    static_assert(sizeof(D) <= kCapacity,
+                  "closure exceeds InlineCallback::kCapacity: capture a "
+                  "handle or an index instead of a large value");
+    static_assert(alignof(D) <= kAlign, "closure is over-aligned");
+    static_assert(std::is_nothrow_move_constructible_v<D>,
+                  "closure must be nothrow move-constructible");
+    reset();
+    ::new (static_cast<void*>(storage_)) D(std::forward<F>(fn));
+    ops_ = &kOps<D>;
+  }
+
+  InlineCallback(InlineCallback&& other) noexcept {
+    if (other.ops_ == nullptr) return;
+    other.ops_->relocate(storage_, other.storage_);
+    ops_ = std::exchange(other.ops_, nullptr);
+  }
+  InlineCallback& operator=(InlineCallback&&) = delete;
+  ~InlineCallback() { reset(); }
+
+  /// Precondition: holds a callable.
+  void operator()() { ops_->invoke(storage_); }
+
+ private:
+  static constexpr std::size_t kAlign = alignof(void*);
+
+  struct Ops {
+    void (*invoke)(void* self);
+    /// Move-constructs *src into dst, then destroys *src.
+    void (*relocate)(void* dst, void* src) noexcept;
+    void (*destroy)(void* self) noexcept;
+  };
+  template <class D>
+  static constexpr Ops kOps{
+      [](void* self) { (*static_cast<D*>(self))(); },
+      [](void* dst, void* src) noexcept {
+        D& from = *static_cast<D*>(src);
+        ::new (dst) D(std::move(from));
+        from.~D();
+      },
+      [](void* self) noexcept { static_cast<D*>(self)->~D(); }};
+
+  /// Destroys the held callable (and what it captured), leaving this empty.
+  void reset() noexcept {
+    if (ops_ != nullptr) {
+      ops_->destroy(storage_);
+      ops_ = nullptr;
+    }
+  }
+
+  alignas(kAlign) std::byte storage_[kCapacity];
+  const Ops* ops_{nullptr};
+};
+
 class EventQueue {
  public:
-  using Callback = std::function<void()>;
+  using Callback = InlineCallback;
 
   /// Schedules `fn` to fire at `at`.  Returns a handle usable with cancel().
-  EventId schedule(SimTime at, Callback fn);
+  /// The callable is constructed straight into its slot.
+  template <class F>
+  EventId schedule(SimTime at, F&& fn) {
+    const std::uint32_t slot = acquire_slot();
+    slots_[slot].fn.emplace(std::forward<F>(fn));
+    push_key(Key{at, next_seq_++, slot});
+    ++live_;
+    return make_id(slot, slots_[slot].generation);
+  }
 
   /// Cancels a pending event.  Returns false if the event already fired,
   /// was already cancelled, or never existed.
@@ -52,22 +137,26 @@ class EventQueue {
   Fired pop();
 
  private:
-  struct Entry {
+  static constexpr std::size_t kArity = 4;
+
+  struct Key {
     SimTime time;
     std::uint64_t seq;
     std::uint32_t slot;
-    Callback fn;
   };
-  struct Later {
-    bool operator()(const Entry& a, const Entry& b) const {
-      if (a.time != b.time) return a.time > b.time;
-      return a.seq > b.seq;
-    }
-  };
-  /// One slot per in-heap event.  `generation` advances every time the slot
-  /// is released (fired or cancelled entry popped), invalidating old ids;
-  /// `cancelled` is the tombstone the heap head check reads.
+  static_assert(std::is_trivially_copyable_v<Key>);
+
+  [[nodiscard]] static bool before(const Key& a, const Key& b) {
+    if (a.time != b.time) return a.time < b.time;
+    return a.seq < b.seq;
+  }
+
+  /// One slot per in-heap event, holding its callback.  `generation`
+  /// advances every time the slot is released (fired or cancelled entry
+  /// popped), invalidating old ids; `cancelled` is the tombstone the heap
+  /// head check reads.
   struct Slot {
+    Callback fn;
     std::uint32_t generation{0};
     bool cancelled{false};
     bool in_use{false};
@@ -80,11 +169,17 @@ class EventQueue {
            (static_cast<std::uint64_t>(slot) + 1);
   }
 
+  /// Heap primitives: push_key sifts a new key up from the end; pop_top
+  /// removes and returns the minimum key.  Precondition for pop_top:
+  /// !heap_.empty().
+  void push_key(Key key);
+  Key pop_top();
+
   void drop_cancelled_head();
   std::uint32_t acquire_slot();
   void release_slot(std::uint32_t slot);
 
-  std::vector<Entry> heap_;
+  std::vector<Key> heap_;
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_slots_;
   std::uint64_t next_seq_{0};

@@ -1,15 +1,8 @@
 #include "sim/simulator.h"
 
-#include <utility>
-
 #include "obs/instruments.h"
 
 namespace sstsp::sim {
-
-EventId Simulator::at(SimTime when, EventQueue::Callback fn) {
-  if (when < now_) when = now_;
-  return queue_.schedule(when, std::move(fn));
-}
 
 bool Simulator::step(SimTime horizon) {
   if (queue_.empty()) return false;

@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstdint>
+#include <utility>
 
 #include "obs/profiler.h"
 #include "obs/sampler.h"
@@ -33,12 +34,19 @@ class Simulator {
   [[nodiscard]] SimTime now() const { return now_; }
 
   /// Schedules `fn` at absolute time `at`; clamps scheduling into the past
-  /// to `now` (fires next, preserving causality).
-  EventId at(SimTime when, EventQueue::Callback fn);
+  /// to `now` (fires next, preserving causality).  `fn` is any void()
+  /// callable that fits EventQueue::Callback; it is constructed straight
+  /// into the queue's slot.
+  template <class F>
+  EventId at(SimTime when, F&& fn) {
+    if (when < now_) when = now_;
+    return queue_.schedule(when, std::forward<F>(fn));
+  }
 
   /// Schedules `fn` after a relative delay from now.
-  EventId after(SimTime delay, EventQueue::Callback fn) {
-    return at(now_ + delay, std::move(fn));
+  template <class F>
+  EventId after(SimTime delay, F&& fn) {
+    return at(now_ + delay, std::forward<F>(fn));
   }
 
   bool cancel(EventId id) { return queue_.cancel(id); }

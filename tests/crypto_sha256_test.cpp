@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace sstsp::crypto {
@@ -59,6 +60,22 @@ TEST(Sha256, ExactBlockBoundaries) {
       ctx.update(std::string_view(&c, 1));
     }
     EXPECT_EQ(ctx.finish(), Sha256::hash(msg)) << "len=" << len;
+  }
+}
+
+TEST(Sha256, PaddingEdgeKnownAnswers) {
+  // Fixed digests of 'x' * len (computed with Python's hashlib) at the
+  // lengths where the padding fits, just fits, or spills into a new block.
+  const std::vector<std::pair<std::size_t, std::string>> cases = {
+      {55, "d5e285683cd4efc02d021a5c62014694958901005d6f71e89e0989fac77e4072"},
+      {56, "04c26261370ee7541549d16dee320c723e3fd14671e66a099afe0a377c16888e"},
+      {63, "75220b47218278e656f2013bb8f0c455a25eaf01e86c64924e9d48d89776d6f2"},
+      {64, "7ce100971f64e7001e8fe5a51973ecdfe1ced42befe7ee8d5fd6219506b5393c"},
+      {119,
+       "000b48d4edf0fa7bee3c6236ecd2785baa5db4eeb8bb54341b029e0d9fa5fb0c"},
+  };
+  for (const auto& [len, digest] : cases) {
+    EXPECT_EQ(hex_of(std::string(len, 'x')), digest) << "len=" << len;
   }
 }
 

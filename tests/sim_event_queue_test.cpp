@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "sim/rng.h"
@@ -97,6 +99,72 @@ TEST(EventQueue, PopSkipsCancelledEntries) {
   q.cancel(c);
   while (!q.empty()) q.pop().fn();
   EXPECT_EQ(fired, (std::vector<int>{2, 4}));
+}
+
+TEST(EventQueue, MoveOnlyCaptureFires) {
+  EventQueue q;
+  int seen = 0;
+  auto owned = std::make_unique<int>(7);
+  q.schedule(1_us, [&seen, p = std::move(owned)] { seen = *p; });
+  q.pop().fn();
+  EXPECT_EQ(seen, 7);
+}
+
+TEST(EventQueue, ClosureOfExactlyInlineCapacityFits) {
+  EventQueue q;
+  std::array<char, InlineCallback::kCapacity - sizeof(int*)> pad{};
+  pad.back() = 3;
+  int seen = 0;
+  int* out = &seen;
+  q.schedule(1_us, [pad, out] { *out = pad.back(); });
+  q.pop().fn();
+  EXPECT_EQ(seen, 3);
+}
+
+TEST(EventQueue, CancelledCaptureReleasedWhenTombstoneDiscarded) {
+  EventQueue q;
+  auto token = std::make_shared<int>(1);
+  const std::weak_ptr<int> watch = token;
+  const EventId id = q.schedule(1_us, [token] { (void)token; });
+  q.schedule(2_us, [] {});
+  token.reset();
+  ASSERT_TRUE(q.cancel(id));
+  EXPECT_FALSE(watch.expired());  // tombstoned, still in the heap
+  EXPECT_EQ(q.next_time(), 2_us);  // discards the tombstoned head
+  EXPECT_TRUE(watch.expired());
+}
+
+TEST(EventQueue, FiredCaptureReleasedAfterDispatch) {
+  EventQueue q;
+  auto token = std::make_shared<int>(1);
+  const std::weak_ptr<int> watch = token;
+  q.schedule(1_us, [token] { (void)token; });
+  token.reset();
+  {
+    auto fired = q.pop();
+    EXPECT_FALSE(watch.expired());  // the popped callback owns it now
+    fired.fn();
+  }
+  EXPECT_TRUE(watch.expired());
+}
+
+TEST(EventQueue, FifoAmongSimultaneousAcrossSlotReuse) {
+  EventQueue q;
+  std::vector<int> fired;
+  // Fill and drain so the free list holds slots in scrambled order, then
+  // schedule simultaneous events onto reused slots: order must follow
+  // scheduling order, not slot index.
+  std::vector<EventId> ids;
+  for (int i = 0; i < 16; ++i) ids.push_back(q.schedule(1_us, [] {}));
+  for (int i = 0; i < 16; i += 3) q.cancel(ids[static_cast<size_t>(i)]);
+  while (!q.empty()) q.pop().fn();
+  for (int i = 0; i < 24; ++i) {
+    q.schedule(5_us, [&fired, i] { fired.push_back(i); });
+    if (i % 5 == 0) q.schedule(4_us, [] {});  // interleave earlier events
+  }
+  while (!q.empty()) q.pop().fn();
+  ASSERT_EQ(fired.size(), 24u);
+  for (int i = 0; i < 24; ++i) EXPECT_EQ(fired[static_cast<size_t>(i)], i);
 }
 
 // Randomized stress against a reference model: a plain vector of live
