@@ -94,12 +94,14 @@ int main() {
                                     static_cast<double>(n),
                                 2)});
 
-    crypto::CheckpointedChain cp(params, 128);
+    // The signer's walker: sqrt(n) spacing plus one decoded segment.
+    crypto::CheckpointedChain cp(params);
     const auto init_ops = cp.hash_ops();
     for (std::size_t j = 1; j <= n; ++j) (void)cp.element(n - j);
     chain.add_row(
-        {std::to_string(n), "checkpointed (spacing 128)",
-         std::to_string(cp.stored_digests()),
+        {std::to_string(n),
+         "checkpointed (spacing " + std::to_string(cp.spacing()) + ")",
+         std::to_string(cp.stored_digests() + cp.segment_digests()),
          std::to_string(cp.hash_ops()) + " (init " +
              std::to_string(init_ops) + ")",
          metrics::fmt(static_cast<double>(cp.hash_ops() - init_ops) /

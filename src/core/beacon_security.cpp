@@ -74,7 +74,9 @@ mac::SstspBeaconBody BeaconSigner::sign(std::int64_t j,
                                         std::int64_t timestamp_us,
                                         mac::NodeId sender,
                                         std::uint8_t level) {
-  if (!signer_) signer_.emplace(chain_, schedule_);
+  if (!signer_) {
+    signer_ = std::make_unique<crypto::MuTeslaSigner>(chain_, schedule_);
+  }
 
   mac::SstspBeaconBody body;
   body.timestamp_us = timestamp_us;
@@ -82,9 +84,10 @@ mac::SstspBeaconBody BeaconSigner::sign(std::int64_t j,
   body.level = level;
   const auto bytes =
       mac::serialize_unsecured_beacon(timestamp_us, sender, level);
-  body.mac = signer_->mac(
+  const crypto::MuTeslaSigner::Signature sig = signer_->sign(
       j, std::span<const std::uint8_t>(bytes.data(), bytes.size()));
-  body.disclosed_key = signer_->disclosed_key(j);
+  body.mac = sig.mac;
+  body.disclosed_key = sig.disclosed_key;
   return body;
 }
 

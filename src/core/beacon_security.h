@@ -19,6 +19,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <memory>
 #include <optional>
 #include <unordered_map>
 
@@ -97,7 +98,8 @@ class SenderPipeline {
 
 /// Signer wrapper: lazily builds the chain walker the first time the node
 /// actually transmits (most nodes never become reference, and the walker
-/// costs n hash invocations to bootstrap).
+/// costs n hash invocations to bootstrap).  The walker lives out of line so
+/// the stations that never sign carry one pointer, not its storage.
 class BeaconSigner {
  public:
   BeaconSigner(crypto::ChainParams chain, crypto::MuTeslaSchedule schedule)
@@ -112,7 +114,7 @@ class BeaconSigner {
  private:
   crypto::ChainParams chain_;
   crypto::MuTeslaSchedule schedule_;
-  std::optional<crypto::MuTeslaSigner> signer_;  // built on first sign()
+  std::unique_ptr<crypto::MuTeslaSigner> signer_;  // built on first sign()
 };
 
 }  // namespace sstsp::core

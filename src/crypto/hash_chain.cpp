@@ -1,6 +1,8 @@
 #include "crypto/hash_chain.h"
 
+#include <algorithm>
 #include <cassert>
+#include <cmath>
 #include <cstring>
 
 namespace sstsp::crypto {
@@ -99,27 +101,57 @@ Digest FractalTraversal::next() {
 
 // -------------------------------------------------------- checkpointed
 
+CheckpointedChain::CheckpointedChain(const ChainParams& params)
+    : CheckpointedChain(params, sqrt_spacing(params.length)) {}
+
 CheckpointedChain::CheckpointedChain(const ChainParams& params,
                                      std::size_t spacing)
     : params_(params), spacing_(spacing == 0 ? 1 : spacing) {
+  const std::size_t n = params_.length;
+  checkpoints_.reserve(n == 0 ? 1 : (n + spacing_ - 1) / spacing_);
   Digest v = params_.seed;
   checkpoints_.push_back(v);  // v_0
-  for (std::size_t i = 1; i <= params_.length; ++i) {
+  for (std::size_t i = 1; i <= n; ++i) {
     v = hash_once(v);
     ++hash_ops_;
-    if (i % spacing_ == 0) checkpoints_.push_back(v);
+    if (i % spacing_ == 0 && i < n) checkpoints_.push_back(v);
   }
   anchor_ = v;
+}
+
+std::size_t CheckpointedChain::sqrt_spacing(std::size_t n) {
+  auto s = static_cast<std::size_t>(std::sqrt(static_cast<double>(n)));
+  while (s * s < n) ++s;
+  while (s > 1 && (s - 1) * (s - 1) >= n) --s;
+  return s == 0 ? 1 : s;
 }
 
 Digest CheckpointedChain::element(std::size_t i) const {
   assert(i <= params_.length);
   if (i == params_.length) return anchor_;
   const std::size_t idx = i / spacing_;
-  Digest v = checkpoints_[idx];
-  const std::size_t steps = i - idx * spacing_;
-  hash_ops_ += steps;
-  return hash_times(v, steps);
+  const std::size_t base = idx * spacing_;
+  if (!accessed_) {
+    // The first access reads straight from the checkpoint and leaves the
+    // segment unallocated: most signers sign once (they lose the election
+    // they contended in), and a segment per such station would outweigh
+    // its checkpoints.
+    accessed_ = true;
+    hash_ops_ += i - base;
+    return hash_times(checkpoints_[idx], i - base);
+  }
+  if (idx != segment_index_) {
+    const std::size_t count = std::min(spacing_, params_.length - base);
+    segment_.reserve(std::min(spacing_, params_.length));  // once, exactly
+    segment_.resize(count);
+    segment_[0] = checkpoints_[idx];
+    for (std::size_t k = 1; k < count; ++k) {
+      segment_[k] = hash_once(segment_[k - 1]);
+    }
+    hash_ops_ += count - 1;
+    segment_index_ = idx;
+  }
+  return segment_[i - base];
 }
 
 }  // namespace sstsp::crypto

@@ -140,30 +140,52 @@ class FractalTraversal final : public ChainTraversal {
   std::uint64_t hash_ops_{0};
 };
 
-/// Random-access chain reader with lazily built equidistant checkpoints —
-/// what the in-simulator µTESLA signer uses (a reference node may assume the
-/// role at an arbitrary interval).  Costs n hashes once, then at most
-/// `spacing` hashes per access and n/spacing stored digests.
+/// Random-access chain reader with equidistant checkpoints — what the
+/// in-simulator µTESLA signer uses (a reference node may assume the role at
+/// an arbitrary interval).  Costs n hashes once and stores ceil(n/spacing)
+/// checkpoints.  From the second access on it keeps one decoded segment (the
+/// `spacing` elements following one checkpoint), refilled on a miss: a
+/// random access costs at most spacing - 1 hashes, and a walk over
+/// consecutive positions about one hash per element.  The default spacing
+/// is ceil(sqrt(n)), which balances checkpoint and segment storage.
+///
+/// Not thread-safe: element() updates the segment behind a const interface.
+/// Each chain belongs to one station, so to one simulator shard, and is only
+/// ever read from that shard's thread.
 class CheckpointedChain {
  public:
-  CheckpointedChain(const ChainParams& params, std::size_t spacing = 128);
+  explicit CheckpointedChain(const ChainParams& params);
+  CheckpointedChain(const ChainParams& params, std::size_t spacing);
+
+  /// ceil(sqrt(n)), at least 1.
+  [[nodiscard]] static std::size_t sqrt_spacing(std::size_t n);
 
   [[nodiscard]] const ChainParams& params() const { return params_; }
   [[nodiscard]] const Digest& anchor() const { return anchor_; }
+  [[nodiscard]] std::size_t spacing() const { return spacing_; }
 
   /// v_i for any i in [0, n].
   [[nodiscard]] Digest element(std::size_t i) const;
 
+  /// Checkpoints plus the anchor: the storage kept for the chain's lifetime.
   [[nodiscard]] std::size_t stored_digests() const {
     return checkpoints_.size() + 1;
   }
+  /// Digests held by the decoded segment (0 before the second access).
+  [[nodiscard]] std::size_t segment_digests() const { return segment_.size(); }
   [[nodiscard]] std::uint64_t hash_ops() const { return hash_ops_; }
 
  private:
+  static constexpr std::size_t kNoSegment = static_cast<std::size_t>(-1);
+
   ChainParams params_;
   std::size_t spacing_;
-  std::vector<Digest> checkpoints_;  // v_0, v_spacing, v_2*spacing, ...
+  std::vector<Digest> checkpoints_;  // v_0, v_spacing, v_2*spacing, ... < n
   Digest anchor_{};
+  /// v_{k*spacing} .. v_{k*spacing + size - 1} for k = segment_index_.
+  mutable std::vector<Digest> segment_;
+  mutable std::size_t segment_index_{kNoSegment};
+  mutable bool accessed_{false};
   mutable std::uint64_t hash_ops_{0};
 };
 

@@ -17,10 +17,19 @@ MacInput::MacInput(std::int64_t j, std::span<const std::uint8_t> body)
   }
 }
 
+namespace {
+
+Digest128 keyed_mac(const Digest& key, std::int64_t j,
+                    std::span<const std::uint8_t> body) {
+  return hmac_sha256_128(std::span<const std::uint8_t>(key.data(), key.size()),
+                         mac_input(j, body).bytes());
+}
+
+}  // namespace
+
 MuTeslaSigner::MuTeslaSigner(const ChainParams& chain,
-                             MuTeslaSchedule schedule,
-                             std::size_t checkpoint_spacing)
-    : chain_(chain, checkpoint_spacing), schedule_(schedule) {
+                             MuTeslaSchedule schedule)
+    : chain_(chain), schedule_(schedule) {
   assert(schedule_.n == chain.length);
 }
 
@@ -30,15 +39,20 @@ Digest MuTeslaSigner::key_for_interval(std::int64_t j) const {
 }
 
 Digest MuTeslaSigner::disclosed_key(std::int64_t j) const {
-  assert(j >= 1 && static_cast<std::size_t>(j) <= schedule_.n);
-  return chain_.element(schedule_.n - static_cast<std::size_t>(j) + 1);
+  // v_{n-j+1} = H(v_{n-j}): one hash from K_j instead of a second chain
+  // access (which could fall in the next segment up and evict this one).
+  return hash_once(key_for_interval(j));
 }
 
 Digest128 MuTeslaSigner::mac(std::int64_t j,
                              std::span<const std::uint8_t> body) const {
+  return keyed_mac(key_for_interval(j), j, body);
+}
+
+MuTeslaSigner::Signature MuTeslaSigner::sign(
+    std::int64_t j, std::span<const std::uint8_t> body) const {
   const Digest key = key_for_interval(j);
-  return hmac_sha256_128(std::span<const std::uint8_t>(key.data(), key.size()),
-                         mac_input(j, body).bytes());
+  return Signature{keyed_mac(key, j, body), hash_once(key)};
 }
 
 bool MuTeslaVerifier::verify_key(std::int64_t j, const Digest& key) {
@@ -66,10 +80,7 @@ bool MuTeslaVerifier::verify_key(std::int64_t j, const Digest& key) {
 bool MuTeslaVerifier::verify_mac(const Digest& key, std::int64_t j,
                                  std::span<const std::uint8_t> body,
                                  const Digest128& mac) {
-  const Digest128 expected = hmac_sha256_128(
-      std::span<const std::uint8_t>(key.data(), key.size()),
-      mac_input(j, body).bytes());
-  return digest_equal(expected, mac);
+  return digest_equal(keyed_mac(key, j, body), mac);
 }
 
 bool MuTeslaVerifier::check_mac(const Digest& key, std::int64_t j,

@@ -55,11 +55,13 @@ struct MuTeslaSchedule {
   }
 };
 
-/// Produces keys and MACs for a node's own chain.
+/// Produces keys and MACs for a node's own chain.  Reads the chain through
+/// a CheckpointedChain with ceil(sqrt(n)) spacing, so signing consecutive
+/// intervals costs about one hash per key; like that chain, a signer is
+/// owned and used by a single station.
 class MuTeslaSigner {
  public:
-  MuTeslaSigner(const ChainParams& chain, MuTeslaSchedule schedule,
-                std::size_t checkpoint_spacing = 128);
+  MuTeslaSigner(const ChainParams& chain, MuTeslaSchedule schedule);
 
   [[nodiscard]] const MuTeslaSchedule& schedule() const { return schedule_; }
   [[nodiscard]] const Digest& anchor() const { return chain_.anchor(); }
@@ -67,14 +69,22 @@ class MuTeslaSigner {
   /// K_j = v_{n-j}; requires 1 <= j <= n.
   [[nodiscard]] Digest key_for_interval(std::int64_t j) const;
 
-  /// Key disclosed inside the interval-j beacon: K_{j-1} (for j == 1 the
-  /// disclosed element is the anchor-adjacent v_n itself, which carries no
+  /// Key disclosed inside the interval-j beacon: K_{j-1} = H(K_j) (for
+  /// j == 1 the disclosed element is the anchor v_n itself, which carries no
   /// authentication value but keeps the frame layout uniform).
   [[nodiscard]] Digest disclosed_key(std::int64_t j) const;
 
   /// MAC over the beacon body for interval j.
   [[nodiscard]] Digest128 mac(std::int64_t j,
                               std::span<const std::uint8_t> body) const;
+
+  /// Both chain-derived fields of the interval-j beacon from one key read.
+  struct Signature {
+    Digest128 mac;
+    Digest disclosed_key;
+  };
+  [[nodiscard]] Signature sign(std::int64_t j,
+                               std::span<const std::uint8_t> body) const;
 
  private:
   CheckpointedChain chain_;

@@ -1,14 +1,6 @@
 #include "mac/phy_params.h"
 
-#include <cmath>
-
 namespace sstsp::mac {
-
-double distance_m(const Position& a, const Position& b) {
-  const double dx = a.x_m - b.x_m;
-  const double dy = a.y_m - b.y_m;
-  return std::sqrt(dx * dx + dy * dy);
-}
 
 sim::SimTime propagation_delay(const Position& a, const Position& b) {
   return sim::SimTime::from_us_double(distance_m(a, b) /

@@ -6,6 +6,7 @@
 // packet error rate of 0.01 %.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 
 #include "sim/time_types.h"
@@ -75,7 +76,13 @@ struct Position {
   double y_m{0.0};
 };
 
-[[nodiscard]] double distance_m(const Position& a, const Position& b);
+/// Euclidean distance; inline because the channels' range and interference
+/// checks call it per (transmission, station) pair.
+[[nodiscard]] inline double distance_m(const Position& a, const Position& b) {
+  const double dx = a.x_m - b.x_m;
+  const double dy = a.y_m - b.y_m;
+  return std::sqrt(dx * dx + dy * dy);
+}
 
 /// One-way propagation delay between two positions.
 [[nodiscard]] sim::SimTime propagation_delay(const Position& a,

@@ -87,7 +87,18 @@ std::uint64_t ShardChannel::transmit(std::size_t idx, Frame frame,
 bool ShardChannel::would_detect_busy(std::size_t idx, sim::SimTime at) const {
   const LocalStation& me = stations_[idx];
   const bool finite_range = phy_.radio_range_m > 0.0;
+  // Time bounds first: propagation is never negative, so nothing reads busy
+  // before start + cca; within range it is at most the range's own delay
+  // (monotone in distance), so nothing audible reads busy after
+  // end + prop(range) + ifs_guard.  Most retained records fail one of the
+  // two, and the exact distance check below runs only on the rest.
+  const sim::SimTime tail =
+      finite_range ? propagation_from_distance(phy_.radio_range_m) +
+                         phy_.ifs_guard
+                   : sim::SimTime::zero();
   for (const TxRec& tx : txs_) {
+    if (at < tx.start + phy_.cca_time) continue;
+    if (finite_range && at > tx.end + tail) continue;
     if (tx.sender == me.global) continue;
     const double d = distance_m(tx.sender_pos, me.pos);
     if (finite_range && d > phy_.radio_range_m) continue;
@@ -127,6 +138,23 @@ void ShardChannel::evaluate(const TxRec& tx) {
   const bool finite_range = phy_.radio_range_m > 0.0;
   bool corrupted_any = false;
 
+  // Interferer list, built once per transmission (the shape of mac::Channel's
+  // overlap_senders_): every other known transmission overlapping this one
+  // in time — the barrier exchange guarantees the set is complete by now.
+  // With a finite range only senders within 2r of this frame's sender can
+  // be audible at a receiver that hears this frame (triangle inequality);
+  // the relative margin keeps rounding from ever dropping a real one.
+  const double reach = 2.0 * phy_.radio_range_m * (1.0 + 1e-9);
+  interferers_.clear();
+  for (const TxRec& other : txs_) {
+    if (other.id == tx.id) continue;
+    if (other.start >= tx.end || other.end <= tx.start) continue;
+    if (finite_range && distance_m(other.sender_pos, tx.sender_pos) > reach) {
+      continue;
+    }
+    interferers_.push_back(other.sender_pos);
+  }
+
   auto consider_receiver = [&](std::size_t s) {
     LocalStation& rx = stations_[s];
     if (rx.global == tx.sender) return;
@@ -142,14 +170,10 @@ void ShardChannel::evaluate(const TxRec& tx) {
       ++stats_.half_duplex_suppressed;
       return;
     }
-    // Per-receiver interference over every known overlapping transmission;
-    // the barrier exchange guarantees the set is complete by now.
+    // Per-receiver interference: any listed sender audible here.
     bool corrupted = false;
-    for (const TxRec& other : txs_) {
-      if (other.id == tx.id) continue;
-      if (other.start >= tx.end || other.end <= tx.start) continue;
-      if (finite_range &&
-          distance_m(other.sender_pos, rx.pos) > phy_.radio_range_m) {
+    for (const Position& o : interferers_) {
+      if (finite_range && distance_m(o, rx.pos) > phy_.radio_range_m) {
         continue;
       }
       corrupted = true;

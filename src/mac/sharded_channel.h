@@ -164,6 +164,7 @@ class ShardChannel final : public Medium {
   Grid grid_;
   mutable std::vector<std::uint32_t> candidates_;  // grid query scratch
   std::vector<TxRec*> due_;                        // settle scratch
+  std::vector<Position> interferers_;              // evaluate scratch
   std::vector<int> targets_;                       // transmit scratch
 
   std::uint64_t announcements_sent_{0};

@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 namespace sstsp::crypto {
@@ -127,6 +130,71 @@ TEST(CheckpointedChain, SpacingOneStoresEverything) {
   const ChainParams c = make_chain(10);
   CheckpointedChain cc(c, 1);
   for (std::size_t i = 0; i <= 10; ++i) EXPECT_EQ(cc.element(i), c.element(i));
+}
+
+// Every access order the segment cursor can see: descending (the signer's
+// order), ascending, and random — over chains whose length is below the
+// spacing, a multiple of it, and not a multiple of it.
+TEST(CheckpointedChain, SegmentCursorMatchesDirectInAnyOrder) {
+  for (const auto& [n, spacing] :
+       std::vector<std::pair<std::size_t, std::size_t>>{
+           {5, 8}, {64, 8}, {70, 8}, {100, 10}, {101, 11}, {1, 1}}) {
+    SCOPED_TRACE("n=" + std::to_string(n) + " spacing=" +
+                 std::to_string(spacing));
+    const ChainParams c = make_chain(n);
+    std::vector<Digest> direct;
+    for (std::size_t i = 0; i <= n; ++i) direct.push_back(c.element(i));
+
+    CheckpointedChain down(c, spacing);
+    for (std::size_t i = n + 1; i-- > 0;) {
+      EXPECT_EQ(down.element(i), direct[i]) << "descending i=" << i;
+    }
+    CheckpointedChain up(c, spacing);
+    for (std::size_t i = 0; i <= n; ++i) {
+      EXPECT_EQ(up.element(i), direct[i]) << "ascending i=" << i;
+    }
+    CheckpointedChain random(c, spacing);
+    std::uint64_t x = 0x9E3779B97F4A7C15ULL;
+    for (int k = 0; k < 200; ++k) {
+      x ^= x << 13;
+      x ^= x >> 7;
+      x ^= x << 17;
+      const std::size_t i = static_cast<std::size_t>(x % (n + 1));
+      EXPECT_EQ(random.element(i), direct[i]) << "random i=" << i;
+    }
+    // Segment edges, both sides, in a thrashing order.
+    CheckpointedChain edges(c, spacing);
+    for (std::size_t base = 0; base < n; base += spacing) {
+      const std::size_t last = std::min(base + spacing, n) - 1;
+      EXPECT_EQ(edges.element(last), direct[last]) << "i=" << last;
+      EXPECT_EQ(edges.element(base), direct[base]) << "i=" << base;
+      EXPECT_EQ(edges.element(last + 1), direct[last + 1]) << "i=" << last + 1;
+    }
+    EXPECT_EQ(edges.element(n), c.anchor());
+    EXPECT_LE(edges.segment_digests(), spacing);
+  }
+}
+
+TEST(CheckpointedChain, DescendingWalkCostsAtMostTwoHashesPerElement) {
+  for (const std::size_t n : {64u, 1000u, 6200u}) {
+    SCOPED_TRACE("n=" + std::to_string(n));
+    const ChainParams c = make_chain(n);
+    CheckpointedChain cc(c);
+    EXPECT_EQ(cc.spacing(), CheckpointedChain::sqrt_spacing(n));
+    for (std::size_t i = n + 1; i-- > 0;) (void)cc.element(i);
+    // Construction (n) plus one fill per segment (< spacing each).
+    EXPECT_LE(cc.hash_ops(), 2 * n);
+  }
+}
+
+TEST(CheckpointedChain, SqrtSpacingIsCeiling) {
+  EXPECT_EQ(CheckpointedChain::sqrt_spacing(0), 1u);
+  EXPECT_EQ(CheckpointedChain::sqrt_spacing(1), 1u);
+  EXPECT_EQ(CheckpointedChain::sqrt_spacing(2), 2u);
+  EXPECT_EQ(CheckpointedChain::sqrt_spacing(64), 8u);
+  EXPECT_EQ(CheckpointedChain::sqrt_spacing(65), 9u);
+  EXPECT_EQ(CheckpointedChain::sqrt_spacing(6200), 79u);
+  EXPECT_EQ(CheckpointedChain::sqrt_spacing(12000), 110u);
 }
 
 TEST(Traversal, EmptyChainIsExhausted) {

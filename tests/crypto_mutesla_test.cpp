@@ -54,6 +54,23 @@ TEST(MuTesla, SignerKeysMatchChainConvention) {
   EXPECT_EQ(signer.anchor(), c.anchor());
 }
 
+TEST(MuTesla, DisclosedKeyIsHashOfIntervalKey) {
+  const std::size_t n = 20;
+  const ChainParams c = chain(n);
+  MuTeslaSigner signer(c, sched(n));
+  const auto b = body("beacon");
+  for (std::int64_t j = 1; j <= static_cast<std::int64_t>(n); ++j) {
+    EXPECT_EQ(signer.disclosed_key(j), hash_once(signer.key_for_interval(j)))
+        << "j=" << j;
+    EXPECT_EQ(signer.disclosed_key(j),
+              c.element(n - static_cast<std::size_t>(j) + 1))
+        << "j=" << j;
+    const MuTeslaSigner::Signature sig = signer.sign(j, b);
+    EXPECT_EQ(sig.mac, signer.mac(j, b)) << "j=" << j;
+    EXPECT_EQ(sig.disclosed_key, signer.disclosed_key(j)) << "j=" << j;
+  }
+}
+
 TEST(MuTesla, VerifierAcceptsSequentialDisclosures) {
   const std::size_t n = 40;
   const ChainParams c = chain(n);

@@ -1,10 +1,15 @@
 // Range-limited channel semantics: reception range, per-receiver
-// interference (hidden terminal), and range-aware carrier sense.
+// interference (hidden terminal), and range-aware carrier sense — on the
+// single kernel, and at the exact range boundaries on both kernels.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <vector>
 
 #include "mac/channel.h"
+#include "mac/sharded_channel.h"
+#include "sim/shard_exec.h"
 #include "sim/simulator.h"
 
 namespace sstsp::mac {
@@ -113,6 +118,158 @@ TEST(RangedChannel, SpatialReuseDeliversBothFrames) {
   EXPECT_EQ(left.frames.size(), 1u);
   EXPECT_EQ(right.frames.size(), 1u);
   EXPECT_EQ(ch.stats().collided_transmissions, 0u);
+}
+
+// ---- boundary cases, mac::Channel vs a one-shard ShardedWorld -------------
+//
+// The shard channel narrows its interference scan to senders within 2r of
+// the frame's sender and its carrier-sense scan to records inside a time
+// window; both cuts must be exact.  Each case runs the same script on both
+// kernels and requires identical receptions, collision counts and probes.
+
+constexpr double kRange = 50.0;
+
+struct ScriptedTx {
+  std::size_t station;
+  sim::SimTime at;
+};
+
+struct Probe {
+  std::size_t station;
+  sim::SimTime at;
+};
+
+struct Outcome {
+  std::vector<std::vector<NodeId>> heard;  ///< per station: senders heard
+  std::uint64_t collided{0};
+  std::vector<bool> busy;  ///< per probe
+};
+
+bool operator==(const Outcome& a, const Outcome& b) {
+  return a.heard == b.heard && a.collided == b.collided && a.busy == b.busy;
+}
+
+struct Script {
+  std::vector<Position> stations;
+  std::vector<ScriptedTx> txs;
+  std::vector<Probe> probes;
+};
+
+constexpr sim::SimTime kFrame = sim::SimTime::from_us(36);
+
+/// Adds the script's stations to `ch` and schedules its transmissions and
+/// carrier-sense probes on `sim`, recording into `out`.
+void arm(const Script& script, Medium& ch, sim::Simulator& sim, Outcome& out) {
+  out.heard.resize(script.stations.size());
+  out.busy.resize(script.probes.size());
+  for (std::size_t i = 0; i < script.stations.size(); ++i) {
+    ch.add_station(script.stations[i],
+                   [&out, i](const Frame& f, const RxInfo&) {
+                     out.heard[i].push_back(f.sender);
+                   });
+  }
+  for (const ScriptedTx& t : script.txs) {
+    sim.at(t.at, [&ch, t] {
+      ch.transmit(t.station, beacon(static_cast<NodeId>(t.station), 1),
+                  kFrame);
+    });
+  }
+  for (std::size_t k = 0; k < script.probes.size(); ++k) {
+    const Probe p = script.probes[k];
+    sim.at(p.at, [&ch, &out, k, p] {
+      out.busy[k] = ch.would_detect_busy(p.station, p.at);
+    });
+  }
+}
+
+Outcome run_legacy(const Script& script) {
+  sim::Simulator sim(7);
+  Channel ch(sim, ranged_phy(kRange));
+  Outcome out;
+  arm(script, ch, sim, out);
+  sim.run_until(1_sec);
+  out.collided = ch.stats().collided_transmissions;
+  return out;
+}
+
+Outcome run_sharded(const Script& script) {
+  const PhyParams phy = ranged_phy(kRange);
+  sim::ShardExecutor::Options opt;
+  opt.lookahead = std::min(phy.cca_time, phy.rx_latency_min);
+  sim::ShardExecutor exec(opt, 7);
+  ShardedWorld world(phy, {&exec.shard(0)});
+  world.partition(script.stations);
+  Outcome out;
+  arm(script, world.channel(0), exec.shard(0), out);
+  exec.run(
+      1_sec, [&](sim::SimTime end) { world.exchange(end); },
+      [&](int s, sim::SimTime end) { world.settle(s, end); },
+      [&](sim::SimTime end) { world.commit(end); });
+  out.collided = world.stats().collided_transmissions;
+  return out;
+}
+
+Outcome run_both(const Script& script) {
+  const Outcome legacy = run_legacy(script);
+  const Outcome sharded = run_sharded(script);
+  EXPECT_TRUE(legacy == sharded);
+  return legacy;
+}
+
+// Sender A, receiver M at the midpoint, interferer B exactly 2r from A: B
+// is exactly in range of M and must corrupt A's frame there.
+TEST(RangeBoundary, InterfererAtTwiceTheRangeCorruptsTheMidpoint) {
+  Script s;
+  s.stations = {{0, 0}, {kRange, 0}, {2 * kRange, 0}};
+  s.txs = {{0, 1_ms}, {2, 1_ms + 5_us}};
+  const Outcome o = run_both(s);
+  EXPECT_TRUE(o.heard[1].empty());
+  EXPECT_EQ(o.collided, 2u);  // both frames are lost at M
+}
+
+TEST(RangeBoundary, InterfererJustPastTheMidpointsRangeDoesNot) {
+  Script s;
+  s.stations = {{0, 0}, {kRange, 0}, {2 * kRange + 1e-6, 0}};
+  s.txs = {{0, 1_ms}, {2, 1_ms + 5_us}};
+  const Outcome o = run_both(s);
+  ASSERT_EQ(o.heard[1].size(), 1u);
+  EXPECT_EQ(o.heard[1][0], 0u);
+  EXPECT_EQ(o.collided, 0u);
+}
+
+// The same line at many angles: the distances now carry rounding, and the
+// kernels must still agree on every verdict.
+TEST(RangeBoundary, RotatedLinesAgreeAcrossKernels) {
+  for (int k = 0; k < 48; ++k) {
+    SCOPED_TRACE("k=" + std::to_string(k));
+    const double theta = 0.1309 * k;
+    const double ux = std::cos(theta);
+    const double uy = std::sin(theta);
+    Script s;
+    s.stations = {{0, 0}, {kRange * ux, kRange * uy},
+                  {2 * kRange * ux, 2 * kRange * uy}};
+    s.txs = {{0, 1_ms}, {2, 1_ms + 5_us}};
+    (void)run_both(s);
+  }
+}
+
+// Carrier sense at a station exactly at range: busy from start + prop + cca
+// through end + prop + ifs_guard inclusive, idle one tick outside.
+TEST(RangeBoundary, CarrierSenseEdgesAtExactRange) {
+  const PhyParams phy = ranged_phy(kRange);
+  const sim::SimTime start = 1_ms;
+  const sim::SimTime prop = propagation_from_distance(kRange);
+  const sim::SimTime from = start + prop + phy.cca_time;
+  const sim::SimTime until = start + kFrame + prop + phy.ifs_guard;
+  const sim::SimTime tick{1};
+  Script s;
+  s.stations = {{0, 0}, {kRange, 0}, {kRange + 1e-6, 0}};
+  s.txs = {{0, start}};
+  s.probes = {{1, from - tick}, {1, from}, {1, until}, {1, until + tick},
+              {2, from}, {2, until}};
+  const Outcome o = run_both(s);
+  EXPECT_EQ(o.busy,
+            (std::vector<bool>{false, true, true, false, false, false}));
 }
 
 }  // namespace

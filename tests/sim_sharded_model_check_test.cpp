@@ -79,7 +79,10 @@ Scenario deterministic_channel_scenario(std::uint64_t seed, int nodes,
   return s;
 }
 
-void check_scenario(const Scenario& base) {
+/// Runs `base` on both kernels and checks them event for event; stores the
+/// legacy kernel's channel stats in `legacy_stats` when given.
+void check_scenario(const Scenario& base,
+                    mac::ChannelStats* legacy_stats = nullptr) {
   Network legacy(base);
   legacy.run();
 
@@ -118,6 +121,7 @@ void check_scenario(const Scenario& base) {
   const auto sharded_flat = flatten(sharded_events);
   EXPECT_GT(legacy_flat.size(), 0u);
   EXPECT_EQ(legacy_flat, sharded_flat);
+  if (legacy_stats != nullptr) *legacy_stats = legacy.channel_stats();
 }
 
 TEST(ShardedModelCheck, SingleHopMatchesLegacyKernel) {
@@ -145,6 +149,27 @@ TEST(ShardedModelCheck, ChurnedControlTimelineMatchesLegacyKernel) {
   check_scenario(deterministic_channel_scenario(/*seed=*/11, /*nodes=*/16,
                                                 /*radio_range_m=*/40.0,
                                                 /*churn=*/true));
+}
+
+// 150 stations in a disc under five radio ranges across: a third or more
+// of the frames collide, so the interference verdicts and carrier-sense
+// probes routinely see several concurrent transmissions.
+TEST(ShardedModelCheck, DenseContentionMatchesLegacyKernel) {
+  for (const std::uint64_t seed : {3ULL, 17ULL}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Scenario s = deterministic_channel_scenario(seed, /*nodes=*/150,
+                                                /*radio_range_m=*/25.0,
+                                                /*churn=*/false);
+    s.phy.placement_radius_m = 60.0;
+    mac::ChannelStats stats;
+    check_scenario(s, &stats);
+    // Not vacuous: a sizeable share of the transmissions collided.
+    ASSERT_GT(stats.transmissions, 0u);
+    EXPECT_GE(static_cast<double>(stats.collided_transmissions),
+              0.30 * static_cast<double>(stats.transmissions))
+        << stats.collided_transmissions << "/" << stats.transmissions
+        << " collided";
+  }
 }
 
 }  // namespace
