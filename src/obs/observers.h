@@ -12,9 +12,11 @@
 // control timeline) with the subset the sharded kernel supports.
 //
 // What stays in the hosts is what really differs between them: the station
-// census behind each telemetry sample, cluster placement and sampling, the
-// power/clock hooks the fault plan drives, and the live stack's divergence
-// override.
+// census behind each telemetry sample, cluster sampling, the power/clock
+// hooks the fault plan drives, and the live stack's divergence override.
+// Both simulation kernels take these from one run::Deployment
+// (runner/deployment.h), which also owns cluster placement; net::Swarm and
+// sstsp_node keep their own.
 #pragma once
 
 #include <csignal>

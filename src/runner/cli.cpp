@@ -81,6 +81,7 @@ constexpr auto kAnyReal = [](double) { return true; };
 constexpr auto kNonNegative = [](double d) { return d >= 0; };
 constexpr auto kPositive = [](double d) { return d > 0; };
 constexpr auto kProbability = [](double d) { return d >= 0 && d < 1; };
+constexpr auto kUnitInterval = [](double d) { return d >= 0 && d <= 1; };
 
 bool endpoint(const std::string& s, std::string* host, std::uint16_t* port) {
   const auto colon = s.rfind(':');
@@ -254,13 +255,15 @@ constexpr Flag kFlags[] = {
        return real(v, &o.scenario.cluster.hop_bound_us, kPositive);
      }},
     // environment
-    {"churn", kSim, "--churn needs period,fraction,absence",
+    {"churn", kSim,
+     "--churn needs period,fraction,absence with period > 0, fraction in "
+     "[0, 1] and absence >= 0",
      [](Cli& o, Arg v, Why) {
        const auto parts = split(v, ',');
        ChurnSpec churn;
-       if (parts.size() != 3 || !parse_double(parts[0], &churn.period_s) ||
-           !parse_double(parts[1], &churn.fraction) ||
-           !parse_double(parts[2], &churn.absence_s)) {
+       if (parts.size() != 3 || !real(parts[0], &churn.period_s, kPositive) ||
+           !real(parts[1], &churn.fraction, kUnitInterval) ||
+           !real(parts[2], &churn.absence_s, kNonNegative)) {
          return false;
        }
        o.scenario.churn = churn;
@@ -272,8 +275,8 @@ constexpr Flag kFlags[] = {
        times.clear();
        for (const auto& part : split(v, ',')) {
          double t = 0;
-         if (!parse_double(part, &t)) {
-           *why = "--departures needs numeric times";
+         if (!real(part, &t, kNonNegative)) {
+           *why = "--departures needs times >= 0";
            return false;
          }
          times.push_back(t);

@@ -3,28 +3,29 @@
 // Materializes a Scenario onto the parallel kernel: a sim::ShardExecutor
 // (one simulator per shard + one control simulator), a mac::ShardedWorld
 // partitioning the deployment, and the stations distributed across shards.
-// The run-global timeline — churn, reference departures, clock-spread
-// sampling — executes on the control simulator between windows, serialized
-// against every shard, replicating Network's schedule and RNG substream
-// keying draw for draw; with the kernel's exactness contract (DESIGN.md
-// §12) a run is bit-identical for any --threads/--shards combination.
+// The run-global timeline — churn, reference departures, clock stress,
+// clock-spread sampling — is the same Deployment (runner/deployment.h)
+// Network uses, armed on the control simulator and so executed between
+// windows, serialized against every shard.  Both kernels therefore share
+// one node draw, one protocol factory and one substream keying; with the
+// kernel's exactness contract (DESIGN.md §12) a run is bit-identical for
+// any --threads/--shards combination.
 //
 // Deliberately narrower than Network: fault plans, invariant monitoring,
-// telemetry streaming, flight recording and the phase sampler are not
-// wired into the sharded kernel yet, and the constructor rejects scenarios
-// requesting them (std::runtime_error) rather than silently dropping them.
+// telemetry streaming, flight recording, the phase sampler and cluster
+// scenarios are not wired into the sharded kernel yet, and the constructor
+// rejects scenarios requesting them (std::runtime_error) rather than
+// silently dropping them.
 #pragma once
 
 #include <memory>
 #include <vector>
 
-#include "clock/drift_model.h"
 #include "core/key_directory.h"
 #include "mac/sharded_channel.h"
-#include "metrics/series.h"
 #include "obs/metrics.h"
 #include "obs/observers.h"
-#include "protocols/station.h"
+#include "runner/deployment.h"
 #include "runner/experiment.h"
 #include "runner/scenario.h"
 #include "sim/shard_exec.h"
@@ -44,24 +45,24 @@ class ParallelNetwork {
   /// Runs the full scenario (power-on through duration_s).
   void run();
 
-  [[nodiscard]] const Scenario& scenario() const { return scenario_; }
   [[nodiscard]] int shard_count() const { return exec_.shard_count(); }
 
-  [[nodiscard]] const metrics::Series& max_diff_series() const {
-    return max_diff_;
+  // The deployment's view of the run (runner/deployment.h).
+  [[nodiscard]] const Scenario& scenario() const {
+    return deployment_.scenario();
   }
+  [[nodiscard]] const metrics::Series& max_diff_series() const {
+    return deployment_.max_diff_series();
+  }
+  [[nodiscard]] proto::ProtocolStats honest_stats() const {
+    return deployment_.honest_stats();
+  }
+
   [[nodiscard]] mac::ChannelStats channel_stats() const {
     return world_->stats();
   }
-  [[nodiscard]] proto::ProtocolStats honest_stats() const;
-  [[nodiscard]] const proto::ProtocolStats* attacker_stats() const;
   [[nodiscard]] std::uint64_t events_processed() const {
     return exec_.total_events();
-  }
-
-  [[nodiscard]] std::size_t station_count() const { return stations_.size(); }
-  [[nodiscard]] proto::Station& station(std::size_t i) {
-    return *stations_[i];
   }
 
   /// Merged view of every shard registry (plus the control registry);
@@ -87,18 +88,11 @@ class ParallelNetwork {
   [[nodiscard]] std::unique_ptr<trace::EventTrace> merged_trace() const;
 
  private:
+  friend RunResult collect_result(ParallelNetwork& net, double wall_seconds);
+
   void build_stations();
-  void arm();
-  void schedule_environment();
-  void clock_stress_tick();
-  void schedule_sampling();
-  void sampling_tick();
-  void sample_clock_spread();
-  [[nodiscard]] std::optional<std::size_t> current_reference_index() const;
-  [[nodiscard]] sim::Simulator& control() { return exec_.control(); }
   void publish_shard_metrics();
 
-  Scenario scenario_;
   sim::ShardExecutor exec_;
   /// Per shard: trace, instruments and profiler (shard_observers_[s]);
   /// the control bundle holds the sampling-side instruments and the
@@ -109,21 +103,12 @@ class ParallelNetwork {
   /// One key directory per shard (verification caches are per-receiver-
   /// shard); each holds the chains of every node audible to that shard.
   std::vector<std::unique_ptr<core::KeyDirectory>> directories_;
-  std::vector<std::unique_ptr<proto::Station>> stations_;  // global id order
-  std::size_t attacker_index_;  // == stations_.size() when no attacker
-  std::vector<clk::DriftStressor> stressors_;  // per honest node, if stressed
-  metrics::Series max_diff_;
-  std::vector<double> sample_values_;  // reused per sampling tick
-  bool armed_{false};
+  Deployment deployment_;  // last: its stations borrow everything above
 };
 
 /// Collects a finished ParallelNetwork run into a RunResult (the sharded
 /// counterpart of collect_result(Network&, double)).
 [[nodiscard]] RunResult collect_result(ParallelNetwork& net,
                                        double wall_seconds);
-
-/// Builds, runs and collects a sharded scenario (the --threads > 0 path of
-/// run_scenario).
-[[nodiscard]] RunResult run_parallel_scenario(const Scenario& scenario);
 
 }  // namespace sstsp::run

@@ -130,9 +130,32 @@ TEST(Cli, RejectsBadInput) {
   EXPECT_FALSE(parse({"--duration", "abc"}, &err).has_value());
   EXPECT_FALSE(parse({"--per", "1.5"}, &err).has_value());
   EXPECT_FALSE(parse({"--churn", "1,2"}, &err).has_value());
+  // Out-of-range environment input: a zero or negative period would loop
+  // the churn schedule forever, a negative fraction wraps the leaver count.
+  EXPECT_FALSE(parse({"--churn", "0,0.05,1"}, &err).has_value());
+  EXPECT_FALSE(parse({"--churn", "-5,0.05,1"}, &err).has_value());
+  EXPECT_FALSE(parse({"--churn", "1,-0.5,1"}, &err).has_value());
+  EXPECT_FALSE(parse({"--churn", "1,1.5,1"}, &err).has_value());
+  EXPECT_FALSE(parse({"--churn", "1,0.05,-1"}, &err).has_value());
+  EXPECT_NE(err.find("period > 0"), std::string::npos) << err;
+  EXPECT_TRUE(parse({"--churn", "1,1,0"}).has_value());
+  EXPECT_FALSE(parse({"--departures", "3,-1"}, &err).has_value());
+  EXPECT_EQ(err, "--departures needs times >= 0");
   EXPECT_FALSE(parse({"--attack-window", "50,40"}, &err).has_value());
   EXPECT_FALSE(parse({"--frobnicate"}, &err).has_value());
   EXPECT_NE(err.find("unknown option"), std::string::npos);
+}
+
+TEST(Cli, ConfigFileEnvironmentGoesThroughTheSameChecks) {
+  const std::string path = ::testing::TempDir() + "cli_churn_config.json";
+  std::ofstream(path) << R"({"churn": [0, 0.05, 1]})";
+  std::string err;
+  EXPECT_FALSE(parse({"--config", path}, &err).has_value());
+  EXPECT_NE(err.find("--churn needs"), std::string::npos) << err;
+  std::ofstream(path) << R"({"churn": [1, 0.05, 1], "departures": [-2]})";
+  EXPECT_FALSE(parse({"--config", path}, &err).has_value());
+  EXPECT_EQ(err, "--departures needs times >= 0");
+  std::remove(path.c_str());
 }
 
 TEST(Cli, ExplicitChainLengthWins) {

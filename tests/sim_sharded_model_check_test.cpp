@@ -151,6 +151,69 @@ TEST(ShardedModelCheck, ChurnedControlTimelineMatchesLegacyKernel) {
                                                 /*churn=*/true));
 }
 
+// The rest of the shared environment timeline on the control simulator:
+// reference departures and per-node clock stress next to churn.
+TEST(ShardedModelCheck, DeparturesAndClockStressMatchLegacyKernel) {
+  Scenario s = deterministic_channel_scenario(/*seed=*/9, /*nodes=*/20,
+                                              /*radio_range_m=*/0.0,
+                                              /*churn=*/true);
+  s.duration_s = 8.0;
+  s.reference_departures_s = {3.0, 5.5};
+  s.departure_absence_s = 1.0;
+  s.clock_stress.kind = clk::DriftStressKind::kRandomWalk;
+  s.clock_stress.period_s = 0.5;
+  check_scenario(s);
+}
+
+// The attacker station: its drift draw, its adversary from the shared
+// protocol factory, and the honest/attacker stats split.
+TEST(ShardedModelCheck, AdversariesMatchLegacyKernel) {
+  {
+    SCOPED_TRACE("internal-ref");
+    Scenario s = deterministic_channel_scenario(/*seed=*/13, /*nodes=*/18,
+                                                /*radio_range_m=*/40.0,
+                                                /*churn=*/false);
+    s.attack = "internal-ref";
+    s.sstsp_attack.start_s = 2.0;
+    s.sstsp_attack.end_s = 5.0;
+    s.preestablished_reference = true;
+    check_scenario(s);
+  }
+  {
+    SCOPED_TRACE("replay");
+    Scenario s = deterministic_channel_scenario(/*seed=*/21, /*nodes=*/16,
+                                                /*radio_range_m=*/0.0,
+                                                /*churn=*/false);
+    s.attack = "replay";
+    s.sstsp_attack.start_s = 2.0;
+    s.sstsp_attack.end_s = 5.0;
+    check_scenario(s);
+  }
+  {
+    SCOPED_TRACE("tsf-slow");
+    Scenario s = deterministic_channel_scenario(/*seed=*/4, /*nodes=*/14,
+                                                /*radio_range_m=*/0.0,
+                                                /*churn=*/false);
+    s.protocol = ProtocolKind::kTsf;
+    s.attack = "tsf-slow";
+    s.tsf_attack.start_s = 2.0;
+    s.tsf_attack.end_s = 5.0;
+    check_scenario(s);
+  }
+}
+
+// The shared protocol factory beyond SSTSP, under churn.
+TEST(ShardedModelCheck, TsfFamilyUnderChurnMatchesLegacyKernel) {
+  for (const ProtocolKind kind : {ProtocolKind::kTsf, ProtocolKind::kSatsf}) {
+    SCOPED_TRACE(static_cast<int>(kind));
+    Scenario s = deterministic_channel_scenario(/*seed=*/4, /*nodes=*/14,
+                                                /*radio_range_m=*/0.0,
+                                                /*churn=*/true);
+    s.protocol = kind;
+    check_scenario(s);
+  }
+}
+
 // 150 stations in a disc under five radio ranges across: a third or more
 // of the frames collide, so the interference verdicts and carrier-sense
 // probes routinely see several concurrent transmissions.
