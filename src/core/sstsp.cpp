@@ -274,6 +274,8 @@ void Sstsp::finish_coarse() {
 }
 
 bool Sstsp::is_blacklisted(mac::NodeId sender) const {
+  // Only note_rejection blacklists, and it never does at threshold <= 0.
+  if (cfg_.blacklist_threshold <= 0) return false;
   const auto it = tracks_.find(sender);
   return it != tracks_.end() &&
          it->second.blacklisted_until_hw_us > station_.hw_us_now();

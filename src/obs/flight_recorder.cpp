@@ -41,14 +41,10 @@ std::string flight_sample_line(const TelemetrySample& sample,
 
 void FlightRecorder::on_trace_event(const trace::TraceEvent& event) {
   ++events_recorded_;
-  if (cfg_.event_capacity == 0) return;
-  if (events_.size() == cfg_.event_capacity) events_.pop_front();
   events_.push_back(event);
 }
 
 void FlightRecorder::on_sample(const TelemetrySample& sample) {
-  if (cfg_.sample_capacity == 0) return;
-  if (samples_.size() == cfg_.sample_capacity) samples_.pop_front();
   samples_.push_back(sample);
 }
 

@@ -25,10 +25,10 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <string_view>
 
 #include "obs/invariants.h"
+#include "obs/ring.h"
 #include "obs/telemetry.h"
 #include "trace/event_trace.h"
 
@@ -47,7 +47,10 @@ class FlightRecorder {
   /// The sink is borrowed and must outlive the recorder; nullptr disables
   /// dumping (events are still retained, for tests to inspect).
   FlightRecorder(const Config& config, JsonlSink* sink)
-      : cfg_(config), sink_(sink) {}
+      : cfg_(config),
+        sink_(sink),
+        events_(config.event_capacity),
+        samples_(config.sample_capacity) {}
 
   /// Ring-buffer push; oldest event evicted at capacity.
   void on_trace_event(const trace::TraceEvent& event);
@@ -77,15 +80,15 @@ class FlightRecorder {
   [[nodiscard]] std::uint64_t audit_dumps_suppressed() const {
     return audit_suppressed_;
   }
-  [[nodiscard]] const std::deque<trace::TraceEvent>& events() const {
+  [[nodiscard]] const Ring<trace::TraceEvent>& events() const {
     return events_;
   }
 
  private:
   Config cfg_;
   JsonlSink* sink_;
-  std::deque<trace::TraceEvent> events_;
-  std::deque<TelemetrySample> samples_;
+  Ring<trace::TraceEvent> events_;
+  Ring<TelemetrySample> samples_;
   std::uint64_t events_recorded_{0};
   std::uint64_t dumps_{0};
   std::uint64_t audit_dumps_{0};

@@ -311,20 +311,18 @@ void InvariantMonitor::on_key_accepted(mac::NodeId node, mac::NodeId sender,
   // one interval both carry K_{j-1} (as do duplicated frames under the
   // fault layer's dup plans); only going backwards breaks the one-way
   // chain property.
-  auto [it, inserted] =
-      chain_tip_.try_emplace(std::make_pair(node, sender), key_index);
+  auto [tip, inserted] = chain_tip_.try_emplace(
+      (static_cast<std::uint64_t>(node) << 32) | sender, key_index);
   if (!inserted) {
-    if (key_index < it->second) {
+    if (key_index < *tip) {
       std::ostringstream detail;
       detail << "accepted chain index " << key_index
-             << " after already accepting " << it->second
-             << " from the same sender";
+             << " after already accepting " << *tip << " from the same sender";
       violate(InvariantKind::kChainRegression, Severity::kCritical, node,
-              sender, now,
-              static_cast<double>(it->second - key_index) * cfg_.bp_us,
+              sender, now, static_cast<double>(*tip - key_index) * cfg_.bp_us,
               0.0, detail.str());
     } else {
-      it->second = key_index;
+      *tip = key_index;
     }
   }
 }

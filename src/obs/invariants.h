@@ -57,6 +57,7 @@
 #include <vector>
 
 #include "mac/phy_params.h"
+#include "obs/flat_map.h"
 #include "sim/time_types.h"
 #include "trace/event_trace.h"
 
@@ -326,8 +327,8 @@ class InvariantMonitor {
   sim::SimTime last_role_event_{sim::SimTime::never()};
 
   // µTESLA chain monotonicity: newest accepted key index per
-  // (receiver, sender).
-  std::map<std::pair<mac::NodeId, mac::NodeId>, std::int64_t> chain_tip_;
+  // (receiver, sender), keyed by receiver << 32 | sender.
+  FlatMap<std::int64_t> chain_tip_;
 
   // Reference-uniqueness: the newest interval a confirmed reference
   // emitted in, and who it was — per cluster, since every broadcast

@@ -108,21 +108,31 @@ Writer& Writer::value(double v) {
     os_ << static_cast<long long>(v);
     return *this;
   }
-  // Shortest round-trippable representation.
+  // Shortest round-trippable %g form: the fewest significant digits p for
+  // which "%.{p}g" parses back to v, else "%.17g".  The shortest scientific
+  // form's digit count is a lower bound on p (no shorter decimal reads back
+  // as v); rounding to that many digits can still miss next to a power of
+  // two, where the rounding interval is lopsided, so probe upwards from it.
   char buf[32];
-  const int n = std::snprintf(buf, sizeof buf, "%.17g", v);
-  double back = 0.0;
-  std::sscanf(buf, "%lf", &back);
-  for (int prec = 1; prec < 17; ++prec) {
-    char shorter[32];
-    std::snprintf(shorter, sizeof shorter, "%.*g", prec, v);
-    std::sscanf(shorter, "%lf", &back);
+  const auto shortest = std::to_chars(buf, buf + sizeof buf, v,
+                                      std::chars_format::scientific);
+  int precision = 0;
+  for (const char* c = buf; c != shortest.ptr && *c != 'e'; ++c) {
+    if (*c >= '0' && *c <= '9') ++precision;
+  }
+  for (; precision < 17; ++precision) {
+    const auto r = std::to_chars(buf, buf + sizeof buf, v,
+                                 std::chars_format::general, precision);
+    double back = 0.0;
+    std::from_chars(buf, r.ptr, back);
     if (back == v) {
-      os_ << shorter;
+      os_.write(buf, r.ptr - buf);
       return *this;
     }
   }
-  os_.write(buf, n);
+  const auto r =
+      std::to_chars(buf, buf + sizeof buf, v, std::chars_format::general, 17);
+  os_.write(buf, r.ptr - buf);
   return *this;
 }
 

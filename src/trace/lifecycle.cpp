@@ -1,10 +1,12 @@
 #include "trace/lifecycle.h"
 
+#include <algorithm>
+
 namespace sstsp::trace {
 
 BeaconLifecycle::BeaconLifecycle(obs::Registry& registry,
                                  std::size_t capacity)
-    : capacity_(capacity),
+    : order_(std::max<std::size_t>(capacity, 1)),
       traced_(&registry.counter("beacon.traced")),
       rx_(&registry.counter("beacon.rx")),
       auth_ok_(&registry.counter("beacon.auth_ok")),
@@ -17,18 +19,9 @@ BeaconLifecycle::BeaconLifecycle(obs::Registry& registry,
 void BeaconLifecycle::note_tx(const TraceEvent& event) {
   ++tracked_;
   traced_->inc();
-  if (spans_.size() >= capacity_ && !order_.empty()) {
-    spans_.erase(order_.front());
-    order_.pop_front();
-  }
-  spans_[event.trace_id] = TxSpan{event.time, event.node};
-  order_.push_back(event.trace_id);
-}
-
-const BeaconLifecycle::TxSpan* BeaconLifecycle::find(
-    std::uint64_t trace_id) const {
-  const auto it = spans_.find(trace_id);
-  return it == spans_.end() ? nullptr : &it->second;
+  if (order_.full()) spans_.erase(order_.front());
+  order_.push_back(event.trace_id);  // overwrites the evicted front
+  spans_.insert_or_assign(event.trace_id, TxSpan{event.time, event.node});
 }
 
 void BeaconLifecycle::on_event(const TraceEvent& event) {
@@ -39,19 +32,19 @@ void BeaconLifecycle::on_event(const TraceEvent& event) {
       break;
     case EventKind::kBeaconRx:
       rx_->inc();
-      if (const TxSpan* tx = find(event.trace_id)) {
+      if (const TxSpan* tx = spans_.find(event.trace_id)) {
         tx_to_rx_us_->record((event.time - tx->tx_time).to_us());
       }
       break;
     case EventKind::kAuthOk:
       auth_ok_->inc();
-      if (const TxSpan* tx = find(event.trace_id)) {
+      if (const TxSpan* tx = spans_.find(event.trace_id)) {
         tx_to_auth_us_->record((event.time - tx->tx_time).to_us());
       }
       break;
     case EventKind::kAdjustment:
       adjust_->inc();
-      if (const TxSpan* tx = find(event.trace_id)) {
+      if (const TxSpan* tx = spans_.find(event.trace_id)) {
         tx_to_adjust_us_->record((event.time - tx->tx_time).to_us());
       }
       break;

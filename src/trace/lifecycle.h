@@ -19,20 +19,23 @@
 //
 // Memory is bounded: the tracker keeps the newest `capacity` in-flight
 // transmissions (FIFO eviction); events for evicted or pre-attachment
-// IDs only bump the outcome counters.
+// IDs only bump the outcome counters.  Every event costs one flat-table
+// probe; the span table and the eviction ring grow on demand up to the
+// capacity.
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <unordered_map>
 
+#include "obs/flat_map.h"
 #include "obs/metrics.h"
+#include "obs/ring.h"
 #include "trace/event_trace.h"
 
 namespace sstsp::trace {
 
 class BeaconLifecycle {
  public:
+  /// Keeps the newest max(capacity, 1) spans.
   explicit BeaconLifecycle(obs::Registry& registry,
                            std::size_t capacity = 4096);
 
@@ -51,11 +54,9 @@ class BeaconLifecycle {
   };
 
   void note_tx(const TraceEvent& event);
-  [[nodiscard]] const TxSpan* find(std::uint64_t trace_id) const;
 
-  std::size_t capacity_;
-  std::unordered_map<std::uint64_t, TxSpan> spans_;
-  std::deque<std::uint64_t> order_;  // FIFO eviction
+  obs::FlatMap<TxSpan> spans_;
+  obs::Ring<std::uint64_t> order_;  // FIFO eviction
   std::uint64_t tracked_{0};
 
   // Pre-resolved handles (obs::Instruments discipline).

@@ -69,6 +69,49 @@ TEST(FlightRecorder, RingEvictsOldestAtCapacity) {
   EXPECT_EQ(recorder.events().back().trace_id, 20u);
 }
 
+TEST(FlightRecorder, WrappedRingDumpsTheNewestCapacityPushesInOrder) {
+  const std::string path = temp_path("flight_wrap.jsonl");
+  JsonlSink sink;
+  std::string error;
+  ASSERT_TRUE(sink.open(path, &error)) << error;
+
+  FlightRecorder::Config cfg;
+  cfg.event_capacity = 16;
+  cfg.sample_capacity = 4;
+  FlightRecorder recorder(cfg, &sink);
+  // 2.5 x capacity: the ring wraps twice and stops mid-way round.
+  for (std::uint64_t i = 1; i <= 40; ++i) {
+    recorder.on_trace_event(event_at(static_cast<double>(i), i));
+  }
+  for (int i = 1; i <= 10; ++i) {
+    TelemetrySample sample;
+    sample.t_s = i;
+    recorder.on_sample(sample);
+  }
+  recorder.dump(41.0, "dump-request", nullptr);
+
+  std::vector<double> events;
+  std::vector<double> samples;
+  for (const auto& line : parse_lines(path)) {
+    if (type_of(line) == "event") {
+      events.push_back(line.find("trace_id")->number);
+    } else if (type_of(line) == "telemetry") {
+      samples.push_back(line.find("t_s")->number);
+    }
+  }
+  std::vector<double> want_events;
+  for (int i = 25; i <= 40; ++i) want_events.push_back(i);
+  EXPECT_EQ(events, want_events);
+  EXPECT_EQ(samples, (std::vector<double>{7, 8, 9, 10}));
+
+  std::vector<double> retained;
+  for (const trace::TraceEvent& e : recorder.events()) {
+    retained.push_back(static_cast<double>(e.trace_id));
+  }
+  EXPECT_EQ(retained, want_events);
+  std::remove(path.c_str());
+}
+
 TEST(FlightRecorder, DumpWritesFramedJsonlWithFlightSeqTags) {
   const std::string path = temp_path("flight_dump.jsonl");
   JsonlSink sink;

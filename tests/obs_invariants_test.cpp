@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <set>
 #include <sstream>
 #include <vector>
 
@@ -82,6 +83,51 @@ TEST(InvariantMonitor, ChainRegressionIsCritical) {
   EXPECT_EQ(rec->severity, Severity::kCritical);
   EXPECT_EQ(rec->node, 1u);
   EXPECT_EQ(rec->peer, 9u);
+}
+
+TEST(InvariantMonitor, ChainRegressionIsTrackedPerOrderedPairOfWideIds) {
+  InvariantConfig cfg;
+  InvariantMonitor mon{cfg};
+  // 200 ordered (receiver, sender) pairs of ids above 65 535: all share
+  // their low 16 bits, and both (a, b) and (b, a) occur for a, b < 10.
+  std::vector<std::pair<mac::NodeId, mac::NodeId>> pairs;
+  for (mac::NodeId i = 0; i < 200; ++i) {
+    pairs.emplace_back(65536u * (1 + i % 10) + 7, 65536u * (1 + i / 10) + 7);
+  }
+  auto accept = [&](mac::NodeId node, mac::NodeId sender, std::size_t key,
+                    double t_s) {
+    // Inside key `key`'s disclosure window, so only the chain check fires.
+    const double local_us =
+        cfg.t0_us + static_cast<double>(key + 1) * cfg.bp_us;
+    mon.on_key_accepted(node, sender, static_cast<std::int64_t>(key),
+                        local_us, at_s(t_s));
+  };
+  // Pair i sits at chain index 10 + i, so two pairs sharing one tip would
+  // read as a regression of one of them.
+  for (std::size_t i = 0; i < pairs.size(); ++i) {
+    accept(pairs[i].first, pairs[i].second, 10 + i, 1.0);
+  }
+  // Re-accepting the same index is legitimate µTESLA.
+  for (std::size_t i = 0; i < pairs.size(); ++i) {
+    accept(pairs[i].first, pairs[i].second, 10 + i, 1.1);
+  }
+  EXPECT_TRUE(mon.report().clean());
+
+  for (std::size_t i = 0; i < pairs.size(); ++i) {
+    accept(pairs[i].first, pairs[i].second, 9 + i, 1.2);
+  }
+  const auto report = mon.report();
+  std::set<std::pair<mac::NodeId, mac::NodeId>> flagged;
+  for (const auto& r : report.records) {
+    ASSERT_EQ(r.kind, InvariantKind::kChainRegression);
+    EXPECT_EQ(r.count, 1u);
+    EXPECT_TRUE(flagged.emplace(r.node, r.peer).second);
+  }
+  const std::set<std::pair<mac::NodeId, mac::NodeId>> all(pairs.begin(),
+                                                          pairs.end());
+  EXPECT_EQ(flagged, all);
+  EXPECT_EQ(report.dropped_records, 0u);
+  EXPECT_EQ(mon.total_violations(), 200u);
 }
 
 TEST(InvariantMonitor, KeyAcceptedOutsideDisclosureWindowIsCritical) {

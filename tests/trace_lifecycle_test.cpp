@@ -4,8 +4,13 @@
 // histograms.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
+#include <random>
 #include <set>
 #include <sstream>
+#include <unordered_map>
+#include <vector>
 
 #include "obs/export.h"
 #include "obs/json.h"
@@ -157,6 +162,99 @@ TEST(BeaconLifecycle, EvictionKeepsCountersButDropsSpans) {
   EXPECT_EQ(lifecycle.tracked(), 3u);
   EXPECT_EQ(registry.counter("beacon.rx").value(), 2u);
   EXPECT_EQ(registry.histogram("beacon.tx_to_rx_us").count(), 1u);
+}
+
+TEST(BeaconLifecycle, WrappedRingEvictsSpansFifo) {
+  obs::Registry registry;
+  BeaconLifecycle lifecycle(registry, /*capacity=*/4);
+  TraceEvent e;
+  e.node = 0;
+  e.kind = EventKind::kBeaconTx;
+  // 14 transmissions through 4 slots: three wraps and a half; the span of
+  // id i starts at i ms.
+  for (std::uint64_t id = 1; id <= 14; ++id) {
+    e.time = sim::SimTime::from_sec_double(static_cast<double>(id) * 1e-3);
+    e.trace_id = id;
+    lifecycle.on_event(e);
+  }
+  // Every id is received at 100 ms; only the newest four (11..14) still
+  // have a span to measure from.
+  e.kind = EventKind::kBeaconRx;
+  e.node = 1;
+  e.time = sim::SimTime::from_sec_double(0.1);
+  for (std::uint64_t id = 1; id <= 14; ++id) {
+    e.trace_id = id;
+    lifecycle.on_event(e);
+  }
+  EXPECT_EQ(lifecycle.tracked(), 14u);
+  EXPECT_EQ(registry.counter("beacon.rx").value(), 14u);
+  const obs::Histogram& rx = registry.histogram("beacon.tx_to_rx_us");
+  EXPECT_EQ(rx.count(), 4u);
+  EXPECT_DOUBLE_EQ(rx.max(), 89000.0);  // id 11
+  EXPECT_DOUBLE_EQ(rx.min(), 86000.0);  // id 14
+
+  // A fifth new span evicts id 11, the oldest, and nothing else.
+  e.kind = EventKind::kBeaconTx;
+  e.node = 0;
+  e.time = sim::SimTime::from_sec_double(0.2);
+  e.trace_id = 15;
+  lifecycle.on_event(e);
+  e.kind = EventKind::kAuthOk;
+  e.node = 1;
+  e.time = sim::SimTime::from_sec_double(0.3);
+  for (std::uint64_t id = 11; id <= 15; ++id) {
+    e.trace_id = id;
+    lifecycle.on_event(e);
+  }
+  EXPECT_EQ(registry.histogram("beacon.tx_to_auth_us").count(), 4u);
+  EXPECT_DOUBLE_EQ(registry.histogram("beacon.tx_to_auth_us").max(),
+                   288000.0);  // id 12
+}
+
+TEST(BeaconLifecycle, MatchesAQueueAndMapModelOnRandomIds) {
+  // Scattered 64-bit ids through a small window exercise every probe and
+  // erase path of the span table; a deque + map model says which rx events
+  // still find their span, and from which tx time.
+  obs::Registry registry;
+  constexpr std::size_t kCapacity = 64;
+  BeaconLifecycle lifecycle(registry, kCapacity);
+  std::mt19937_64 rng(64);
+  std::vector<std::uint64_t> sent;
+  std::deque<std::uint64_t> window;
+  std::unordered_map<std::uint64_t, sim::SimTime> open;
+  obs::Registry model;
+  obs::Histogram& want = model.histogram("want");
+  TraceEvent e;
+  for (int step = 0; step < 20000; ++step) {
+    e.time = sim::SimTime::from_sec_double(step * 1e-3);
+    if (sent.empty() || rng() % 3 == 0) {
+      const std::uint64_t id = rng() | 1;  // nonzero, distinct in practice
+      e.kind = EventKind::kBeaconTx;
+      e.trace_id = id;
+      lifecycle.on_event(e);
+      sent.push_back(id);
+      if (window.size() == kCapacity) {
+        open.erase(window.front());
+        window.pop_front();
+      }
+      window.push_back(id);
+      open.emplace(id, e.time);
+    } else {
+      e.kind = EventKind::kBeaconRx;
+      // Half of the recent ids are still open, half already evicted.
+      const std::size_t back = rng() % std::min(sent.size(), 2 * kCapacity);
+      e.trace_id = sent[sent.size() - 1 - back];
+      lifecycle.on_event(e);
+      if (const auto it = open.find(e.trace_id); it != open.end()) {
+        want.record((e.time - it->second).to_us());
+      }
+    }
+  }
+  EXPECT_GT(want.count(), 1000u);
+  const obs::Histogram& rx = registry.histogram("beacon.tx_to_rx_us");
+  EXPECT_EQ(rx.count(), want.count());
+  EXPECT_EQ(rx.sum(), want.sum());
+  EXPECT_EQ(rx.max(), want.max());
 }
 
 TEST(BeaconLifecycle, ZeroTraceIdEventsAreIgnored) {
