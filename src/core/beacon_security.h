@@ -17,11 +17,10 @@
 // (core/sstsp.h) owns 1 and 4 because they need the local clock.
 #pragma once
 
+#include <array>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <optional>
-#include <unordered_map>
 
 #include "core/key_directory.h"
 #include "crypto/mutesla.h"
@@ -50,6 +49,7 @@ struct PipelineResult {
 
 /// Per-sender µTESLA receiver state: verifier cache plus the short beacon
 /// buffer (the paper notes nodes buffer the beacons of the last 2 BPs).
+/// Both are held inline, so a heard sender's pipeline owns no heap memory.
 class SenderPipeline {
  public:
   SenderPipeline(crypto::Digest anchor, crypto::MuTeslaSchedule schedule,
@@ -92,14 +92,22 @@ class SenderPipeline {
     std::uint64_t trace_id;
   };
 
+  /// Drops the `count` oldest buffered beacons.
+  void drop_oldest(std::size_t count);
+
+  static constexpr std::size_t kBufferSlots = 2;  // the last 2 intervals
+
   crypto::MuTeslaVerifier verifier_;
-  std::deque<StoredBeacon> buffer_;  // at most the last 2 intervals
+  std::array<StoredBeacon, kBufferSlots> buffer_{};  // oldest first
+  std::size_t buffered_{0};                          // live slots
 };
 
 /// Signer wrapper: lazily builds the chain walker the first time the node
 /// actually transmits (most nodes never become reference, and the walker
-/// costs n hash invocations to bootstrap).  The walker lives out of line so
-/// the stations that never sign carry one pointer, not its storage.
+/// costs n - j hash invocations to bootstrap when the first signed interval
+/// is j: keys of later intervals sit lower on the chain, so the walk stops
+/// at K_j).  The walker lives out of line so the stations that never sign
+/// carry one pointer, not its storage.
 class BeaconSigner {
  public:
   BeaconSigner(crypto::ChainParams chain, crypto::MuTeslaSchedule schedule)

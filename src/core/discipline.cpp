@@ -290,10 +290,11 @@ class HoldoverDiscipline final : public ClockDiscipline {
 std::optional<DisciplineVerdict> ClockDiscipline::add_sample(
     const RefSample& sample, double bp_us) {
   last_bp_us_ = bp_us;
-  samples_.push_back(sample);
   const int window = std::max(1, history_window_bps());
-  const auto cap = static_cast<std::size_t>(window) + 1;
-  while (samples_.size() > cap) samples_.pop_front();
+  if (samples_.capacity() == 0) {
+    samples_ = obs::Ring<RefSample>(static_cast<std::size_t>(window) + 1);
+  }
+  samples_.push_back(sample);  // a full ring drops its oldest sample
   const double max_age_us =
       (static_cast<double>(window) + kEpochGapSlackBps) * bp_us;
   bool epoch_break = false;

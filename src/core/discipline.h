@@ -26,15 +26,18 @@
 //               drought leaves a single fresh sample, it coasts on the last
 //               fitted rate instead of waiting for a second beacon.
 //
-// Sample-history ownership: the deque the protocol used to keep per sender
-// lives in the discipline base class now.  Capacity and the epoch age-out
-// horizon both derive from the discipline's declared window W: W+1 samples
-// are retained and an entry older than (W + kEpochGapSlackBps) beacon
-// periods behind the newest is treated as a previous clock epoch and
-// dropped — RLS asks for deeper history without touching protocol code.
+// Sample-history ownership: the per-sender sample history lives in the
+// discipline base class, as a ring of W+1 samples (obs::Ring) sized and
+// allocated on the first add_sample — the window is virtual, so it cannot
+// be asked at construction, and a sender that never authenticates a beacon
+// costs no history storage.  Capacity and the epoch age-out horizon both
+// derive from the discipline's declared window W: W+1 samples are retained
+// and an entry older than (W + kEpochGapSlackBps) beacon periods behind the
+// newest is treated as a previous clock epoch and dropped — RLS asks for
+// deeper history without touching protocol code.  Appending, ageing out and
+// the estimators' oldest-first re-ingest are O(1) per sample.
 #pragma once
 
-#include <deque>
 #include <memory>
 #include <optional>
 #include <string>
@@ -43,6 +46,7 @@
 
 #include "core/adjustment.h"
 #include "obs/json.h"
+#include "obs/ring.h"
 
 namespace sstsp::core {
 
@@ -59,6 +63,8 @@ class ClockDiscipline {
 
   /// Declared history window W in authenticated beacons: W+1 samples are
   /// retained, entries aging past (W + kEpochGapSlackBps) BPs are dropped.
+  /// Fixed for the discipline's lifetime: the history is sized from it at
+  /// the first add_sample.
   [[nodiscard]] virtual int history_window_bps() const = 0;
 
   /// Samples required before propose() can be asked at all.
@@ -67,7 +73,7 @@ class ClockDiscipline {
   /// Feeds one authenticated sample (newest) and prunes history to the
   /// declared window; `bp_us` is the beacon period.  Returns a verdict only
   /// when the discipline screened the sample out (e.g. innovation gating) —
-  /// the sample still enters the history deque either way.
+  /// the sample still enters the history either way.
   std::optional<DisciplineVerdict> add_sample(const RefSample& sample,
                                               double bp_us);
 
@@ -81,13 +87,14 @@ class ClockDiscipline {
   /// Drops all history and estimator state (coarse restart, epoch change).
   void reset();
 
-  [[nodiscard]] const std::deque<RefSample>& samples() const {
+  /// Retained samples, oldest first.
+  [[nodiscard]] const obs::Ring<RefSample>& samples() const {
     return samples_;
   }
   [[nodiscard]] std::size_t size() const { return samples_.size(); }
 
  protected:
-  /// Estimator ingest hook; runs after `sample` is appended and the deque
+  /// Estimator ingest hook; runs after `sample` is appended and the history
   /// pruned.  Return a verdict to report the sample as screened out.
   virtual std::optional<DisciplineVerdict> on_sample(
       const RefSample& /*sample*/) {
@@ -98,8 +105,8 @@ class ClockDiscipline {
   virtual void on_epoch_break() {}
   virtual void on_reset() {}
 
-  std::deque<RefSample> samples_;  // newest at back
-  double last_bp_us_{0.0};         // beacon period seen by add_sample
+  obs::Ring<RefSample> samples_;  // newest at back; W+1 slots once used
+  double last_bp_us_{0.0};        // beacon period seen by add_sample
 };
 
 /// Builds the discipline selected by cfg.discipline (default: "paper").

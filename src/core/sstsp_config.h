@@ -18,8 +18,8 @@ struct DisciplineConfig {
   std::string name{};
 
   /// RLS: authenticated-beacon history window.  Deeper windows keep the
-  /// regression conditioned across droughts; the deque capacity and the
-  /// epoch age-out horizon both derive from it (discipline.h).
+  /// regression conditioned across droughts; the sample ring's capacity
+  /// and the epoch age-out horizon both derive from it (discipline.h).
   int window_bps = 16;
 
   /// RLS: forgetting factor lambda in (0, 1]; 1 never forgets, smaller

@@ -4,13 +4,18 @@
 // nested-config plumbing.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
+#include <deque>
 #include <string>
 #include <vector>
 
 #include "core/discipline.h"
 #include "obs/json.h"
+#include "obs/ring.h"
 #include "sim/rng.h"
 
 namespace sstsp::core {
@@ -365,6 +370,204 @@ TEST(Discipline, ApplyJsonRejectsUnknownNestedKey) {
   SstspConfig cfg2;
   EXPECT_FALSE(apply_discipline_json(*inverted, &cfg2, &error));
   EXPECT_NE(error.find("k-min"), std::string::npos);
+}
+
+TEST(SampleRing, MatchesABoundedDequeUnderPushPopAndClear) {
+  // Capacities below, at and above the ring's first storage step (8), so
+  // storage also grows while the live elements wrap around it.
+  for (const std::size_t cap : {1u, 2u, 3u, 8u, 9u, 17u, 40u}) {
+    obs::Ring<int> ring(cap);
+    std::deque<int> model;
+    sim::Rng rng(cap);
+    for (int step = 0; step < 20000; ++step) {
+      const std::uint64_t op = rng.uniform_int(0, 99);
+      if (op < 60) {
+        ring.push_back(step);
+        model.push_back(step);
+        if (model.size() > cap) model.pop_front();
+      } else if (op < 99) {
+        if (!model.empty()) {
+          ring.pop_front();
+          model.pop_front();
+        }
+      } else {
+        ring.clear();
+        model.clear();
+      }
+      ASSERT_EQ(ring.size(), model.size()) << "cap " << cap;
+      ASSERT_EQ(ring.full(), model.size() == cap);
+      std::size_t i = 0;
+      for (const int v : ring) ASSERT_EQ(v, model[i++]) << "cap " << cap;
+      if (!model.empty()) {
+        ASSERT_EQ(ring.front(), model.front());
+        ASSERT_EQ(ring.back(), model.back());
+      }
+    }
+  }
+}
+
+/// The per-sender history as a deque, as add_sample kept it before the
+/// ring: append, trim to W+1, then age out what lies more than
+/// (W + kEpochGapSlackBps) beacon periods behind the newest.
+struct DequeHistory {
+  std::size_t capacity;
+  double max_age_us;
+  std::deque<RefSample> samples;
+
+  /// Returns whether the age-out dropped a previous clock epoch.
+  bool add(const RefSample& s) {
+    samples.push_back(s);
+    while (samples.size() > capacity) samples.pop_front();
+    bool epoch_break = false;
+    while (samples.size() > 1 &&
+           samples.back().t_local_us - samples.front().t_local_us >
+               max_age_us) {
+      samples.pop_front();
+      epoch_break = true;
+    }
+    return epoch_break;
+  }
+};
+
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+bool same_result(const DisciplineResult& a, const DisciplineResult& b) {
+  if (a.verdict != b.verdict || a.params.has_value() != b.params.has_value() ||
+      !same_bits(a.expected_t_star_us, b.expected_t_star_us)) {
+    return false;
+  }
+  return !a.params || (same_bits(a.params->k, b.params->k) &&
+                       same_bits(a.params->b, b.params->b));
+}
+
+/// The holdover discipline's proposal, recomputed from the deque history
+/// and the rate memory the model keeps alongside it.
+struct HoldoverModel {
+  bool has_rate{false};
+  double rate{1.0};
+  double anchor_t_us{0.0};
+
+  DisciplineResult propose(const std::deque<RefSample>& h,
+                           const ClockParams& previous, double t_now_us,
+                           double target_us, const SstspConfig& cfg) {
+    if (h.size() >= 2) {
+      DisciplineResult out = solve_adjustment(previous, t_now_us, h.back(),
+                                              h.front(), target_us, cfg);
+      if (out.params) {
+        rate = (h.back().t_local_us - h.front().t_local_us) /
+               (h.back().ts_ref_us - h.front().ts_ref_us);
+        anchor_t_us = h.back().t_local_us;
+        has_rate = true;
+      }
+      return out;
+    }
+    DisciplineResult out;
+    const RefSample& s = h.back();
+    const double max_age_us =
+        static_cast<double>(std::max(1, cfg.discipline.holdover_max_age_bps)) *
+        kBpUs;
+    if (!has_rate || s.t_local_us - anchor_t_us > max_age_us) {
+      out.verdict = DisciplineVerdict::kInsufficientHistory;
+      return out;
+    }
+    const double t_star = s.t_local_us + rate * (target_us - s.ts_ref_us);
+    out.expected_t_star_us = t_star;
+    if (t_star <= t_now_us) {
+      out.verdict = DisciplineVerdict::kTargetNotAhead;
+      return out;
+    }
+    const double c_now = previous.eval(t_now_us);
+    const double k = (target_us - c_now) / (t_star - t_now_us);
+    if (k < cfg.k_min || k > cfg.k_max) {
+      out.verdict = DisciplineVerdict::kSlopeOutOfRange;
+      return out;
+    }
+    out.params = ClockParams{k, c_now - k * t_now_us};
+    out.verdict = DisciplineVerdict::kHoldoverCoast;
+    return out;
+  }
+};
+
+TEST(Discipline, SampleRingMatchesTheDequeHistory) {
+  for (const std::string name : {"paper", "rls", "holdover"}) {
+    for (const int window : {1, 2, 8, 16}) {
+      SstspConfig cfg = config_for(name);
+      cfg.solver_span_bps = window;
+      cfg.discipline.window_bps = std::max(2, window);  // RLS's minimum
+      const auto disc = make_discipline(cfg);
+      const int w = disc->history_window_bps();
+      DequeHistory model{static_cast<std::size_t>(w) + 1,
+                         (w + kEpochGapSlackBps) * kBpUs,
+                         {}};
+      HoldoverModel holdover;
+      sim::Rng rng(static_cast<std::uint64_t>(w) * 7919 + name.size());
+      double ts = 0.0;
+      double t_local = 0.0;
+      int epoch_breaks = 0;
+      int compared = 0;
+      for (int step = 0; step < 3000; ++step) {
+        // Mostly one BP apart; some short gaps; some droughts past the
+        // age-out horizon, which end a clock epoch.
+        const double u = rng.uniform();
+        double gap_bps = 1.0;
+        if (u < 0.03) {
+          gap_bps = w + kEpochGapSlackBps +
+                    static_cast<double>(rng.uniform_int(1, 12));
+        } else if (u < 0.2) {
+          gap_bps = static_cast<double>(
+              rng.uniform_int(2, static_cast<std::uint64_t>(w) + 4));
+        }
+        ts += gap_bps * kBpUs;
+        t_local += gap_bps * kBpUs * (1.0 + 35e-6) + rng.uniform(-3.0, 3.0);
+        const RefSample sample{t_local, ts};
+        (void)disc->add_sample(sample, kBpUs);
+        const bool epoch_break = model.add(sample);
+        epoch_breaks += epoch_break ? 1 : 0;
+
+        ASSERT_EQ(disc->size(), model.samples.size())
+            << name << " window " << w << " step " << step;
+        std::size_t i = 0;
+        for (const RefSample& r : disc->samples()) {
+          ASSERT_TRUE(same_bits(r.t_local_us, model.samples[i].t_local_us) &&
+                      same_bits(r.ts_ref_us, model.samples[i].ts_ref_us))
+              << name << " window " << w << " step " << step << " at " << i;
+          ++i;
+        }
+        if (disc->size() < disc->min_samples()) continue;
+
+        const ClockParams previous{1.0 + rng.uniform(-1e-5, 1e-5),
+                                   rng.uniform(-50.0, 50.0)};
+        const double t_now = sample.t_local_us + rng.uniform(1.0, 500.0);
+        const double target = sample.ts_ref_us + 3.0 * kBpUs;
+        const DisciplineResult got = disc->propose(previous, t_now, target);
+        DisciplineResult want;
+        if (name == "paper") {
+          want = solve_adjustment(previous, t_now, model.samples.back(),
+                                  model.samples.front(), target, cfg);
+        } else if (name == "holdover") {
+          want = holdover.propose(model.samples, previous, t_now, target, cfg);
+        } else if (epoch_break) {
+          // RLS refits from the survivors, oldest first, when an epoch
+          // ends: exactly the state of a fresh RLS fed those survivors.
+          const auto fresh = make_discipline(cfg);
+          for (const RefSample& r : model.samples) {
+            (void)fresh->add_sample(r, kBpUs);
+          }
+          want = fresh->propose(previous, t_now, target);
+        } else {
+          continue;
+        }
+        ASSERT_TRUE(same_result(got, want))
+            << name << " window " << w << " step " << step << ": "
+            << to_string(got.verdict) << " vs " << to_string(want.verdict);
+        ++compared;
+      }
+      EXPECT_GT(epoch_breaks, 40) << name << " window " << w;
+      EXPECT_GT(compared, 40) << name << " window " << w;
+    }
+  }
 }
 
 }  // namespace
