@@ -54,6 +54,20 @@ TEST(MuTesla, SignerKeysMatchChainConvention) {
   EXPECT_EQ(signer.anchor(), c.anchor());
 }
 
+TEST(MuTesla, SignerStartedLateKeepsEveryKeyAndTheAnchor) {
+  const std::size_t n = 50;
+  const ChainParams c = chain(n);
+  for (const std::int64_t first : {1, 7, 25, 50}) {
+    const MuTeslaSigner signer(c, sched(n), first);
+    EXPECT_EQ(signer.anchor(), c.anchor()) << "first=" << first;
+    for (std::int64_t j = 1; j <= static_cast<std::int64_t>(n); ++j) {
+      ASSERT_EQ(signer.key_for_interval(j),
+                c.element(n - static_cast<std::size_t>(j)))
+          << "first=" << first << " j=" << j;
+    }
+  }
+}
+
 TEST(MuTesla, DisclosedKeyIsHashOfIntervalKey) {
   const std::size_t n = 20;
   const ChainParams c = chain(n);
