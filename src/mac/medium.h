@@ -38,6 +38,16 @@ struct ChannelStats {
   std::uint64_t per_drops{0};
   std::uint64_t half_duplex_suppressed{0};
   std::uint64_t bytes_on_air{0};
+
+  ChannelStats& operator+=(const ChannelStats& o) {
+    transmissions += o.transmissions;
+    collided_transmissions += o.collided_transmissions;
+    deliveries += o.deliveries;
+    per_drops += o.per_drops;
+    half_duplex_suppressed += o.half_duplex_suppressed;
+    bytes_on_air += o.bytes_on_air;
+    return *this;
+  }
 };
 
 /// Mean distance between two points drawn uniformly from a disc of radius R

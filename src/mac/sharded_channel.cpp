@@ -427,14 +427,9 @@ void ShardedWorld::commit(sim::SimTime /*window_end*/) {
 
 ChannelStats ShardedWorld::stats() const {
   ChannelStats agg;
-  for (const auto& sh : shards_) {
-    const ChannelStats& s = sh->stats();
-    agg.transmissions += s.transmissions;
-    agg.deliveries += s.deliveries;
-    agg.per_drops += s.per_drops;
-    agg.half_duplex_suppressed += s.half_duplex_suppressed;
-    agg.bytes_on_air += s.bytes_on_air;
-  }
+  for (const auto& sh : shards_) agg += sh->stats();
+  // Corruption verdicts are OR-ed across shards at commit, so the world
+  // counts each collided transmission once.
   agg.collided_transmissions = collided_;
   return agg;
 }

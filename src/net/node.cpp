@@ -88,8 +88,6 @@ NodeRuntime::NodeRuntime(sim::Simulator& sim, Transport& transport,
 
 void NodeRuntime::start() { station_->power_on(); }
 
-void NodeRuntime::stop() { station_->power_off(); }
-
 void NodeRuntime::start_telemetry(
     const obs::TelemetrySampler::Options& options, sim::SimTime until,
     obs::TelemetrySampler::EmitFn emit) {

@@ -130,7 +130,6 @@ class NodeRuntime {
 
   /// Powers the station on (boots the protocol).  Idempotent.
   void start();
-  void stop();
 
   [[nodiscard]] proto::Station& station() { return *station_; }
   [[nodiscard]] const proto::Station& station() const { return *station_; }

@@ -1,6 +1,5 @@
 #include "net/swarm.h"
 
-#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -56,6 +55,7 @@ std::unique_ptr<Swarm> Swarm::create(const SwarmConfig& config,
     return fail("swarm is capped at 250 nodes");
   }
   if (config.duration_s <= 0.0) return fail("duration must be positive");
+  if (config.cluster.enabled()) return fail("swarm runs no cluster scenario");
 
   std::unique_ptr<Swarm> swarm;
   try {
@@ -157,7 +157,8 @@ bool Swarm::init(std::string* error) {
     }
     node->attach_observers(*observers_);
   }
-  expected_down_.assign(nodes_.size(), false);
+  deployment_ = std::make_unique<run::Deployment>(config_, sim_, *observers_);
+  for (auto& node : nodes_) deployment_->add_station(node->station());
 
   if (config_.prom_port >= 0) {
     if (reactor_ == nullptr) {
@@ -245,7 +246,6 @@ bool Swarm::init_telemetry(std::string* error) {
 void Swarm::arm() {
   if (armed_) return;
   armed_ = true;
-  for (auto& node : nodes_) node->start();
   if (const obs::TelemetrySampler* sampler = observers_->telemetry_sampler()) {
     // Per-node samplers ride the hosting timeline: wall-paced through the
     // reactor in UDP mode (published as datagrams), virtual-time in
@@ -269,112 +269,7 @@ void Swarm::arm() {
       nodes_[i]->start_telemetry(node_opts, until, std::move(emit));
     }
   }
-  schedule_faults();
-  schedule_sampling();
-}
-
-void Swarm::schedule_faults() {
-  fault::FaultHooks hooks;
-  hooks.current_reference = [this] { return current_reference(); };
-  hooks.set_power = [this](mac::NodeId id, bool powered) {
-    const auto idx = static_cast<std::size_t>(id);
-    if (idx >= nodes_.size()) return;
-    expected_down_[idx] = !powered;
-    if (powered) {
-      nodes_[idx]->start();
-    } else {
-      nodes_[idx]->stop();
-    }
-  };
-  hooks.clock_fault = [this](mac::NodeId id, double step_us,
-                             double drift_delta_ppm) {
-    const auto idx = static_cast<std::size_t>(id);
-    if (idx >= nodes_.size()) return;
-    nodes_[idx]->station().inject_clock_fault(step_us, drift_delta_ppm);
-  };
-  observers_->schedule_faults(sim_, config_.duration_s, std::move(hooks));
-}
-
-void Swarm::schedule_sampling() {
-  sim_.at(sim::SimTime::from_sec_double(config_.sample_period_s),
-          [this] { sampling_tick(); });
-}
-
-void Swarm::sampling_tick() {
-  sample_clock_spread();
-  const auto period = sim::SimTime::from_sec_double(config_.sample_period_s);
-  if (sim_.now() + period <=
-      sim::SimTime::from_sec_double(config_.duration_s)) {
-    sim_.after(period, [this] { sampling_tick(); });
-  }
-}
-
-void Swarm::sample_clock_spread() {
-  sample_values_.clear();
-  const sim::SimTime now = sim_.now();
-  for (const auto& node : nodes_) {
-    const proto::Station& st = node->station();
-    if (!st.awake() || !st.protocol().is_synchronized()) continue;
-    sample_values_.push_back(st.protocol().network_time_us(now));
-  }
-  const bool have = !sample_values_.empty();
-  double lo = 0.0;
-  double hi = 0.0;
-  double sum = 0.0;
-  if (have) {
-    lo = hi = sample_values_.front();
-    for (const double v : sample_values_) {
-      lo = std::min(lo, v);
-      hi = std::max(hi, v);
-      sum += v;
-    }
-    const double diff = hi - lo;
-    max_diff_.push(now.to_sec(), diff);
-    observers_->on_spread_sample(
-        now, sample_values_, diff,
-        sum / static_cast<double>(sample_values_.size()));
-  }
-  if (observers_->telemetry_due(now.to_sec())) {
-    emit_telemetry(now, have, lo, hi, sum);
-  }
-  observers_->poll_dump_request(now.to_sec());
-}
-
-void Swarm::emit_telemetry(sim::SimTime now, bool have, double lo, double hi,
-                           double sum) {
-  obs::TelemetrySample s;
-  s.nodes_total = config_.num_nodes;
-  for (const auto& node : nodes_) {
-    if (node->station().awake()) ++s.nodes_awake;
-  }
-  s.nodes_synced = static_cast<int>(sample_values_.size());
-  if (const auto ref = current_reference()) {
-    s.reference = static_cast<std::int64_t>(*ref);
-  }
-  const double mean =
-      have ? sum / static_cast<double>(sample_values_.size()) : 0.0;
-  if (sample_values_.size() >= 2) {
-    s.max_offset_us = hi - lo;
-    double dev = 0.0;
-    for (const double v : sample_values_) dev += std::fabs(v - mean);
-    s.mean_offset_us = dev / static_cast<double>(sample_values_.size());
-  }
-  const bool per_node =
-      config_.telemetry_per_node > 0 ||
-      (config_.telemetry_per_node < 0 && config_.num_nodes <= 64);
-  proto::ProtocolStats totals;
-  for (const auto& node : nodes_) {
-    const proto::Station& st = node->station();
-    totals += st.protocol().stats();
-    if (per_node && have && st.awake() && st.protocol().is_synchronized()) {
-      obs::TelemetrySample::NodeError ne;
-      ne.node = static_cast<std::int64_t>(node->config().id);
-      ne.err_us = st.protocol().network_time_us(now) - mean;
-      ne.synced = true;
-      s.node_errors.push_back(ne);
-    }
-  }
-  observers_->emit_telemetry(now.to_sec(), std::move(s), totals, sim_);
+  deployment_->arm();
 }
 
 void Swarm::print_watch_line(const obs::TelemetrySample& sample) {
@@ -428,38 +323,14 @@ void Swarm::run() {
 }
 
 run::RunResult Swarm::collect() {
-  run::RunResult result;
-  result.max_diff = max_diff_;
+  run::RunResult result = deployment_->result();
+  NetRunStats net;
   for (const auto& node : nodes_) {
-    const mac::ChannelStats& ch = node->channel().stats();
     // Per-node private channels: transmissions are the node's own beacons;
     // "deliveries" are wire-tap handoffs (1:1 with transmissions), not
     // over-the-air receptions — those live in RunResult::net.
-    result.channel.transmissions += ch.transmissions;
-    result.channel.collided_transmissions += ch.collided_transmissions;
-    result.channel.deliveries += ch.deliveries;
-    result.channel.per_drops += ch.per_drops;
-    result.channel.half_duplex_suppressed += ch.half_duplex_suppressed;
-    result.channel.bytes_on_air += ch.bytes_on_air;
-
-    result.honest += node->station().protocol().stats();
-  }
-
-  NetRunStats net;
-  for (const auto& node : nodes_) {
-    const NetRunStats snapshot = node->net_stats();
-    net.transport.datagrams_sent += snapshot.transport.datagrams_sent;
-    net.transport.bytes_sent += snapshot.transport.bytes_sent;
-    net.transport.send_errors += snapshot.transport.send_errors;
-    net.transport.datagrams_received +=
-        snapshot.transport.datagrams_received;
-    net.transport.bytes_received += snapshot.transport.bytes_received;
-    net.transport.recv_errors += snapshot.transport.recv_errors;
-    net.frames_sent += snapshot.frames_sent;
-    net.frames_received += snapshot.frames_received;
-    net.self_frames_dropped += snapshot.self_frames_dropped;
-    net.decode_errors += snapshot.decode_errors;
-    net.stale_frames_dropped += snapshot.stale_frames_dropped;
+    result.channel += node->channel().stats();
+    net += node->net_stats();
   }
   result.net = net;
 
@@ -485,12 +356,9 @@ run::RunResult Swarm::collect() {
   // than misread planned isolation as a wedged process.
   failed_nodes_.clear();
   const bool plan_partitions = !config_.faults.partitions.empty();
-  std::uint64_t frames_on_wire = 0;
-  for (const auto& node : nodes_) {
-    frames_on_wire += node->net_stats().frames_sent;
-  }
+  const std::uint64_t frames_on_wire = net.frames_sent;
   for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    if (expected_down_[i]) continue;
+    if (deployment_->planned_down(i)) continue;
     const auto& node = *nodes_[i];
     const std::uint64_t peer_frames =
         frames_on_wire - node.net_stats().frames_sent;
@@ -519,40 +387,7 @@ run::RunResult Swarm::collect() {
     }
     result.audit->records.push_back(std::move(record));
   }
-
-  run::derive_series_stats(result, config_.duration_s);
   return result;
-}
-
-std::optional<mac::NodeId> Swarm::current_reference() const {
-  for (const auto& node : nodes_) {
-    if (node->station().awake() &&
-        node->station().protocol().is_reference()) {
-      return node->config().id;
-    }
-  }
-  return std::nullopt;
-}
-
-std::optional<double> Swarm::instant_max_diff_us() const {
-  double lo = 0.0;
-  double hi = 0.0;
-  bool any = false;
-  const sim::SimTime now = sim_.now();
-  for (const auto& node : nodes_) {
-    const proto::Station& st = node->station();
-    if (!st.awake() || !st.protocol().is_synchronized()) continue;
-    const double v = st.protocol().network_time_us(now);
-    if (!any) {
-      lo = hi = v;
-      any = true;
-    } else {
-      lo = std::min(lo, v);
-      hi = std::max(hi, v);
-    }
-  }
-  if (!any) return std::nullopt;
-  return hi - lo;
 }
 
 }  // namespace sstsp::net

@@ -11,8 +11,10 @@
 //     10 s of wall clock),
 // and shares one observability surface (metrics registry, event trace,
 // invariant monitor, beacon lifecycle) across all of them — the same
-// sharing model as run::Network, so the PR-2 audit/trace tooling consumes
-// a live run unchanged.
+// sharing model as run::Network, so the audit/trace tooling consumes a
+// live run unchanged.  The environment timeline — power-on, the fault
+// plan's hooks and the sampling tick with its station census — is the same
+// run::Deployment the simulation kernels run, lent the nodes' stations.
 //
 // The result is reported as a run::RunResult (plus RunResult::net wire
 // accounting) against the run::Scenario the SwarmConfig is built on, which
@@ -28,7 +30,6 @@
 
 #include "fault/plan.h"
 #include "fault/transport.h"
-#include "metrics/series.h"
 #include "net/loopback.h"
 #include "net/node.h"
 #include "net/prom_exporter.h"
@@ -36,6 +37,7 @@
 #include "net/telemetry_link.h"
 #include "net/udp.h"
 #include "obs/observers.h"
+#include "runner/deployment.h"
 #include "runner/experiment.h"
 #include "runner/scenario.h"
 #include "sim/simulator.h"
@@ -89,10 +91,10 @@ struct LiveOptions {
 /// the swarm runs the deployment (node count, duration, seed, SSTSP and
 /// PHY parameters, clock bounds, preestablished reference, sampling
 /// period), the fault plan — packet directives through a FaultyTransport
-/// decorator on each node's endpoint, node faults stopping/starting
-/// NodeRuntimes — and the observer switches, with the same semantics as
+/// decorator on each node's endpoint, node faults powering the nodes'
+/// stations off and on — and the observer switches, with the same semantics as
 /// for run::Network.  Live specifics: cluster samples (source="swarm") are
-/// emitted from the clock-spread sampling tick; per-node samples
+/// emitted from the deployment's sampling tick; per-node samples
 /// (source="node") are emitted by each NodeRuntime and aggregated into the
 /// same JSONL stream — over a datagram socket on the reactor in UDP mode,
 /// by direct callback in virtual-time loopback mode.  The phase sampler
@@ -145,10 +147,14 @@ class Swarm {
   }
 
   /// The node currently holding the reference role, if any.
-  [[nodiscard]] std::optional<mac::NodeId> current_reference() const;
+  [[nodiscard]] std::optional<mac::NodeId> current_reference() const {
+    return deployment_->current_reference_index();
+  }
   /// Max pairwise adjusted-clock offset over awake synchronized nodes at
   /// the current instant (nullopt until at least one node synchronizes).
-  [[nodiscard]] std::optional<double> instant_max_diff_us() const;
+  [[nodiscard]] std::optional<double> instant_max_diff_us() const {
+    return deployment_->instant_max_diff_us();
+  }
 
   /// Async-signal-safe Ctrl-C support (UDP mode; loopback runs are not
   /// interruptible mid-flight, they finish in milliseconds).
@@ -162,12 +168,6 @@ class Swarm {
   [[nodiscard]] bool init(std::string* error);
   [[nodiscard]] bool init_telemetry(std::string* error);
   void arm();
-  void schedule_faults();
-  void schedule_sampling();
-  void sampling_tick();
-  void sample_clock_spread();
-  void emit_telemetry(sim::SimTime now, bool have, double lo, double hi,
-                      double sum);
   static void print_watch_line(const obs::TelemetrySample& sample);
   [[nodiscard]] std::string prometheus_scrape_body();
 
@@ -183,13 +183,10 @@ class Swarm {
   std::vector<std::unique_ptr<fault::FaultyTransport>> faulty_;
 
   std::vector<std::unique_ptr<NodeRuntime>> nodes_;
-  /// Per node: a planned fault currently holds it down (crash/pause
-  /// scheduling flips this) — collect() only flags *unplanned* deaths.
-  std::vector<bool> expected_down_;
+  /// Borrows the nodes' stations, so it is declared after them.
+  std::unique_ptr<run::Deployment> deployment_;
   std::vector<mac::NodeId> failed_nodes_;
 
-  metrics::Series max_diff_;
-  std::vector<double> sample_values_;
   bool armed_{false};
   double wall_seconds_{0.0};
 

@@ -33,6 +33,16 @@ struct TransportStats {
   std::uint64_t datagrams_received{0};
   std::uint64_t bytes_received{0};
   std::uint64_t recv_errors{0};
+
+  TransportStats& operator+=(const TransportStats& o) {
+    datagrams_sent += o.datagrams_sent;
+    bytes_sent += o.bytes_sent;
+    send_errors += o.send_errors;
+    datagrams_received += o.datagrams_received;
+    bytes_received += o.bytes_received;
+    recv_errors += o.recv_errors;
+    return *this;
+  }
 };
 
 /// Aggregate live-stack accounting for one run; carried by RunResult::net
@@ -48,6 +58,16 @@ struct NetRunStats {
   /// dropped at the sender like a missed TBTT window (see
   /// net::kMaxTxLatenessUs).
   std::uint64_t stale_frames_dropped{0};
+
+  NetRunStats& operator+=(const NetRunStats& o) {
+    transport += o.transport;
+    frames_sent += o.frames_sent;
+    frames_received += o.frames_received;
+    self_frames_dropped += o.self_frames_dropped;
+    decode_errors += o.decode_errors;
+    stale_frames_dropped += o.stale_frames_dropped;
+    return *this;
+  }
 };
 
 /// Per-datagram send metadata.

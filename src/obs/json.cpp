@@ -1,5 +1,6 @@
 #include "obs/json.h"
 
+#include <algorithm>
 #include <cctype>
 #include <charconv>
 #include <cmath>
@@ -97,42 +98,37 @@ Writer& Writer::value(std::string_view v) {
   return *this;
 }
 
-Writer& Writer::value(double v) {
-  separator();
-  if (!std::isfinite(v)) {
-    os_ << "null";
-    return *this;
-  }
-  // Integral values print as integers ("30", not "3e+01").
+char* format_number(char (&buf)[32], double v) {
+  char* const end = buf + sizeof buf;
+  if (!std::isfinite(v)) return std::copy_n("null", 4, buf);
   if (v == std::floor(v) && std::fabs(v) < 9.007199254740992e15) {
-    os_ << static_cast<long long>(v);
-    return *this;
+    return std::to_chars(buf, end, static_cast<long long>(v)).ptr;
   }
   // Shortest round-trippable %g form: the fewest significant digits p for
   // which "%.{p}g" parses back to v, else "%.17g".  The shortest scientific
   // form's digit count is a lower bound on p (no shorter decimal reads back
   // as v); rounding to that many digits can still miss next to a power of
   // two, where the rounding interval is lopsided, so probe upwards from it.
-  char buf[32];
-  const auto shortest = std::to_chars(buf, buf + sizeof buf, v,
-                                      std::chars_format::scientific);
+  const auto shortest =
+      std::to_chars(buf, end, v, std::chars_format::scientific);
   int precision = 0;
   for (const char* c = buf; c != shortest.ptr && *c != 'e'; ++c) {
     if (*c >= '0' && *c <= '9') ++precision;
   }
   for (; precision < 17; ++precision) {
-    const auto r = std::to_chars(buf, buf + sizeof buf, v,
-                                 std::chars_format::general, precision);
+    const auto r =
+        std::to_chars(buf, end, v, std::chars_format::general, precision);
     double back = 0.0;
     std::from_chars(buf, r.ptr, back);
-    if (back == v) {
-      os_.write(buf, r.ptr - buf);
-      return *this;
-    }
+    if (back == v) return r.ptr;
   }
-  const auto r =
-      std::to_chars(buf, buf + sizeof buf, v, std::chars_format::general, 17);
-  os_.write(buf, r.ptr - buf);
+  return std::to_chars(buf, end, v, std::chars_format::general, 17).ptr;
+}
+
+Writer& Writer::value(double v) {
+  separator();
+  char buf[32];
+  os_.write(buf, format_number(buf, v) - buf);
   return *this;
 }
 

@@ -25,6 +25,12 @@ namespace sstsp::obs::json {
 /// quotes).
 [[nodiscard]] std::string escape(std::string_view s);
 
+/// Writes `v` into `buf` the way Writer::value(double) emits it and returns
+/// the end of the text: integral values below 2^53 as integers ("30", not
+/// "3e+01"), other finite values in the shortest %g form that parses back
+/// to `v`, non-finite ones as null.
+char* format_number(char (&buf)[32], double v);
+
 class Writer {
  public:
   explicit Writer(std::ostream& os) : os_(os) {}

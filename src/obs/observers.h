@@ -11,12 +11,12 @@
 // bundle; run::ParallelNetwork builds one per shard (plus one for its
 // control timeline) with the subset the sharded kernel supports.
 //
-// What stays in the hosts is what really differs between them: the station
-// census behind each telemetry sample, cluster sampling, the power/clock
-// hooks the fault plan drives, and the live stack's divergence override.
-// Both simulation kernels take these from one run::Deployment
-// (runner/deployment.h), which also owns cluster placement; net::Swarm and
-// sstsp_node keep their own.
+// What the bundle leaves to its host is the station census behind each
+// spread and telemetry sample, cluster sampling and the power/clock hooks
+// the fault plan drives.  Every multi-station host — both simulation
+// kernels and net::Swarm — takes these from one run::Deployment
+// (runner/deployment.h); sstsp_node hosts one station and samples only
+// itself.  The live stack's divergence override stays in its hosts.
 #pragma once
 
 #include <csignal>

@@ -1,8 +1,5 @@
 #include "runner/config_file.h"
 
-#include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string_view>
@@ -13,21 +10,13 @@ namespace sstsp::run {
 
 namespace {
 
-/// Renders a JSON number the way a user would type it on the command line:
-/// whole values without a decimal point, everything else round-trippable.
+/// Renders a JSON number the way a user would type it on the command line,
+/// in the JSON writer's form: whole values without a decimal point (a seed
+/// of 1e15 splices as "1000000000000000"), everything else as the shortest
+/// text that round-trips (0.05 as "0.05", not a 17-digit expansion).
 std::string format_number(double v) {
-  if (std::isfinite(v) && v == std::floor(v) && std::fabs(v) < 1e15) {
-    return std::to_string(static_cast<long long>(v));
-  }
-  // Shortest representation that still round-trips through strtod: a
-  // config value of 0.05 must splice into argv as "0.05", not the full
-  // 17-digit expansion.
   char buf[32];
-  for (int precision = 15; precision <= 17; ++precision) {
-    std::snprintf(buf, sizeof(buf), "%.*g", precision, v);
-    if (std::strtod(buf, nullptr) == v) break;
-  }
-  return buf;
+  return std::string(buf, obs::json::format_number(buf, v));
 }
 
 bool scalar_to_string(const obs::json::Value& v, std::string* out) {

@@ -13,6 +13,22 @@
 
 namespace sstsp::run {
 
+namespace {
+
+/// Sync latency, steady max and steady p99 of result.max_diff over
+/// [0, duration_s].
+void derive_series_stats(RunResult& result, double duration_s) {
+  result.sync_latency_s =
+      result.max_diff.first_sustained_below(kSyncThresholdUs, 1.0);
+  const double steady_from =
+      std::max(20.0, result.sync_latency_s.value_or(0.0) + 5.0);
+  result.steady_max_us = result.max_diff.max_in(steady_from, duration_s);
+  result.steady_p99_us =
+      result.max_diff.quantile_in(0.99, steady_from, duration_s);
+}
+
+}  // namespace
+
 Deployment::Deployment(const Scenario& scenario, sim::Simulator& timeline,
                        const obs::Observers& observers)
     : scenario_(scenario),
@@ -105,12 +121,6 @@ crypto::ChainParams Deployment::chain_params(mac::NodeId id) const {
                              scenario_.sstsp.chain_length};
 }
 
-proto::Station& Deployment::add_station(
-    std::unique_ptr<proto::Station> station) {
-  stations_.push_back(std::move(station));
-  return *stations_.back();
-}
-
 std::unique_ptr<proto::SyncProtocol> Deployment::make_protocol(
     std::size_t i, core::KeyDirectory& directory) {
   proto::Station& st = *stations_[i];
@@ -179,7 +189,7 @@ std::unique_ptr<proto::SyncProtocol> Deployment::make_protocol(
 void Deployment::arm() {
   if (armed_) return;
   armed_ = true;
-  for (auto& st : stations_) st->power_on();
+  for (proto::Station* st : stations_) st->power_on();
   schedule_environment();
   schedule_faults();
   // Each sample schedules the next, re-armed through `this`.
@@ -194,12 +204,14 @@ void Deployment::schedule_faults() {
   hooks.current_reference = [this]() -> std::optional<mac::NodeId> {
     const auto idx = current_reference_index();
     if (!idx) return std::nullopt;
-    // Station indices double as node ids in the scenario runner.
+    // Station indices double as node ids in every host.
     return static_cast<mac::NodeId>(*idx);
   };
   hooks.set_power = [this](mac::NodeId id, bool powered) {
     const auto idx = static_cast<std::size_t>(id);
     if (idx >= stations_.size() || idx == attacker_index_) return;
+    if (planned_down_.empty()) planned_down_.resize(stations_.size());
+    planned_down_[idx] = !powered;
     if (powered) {
       stations_[idx]->power_on();
     } else {
@@ -351,7 +363,7 @@ void Deployment::sample_cluster(sim::SimTime now) {
   cluster_n_.assign(static_cast<std::size_t>(spec.clusters), 0);
   int awake = 0;
   int attached = 0;
-  for (const auto& station : stations_) {
+  for (const proto::Station* station : stations_) {
     const proto::Station& st = *station;
     if (!st.awake()) continue;
     ++awake;

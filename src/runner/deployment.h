@@ -1,18 +1,23 @@
-// Deployment: the kernel-independent half of a simulated run, owned by
-// run::Network and run::ParallelNetwork alike (declared after their kernel
-// members, so its stations go before what they borrow).  It holds the two
-// policies both kernels must share draw for draw: the RNG substream keying
-// (placement, clocks, churn, clock stress) and the environment timeline —
-// power-on, churn, reference departures, clock stress, fault hooks and the
-// sampling tick — armed on the kernel's timeline simulator (Network's only
-// one, the sharded kernel's control simulator) and feeding that
-// simulator's observer bundle.  It also builds every station's protocol.
-// Station creation, chain registration and observer attachment stay in
-// each kernel, in its own order.
+// Deployment: the host-independent half of a run, shared by both simulation
+// kernels (run::Network, run::ParallelNetwork) and the live swarm (net::Swarm).
+// Each host declares it after the members it and its stations borrow, so it is
+// destroyed first.  It holds the two policies every host must share draw for
+// draw: the RNG substream keying (placement, clocks, churn, clock stress) and
+// the environment timeline — power-on, churn, reference departures, clock
+// stress, fault hooks and the sampling tick with its station census (clock
+// spread, cluster and telemetry samples) — armed on the host's timeline
+// simulator (Network's only one, the sharded kernel's control simulator, the
+// swarm's hosting simulator) and feeding that simulator's observer bundle.  The
+// kernels have it own their stations, constructed in place on the kernel's
+// simulators and channels, and build their protocols; the swarm lends it the
+// stations inside its NodeRuntimes.  The order of station creation, chain
+// registration and observer attachment stays each host's own.
 #pragma once
 
+#include <deque>
 #include <memory>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "clock/drift_model.h"
@@ -55,8 +60,17 @@ class Deployment {
   /// the internal attacker included; see core/key_directory.h).
   [[nodiscard]] crypto::ChainParams chain_params(mac::NodeId id) const;
 
-  /// Appends the next station in global-id order.
-  proto::Station& add_station(std::unique_ptr<proto::Station> station);
+  /// Appends the next station in global-id order: one built in place and
+  /// owned here (the kernels), or one its host owns and keeps alive for as
+  /// long as the deployment (the swarm's NodeRuntime stations).
+  template <class... Args>
+  proto::Station& emplace_station(Args&&... args) {
+    return add_station(owned_.emplace_back(std::forward<Args>(args)...));
+  }
+  proto::Station& add_station(proto::Station& station) {
+    stations_.push_back(&station);
+    return station;
+  }
 
   /// Builds station `i`'s protocol — its adversary when `i` is the
   /// attacker — verifying against `directory`, and installs it.  Throws
@@ -89,7 +103,13 @@ class Deployment {
   /// awake, synchronized, honest stations (max - min; O(N)).
   [[nodiscard]] std::optional<double> instant_max_diff_us() const;
 
-  /// The kernel-independent part of a finished run's RunResult: the
+  /// Whether the fault plan is holding station `i` powered off (a planned
+  /// crash or pause not yet undone), so an outage there is no failure.
+  [[nodiscard]] bool planned_down(std::size_t i) const {
+    return i < planned_down_.size() && planned_down_[i];
+  }
+
+  /// The host-independent part of a finished run's RunResult: the
   /// series and their derived statistics, and the protocol stats.
   [[nodiscard]] RunResult result() const;
 
@@ -111,7 +131,8 @@ class Deployment {
   Scenario scenario_;
   sim::Simulator& timeline_;
   const obs::Observers& observers_;  // the timeline bundle
-  std::vector<std::unique_ptr<proto::Station>> stations_;  // global id order
+  std::vector<proto::Station*> stations_;  // global id order
+  std::deque<proto::Station> owned_;  // the kernels', never relocated
   std::size_t attacker_index_;  // == stations_.size() when no attacker
   std::vector<clk::DriftStressor> stressors_;  // per honest node, if stressed
   metrics::Series max_diff_;
@@ -123,6 +144,7 @@ class Deployment {
   std::vector<double> sample_values_;  // reused per sampling tick
   std::vector<double> cluster_sum_;    // per-cluster scratch, cluster runs
   std::vector<int> cluster_n_;
+  std::vector<bool> planned_down_;  // sized by the first planned outage
   bool armed_{false};
 };
 

@@ -1,23 +1,11 @@
 #include "runner/experiment.h"
 
-#include <algorithm>
 #include <chrono>
 
 #include "runner/network.h"
 #include "runner/parallel_network.h"
 
 namespace sstsp::run {
-
-void derive_series_stats(RunResult& result, double duration_s) {
-  result.sync_latency_s =
-      result.max_diff.first_sustained_below(kSyncThresholdUs, 1.0);
-
-  const double steady_from =
-      std::max(20.0, result.sync_latency_s.value_or(0.0) + 5.0);
-  result.steady_max_us = result.max_diff.max_in(steady_from, duration_s);
-  result.steady_p99_us =
-      result.max_diff.quantile_in(0.99, steady_from, duration_s);
-}
 
 void collect_observers(RunResult& result, const obs::Observers& observers,
                        double wall_seconds) {

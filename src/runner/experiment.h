@@ -73,11 +73,6 @@ struct RunResult {
 
 [[nodiscard]] RunResult run_scenario(const Scenario& scenario);
 
-/// Fills sync_latency_s / steady_max_us / steady_p99_us from
-/// result.max_diff over [0, duration_s] — the derivation shared by the
-/// simulation collector below and the live-stack net::Swarm collector.
-void derive_series_stats(RunResult& result, double duration_s);
-
 /// Fills the observer-derived parts of a finished run's result — metrics
 /// snapshot, profile, audit report, recovery block — and wall_seconds.
 /// Every host ends its collection here; set events_processed first.

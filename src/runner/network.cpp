@@ -37,8 +37,9 @@ void Network::build_stations() {
   for (std::size_t i = 0; i < draws.size(); ++i) {
     const auto id = static_cast<mac::NodeId>(i);
     const Deployment::NodeDraw& d = draws[i];
-    deployment_.add_station(std::make_unique<proto::Station>(
-        sim_, channel_, id, clk::HardwareClock(d.drift, d.offset_us), d.pos));
+    deployment_.emplace_station(sim_, channel_, id,
+                                clk::HardwareClock(d.drift, d.offset_us),
+                                d.pos);
     if (is_sstsp) directory_.register_node(id, deployment_.chain_params(id));
   }
   for (std::size_t i = 0; i < draws.size(); ++i) {

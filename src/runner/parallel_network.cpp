@@ -125,11 +125,10 @@ void ParallelNetwork::build_stations() {
     const int shard = world_->shard_of(i);
     const auto sh = static_cast<std::size_t>(shard);
     const Deployment::NodeDraw& d = draws[i];
-    proto::Station& station =
-        deployment_.add_station(std::make_unique<proto::Station>(
-            exec_.shard(shard), world_->channel(shard),
-            static_cast<mac::NodeId>(i),
-            clk::HardwareClock(d.drift, d.offset_us), d.pos));
+    proto::Station& station = deployment_.emplace_station(
+        exec_.shard(shard), world_->channel(shard),
+        static_cast<mac::NodeId>(i), clk::HardwareClock(d.drift, d.offset_us),
+        d.pos);
     deployment_.install_protocol(i, *directories_[sh]);
     station.set_observers(shard_observers_[sh]->for_stations());
   }

@@ -226,9 +226,6 @@ ConvergenceReport TraceAnalysis::convergence() const {
     if (std::isfinite(s.max_offset_us)) {
       rep.cluster.push_back({s.t_s, s.max_offset_us});
     }
-    for (const auto& ne : s.node_errors) {
-      rep.per_node[ne.node].push_back({s.t_s, ne.err_us});
-    }
   }
   // First sync, then spikes: one pass over the cluster max-error series.
   const double thr = opt_.sync_threshold_us;

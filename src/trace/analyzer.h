@@ -10,10 +10,10 @@
 //     across nodes by the trace_id the codec carries end-to-end (§4's
 //     verify pipeline as a funnel, including cross-node tx->adjust
 //     latency);
-//   * convergence timelines: cluster max-offset-over-time plus per-node
-//     error curves (from per_node telemetry), first-sync instant, error
-//     spikes above the sync threshold and when each re-converged — the
-//     transient-re-convergence evaluation of the paper's §5;
+//   * convergence timelines: cluster max-offset-over-time, first-sync
+//     instant, error spikes above the sync threshold and when each
+//     re-converged — the transient-re-convergence evaluation of the
+//     paper's §5;
 //   * per-fault recovery curves: the error timeline sliced around each
 //     fault mark (from run summaries, or supplied programmatically by
 //     bench/abl_fault_matrix).
@@ -24,7 +24,6 @@
 
 #include <cstdint>
 #include <iosfwd>
-#include <map>
 #include <optional>
 #include <string>
 #include <vector>
@@ -86,7 +85,6 @@ struct ErrorSpike {
 
 struct ConvergenceReport {
   std::vector<ConvergencePoint> cluster;  ///< max offset over time
-  std::map<std::int64_t, std::vector<ConvergencePoint>> per_node;  // signed
   std::optional<double> first_sync_s;
   std::vector<ErrorSpike> spikes;
   std::optional<double> final_max_offset_us;

@@ -1,14 +1,19 @@
 // The same FaultPlan format through the live stack: partition heal on a
 // 5-node loopback swarm (strict-audit-clean), the ISSUE acceptance plan
-// (reference crash at t=30 under 10% loss), and failure surfacing for a
-// node that goes silent without a planned fault.
+// (reference crash at t=30 under 10% loss), failure surfacing for a node
+// that goes silent without a planned fault, and a crashed node's place in
+// the per-node telemetry.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
 #include <memory>
 #include <string>
 
 #include "fault/plan.h"
 #include "net/swarm.h"
+#include "obs/json.h"
+#include "obs/telemetry.h"
 
 namespace sstsp::net {
 namespace {
@@ -127,6 +132,35 @@ TEST(FaultSwarm, PlannedCrashIsNotFlaggedAsFailure) {
   const run::RunResult result = run_swarm(config, nullptr, &swarm);
   (void)result;
   EXPECT_TRUE(swarm->failed_nodes().empty());
+}
+
+TEST(FaultSwarm, CrashedNodeStaysInPerNodeTelemetryAsUnsynced) {
+  // The swarm's census is the simulation kernels' one: a node a planned
+  // crash holds down is still listed, as unsynced, not silently dropped.
+  const std::string path =
+      ::testing::TempDir() + "/fault_swarm_crash_tele.jsonl";
+  SwarmConfig config = loopback_config(1, 12.0);
+  config.faults = plan_from(
+      R"({"node_faults": [{"kind": "crash", "node": 2, "at": 6}]})");
+  config.telemetry_out = path;
+  config.telemetry_per_node = 1;
+  (void)run_swarm(config);
+
+  int after_crash = 0;
+  std::ifstream in(path);
+  std::string line;
+  while (std::getline(in, line)) {
+    const auto value = obs::json::parse(line);
+    ASSERT_TRUE(value.has_value()) << line;
+    const auto sample = obs::telemetry_from_json(*value);
+    if (!sample || sample->source != "swarm" || sample->t_s <= 6.5) continue;
+    ++after_crash;
+    ASSERT_EQ(sample->node_errors.size(), 5u) << line;
+    EXPECT_EQ(sample->node_errors[2].node, 2) << line;
+    EXPECT_FALSE(sample->node_errors[2].synced) << line;
+  }
+  EXPECT_GT(after_crash, 0);
+  std::remove(path.c_str());
 }
 
 }  // namespace

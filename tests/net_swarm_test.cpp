@@ -110,6 +110,11 @@ TEST(NetSwarm, RejectsBadConfig) {
   config = loopback_config(1);
   config.duration_s = 0.0;
   EXPECT_EQ(Swarm::create(config, &error), nullptr);
+  // The nodes run plain SSTSP; the deployment's cluster census would
+  // misread them.
+  config = loopback_config(1);
+  config.cluster.clusters = 1;
+  EXPECT_EQ(Swarm::create(config, &error), nullptr);
 }
 
 }  // namespace

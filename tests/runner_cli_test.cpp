@@ -385,5 +385,17 @@ TEST(Cli, ConfigIsSplicedOnceForEveryTool) {
   std::remove(path.c_str());
 }
 
+TEST(Cli, ConfigTakesEverySeedTheFlagTakes) {
+  const std::string path = ::testing::TempDir() + "cli_big_seed_config.json";
+  std::ofstream(path) << R"({"seed": 1000000000000000})";
+  for (const ConfigTool tool : kTools) {
+    std::string err;
+    const auto opts = parse_as(tool, {"--config", path}, &err);
+    ASSERT_TRUE(opts.has_value()) << err;
+    EXPECT_EQ(opts->scenario.seed, 1000000000000000u);
+  }
+  std::remove(path.c_str());
+}
+
 }  // namespace
 }  // namespace sstsp::run

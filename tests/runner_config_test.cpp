@@ -50,6 +50,18 @@ TEST(RunnerConfig, IntegersRenderWithoutDecimalPoint) {
   EXPECT_EQ(args[1].find('.'), std::string::npos);
 }
 
+TEST(RunnerConfig, NumbersSpliceInTheirShortestExactForm) {
+  // Whole numbers stay integers past 1e15 (a seed must not become
+  // "1e+15"); fractions take the fewest digits that read back exactly.
+  const std::vector<std::string> args = args_of(
+      R"({"seed": 1000000000000000, "per": 0.05,
+          "duration": 0.30000000000000004})");
+  const std::vector<std::string> expected = {
+      "--seed", "1000000000000000", "--per", "0.05",
+      "--duration", "0.30000000000000004"};
+  EXPECT_EQ(args, expected);
+}
+
 TEST(RunnerConfig, BooleansAreBareFlagsAndFalseIsOmitted) {
   const std::vector<std::string> args =
       args_of(R"({"chart": true, "profile": false, "nodes": 3})");
