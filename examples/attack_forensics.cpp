@@ -9,6 +9,7 @@
 #include "core/coarse_sync.h"
 #include "core/sstsp.h"
 #include "filter/gesd.h"
+#include "mac/channel.h"
 #include "metrics/report.h"
 #include "protocols/station.h"
 #include "sim/simulator.h"

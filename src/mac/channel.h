@@ -59,29 +59,10 @@ class Channel final : public Medium {
  public:
   Channel(sim::Simulator& sim, const PhyParams& phy);
 
-  /// Registers a station; returns its channel index.  The handler fires at
-  /// the frame's delivery instant.
   std::size_t add_station(Position pos, RxHandler handler) override;
-
-  /// Stations that are powered off neither receive nor sense.
   void set_listening(std::size_t idx, bool listening) override;
-  [[nodiscard]] bool listening(std::size_t idx) const {
-    return stations_[idx].listening;
-  }
-
-  [[nodiscard]] const Position& position(std::size_t idx) const {
-    return stations_[idx].pos;
-  }
-
-  /// Starts a transmission now; duration is the on-air time.  Returns the
-  /// transmission's lifecycle trace ID, which is also stamped into the
-  /// frame every receiver sees (Frame::trace_id) — a retransmitted or
-  /// replayed frame gets a fresh ID for its new time on air.
   std::uint64_t transmit(std::size_t idx, Frame frame,
                          sim::SimTime duration) override;
-
-  /// Would station `idx`, checking at time `at`, find the medium busy?
-  /// Only transmissions within radio range are sensed.
   [[nodiscard]] bool would_detect_busy(std::size_t idx,
                                        sim::SimTime at) const override;
 
@@ -89,27 +70,12 @@ class Channel final : public Medium {
   /// the default single-hop configuration).
   [[nodiscard]] bool in_range(const Position& a, const Position& b) const;
 
-  /// Re-bases the lifecycle trace-ID counter.  A simulation has one channel
-  /// so the default (ids from 1) is globally unique; the live runtime has
-  /// one channel *per node*, and seeds each with a disjoint range (node id
-  /// in the high bits) so tx/rx events correlate across node boundaries.
-  /// Must be called before the first transmit().
-  void seed_trace_ids(std::uint64_t first_id) { next_tx_id_ = first_id; }
-
-  /// Observability (both may be nullptr): the instruments record each
-  /// frame's tx-start -> delivery latency; the profiler attributes the
-  /// end-of-frame interference/delivery fan-out to channel-delivery.
-  void set_instruments(obs::Instruments* instruments) {
-    instruments_ = instruments;
-  }
-  void set_profiler(obs::Profiler* profiler) { profiler_ = profiler; }
-
   /// Attaches a fault injector (nullptr detaches): every delivery that
   /// survives the physical-layer model is submitted for a verdict (drop /
   /// corrupt / delay / duplicate).  The injector draws from its own RNG
   /// substream, so attaching one never perturbs the channel's seeded draw
-  /// sequence.  Station channel indices double as node ids here (true for
-  /// the scenario runner; the live per-node channels never carry one).
+  /// sequence.  Station channel indices double as node ids, as in
+  /// run::Network, which adds its stations in node-id order.
   void set_fault_injector(fault::FaultInjector* injector) {
     fault_ = injector;
   }
@@ -164,8 +130,6 @@ class Channel final : public Medium {
   std::deque<Tx> recent_;  // transmissions still relevant for CS/delivery
   std::uint64_t next_tx_id_{1};
   sim::Rng rng_;
-  obs::Instruments* instruments_{nullptr};
-  obs::Profiler* profiler_{nullptr};
   fault::FaultInjector* fault_{nullptr};
 
   // Position-derived caches (mutable: lazily filled through const paths).

@@ -1,18 +1,19 @@
 // Medium: the radio interface a station programs against.
 //
-// Two implementations exist.  mac::Channel is the original single-threaded
+// Three implementations exist.  mac::Channel is the original single-threaded
 // broadcast channel: one instance owns every station and runs on the one
 // simulator of the run.  mac::ShardChannel (sharded_channel.h) is one shard
 // of the parallel kernel: it owns only the stations placed in its region of
 // the deployment and cooperates with its sibling shards through barrier-
-// committed transmission announcements.  Protocol code sees neither — a
-// proto::Station exposes exactly this surface, so the same protocol binary
-// runs on either kernel.
+// committed transmission announcements.  net::NodeRuntime's wire medium
+// (net/node.h) carries one live station's frames to its transport.
+// Protocol code sees none of them — a proto::Station exposes exactly this
+// surface, so the same protocol binary runs on every host.
 //
-// The interface is deliberately the *station-facing* slice of the channel:
-// runner-facing wiring (instruments, profilers, fault injectors, trace-id
-// seeding) stays on the concrete classes, because each kernel wires those
-// differently.
+// The interface is the *station-facing* slice of the channel plus the
+// observer hooks every host wires the same way (Observers::attach); fault
+// injectors and grids stay on the concrete classes, because each kernel
+// wires those differently.
 #pragma once
 
 #include <cstdint>
@@ -21,6 +22,11 @@
 #include "mac/frame.h"
 #include "mac/phy_params.h"
 #include "sim/time_types.h"
+
+namespace sstsp::obs {
+class Instruments;
+class Profiler;
+}  // namespace sstsp::obs
 
 namespace sstsp::mac {
 
@@ -80,7 +86,8 @@ class Medium {
 
   /// Starts a transmission now; duration is the on-air time.  Returns the
   /// transmission's lifecycle trace ID (also stamped into the frame every
-  /// receiver sees, Frame::trace_id).
+  /// receiver sees, Frame::trace_id); a retransmitted or replayed frame
+  /// gets a fresh ID for its new time on air.
   virtual std::uint64_t transmit(std::size_t idx, Frame frame,
                                  sim::SimTime duration) = 0;
 
@@ -91,6 +98,14 @@ class Medium {
 
   [[nodiscard]] const PhyParams& phy() const { return phy_; }
   [[nodiscard]] const ChannelStats& stats() const { return stats_; }
+
+  /// Observability (both may be nullptr): the instruments record each
+  /// frame's tx-start -> delivery latency; the profiler attributes the
+  /// end-of-frame delivery work to channel-delivery.
+  void set_instruments(obs::Instruments* instruments) {
+    instruments_ = instruments;
+  }
+  void set_profiler(obs::Profiler* profiler) { profiler_ = profiler; }
 
   /// Receiver-side compensation constant for a frame of `duration`:
   /// the delay estimate added to a beacon timestamp to place it on the
@@ -111,6 +126,8 @@ class Medium {
  protected:
   PhyParams phy_;
   ChannelStats stats_;
+  obs::Instruments* instruments_{nullptr};
+  obs::Profiler* profiler_{nullptr};
 };
 
 }  // namespace sstsp::mac

@@ -46,10 +46,6 @@
 #include "mac/medium.h"
 #include "sim/simulator.h"
 
-namespace sstsp::obs {
-class Instruments;
-}  // namespace sstsp::obs
-
 namespace sstsp::mac {
 
 class ShardedWorld;
@@ -71,11 +67,6 @@ class ShardChannel final : public Medium {
 
   [[nodiscard]] bool would_detect_busy(std::size_t idx,
                                        sim::SimTime at) const override;
-
-  /// Per-shard instruments (delivery-latency recording); may be nullptr.
-  void set_instruments(obs::Instruments* instruments) {
-    instruments_ = instruments;
-  }
 
   [[nodiscard]] std::size_t station_count() const { return stations_.size(); }
 
@@ -145,7 +136,6 @@ class ShardChannel final : public Medium {
   /// (tx id, any-local-receiver-corrupted) for this window's evaluations;
   /// drained serially at commit.
   std::vector<std::pair<std::uint64_t, bool>> eval_results_;
-  obs::Instruments* instruments_{nullptr};
 
   // Uniform grid over this shard's stations only (cell = radio range,
   // locally-fitted bounds).  Queries clamp into the local bounds exactly

@@ -49,7 +49,6 @@ std::string_view to_string(DecodeError error) {
     case DecodeError::kOversizedLength: return "oversized-length";
     case DecodeError::kLengthMismatch: return "length-mismatch";
     case DecodeError::kBadPayload: return "bad-payload";
-    case DecodeError::kDecodeErrorCount: break;
   }
   return "?";
 }

@@ -67,11 +67,7 @@ enum class DecodeError : std::uint8_t {
   kOversizedLength, ///< length prefix exceeds kMaxPayloadBytes
   kLengthMismatch,  ///< length prefix != bytes actually present
   kBadPayload,      ///< mac::wire decode rejected the payload
-  kDecodeErrorCount,  // sentinel
 };
-
-inline constexpr std::size_t kDecodeErrorCount =
-    static_cast<std::size_t>(DecodeError::kDecodeErrorCount);
 
 [[nodiscard]] std::string_view to_string(DecodeError error);
 

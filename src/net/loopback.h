@@ -9,8 +9,8 @@
 // asymmetric, jittered delivery like a real datagram service would.
 //
 // The payload is shared between all deliveries of one send via a
-// shared_ptr<const vector> (the same zero-copy fan-out idiom as
-// mac::Channel's frame delivery).  An optional drop probability emulates
+// shared_ptr<const vector> (the same zero-copy fan-out idiom as the
+// simulated broadcast channel's frame delivery).  An optional drop probability emulates
 // datagram loss for robustness tests; it defaults to lossless.
 #pragma once
 

@@ -1,23 +1,51 @@
 #include "net/node.h"
 
 #include "crypto/hash_chain.h"
+#include "obs/instruments.h"
+#include "obs/profiler.h"
 
 namespace sstsp::net {
 
-namespace {
-/// Trace-id range seed for a node: the node id in the high bits keeps the
-/// per-node channel counters disjoint, so lifecycle ids stay unique across
-/// the whole deployment (and 0 stays reserved for "no beacon").
-[[nodiscard]] std::uint64_t trace_id_base(mac::NodeId id) {
-  return (static_cast<std::uint64_t>(id) + 1) << 40;
+WireMedium::WireMedium(sim::Simulator& sim, const mac::PhyParams& phy,
+                       mac::NodeId id,
+                       std::function<void(const mac::Frame&)> to_wire)
+    : Medium(phy),
+      sim_(sim),
+      rng_(sim.substream("channel", 0)),
+      next_tx_id_((static_cast<std::uint64_t>(id) + 1) << 40),
+      to_wire_(std::move(to_wire)) {}
+
+std::uint64_t WireMedium::transmit(std::size_t /*idx*/, mac::Frame frame,
+                                   sim::SimTime duration) {
+  const sim::SimTime start = sim_.now();
+  frame.trace_id = next_tx_id_++;
+  ++stats_.transmissions;
+  stats_.bytes_on_air += frame.air_bytes;
+  // Shared, not copied: a frame outgrows an event's inline closure.
+  auto on_air = std::make_shared<const mac::Frame>(std::move(frame));
+  sim_.at(start + duration, [this, on_air, start] {
+    obs::Span span(profiler_, obs::Phase::kChannelDelivery);
+    // Two draws and two events per frame, exactly as the broadcast channel
+    // spends them on a co-located receiver: the packet-error draw at p = 0,
+    // then the receive latency.  The loopback-swarm golden pins them.
+    (void)rng_.bernoulli(0.0);
+    const sim::SimTime delivered =
+        sim_.now() + sim::SimTime::from_us_double(rng_.uniform(
+                         phy_.rx_latency_min.to_us(),
+                         phy_.rx_latency_max.to_us()));
+    ++stats_.deliveries;
+    if (instruments_ != nullptr) {
+      instruments_->on_delivery((delivered - start).to_us());
+    }
+    sim_.at(delivered, [this, on_air] { to_wire_(*on_air); });
+  });
+  return on_air->trace_id;
 }
-}  // namespace
 
 mac::PhyParams NodeRuntime::live_phy(const mac::PhyParams& phy) {
   mac::PhyParams live = phy;
-  // The private channel only carries the node's own frames to the wire tap:
-  // loss and range belong to the real network now, not the model.
-  live.packet_error_rate = 0.0;
+  // Range belongs to the real network now, not the model: the receive-side
+  // nominal delay assumes the single-hop placement disc.
   live.radio_range_m = 0.0;
   return live;
 }
@@ -51,19 +79,10 @@ NodeRuntime::NodeRuntime(sim::Simulator& sim, Transport& transport,
     : sim_(sim),
       transport_(transport),
       config_(config),
-      channel_(sim, live_phy(config.phy)) {
-  channel_.seed_trace_ids(trace_id_base(config_.id));
-
-  // The station registers itself as channel index 0...
+      medium_(sim, live_phy(config.phy), config.id,
+              [this](const mac::Frame& frame) { on_local_frame(frame); }) {
   station_ = std::make_unique<proto::Station>(
-      sim_, channel_, config_.id, make_clock(config_), mac::Position{});
-  // ...and the wire tap, co-located, as index 1.  Being the only *other*
-  // station, it receives every local transmission (half-duplex excludes
-  // the sender itself) after the frame's air time + receive latency.
-  channel_.add_station(mac::Position{},
-                       [this](const mac::Frame& frame, const mac::RxInfo&) {
-                         on_local_frame(frame);
-                       });
+      sim_, medium_, config_.id, make_clock(config_), mac::Position{});
 
   // Trust bootstrap: every node of the deployment derives the same anchor
   // directory from the shared seed (see core/key_directory.h).
@@ -130,7 +149,7 @@ void NodeRuntime::emit_telemetry_sample() {
 }
 
 void NodeRuntime::on_local_frame(const mac::Frame& frame) {
-  // The frame's timestamps describe this tap event's *scheduled* instant,
+  // The frame's timestamps describe this hand-off's *scheduled* instant,
   // but the datagram physically leaves whenever the OS dispatches the
   // sendto.  Real beacon hardware stamps at the antenna so the two
   // coincide; here the transport measures the dispatch lateness against
@@ -162,7 +181,6 @@ void NodeRuntime::on_datagram(std::span<const std::uint8_t> bytes,
   const DecodeOutcome outcome = decode_datagram(bytes);
   if (!outcome.ok()) {
     ++stats_.decode_errors;
-    ++decode_error_by_kind_[static_cast<std::size_t>(outcome.error)];
     return;
   }
   const mac::Frame& frame = *outcome.frame;
@@ -186,12 +204,12 @@ void NodeRuntime::on_datagram(std::span<const std::uint8_t> bytes,
   // arrival estimate (kernel rx timestamp via RxMeta), so only genuine
   // path jitter around wire_latency_us survives as the paper's epsilon.
   const sim::SimTime duration = frame.is_sstsp()
-                                    ? channel_.phy().sstsp_beacon_duration
-                                    : channel_.phy().tsf_beacon_duration;
+                                    ? medium_.phy().sstsp_beacon_duration
+                                    : medium_.phy().tsf_beacon_duration;
   mac::RxInfo rx;
   const sim::SimTime now = wall_now_ ? wall_now_() : sim_.now();
   rx.delivered = now - sim::SimTime::from_ns(meta.rx_lateness_ns);
-  rx.nominal_delay_us = channel_.nominal_delay_us(duration) +
+  rx.nominal_delay_us = medium_.nominal_delay_us(duration) +
                         config_.wire_latency_us +
                         static_cast<double>(outcome.tx_lateness_ns) / 1'000.0;
   // Ground-truth tx start is unknowable across the wire; the nominal

@@ -1,20 +1,16 @@
 // NodeRuntime: hosts the unmodified core::Sstsp state machine on a live
 // transport instead of the simulated broadcast channel.
 //
-// The protocol core is written against proto::Station / mac::Channel /
-// sim::Simulator.  Rather than fork it, the runtime gives each node a
-// *private* two-station channel on the hosting simulator:
-//
-//   index 0 — the node's own Station (clock, RNG, protocol), unchanged;
-//   index 1 — a "wire tap" station at the same position with no protocol.
-//
-// Every beacon the protocol transmits traverses the private channel exactly
-// as in simulation (air time, trace-id assignment, tx accounting) and is
-// delivered to the tap, whose handler serializes it through net::codec and
-// broadcasts it on the Transport.  Received datagrams run the strict
-// decoder and enter the protocol through Sstsp::on_receive with an RxInfo
-// built at the arrival instant — through the same verify/guard pipeline,
-// invariant-monitor hooks, and lifecycle tracing as a simulated delivery.
+// The protocol core is written against proto::Station / mac::Medium /
+// sim::Simulator.  Rather than fork it, the runtime gives each node's
+// Station a one-station WireMedium on the hosting simulator.  Every beacon
+// the protocol transmits gets its air time, a trace id from the node's
+// disjoint range and a receive latency there, as in simulation, and is then
+// serialized through net::codec and broadcast on the Transport.  Received
+// datagrams run the strict decoder and enter the protocol through
+// Sstsp::on_receive with an RxInfo built at the arrival instant — through
+// the same verify/guard pipeline, invariant-monitor hooks, and lifecycle
+// tracing as a simulated delivery.
 //
 // Time: the hosting Simulator is either virtual (LoopbackTransport swarm:
 // deterministic, driven by run_until) or wall-clock-paced (net::Reactor
@@ -26,18 +22,18 @@
 // the wire, collisions), is documented in DESIGN.md "Live stack".
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <functional>
 #include <memory>
 
 #include "core/key_directory.h"
 #include "core/sstsp.h"
-#include "mac/channel.h"
+#include "mac/medium.h"
 #include "net/codec.h"
 #include "net/transport.h"
 #include "protocols/station.h"
 #include "runner/scenario.h"
+#include "sim/rng.h"
 #include "sim/simulator.h"
 
 namespace sstsp::net {
@@ -103,11 +99,11 @@ struct NodeConfig {
   double offset_us = 0.0;
 
   /// Expected one-way wire latency in us, added to the receive-side
-  /// nominal-delay compensation.  The simulated channel's delay model ends
-  /// at the wire tap; whatever the real transport adds (hub latency,
-  /// kernel + scheduler on UDP) is invisible to the protocol, so the
-  /// *expected* part is compensated here and only the jitter around it
-  /// remains as the paper's epsilon.  net::Swarm derives it from the
+  /// nominal-delay compensation.  The modelled delay ends where the wire
+  /// medium hands the frame to the transport; whatever the real one adds
+  /// (hub latency, kernel + scheduler on UDP) is invisible to the protocol,
+  /// so the *expected* part is compensated here and only the jitter around
+  /// it remains as the paper's epsilon.  net::Swarm derives it from the
   /// loopback latency model; for UDP it is an operator estimate.
   double wire_latency_us = 0.0;
 
@@ -119,6 +115,34 @@ struct NodeConfig {
 /// count, seed, SSTSP and PHY parameters, emulated clock bounds.
 [[nodiscard]] NodeConfig node_config(const run::Scenario& s,
                                      NodeConfig base = {});
+
+/// A live node's medium: its one station's frames go to the wire, never to
+/// another station.  transmit() stamps the frame with the next trace id of
+/// the node's disjoint range ((id + 1) << 40, so lifecycle ids stay unique
+/// across the deployment and 0 stays "no beacon"); after the air time and
+/// a receive latency drawn as the broadcast channel draws it, the frame is
+/// handed to `to_wire`.  A node never hears its own frames, so the medium
+/// is never busy.
+class WireMedium final : public mac::Medium {
+ public:
+  WireMedium(sim::Simulator& sim, const mac::PhyParams& phy, mac::NodeId id,
+             std::function<void(const mac::Frame&)> to_wire);
+
+  std::size_t add_station(mac::Position, RxHandler) override { return 0; }
+  void set_listening(std::size_t, bool) override {}
+  std::uint64_t transmit(std::size_t idx, mac::Frame frame,
+                         sim::SimTime duration) override;
+  [[nodiscard]] bool would_detect_busy(std::size_t,
+                                       sim::SimTime) const override {
+    return false;
+  }
+
+ private:
+  sim::Simulator& sim_;
+  sim::Rng rng_;
+  std::uint64_t next_tx_id_;
+  std::function<void(const mac::Frame&)> to_wire_;
+};
 
 class NodeRuntime {
  public:
@@ -133,20 +157,13 @@ class NodeRuntime {
 
   [[nodiscard]] proto::Station& station() { return *station_; }
   [[nodiscard]] const proto::Station& station() const { return *station_; }
-  [[nodiscard]] core::Sstsp& protocol() {
-    return static_cast<core::Sstsp&>(station_->protocol());
-  }
-  [[nodiscard]] const core::Sstsp& protocol() const {
-    return static_cast<const core::Sstsp&>(station_->protocol());
-  }
   [[nodiscard]] const NodeConfig& config() const { return config_; }
-  [[nodiscard]] mac::Channel& channel() { return channel_; }
+  [[nodiscard]] const mac::ChannelStats& channel_stats() const {
+    return medium_.stats();
+  }
 
   /// Wire + codec accounting (transport stats folded in at read time).
   [[nodiscard]] NetRunStats net_stats() const;
-  [[nodiscard]] std::uint64_t decode_errors(DecodeError error) const {
-    return decode_error_by_kind_[static_cast<std::size_t>(error)];
-  }
 
   /// Installs a wall-clock reading of the hosting timeline (typically
   /// Reactor::wall_sim_now).  With it, the runtime measures how late each
@@ -162,12 +179,11 @@ class NodeRuntime {
 
   /// Attaches the deployment's observers (obs/observers.h): the station
   /// fans its protocol events out to them, the hosting simulator and the
-  /// private channel record into them.  Same sharing model as
-  /// run::Network.
+  /// wire medium record into them.  Same sharing model as run::Network.
   void attach_observers(const obs::Observers& observers) {
     observers_ = &observers;
     station_->set_observers(observers.for_stations());
-    observers.attach(sim_, channel_);
+    observers.attach(sim_, medium_);
   }
 
   /// Starts periodic telemetry sampling: one source="node" sample per
@@ -178,13 +194,9 @@ class NodeRuntime {
                        sim::SimTime until,
                        obs::TelemetrySampler::EmitFn emit);
 
-  [[nodiscard]] obs::TelemetrySampler* telemetry_sampler() {
-    return sampler_.get();
-  }
-
  private:
-  /// Tap handler: a locally transmitted frame completed its (private) air
-  /// time — serialize and put it on the wire.
+  /// A locally transmitted frame completed its air time and receive
+  /// latency on the wire medium — serialize and put it on the wire.
   void on_local_frame(const mac::Frame& frame);
   void telemetry_tick();
   void emit_telemetry_sample();
@@ -198,7 +210,7 @@ class NodeRuntime {
   Transport& transport_;
   NodeConfig config_;
   std::function<sim::SimTime()> wall_now_;
-  mac::Channel channel_;
+  WireMedium medium_;
   core::KeyDirectory directory_;
   std::unique_ptr<proto::Station> station_;
   const obs::Observers* observers_{nullptr};
@@ -206,7 +218,6 @@ class NodeRuntime {
   sim::SimTime telemetry_period_;
   sim::SimTime telemetry_until_;
   NetRunStats stats_;  ///< transport sub-struct filled on read
-  std::array<std::uint64_t, kDecodeErrorCount> decode_error_by_kind_{};
 };
 
 }  // namespace sstsp::net

@@ -50,8 +50,8 @@ std::unique_ptr<Swarm> Swarm::create(const SwarmConfig& config,
   };
   if (config.num_nodes < 1) return fail("swarm needs at least one node");
   if (config.num_nodes > 250) {
-    // One UDP socket and one private channel per node; the cap is a sanity
-    // bound well past the paper's 100-node deployments.
+    // One UDP socket per node; the cap is a sanity bound well past the
+    // paper's 100-node deployments.
     return fail("swarm is capped at 250 nodes");
   }
   if (config.duration_s <= 0.0) return fail("duration must be positive");
@@ -326,10 +326,10 @@ run::RunResult Swarm::collect() {
   run::RunResult result = deployment_->result();
   NetRunStats net;
   for (const auto& node : nodes_) {
-    // Per-node private channels: transmissions are the node's own beacons;
-    // "deliveries" are wire-tap handoffs (1:1 with transmissions), not
-    // over-the-air receptions — those live in RunResult::net.
-    result.channel += node->channel().stats();
+    // Per-node wire media: transmissions are the node's own beacons;
+    // "deliveries" are hand-offs to the transport (1:1 with transmissions),
+    // not over-the-air receptions — those live in RunResult::net.
+    result.channel += node->channel_stats();
     net += node->net_stats();
   }
   result.net = net;

@@ -1,11 +1,11 @@
 // Transport abstraction for the live SSTSP stack.
 //
 // A Transport moves opaque datagrams (net::codec envelopes) between nodes.
-// It replaces the simulator's mac::Channel at the process boundary: where
-// the channel models the 802.11 broadcast medium (carrier sense, collisions,
-// propagation), a transport is a plain best-effort datagram service — the
-// IBSS broadcast domain collapses to "send reaches every peer".  What that
-// abstraction deliberately does NOT model is documented in DESIGN.md
+// It replaces the simulator's broadcast channel at the process boundary:
+// where the channel models the 802.11 broadcast medium (carrier sense,
+// collisions, propagation), a transport is a plain best-effort datagram
+// service — the IBSS broadcast domain collapses to "send reaches every
+// peer".  What that abstraction deliberately does NOT model is documented in DESIGN.md
 // ("Live stack": no carrier sense across the wire, no collisions, no
 // half-duplex suppression beyond dropping one's own multicast echo).
 //

@@ -4,8 +4,6 @@
 #include <stdexcept>
 
 #include "core/discipline.h"
-#include "mac/channel.h"
-#include "mac/sharded_channel.h"
 
 namespace sstsp::obs {
 
@@ -166,16 +164,16 @@ Observers::Observers(const ObserverConfig& config, const ObservedRun& run,
   }
 }
 
-void Observers::attach(sim::Simulator& sim, mac::Channel& channel) const {
+void Observers::attach(sim::Simulator& sim, mac::Medium& medium) const {
   sim.set_instruments(instruments_.get());
   sim.set_profiler(profiler_.get());
   sim.set_phase_sampler(phase_sampler_.get());
-  channel.set_instruments(instruments_.get());
-  channel.set_profiler(profiler_.get());
+  medium.set_instruments(instruments_.get());
+  medium.set_profiler(profiler_.get());
 }
 
 void Observers::attach_shard(sim::Simulator& shard,
-                             mac::ShardChannel& channel) const {
+                             mac::Medium& channel) const {
   shard.set_profiler(profiler_.get());
   channel.set_instruments(instruments_.get());
 }

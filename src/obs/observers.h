@@ -31,6 +31,7 @@
 #include "fault/injector.h"
 #include "fault/plan.h"
 #include "fault/recovery.h"
+#include "mac/medium.h"
 #include "obs/flight_recorder.h"
 #include "obs/instruments.h"
 #include "obs/invariants.h"
@@ -42,11 +43,6 @@
 #include "sim/simulator.h"
 #include "trace/event_trace.h"
 #include "trace/lifecycle.h"
-
-namespace sstsp::mac {
-class Channel;
-class ShardChannel;
-}  // namespace sstsp::mac
 
 namespace sstsp::obs {
 
@@ -152,13 +148,14 @@ class Observers {
   }
 
   /// Wires the simulator-side observers (instruments, profiler, phase
-  /// sampler) and the channel-side ones (instruments, profiler).
-  void attach(sim::Simulator& sim, mac::Channel& channel) const;
+  /// sampler) and the medium-side ones (instruments, profiler): the one
+  /// wiring of run::Network's channel and a live node's wire medium.
+  void attach(sim::Simulator& sim, mac::Medium& medium) const;
   /// One shard of the parallel kernel: the profiler on the shard
   /// simulator, the instruments on the shard channel only — a per-shard
   /// queue-depth histogram would change with the partition and break the
   /// any-shard-count bit-identity (DESIGN.md §12).
-  void attach_shard(sim::Simulator& shard, mac::ShardChannel& channel) const;
+  void attach_shard(sim::Simulator& shard, mac::Medium& channel) const;
 
   /// A station's protocol event, fanned out in a fixed order.  The flight
   /// recorder comes after the monitor, so a dump the monitor triggers on

@@ -10,7 +10,7 @@
 #include <array>
 #include <cstdint>
 
-#include "mac/channel.h"
+#include "mac/medium.h"
 #include "mac/frame.h"
 #include "sim/time_types.h"
 

@@ -5,7 +5,7 @@
 #include <optional>
 
 #include "fault/recovery.h"
-#include "mac/channel.h"
+#include "mac/medium.h"
 #include "metrics/series.h"
 #include "net/transport.h"
 #include "obs/invariants.h"

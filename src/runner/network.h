@@ -8,6 +8,7 @@
 #include <memory>
 
 #include "core/key_directory.h"
+#include "mac/channel.h"
 #include "obs/observers.h"
 #include "runner/deployment.h"
 #include "runner/scenario.h"

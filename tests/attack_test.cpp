@@ -5,11 +5,9 @@
 #include <vector>
 
 #include "attack/replay.h"
-#include "clock/drift_model.h"
-#include "core/sstsp.h"
-#include "crypto/hash_chain.h"
 #include "runner/experiment.h"
 #include "runner/network.h"
+#include "support/hand_net.h"
 
 namespace sstsp::run {
 namespace {
@@ -102,46 +100,8 @@ TEST(SstspAttack, InternalReferenceDragsTheVirtualClock) {
 
 // Hand-wired fixture: a small SSTSP network plus one custom attacker
 // station (the scenario runner only wires the two §5 attackers).
-struct ManualSstspNet {
-  sim::Simulator sim{77};
-  mac::PhyParams phy;
-  std::unique_ptr<mac::Channel> channel;
-  core::KeyDirectory directory;
-  core::SstspConfig cfg;
-  std::vector<std::unique_ptr<proto::Station>> stations;
-
-  ManualSstspNet() {
-    phy.packet_error_rate = 0.0;
-    cfg.chain_length = 1200;
-    channel = std::make_unique<mac::Channel>(sim, phy);
-  }
-
-  proto::Station& add_station(double ppm, double offset_us) {
-    const auto id = static_cast<mac::NodeId>(stations.size());
-    auto st = std::make_unique<proto::Station>(
-        sim, *channel, id,
-        clk::HardwareClock(clk::DriftModel::from_ppm(ppm), offset_us),
-        mac::Position{static_cast<double>(id), 0.0});
-    stations.push_back(std::move(st));
-    return *stations.back();
-  }
-
-  proto::Station& add_honest(double ppm, double offset_us) {
-    auto& st = add_station(ppm, offset_us);
-    directory.register_node(
-        st.id(), crypto::ChainParams{crypto::derive_seed(77, st.id()),
-                                     cfg.chain_length});
-    st.set_protocol(std::make_unique<core::Sstsp>(st, cfg, directory,
-                                                  core::Sstsp::Options{}));
-    return st;
-  }
-
-  void run(double until_s) {
-    for (auto& st : stations) {
-      if (!st->awake()) st->power_on();
-    }
-    sim.run_until(sim::SimTime::from_sec_double(until_s));
-  }
+struct ManualSstspNet : rig::HandNet {
+  ManualSstspNet() : HandNet(77) { cfg.chain_length = 1200; }
 
   proto::ProtocolStats honest_totals() const {
     proto::ProtocolStats agg;

@@ -10,12 +10,10 @@
 #include <memory>
 #include <vector>
 
-#include "clock/drift_model.h"
 #include "cluster/sstsp_cluster.h"
-#include "crypto/hash_chain.h"
 #include "runner/experiment.h"
 #include "runner/network.h"
-#include "sim/simulator.h"
+#include "support/hand_net.h"
 
 namespace sstsp::cluster {
 namespace {
@@ -101,47 +99,38 @@ TEST(ClusterFormation, SeededRunsAreBitIdentical) {
   EXPECT_EQ(a.honest.adjustments, b.honest.adjustments);
 }
 
+mac::PhyParams duel_phy() {
+  mac::PhyParams phy = rig::lossless_phy();
+  phy.radio_range_m = 50.0;
+  return phy;
+}
+
 // Two clusters on the chain layout; cluster 1 boots with TWO members
 // holding the reference role — two timelines inside one broadcast domain.
-struct ClusterDuelNet {
-  sim::Simulator sim{97};
-  mac::PhyParams phy;
+struct ClusterDuelNet : rig::HandNet {
   ClusterSpec spec;
-  std::unique_ptr<mac::Channel> channel;
-  core::KeyDirectory directory;
-  core::SstspConfig cfg;
-  std::vector<std::unique_ptr<proto::Station>> stations;
   std::vector<ClusterSstsp*> protos;
-  bool armed = false;
 
-  ClusterDuelNet() {
-    phy.packet_error_rate = 0.0;
-    phy.radio_range_m = 50.0;
+  ClusterDuelNet() : HandNet(97, duel_phy()) {
     spec.clusters = 2;
     spec.nodes_per_cluster = 4;
     cfg.chain_length = 400;
-    channel = std::make_unique<mac::Channel>(sim, phy);
     sim::Rng rng(97);
     for (int i = 0; i < spec.total_nodes(); ++i) {
       const auto id = static_cast<mac::NodeId>(i);
-      auto st = std::make_unique<proto::Station>(
-          sim, *channel, id,
-          clk::HardwareClock(clk::DriftModel::uniform(rng),
-                             rng.uniform(-40.0, 40.0)),
-          position_of(id));
-      directory.register_node(
-          id, crypto::ChainParams{crypto::derive_seed(97, id),
-                                  cfg.chain_length});
+      auto& st = add_station(clk::HardwareClock(clk::DriftModel::uniform(rng),
+                                                rng.uniform(-40.0, 40.0)),
+                             position_of(id));
+      register_chain(id);
       ClusterSstsp::Options opts;
       opts.spec = spec;
       opts.cluster = cluster_of(spec, id);
       opts.gateway = is_gateway(spec, id);
       // The duel: both 5 and 6 claim cluster 1's reference role at boot.
       opts.start_as_reference = (i == 0 || i == 5 || i == 6);
-      auto proto = std::make_unique<ClusterSstsp>(*st, cfg, directory, opts);
+      auto proto = std::make_unique<ClusterSstsp>(st, cfg, directory, opts);
       protos.push_back(proto.get());
-      st->set_protocol(std::move(proto));
-      stations.push_back(std::move(st));
+      st.set_protocol(std::move(proto));
     }
   }
 
@@ -149,14 +138,6 @@ struct ClusterDuelNet {
     if (is_gateway(spec, id)) return gateway_position(spec, id);
     const mac::Position center = cluster_center(spec, cluster_of(spec, id));
     return {center.x_m + 3.0 * member_index(spec, id), center.y_m};
-  }
-
-  void run(double until_s) {
-    if (!armed) {
-      armed = true;
-      for (auto& st : stations) st->power_on();
-    }
-    sim.run_until(sim::SimTime::from_sec_double(until_s));
   }
 };
 

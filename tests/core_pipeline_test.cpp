@@ -11,15 +11,12 @@
 #include <string>
 #include <vector>
 
-#include "clock/drift_model.h"
 #include "core/discipline.h"
 #include "core/sstsp.h"
 #include "crypto/hash_chain.h"
-#include "mac/channel.h"
 #include "obs/observers.h"
-#include "protocols/station.h"
 #include "sim/rng.h"
-#include "sim/simulator.h"
+#include "support/hand_net.h"
 #include "trace/event_trace.h"
 
 // The allocation test counts calls of the global operator new.  Sanitizer
@@ -440,20 +437,12 @@ TEST(SenderPipeline, SteadyStateIngestAndSampleAllocateNothing) {
 
 /// One SSTSP follower fed signed beacons by hand from more senders than it
 /// keeps tracks for, every sender once per interval in rotation.
-struct RotationCell {
+struct RotationCell : rig::HandNet {
   static constexpr mac::NodeId kSenders = 10;
   static constexpr std::size_t kChain = 400;
 
-  sim::Simulator sim{21};
-  mac::PhyParams phy;
-  mac::Channel channel{sim, phy};
-  KeyDirectory directory;
-  SstspConfig cfg;
   obs::Observers observers{trace_only(), {}, sim};
-  proto::Station receiver{
-      sim, channel, 0,
-      clk::HardwareClock(clk::DriftModel::from_ppm(0.0), 0.0),
-      mac::Position{0.0, 0.0}};
+  proto::Station& receiver = add_station(0.0, 0.0);
   Sstsp* sstsp{nullptr};
   crypto::MuTeslaSchedule schedule;
   std::vector<BeaconSigner> signers;
@@ -466,11 +455,10 @@ struct RotationCell {
     return config;
   }
 
-  RotationCell() {
+  RotationCell() : HandNet(21, mac::PhyParams{}) {
     cfg.chain_length = kChain;
     schedule = {cfg.t0_us, phy.beacon_period.to_us(), kChain};
-    directory.register_node(
-        0, crypto::ChainParams{crypto::derive_seed(21, 0), kChain});
+    register_chain(0);
     signers.reserve(kSenders);
     for (mac::NodeId s = 1; s <= kSenders; ++s) {
       const crypto::ChainParams chain{crypto::derive_seed(21, s), kChain};

@@ -6,12 +6,12 @@
 #include <vector>
 
 #include "attack/replay.h"
-#include "clock/drift_model.h"
 #include "core/sstsp.h"
 #include "crypto/hash_chain.h"
-#include "runner/experiment.h"
 #include "obs/observers.h"
+#include "runner/experiment.h"
 #include "runner/network.h"
+#include "support/hand_net.h"
 #include "trace/event_trace.h"
 
 namespace sstsp::run {
@@ -28,58 +28,26 @@ obs::ObserverConfig trace_only() {
 /// Small SSTSP cell plus a replay attacker that re-transmits every beacon
 /// three intervals late — a sustained stream of interval-check failures,
 /// perfect material for the rejection-counting detector.
-struct ReplayedCell {
-  sim::Simulator sim{55};
-  mac::PhyParams phy;
-  std::unique_ptr<mac::Channel> channel;
-  core::KeyDirectory directory;
-  core::SstspConfig cfg;
+struct ReplayedCell : rig::HandNet {
   obs::Observers observers{trace_only(), {}, sim};
   trace::EventTrace& trace = *observers.trace();
-  std::vector<std::unique_ptr<proto::Station>> stations;
 
-  explicit ReplayedCell(int blacklist_threshold,
-                        double penalty_s = 30.0) {
-    phy.packet_error_rate = 0.0;
+  explicit ReplayedCell(int blacklist_threshold, double penalty_s = 30.0)
+      : HandNet(55) {
     cfg.chain_length = 1200;
     cfg.blacklist_threshold = blacklist_threshold;
     cfg.blacklist_penalty_s = penalty_s;
-    channel = std::make_unique<mac::Channel>(sim, phy);
-    for (int i = 0; i < 8; ++i) {
-      auto& st = add_station(-60.0 + 18.0 * i, 6.0 * i);
-      directory.register_node(
-          st.id(), crypto::ChainParams{crypto::derive_seed(55, st.id()),
-                                       cfg.chain_length});
-      st.set_protocol(std::make_unique<core::Sstsp>(st, cfg, directory,
-                                                    core::Sstsp::Options{}));
-    }
+    spacing_m = 2.0;
+    station_observers = observers.for_stations();
+    for (int i = 0; i < 8; ++i) add_honest(-60.0 + 18.0 * i, 6.0 * i);
     // The replayer is an *internal* identity (registered chain) so its
     // replayed frames reach the rejection counters rather than being
     // dropped as unknown.
     auto& rep = add_station(0.0, 0.0);
-    directory.register_node(
-        rep.id(), crypto::ChainParams{crypto::derive_seed(55, rep.id()),
-                                      cfg.chain_length});
+    register_chain(rep.id());
     rep.set_protocol(std::make_unique<attack::ReplayAttacker>(
         rep, attack::ReplayParams{/*start_s=*/5.0, /*end_s=*/55.0,
                                   /*delay_bps=*/3}));
-  }
-
-  proto::Station& add_station(double ppm, double offset_us) {
-    const auto id = static_cast<mac::NodeId>(stations.size());
-    stations.push_back(std::make_unique<proto::Station>(
-        sim, *channel, id,
-        clk::HardwareClock(clk::DriftModel::from_ppm(ppm), offset_us),
-        mac::Position{static_cast<double>(id) * 2.0, 0.0}));
-    stations.back()->set_observers(observers.for_stations());
-    return *stations.back();
-  }
-
-  void run(double until_s) {
-    for (auto& st : stations) {
-      if (!st->awake()) st->power_on();
-    }
-    sim.run_until(sim::SimTime::from_sec_double(until_s));
   }
 
   [[nodiscard]] std::uint64_t interval_rejections() const {
@@ -151,53 +119,22 @@ class OffsetInternalForger final : public proto::SyncProtocol {
 };
 
 /// Cell with the offset forger instead of the replayer.
-struct ForgedCell {
-  sim::Simulator sim{56};
-  mac::PhyParams phy;
-  std::unique_ptr<mac::Channel> channel;
-  core::KeyDirectory directory;
-  core::SstspConfig cfg;
+struct ForgedCell : rig::HandNet {
   obs::Observers observers{trace_only(), {}, sim};
   trace::EventTrace& trace = *observers.trace();
-  std::vector<std::unique_ptr<proto::Station>> stations;
 
-  explicit ForgedCell(int blacklist_threshold, double penalty_s = 30.0) {
-    phy.packet_error_rate = 0.0;
+  explicit ForgedCell(int blacklist_threshold, double penalty_s = 30.0)
+      : HandNet(56) {
     cfg.chain_length = 1200;
     cfg.blacklist_threshold = blacklist_threshold;
     cfg.blacklist_penalty_s = penalty_s;
-    channel = std::make_unique<mac::Channel>(sim, phy);
-    for (int i = 0; i < 8; ++i) {
-      auto& st = add_station(-60.0 + 18.0 * i, 6.0 * i);
-      directory.register_node(
-          st.id(), crypto::ChainParams{crypto::derive_seed(56, st.id()),
-                                       cfg.chain_length});
-      st.set_protocol(std::make_unique<core::Sstsp>(st, cfg, directory,
-                                                    core::Sstsp::Options{}));
-    }
+    spacing_m = 2.0;
+    station_observers = observers.for_stations();
+    for (int i = 0; i < 8; ++i) add_honest(-60.0 + 18.0 * i, 6.0 * i);
     auto& rogue = add_station(0.0, 0.0);
-    directory.register_node(
-        rogue.id(), crypto::ChainParams{crypto::derive_seed(56, rogue.id()),
-                                        cfg.chain_length});
+    register_chain(rogue.id());
     rogue.set_protocol(std::make_unique<OffsetInternalForger>(
         rogue, directory, cfg, /*offset_us=*/5000.0));
-  }
-
-  proto::Station& add_station(double ppm, double offset_us) {
-    const auto id = static_cast<mac::NodeId>(stations.size());
-    stations.push_back(std::make_unique<proto::Station>(
-        sim, *channel, id,
-        clk::HardwareClock(clk::DriftModel::from_ppm(ppm), offset_us),
-        mac::Position{static_cast<double>(id) * 2.0, 0.0}));
-    stations.back()->set_observers(observers.for_stations());
-    return *stations.back();
-  }
-
-  void run(double until_s) {
-    for (auto& st : stations) {
-      if (!st->awake()) st->power_on();
-    }
-    sim.run_until(sim::SimTime::from_sec_double(until_s));
   }
 
   [[nodiscard]] std::uint64_t guard_rejections() const {

@@ -93,6 +93,44 @@ TEST(NetSwarm, SeededRunsProduceByteIdenticalTraces) {
   EXPECT_EQ(first.net->transport.bytes_sent, second.net->transport.bytes_sent);
 }
 
+// Each node's one-station wire medium hands every frame it carries to the
+// transport, loses none to the radio model, and stamps trace ids from the
+// node's own range, so lifecycle ids stay unique across the deployment.
+TEST(NetSwarm, WireMediumHandsEveryFrameToTheTransport) {
+  std::string error;
+  std::unique_ptr<Swarm> swarm = Swarm::create(loopback_config(5), &error);
+  ASSERT_NE(swarm, nullptr) << error;
+  swarm->run();
+
+  const trace::EventTrace& trace = *swarm->observers().trace();
+  ASSERT_EQ(trace.dropped(), 0u);
+  std::uint64_t transmissions = 0;
+  for (int i = 0; i < swarm->node_count(); ++i) {
+    const NodeRuntime& node = swarm->node(i);
+    const mac::ChannelStats& medium = node.channel_stats();
+    const NetRunStats net = node.net_stats();
+    EXPECT_EQ(medium.transmissions, medium.deliveries) << "node " << i;
+    EXPECT_EQ(medium.deliveries, net.frames_sent + net.stale_frames_dropped)
+        << "node " << i;
+    EXPECT_EQ(medium.collided_transmissions, 0u) << "node " << i;
+    EXPECT_EQ(medium.half_duplex_suppressed, 0u) << "node " << i;
+    EXPECT_EQ(medium.per_drops, 0u) << "node " << i;
+    transmissions += medium.transmissions;
+
+    const std::uint64_t first = (static_cast<std::uint64_t>(i) + 1) << 40;
+    const std::uint64_t end = (static_cast<std::uint64_t>(i) + 2) << 40;
+    for (const trace::TraceEvent& tx : trace.select([i](const auto& e) {
+           return e.kind == trace::EventKind::kBeaconTx &&
+                  e.node == static_cast<mac::NodeId>(i);
+         })) {
+      EXPECT_GE(tx.trace_id, first) << "node " << i;
+      EXPECT_LT(tx.trace_id, end) << "node " << i;
+    }
+  }
+  EXPECT_GT(transmissions, 0u);
+  EXPECT_EQ(trace.count(trace::EventKind::kBeaconTx), transmissions);
+}
+
 TEST(NetSwarm, DifferentSeedsDiverge) {
   std::ostringstream first_jsonl;
   std::ostringstream second_jsonl;

@@ -9,13 +9,11 @@
 #include <vector>
 
 #include "attack/replay.h"
-#include "clock/drift_model.h"
-#include "core/sstsp.h"
-#include "crypto/hash_chain.h"
 #include "obs/invariants.h"
 #include "obs/json.h"
 #include "runner/experiment.h"
 #include "runner/network.h"
+#include "support/hand_net.h"
 
 namespace sstsp::obs {
 namespace {
@@ -317,57 +315,22 @@ TEST(InvariantMonitorIntegration, InternalAttackerLeavesAuditTrail) {
 
 // Hand-wired net (attack_test.cpp's fixture) with a monitor attached, for
 // the replay attacker the scenario runner does not wire.
-struct MonitoredSstspNet {
-  sim::Simulator sim{77};
-  mac::PhyParams phy;
-  std::unique_ptr<mac::Channel> channel;
-  core::KeyDirectory directory;
-  core::SstspConfig cfg;
+struct MonitoredSstspNet : rig::HandNet {
   std::unique_ptr<Observers> observers;
-  std::vector<std::unique_ptr<proto::Station>> stations;
 
-  MonitoredSstspNet() {
-    phy.packet_error_rate = 0.0;
+  MonitoredSstspNet() : HandNet(77) {
     cfg.chain_length = 1200;
-    channel = std::make_unique<mac::Channel>(sim, phy);
     ObserverConfig monitored;
     monitored.collect_metrics = false;
     monitored.monitor = true;
     ObservedRun run;
     run.sstsp = cfg;
     observers = std::make_unique<Observers>(monitored, run, sim);
+    station_observers = observers->for_stations();
   }
 
   [[nodiscard]] AuditReport report() const {
     return observers->monitor()->report();
-  }
-
-  proto::Station& add_station(double ppm, double offset_us) {
-    const auto id = static_cast<mac::NodeId>(stations.size());
-    auto st = std::make_unique<proto::Station>(
-        sim, *channel, id,
-        clk::HardwareClock(clk::DriftModel::from_ppm(ppm), offset_us),
-        mac::Position{static_cast<double>(id), 0.0});
-    st->set_observers(observers->for_stations());
-    stations.push_back(std::move(st));
-    return *stations.back();
-  }
-
-  proto::Station& add_honest(double ppm, double offset_us) {
-    auto& st = add_station(ppm, offset_us);
-    directory.register_node(
-        st.id(), crypto::ChainParams{crypto::derive_seed(77, st.id()),
-                                     cfg.chain_length});
-    st.set_protocol(std::make_unique<core::Sstsp>(st, cfg, directory,
-                                                  core::Sstsp::Options{}));
-    return st;
-  }
-
-  void run(double until_s) {
-    for (auto& st : stations) {
-      if (!st->awake()) st->power_on();
-    }
-    sim.run_until(sim::SimTime::from_sec_double(until_s));
   }
 };
 

@@ -5,57 +5,25 @@
 #include <memory>
 #include <vector>
 
-#include "clock/drift_model.h"
 #include "protocols/rentel_kunz.h"
 #include "runner/experiment.h"
-#include "sim/simulator.h"
+#include "support/hand_net.h"
 
 namespace sstsp::proto {
 namespace {
 
-using namespace sstsp::sim::literals;
-
-struct RkNet {
-  sim::Simulator sim{41};
-  mac::PhyParams phy;
-  std::unique_ptr<mac::Channel> channel;
-  std::vector<std::unique_ptr<Station>> stations;
+struct RkNet : rig::HandNet {
   std::vector<RentelKunz*> protos;
   RentelKunzParams params{};
 
-  RkNet() {
-    phy.packet_error_rate = 0.0;
-    channel = std::make_unique<mac::Channel>(sim, phy);
-  }
+  RkNet() : HandNet(41) {}
 
   RentelKunz& add(double ppm, double offset_us) {
-    const auto id = static_cast<mac::NodeId>(stations.size());
-    auto st = std::make_unique<Station>(
-        sim, *channel, id,
-        clk::HardwareClock(clk::DriftModel::from_ppm(ppm), offset_us),
-        mac::Position{static_cast<double>(id), 0.0});
-    auto proto = std::make_unique<RentelKunz>(*st, params);
+    Station& st = add_station(ppm, offset_us);
+    auto proto = std::make_unique<RentelKunz>(st, params);
     protos.push_back(proto.get());
-    st->set_protocol(std::move(proto));
-    stations.push_back(std::move(st));
+    st.set_protocol(std::move(proto));
     return *protos.back();
-  }
-
-  void run(double until_s) {
-    for (auto& st : stations) {
-      if (!st->awake()) st->power_on();
-    }
-    sim.run_until(sim::SimTime::from_sec_double(until_s));
-  }
-
-  double spread_us() const {
-    double lo = 1e18, hi = -1e18;
-    for (const auto& st : stations) {
-      const double v = st->protocol().network_time_us(sim.now());
-      lo = std::min(lo, v);
-      hi = std::max(hi, v);
-    }
-    return hi - lo;
   }
 };
 

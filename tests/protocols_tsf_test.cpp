@@ -5,11 +5,8 @@
 #include <memory>
 #include <vector>
 
-#include "clock/drift_model.h"
-#include "mac/channel.h"
-#include "protocols/station.h"
 #include "protocols/tsf_family.h"
-#include "sim/simulator.h"
+#include "support/hand_net.h"
 
 namespace sstsp::proto {
 namespace {
@@ -17,41 +14,13 @@ namespace {
 using sim::SimTime;
 using namespace sstsp::sim::literals;
 
-struct TsfNet {
-  sim::Simulator sim{11};
-  mac::PhyParams phy;
-  std::unique_ptr<mac::Channel> channel;
-  std::vector<std::unique_ptr<Station>> stations;
-
-  explicit TsfNet(double per = 0.0) {
-    phy.packet_error_rate = per;
-    channel = std::make_unique<mac::Channel>(sim, phy);
-  }
+struct TsfNet : rig::HandNet {
+  TsfNet() : HandNet(11) {}
 
   Station& add(double ppm, double offset_us) {
-    const auto id = static_cast<mac::NodeId>(stations.size());
-    auto st = std::make_unique<Station>(
-        sim, *channel, id,
-        clk::HardwareClock(clk::DriftModel::from_ppm(ppm), offset_us),
-        mac::Position{static_cast<double>(id), 0.0});
-    st->set_protocol(std::make_unique<Tsf>(*st));
-    stations.push_back(std::move(st));
-    return *stations.back();
-  }
-
-  void start_all() {
-    for (auto& st : stations) st->power_on();
-  }
-
-  double spread_us() const {
-    double lo = 1e18;
-    double hi = -1e18;
-    for (const auto& st : stations) {
-      const double v = st->protocol().network_time_us(sim.now());
-      lo = std::min(lo, v);
-      hi = std::max(hi, v);
-    }
-    return hi - lo;
+    Station& st = add_station(ppm, offset_us);
+    st.set_protocol(std::make_unique<Tsf>(st));
+    return st;
   }
 };
 
@@ -59,7 +28,7 @@ TEST(Tsf, TwoNodesSynchronizeToFaster) {
   TsfNet net;
   net.add(+100, 0.0);   // fast
   net.add(-100, -50.0);  // slow, behind
-  net.start_all();
+  net.power_on_all();
   net.sim.run_until(30_sec);
   // The slow node must repeatedly adopt the fast node's timestamps.
   EXPECT_LT(net.spread_us(), 25.0);
@@ -72,7 +41,7 @@ TEST(Tsf, TimerNeverLeapsBackward) {
   for (int i = 0; i < 8; ++i) {
     net.add(-100.0 + 25.0 * i, -100.0 + 30.0 * i);
   }
-  net.start_all();
+  net.power_on_all();
   // Sample every 10 ms and assert monotonicity of every timer.
   std::vector<double> prev(net.stations.size(), -1e18);
   for (int step = 0; step < 2000; ++step) {
@@ -93,7 +62,7 @@ TEST(Tsf, OnlyAdoptsLaterTimestamps) {
   net.add(0.0, 10'000.0);  // way ahead
   net.add(0.0, 0.0);
   net.add(0.0, 0.0);
-  net.start_all();
+  net.power_on_all();
   net.sim.run_until(5_sec);
   EXPECT_LT(net.spread_us(), 25.0);
   // The ahead node's timer can only have moved forward: at least its
@@ -108,9 +77,9 @@ TEST(Tsf, OnlyAdoptsLaterTimestamps) {
 TEST(Tsf, AtMostOneSuccessfulBeaconPerBp) {
   TsfNet net;
   for (int i = 0; i < 10; ++i) net.add(i * 10.0 - 50.0, i * 5.0);
-  net.start_all();
+  net.power_on_all();
   net.sim.run_until(20_sec);
-  const auto& stats = net.channel->stats();
+  const auto& stats = net.channel.stats();
   // Successful (non-collided) transmissions cannot exceed one per BP.
   const std::uint64_t successful =
       stats.transmissions - stats.collided_transmissions;
@@ -123,13 +92,13 @@ TEST(Tsf, FastestNodeAsynchronization) {
   // beacon rarely wins the contention, so the spread grows with N.
   TsfNet small;
   for (int i = 0; i < 5; ++i) small.add(i == 0 ? 100.0 : -80.0 + i, 0.0);
-  small.start_all();
+  small.power_on_all();
   small.sim.run_until(60_sec);
   const double small_spread = small.spread_us();
 
   TsfNet big;
   for (int i = 0; i < 60; ++i) big.add(i == 0 ? 100.0 : -80.0 + i * 0.1, 0.0);
-  big.start_all();
+  big.power_on_all();
   big.sim.run_until(60_sec);
   const double big_spread = big.spread_us();
 
@@ -140,7 +109,7 @@ TEST(Tsf, StopCancelsActivity) {
   TsfNet net;
   net.add(0.0, 0.0);
   net.add(10.0, 5.0);
-  net.start_all();
+  net.power_on_all();
   net.sim.run_until(2_sec);
   const auto sent_before = net.stations[0]->protocol().stats().beacons_sent +
                            net.stations[1]->protocol().stats().beacons_sent;
@@ -157,7 +126,7 @@ TEST(Tsf, RejoinedNodeResynchronizes) {
   net.add(80.0, 0.0);
   net.add(-80.0, 10.0);
   net.add(0.0, -10.0);
-  net.start_all();
+  net.power_on_all();
   net.sim.run_until(5_sec);
   net.stations[1]->power_off();
   net.sim.run_until(25_sec);  // drifts ~ -80ppm * 20 s = -1.6 ms

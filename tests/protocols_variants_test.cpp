@@ -5,62 +5,28 @@
 #include <memory>
 #include <vector>
 
-#include "clock/drift_model.h"
-#include "mac/channel.h"
 #include "protocols/atsp.h"
 #include "protocols/satsf.h"
-#include "protocols/station.h"
 #include "protocols/tatsp.h"
 #include "protocols/tsf_family.h"
 #include "runner/experiment.h"
-#include "sim/simulator.h"
+#include "support/hand_net.h"
 
 namespace sstsp::proto {
 namespace {
 
-using namespace sstsp::sim::literals;
-
 template <typename Proto, typename Params>
-struct VariantNet {
-  sim::Simulator sim{13};
-  mac::PhyParams phy;
-  std::unique_ptr<mac::Channel> channel;
-  std::vector<std::unique_ptr<Station>> stations;
+struct VariantNet : rig::HandNet {
   Params params{};
 
-  VariantNet() {
-    phy.packet_error_rate = 0.0;
-    channel = std::make_unique<mac::Channel>(sim, phy);
-  }
+  VariantNet() : HandNet(13) {}
 
   Proto& add(double ppm, double offset_us) {
-    const auto id = static_cast<mac::NodeId>(stations.size());
-    auto st = std::make_unique<Station>(
-        sim, *channel, id,
-        clk::HardwareClock(clk::DriftModel::from_ppm(ppm), offset_us),
-        mac::Position{static_cast<double>(id), 0.0});
-    auto proto = std::make_unique<Proto>(*st, params);
+    Station& st = add_station(ppm, offset_us);
+    auto proto = std::make_unique<Proto>(st, params);
     Proto& ref = *proto;
-    st->set_protocol(std::move(proto));
-    stations.push_back(std::move(st));
+    st.set_protocol(std::move(proto));
     return ref;
-  }
-
-  void run(sim::SimTime until) {
-    for (auto& st : stations) {
-      if (!st->awake()) st->power_on();
-    }
-    sim.run_until(until);
-  }
-
-  double spread_us() {
-    double lo = 1e18, hi = -1e18;
-    for (const auto& st : stations) {
-      const double v = st->protocol().network_time_us(sim.now());
-      lo = std::min(lo, v);
-      hi = std::max(hi, v);
-    }
-    return hi - lo;
   }
 };
 
@@ -69,7 +35,7 @@ TEST(Atsp, SlowNodesBackOffFastNodeStaysEager) {
   Atsp& fast = net.add(+100, 0.0);
   Atsp& slow1 = net.add(-100, 0.0);
   Atsp& slow2 = net.add(-50, 0.0);
-  net.run(20_sec);
+  net.run(20.0);
   // Slow nodes heard later timestamps and must sit at I = Imax; the fast
   // node heard nothing later and competes every BP.
   EXPECT_EQ(fast.current_interval(), 1u);
@@ -81,7 +47,7 @@ TEST(Atsp, SlowNodesBackOffFastNodeStaysEager) {
 TEST(Atsp, SynchronizesNetwork) {
   VariantNet<Atsp, AtspParams> net;
   for (int i = 0; i < 20; ++i) net.add(-100.0 + 10.0 * i, i * 5.0);
-  net.run(30_sec);
+  net.run(30.0);
   EXPECT_LT(net.spread_us(), 25.0);
 }
 
@@ -90,7 +56,7 @@ TEST(Tatsp, TierAssignmentsReflectSpeed) {
   Tatsp& fast = net.add(+100, 0.0);
   Tatsp& mid = net.add(0, 0.0);
   Tatsp& slow = net.add(-100, 0.0);
-  net.run(30_sec);
+  net.run(30.0);
   EXPECT_EQ(fast.tier(), 1);
   EXPECT_EQ(slow.tier(), 3);
   (void)mid;
@@ -100,7 +66,7 @@ TEST(Tatsp, TierAssignmentsReflectSpeed) {
 TEST(Tatsp, SynchronizesNetwork) {
   VariantNet<Tatsp, TatspParams> net;
   for (int i = 0; i < 20; ++i) net.add(-100.0 + 10.0 * i, i * 5.0);
-  net.run(30_sec);
+  net.run(30.0);
   EXPECT_LT(net.spread_us(), 25.0);
 }
 
@@ -108,7 +74,7 @@ TEST(Satsf, FftGrowsForFastShrinksForSlow) {
   VariantNet<Satsf, SatsfParams> net;
   Satsf& fast = net.add(+100, 0.0);
   Satsf& slow = net.add(-100, 0.0);
-  net.run(30_sec);
+  net.run(30.0);
   EXPECT_EQ(fast.fft(), net.params.fft_max);
   EXPECT_LT(slow.fft(), net.params.fft_max / 2);
   EXPECT_GT(fast.stats().beacons_sent, slow.stats().beacons_sent);
@@ -117,7 +83,7 @@ TEST(Satsf, FftGrowsForFastShrinksForSlow) {
 TEST(Satsf, SynchronizesNetwork) {
   VariantNet<Satsf, SatsfParams> net;
   for (int i = 0; i < 20; ++i) net.add(-100.0 + 10.0 * i, i * 5.0);
-  net.run(30_sec);
+  net.run(30.0);
   EXPECT_LT(net.spread_us(), 25.0);
 }
 

@@ -240,7 +240,7 @@ int main(int argc, char** argv) {
   }
 
   run::RunResult result;
-  result.channel = node.channel().stats();
+  result.channel = node.channel_stats();
   result.honest = node.station().protocol().stats();
   result.net = node.net_stats();
   obs::Registry& registry = observers->registry();
