@@ -14,14 +14,7 @@ namespace {
 
 constexpr double kHonestDrift = std::numeric_limits<double>::quiet_NaN();
 
-/// Numeric override from the attack-params JSON; fallback when absent.
-double num_param(const obs::json::Value* params, std::string_view key,
-                 double fallback) {
-  if (params == nullptr) return fallback;
-  const obs::json::Value* v = params->find(key);
-  if (v == nullptr || !v->is_number()) return fallback;
-  return v->number;
-}
+using obs::json::Reader;
 
 }  // namespace
 
@@ -30,71 +23,79 @@ AdversaryRegistry::AdversaryRegistry() {
       {"TSF slow-beacon attacker: floods contention with slower timestamps "
        "so the honest TSF network free-runs (paper Fig. 3)",
        0.9,  // deploys with worst-case-fast hardware, see tsf_attacker.h
-       [](const AdversaryContext& ctx) -> std::unique_ptr<proto::SyncProtocol> {
-         TsfAttackParams p = ctx.tsf;
-         p.start_s = num_param(ctx.params, "start", p.start_s);
-         p.end_s = num_param(ctx.params, "end", p.end_s);
-         p.slow_offset_us =
-             num_param(ctx.params, "slow_offset_us", p.slow_offset_us);
-         p.timer_advance_us =
-             num_param(ctx.params, "timer_advance_us", p.timer_advance_us);
-         p.burst_count = static_cast<int>(
-             num_param(ctx.params, "burst_count", p.burst_count));
-         p.burst_spacing_us =
-             num_param(ctx.params, "burst_spacing_us", p.burst_spacing_us);
-         return std::make_unique<TsfSlowBeaconAttacker>(ctx.station, p);
+       [](Reader& in, const AdversaryDefaults& d) -> AdversaryBuild {
+         TsfAttackParams p = d.tsf;
+         in.number("start", &p.start_s)
+             .number("end", &p.end_s)
+             .number("slow_offset_us", &p.slow_offset_us)
+             .number("timer_advance_us", &p.timer_advance_us)
+             .integer("burst_count", &p.burst_count, 0, 1000000)
+             .number("burst_spacing_us", &p.burst_spacing_us);
+         return [p](const AdversaryContext& ctx) {
+           return std::make_unique<TsfSlowBeaconAttacker>(ctx.station, p);
+         };
        }});
   add("internal-ref",
       {"internal SSTSP attacker: seizes the reference role and drags the "
        "network timeline within guard bounds (paper Fig. 4)",
        kHonestDrift,
-       [](const AdversaryContext& ctx) -> std::unique_ptr<proto::SyncProtocol> {
-         SstspAttackParams p = ctx.internal;
-         p.start_s = num_param(ctx.params, "start", p.start_s);
-         p.end_s = num_param(ctx.params, "end", p.end_s);
-         p.advance_us = num_param(ctx.params, "advance_us", p.advance_us);
-         p.skew_rate_us_per_s =
-             num_param(ctx.params, "skew", p.skew_rate_us_per_s);
-         p.skew_ramp_s = num_param(ctx.params, "skew_ramp_s", p.skew_ramp_s);
-         return std::make_unique<SstspInternalAttacker>(
-             ctx.station, ctx.sstsp, ctx.directory, p);
+       [](Reader& in, const AdversaryDefaults& d) -> AdversaryBuild {
+         SstspAttackParams p = d.internal;
+         in.number("start", &p.start_s)
+             .number("end", &p.end_s)
+             .number("advance_us", &p.advance_us)
+             .number("skew", &p.skew_rate_us_per_s)
+             .number("skew_ramp_s", &p.skew_ramp_s);
+         return [p](const AdversaryContext& ctx) {
+           return std::make_unique<SstspInternalAttacker>(
+               ctx.station, ctx.sstsp, ctx.directory, p);
+         };
        }});
   add("replay",
       {"external replay attacker: re-transmits captured beacons some BPs "
        "later; µTESLA's interval check rejects them (§4)",
        kHonestDrift,
-       [](const AdversaryContext& ctx) -> std::unique_ptr<proto::SyncProtocol> {
+       [](Reader& in, const AdversaryDefaults& d) -> AdversaryBuild {
          ReplayParams p;
-         p.start_s = num_param(ctx.params, "start", ctx.internal.start_s);
-         p.end_s = num_param(ctx.params, "end", ctx.internal.end_s);
-         p.delay_bps = static_cast<int>(
-             num_param(ctx.params, "delay_bps", p.delay_bps));
-         p.extra_delay_us =
-             num_param(ctx.params, "extra_delay_us", p.extra_delay_us);
-         return std::make_unique<ReplayAttacker>(ctx.station, p);
+         p.start_s = d.internal.start_s;
+         p.end_s = d.internal.end_s;
+         in.number("start", &p.start_s)
+             .number("end", &p.end_s)
+             .integer("delay_bps", &p.delay_bps, 0, 1000000)
+             .number("extra_delay_us", &p.extra_delay_us);
+         return [p](const AdversaryContext& ctx) {
+           return std::make_unique<ReplayAttacker>(ctx.station, p);
+         };
        }});
   add("forge",
       {"external forger: emits SSTSP-shaped beacons with garbage MACs under "
        "an unanchored identity; rejected at the disclosed-key step",
        kHonestDrift,
-       [](const AdversaryContext& ctx) -> std::unique_ptr<proto::SyncProtocol> {
+       [](Reader& in, const AdversaryDefaults&) -> AdversaryBuild {
          ExternalForger::Params p;
-         p.period_s = num_param(ctx.params, "period_s", p.period_s);
-         const double spoofed = num_param(ctx.params, "spoofed", -1.0);
+         double spoofed = -1.0;
+         in.number("period_s", &p.period_s)
+             .number("spoofed", &spoofed, 0.0, 4294967294.0);
          if (spoofed >= 0.0) p.spoofed = static_cast<mac::NodeId>(spoofed);
-         return std::make_unique<ExternalForger>(ctx.station, p);
+         return [p](const AdversaryContext& ctx) {
+           return std::make_unique<ExternalForger>(ctx.station, p);
+         };
        }});
   add("delayed-disclosure",
       {"internal delayed-key-disclosure attacker: emits late beacons stamped "
        "on schedule, abusing the µTESLA disclosure delay (§4)",
        kHonestDrift,
-       [](const AdversaryContext& ctx) -> std::unique_ptr<proto::SyncProtocol> {
+       [](Reader& in, const AdversaryDefaults& d) -> AdversaryBuild {
          DelayedDisclosureParams p;
-         p.start_s = num_param(ctx.params, "start", ctx.internal.start_s);
-         p.end_s = num_param(ctx.params, "end", ctx.internal.end_s);
-         p.delay_us = num_param(ctx.params, "delay_us", p.delay_us);
-         return std::make_unique<DelayedDisclosureAttacker>(
-             ctx.station, ctx.sstsp, ctx.directory, p);
+         p.start_s = d.internal.start_s;
+         p.end_s = d.internal.end_s;
+         in.number("start", &p.start_s)
+             .number("end", &p.end_s)
+             .number("delay_us", &p.delay_us);
+         return [p](const AdversaryContext& ctx) {
+           return std::make_unique<DelayedDisclosureAttacker>(
+               ctx.station, ctx.sstsp, ctx.directory, p);
+         };
        }});
 }
 
@@ -141,11 +142,34 @@ double adversary_drift_factor(std::string_view name) {
   return info == nullptr ? kHonestDrift : info->drift_factor;
 }
 
-std::unique_ptr<proto::SyncProtocol> make_adversary(
-    std::string_view name, const AdversaryContext& ctx) {
+AdversaryBuild configure_adversary(std::string_view name,
+                                   const obs::json::Value* params,
+                                   const AdversaryDefaults& defaults,
+                                   std::string* error) {
   const AdversaryInfo* info = AdversaryRegistry::instance().find(name);
-  if (info == nullptr || !info->make) return nullptr;
-  return info->make(ctx);
+  if (info == nullptr) {
+    if (error != nullptr) *error = "unknown adversary: " + std::string(name);
+    return {};
+  }
+  static const obs::json::Value kNoParams = *obs::json::parse("{}");
+  Reader in(params != nullptr ? *params : kNoParams, "attack.params", error);
+  AdversaryBuild build = info->configure(in, defaults);
+  return in.done() ? build : AdversaryBuild{};
+}
+
+AdversaryBuild configure_adversary(std::string_view name,
+                                   const std::string& params_json,
+                                   const AdversaryDefaults& defaults,
+                                   std::string* error) {
+  if (params_json.empty()) {
+    return configure_adversary(name, nullptr, defaults, error);
+  }
+  const auto params = obs::json::parse(params_json);
+  if (!params) {
+    if (error != nullptr) *error = "attack.params: invalid JSON: " + params_json;
+    return {};
+  }
+  return configure_adversary(name, &*params, defaults, error);
 }
 
 }  // namespace sstsp::attack

@@ -20,29 +20,31 @@
 
 #include "attack/internal_reference.h"
 #include "attack/tsf_attacker.h"
+#include "obs/json.h"
 
 namespace sstsp::proto {
 class Station;
 class SyncProtocol;
 }  // namespace sstsp::proto
 
-namespace sstsp::obs::json {
-struct Value;
-}  // namespace sstsp::obs::json
-
 namespace sstsp::attack {
 
-/// Everything a factory may draw on.  `params` is the parsed value of the
-/// scenario's attack-params JSON (nullptr when none was given) and is only
-/// valid for the duration of the make() call.
+/// Scenario-level attack settings an adversary's params override.
+struct AdversaryDefaults {
+  TsfAttackParams tsf{};
+  SstspAttackParams internal{};
+};
+
+/// The deployment an adversary is built into.
 struct AdversaryContext {
   proto::Station& station;
   core::KeyDirectory& directory;
   const core::SstspConfig& sstsp;
-  TsfAttackParams tsf{};
-  SstspAttackParams internal{};
-  const obs::json::Value* params{nullptr};
 };
+
+/// Builds a configured adversary on the attacker station.
+using AdversaryBuild = std::function<std::unique_ptr<proto::SyncProtocol>(
+    const AdversaryContext&)>;
 
 struct AdversaryInfo {
   std::string description;
@@ -50,8 +52,11 @@ struct AdversaryInfo {
   /// max drift (NaN: drawn from the same distribution as honest nodes).
   /// tsf-slow pins 0.9 — worst-case-fast hardware, see tsf_attacker.h.
   double drift_factor;
-  std::function<std::unique_ptr<proto::SyncProtocol>(const AdversaryContext&)>
-      make;
+  /// Reads the adversary's params through `params` (every key it knows is
+  /// a number) onto `defaults` and returns the build step.
+  std::function<AdversaryBuild(obs::json::Reader& params,
+                               const AdversaryDefaults& defaults)>
+      configure;
 };
 
 class AdversaryRegistry {
@@ -80,8 +85,17 @@ class AdversaryRegistry {
 /// node (or the name is unknown/empty).
 [[nodiscard]] double adversary_drift_factor(std::string_view name);
 
-/// Builds the adversary; nullptr for an unknown name.
-[[nodiscard]] std::unique_ptr<proto::SyncProtocol> make_adversary(
-    std::string_view name, const AdversaryContext& ctx);
+/// Reads the params block `params` (nullptr: none) of adversary `name` at
+/// key path "attack.params" and returns its build step.  An empty function
+/// and *error on an unknown name, a non-object, a key the adversary does
+/// not read or a non-number ("line 3: attack.params.skw: unknown key ...").
+[[nodiscard]] AdversaryBuild configure_adversary(
+    std::string_view name, const obs::json::Value* params,
+    const AdversaryDefaults& defaults, std::string* error);
+
+/// The same from params JSON text ("": none).
+[[nodiscard]] AdversaryBuild configure_adversary(
+    std::string_view name, const std::string& params_json,
+    const AdversaryDefaults& defaults, std::string* error);
 
 }  // namespace sstsp::attack

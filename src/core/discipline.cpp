@@ -7,10 +7,6 @@ namespace sstsp::core {
 
 namespace {
 
-std::string at_line(const obs::json::Value& v) {
-  return v.line > 0 ? "line " + std::to_string(v.line) + ": " : "";
-}
-
 // ---------------------------------------------------------------------------
 // "paper" — the §3.3 span solver (the bit-identical default).
 
@@ -346,95 +342,36 @@ const std::vector<std::string>& discipline_verdict_names() {
   return names;
 }
 
-bool discipline_param_key_known(std::string_view key) {
-  return key == "name" || key == "span" || key == "k-min" ||
-         key == "k-max" || key == "window" || key == "forgetting" ||
-         key == "innovation-gate" || key == "holdover-max-age";
-}
-
 bool apply_discipline_json(const obs::json::Value& value, SstspConfig* cfg,
                            std::string* error) {
-  auto fail = [error](std::string message) {
-    if (error != nullptr) *error = std::move(message);
-    return false;
-  };
-
-  if (value.kind == obs::json::Value::Kind::kString) {
-    if (!discipline_known(value.string)) {
-      return fail(at_line(value) + "unknown discipline '" + value.string +
-                  "' (have: paper, rls, holdover)");
-    }
-    cfg->discipline.name = value.string;
-    return true;
-  }
   if (!value.is_object()) {
-    return fail(at_line(value) +
-                "config key 'discipline' must be a name string or an object");
-  }
-  for (const auto& [key, v] : value.object) {
-    if (!discipline_param_key_known(key)) {
-      return fail(at_line(v) + "unknown config key 'discipline." + key + "'");
+    if (value.is_string() && discipline_known(value.string)) {
+      cfg->discipline.name = value.string;
+      return true;
     }
-    auto need_number = [&](double lo, double hi) -> bool {
-      return v.kind == obs::json::Value::Kind::kNumber && v.number >= lo &&
-             v.number <= hi;
-    };
-    if (key == "name") {
-      if (v.kind != obs::json::Value::Kind::kString ||
-          !discipline_known(v.string)) {
-        return fail(at_line(v) + "config key 'discipline.name' must be one "
-                                 "of: paper, rls, holdover");
-      }
-      cfg->discipline.name = v.string;
-    } else if (key == "span") {
-      if (!need_number(1, 1e6)) {
-        return fail(at_line(v) +
-                    "config key 'discipline.span' must be a number >= 1");
-      }
-      cfg->solver_span_bps = static_cast<int>(v.number);
-    } else if (key == "k-min") {
-      if (!need_number(0.0, 10.0)) {
-        return fail(at_line(v) +
-                    "config key 'discipline.k-min' must be in [0, 10]");
-      }
-      cfg->k_min = v.number;
-    } else if (key == "k-max") {
-      if (!need_number(0.0, 10.0)) {
-        return fail(at_line(v) +
-                    "config key 'discipline.k-max' must be in [0, 10]");
-      }
-      cfg->k_max = v.number;
-    } else if (key == "window") {
-      if (!need_number(2, 1e6)) {
-        return fail(at_line(v) +
-                    "config key 'discipline.window' must be a number >= 2");
-      }
-      cfg->discipline.window_bps = static_cast<int>(v.number);
-    } else if (key == "forgetting") {
-      if (!need_number(1e-3, 1.0)) {
-        return fail(at_line(v) + "config key 'discipline.forgetting' must "
-                                 "be in (0, 1]");
-      }
-      cfg->discipline.forgetting = v.number;
-    } else if (key == "innovation-gate") {
-      if (!need_number(0.0, 1e9)) {
-        return fail(at_line(v) + "config key 'discipline.innovation-gate' "
-                                 "must be a number >= 0 (us; 0 disables)");
-      }
-      cfg->discipline.innovation_gate_us = v.number;
-    } else if (key == "holdover-max-age") {
-      if (!need_number(1, 1e6)) {
-        return fail(at_line(v) + "config key 'discipline.holdover-max-age' "
-                                 "must be a number >= 1 (beacon periods)");
-      }
-      cfg->discipline.holdover_max_age_bps = static_cast<int>(v.number);
+    if (error != nullptr) {
+      *error = obs::json::error_at(
+          value, "discipline",
+          value.is_string() ? "unknown discipline '" + value.string +
+                                  "' (have: paper, rls, holdover)"
+                            : "expected a name string or an object");
     }
+    return false;
   }
-  if (cfg->k_min > cfg->k_max) {
-    return fail(at_line(value) +
-                "discipline: k-min must not exceed k-max");
+  obs::json::Reader in(value, "discipline", error);
+  in.string("name", &cfg->discipline.name, discipline_names())
+      .integer("span", &cfg->solver_span_bps, 1, 1000000)
+      .number("k-min", &cfg->k_min, 0.0, 10.0)
+      .number("k-max", &cfg->k_max, 0.0, 10.0)
+      .integer("window", &cfg->discipline.window_bps, 2, 1000000)
+      .number("forgetting", &cfg->discipline.forgetting, 1e-3, 1.0)
+      .number("innovation-gate", &cfg->discipline.innovation_gate_us, 0.0, 1e9)
+      .integer("holdover-max-age", &cfg->discipline.holdover_max_age_bps, 1,
+               1000000);
+  if (in.done() && cfg->k_min > cfg->k_max) {
+    in.fail(value, "discipline", "k-min must not exceed k-max");
   }
-  return true;
+  return in.ok();
 }
 
 }  // namespace sstsp::core

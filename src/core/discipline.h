@@ -122,14 +122,12 @@ class ClockDiscipline {
 /// Counter/JSON names for each DisciplineVerdict, indexed by its value.
 [[nodiscard]] const std::vector<std::string>& discipline_verdict_names();
 
-/// Is `key` valid inside the nested "discipline" config block?
-[[nodiscard]] bool discipline_param_key_known(std::string_view key);
-
 /// Applies a parsed "discipline" JSON object (or name string) onto `cfg`:
 /// {"name": "rls", "span": 8, "k-min": 0.95, "k-max": 1.05, "window": 16,
 ///  "forgetting": 0.9, "innovation-gate": 200, "holdover-max-age": 32}.
-/// Unknown or ill-typed keys fail with the nested path in *error
-/// ("unknown config key 'discipline.<key>'").
+/// An unknown key, an ill-typed or out-of-range value fails through
+/// obs::json::Reader, naming the key path and line in *error ("line 4:
+/// discipline.lambda: unknown key ...").
 [[nodiscard]] bool apply_discipline_json(const obs::json::Value& value,
                                          SstspConfig* cfg,
                                          std::string* error);

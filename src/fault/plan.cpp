@@ -1,5 +1,6 @@
 #include "fault/plan.h"
 
+#include <algorithm>
 #include <cmath>
 #include <fstream>
 #include <sstream>
@@ -10,47 +11,18 @@ namespace sstsp::fault {
 
 namespace {
 
+using obs::json::Reader;
 using obs::json::Value;
 using obs::json::Writer;
 
-/// Collects the field path and line of the first error.
-struct ParseCtx {
-  std::string* error;
-  bool failed{false};
+// Kind names, in enum order.
+constexpr std::string_view kPacketKinds[] = {"drop", "duplicate", "delay",
+                                             "reorder", "corrupt"};
+constexpr std::string_view kNodeKinds[] = {"crash", "pause"};
 
-  void fail(const Value& at, const std::string& path, const std::string& msg) {
-    if (failed) return;
-    failed = true;
-    if (error == nullptr) return;
-    std::ostringstream os;
-    if (at.line > 0) os << "line " << at.line << ": ";
-    os << path << ": " << msg;
-    *error = os.str();
-  }
-};
-
-bool get_number(ParseCtx& ctx, const Value& parent, const std::string& path,
-                std::string_view key, double* out) {
-  const Value* v = parent.find(key);
-  if (v == nullptr) return true;  // optional; keep default
-  if (!v->is_number()) {
-    ctx.fail(*v, path + "." + std::string(key), "expected a number");
-    return false;
-  }
-  *out = v->number;
-  return true;
-}
-
-bool get_bool(ParseCtx& ctx, const Value& parent, const std::string& path,
-              std::string_view key, bool* out) {
-  const Value* v = parent.find(key);
-  if (v == nullptr) return true;
-  if (v->kind != Value::Kind::kBool) {
-    ctx.fail(*v, path + "." + std::string(key), "expected true or false");
-    return false;
-  }
-  *out = v->boolean;
-  return true;
+template <class Kind, std::size_t N>
+Kind kind_named(const std::string_view (&names)[N], std::string_view name) {
+  return static_cast<Kind>(std::find(names, names + N, name) - names);
 }
 
 bool node_id_from_number(double n, mac::NodeId* out) {
@@ -60,195 +32,118 @@ bool node_id_from_number(double n, mac::NodeId* out) {
 }
 
 /// "node": <id> | "reference".  Sets *reference when the string form is used.
-bool get_node(ParseCtx& ctx, const Value& parent, const std::string& path,
-              std::string_view key, mac::NodeId* out, bool* reference) {
-  const Value* v = parent.find(key);
-  if (v == nullptr) return true;
-  if (v->is_string()) {
-    if (reference != nullptr && v->string == "reference") {
-      *reference = true;
-      return true;
-    }
-    ctx.fail(*v, path + "." + std::string(key),
-             "expected a node id" +
-                 std::string(reference != nullptr ? " or \"reference\"" : ""));
-    return false;
+void read_node(Reader& in, std::string_view key, mac::NodeId* out,
+               bool* reference) {
+  const Value* v = in.member(key);
+  if (v == nullptr) return;
+  if (reference != nullptr && v->is_string() && v->string == "reference") {
+    *reference = true;
+  } else if (!v->is_number() || !node_id_from_number(v->number, out)) {
+    in.fail(key, reference != nullptr ? "expected a node id or \"reference\""
+                                      : "expected a node id");
   }
-  if (!v->is_number() || !node_id_from_number(v->number, out)) {
-    ctx.fail(*v, path + "." + std::string(key), "expected a node id");
-    return false;
-  }
-  return true;
 }
 
-bool get_group(ParseCtx& ctx, const Value& parent, const std::string& path,
-               std::string_view key, std::vector<mac::NodeId>* out) {
-  const Value* v = parent.find(key);
-  if (v == nullptr) return true;
+void read_group(Reader& in, std::string_view key,
+                std::vector<mac::NodeId>* out) {
+  const Value* v = in.member(key);
+  if (v == nullptr) return;
   if (!v->is_array()) {
-    ctx.fail(*v, path + "." + std::string(key), "expected an array of node ids");
-    return false;
+    in.fail(key, "expected an array of node ids");
+    return;
   }
   for (std::size_t i = 0; i < v->array.size(); ++i) {
     const Value& e = v->array[i];
     mac::NodeId id = mac::kNoNode;
     if (!e.is_number() || !node_id_from_number(e.number, &id)) {
-      std::ostringstream os;
-      os << path << "." << key << "[" << i << "]";
-      ctx.fail(e, os.str(), "expected a node id");
-      return false;
+      in.fail(e, in.path() + "." + std::string(key) + "[" + std::to_string(i) + "]",
+              "expected a node id");
+      return;
     }
     out->push_back(id);
   }
-  return true;
 }
 
-/// Rejects keys outside `allowed` so typos fail loudly with the line named.
-void check_keys(ParseCtx& ctx, const Value& obj, const std::string& path,
-                std::initializer_list<std::string_view> allowed) {
-  for (const auto& [key, member] : obj.object) {
-    bool ok = false;
-    for (const std::string_view a : allowed) {
-      if (key == a) {
-        ok = true;
-        break;
-      }
-    }
-    if (!ok) ctx.fail(member, path + "." + key, "unknown key");
+/// Closes a node or clock fault's reads: a victim, node id or "reference",
+/// is required.
+void require_victim(Reader& in, bool reference, mac::NodeId node) {
+  if (in.done() && !reference && node == mac::kNoNode) {
+    in.fail("node", "required (node id or \"reference\")");
   }
 }
 
-std::optional<PacketFault> parse_packet(ParseCtx& ctx, const Value& v,
-                                        const std::string& path) {
-  if (!v.is_object()) {
-    ctx.fail(v, path, "expected an object");
-    return std::nullopt;
-  }
-  check_keys(ctx, v, path,
-             {"kind", "start", "end", "probability", "from", "to",
-              "delay_min_us", "delay_max_us", "gap_us", "copies",
-              "copy_spacing_us"});
+PacketFault read_packet(Reader& in) {
   PacketFault f;
-  const Value* kind = v.find("kind");
-  if (kind == nullptr || !kind->is_string()) {
-    ctx.fail(v, path + ".kind", "required string");
-    return std::nullopt;
-  }
-  if (kind->string == "drop") {
-    f.kind = PacketFaultKind::kDrop;
-  } else if (kind->string == "duplicate") {
-    f.kind = PacketFaultKind::kDuplicate;
-  } else if (kind->string == "delay") {
-    f.kind = PacketFaultKind::kDelay;
-  } else if (kind->string == "reorder") {
-    f.kind = PacketFaultKind::kReorder;
-  } else if (kind->string == "corrupt") {
-    f.kind = PacketFaultKind::kCorrupt;
-  } else {
-    ctx.fail(*kind, path + ".kind",
-             "unknown fault kind '" + kind->string +
-                 "' (drop|duplicate|delay|reorder|corrupt)");
-    return std::nullopt;
-  }
-  double copies = static_cast<double>(f.copies);
-  if (!get_number(ctx, v, path, "start", &f.start_s) ||
-      !get_number(ctx, v, path, "end", &f.end_s) ||
-      !get_number(ctx, v, path, "probability", &f.probability) ||
-      !get_node(ctx, v, path, "from", &f.from, nullptr) ||
-      !get_node(ctx, v, path, "to", &f.to, nullptr) ||
-      !get_number(ctx, v, path, "delay_min_us", &f.delay_min_us) ||
-      !get_number(ctx, v, path, "delay_max_us", &f.delay_max_us) ||
-      !get_number(ctx, v, path, "gap_us", &f.gap_us) ||
-      !get_number(ctx, v, path, "copies", &copies) ||
-      !get_number(ctx, v, path, "copy_spacing_us", &f.copy_spacing_us)) {
-    return std::nullopt;
-  }
-  f.copies = static_cast<int>(copies);
-  if (f.probability < 0.0 || f.probability > 1.0) {
-    ctx.fail(v, path + ".probability", "must be in [0, 1]");
-    return std::nullopt;
-  }
+  std::string kind;
+  in.string("kind", &kind, kPacketKinds)
+      .number("start", &f.start_s)
+      .number("end", &f.end_s)
+      .number("probability", &f.probability, 0.0, 1.0)
+      .number("delay_min_us", &f.delay_min_us)
+      .number("delay_max_us", &f.delay_max_us)
+      .number("gap_us", &f.gap_us)
+      .integer("copies", &f.copies, 0, 1000000)
+      .number("copy_spacing_us", &f.copy_spacing_us);
+  read_node(in, "from", &f.from, nullptr);
+  read_node(in, "to", &f.to, nullptr);
+  if (in.done() && kind.empty()) in.fail("kind", "required string");
+  f.kind = kind_named<PacketFaultKind>(kPacketKinds, kind);
   if (f.delay_max_us < f.delay_min_us) f.delay_max_us = f.delay_min_us;
   return f;
 }
 
-std::optional<Partition> parse_partition(ParseCtx& ctx, const Value& v,
-                                         const std::string& path) {
-  if (!v.is_object()) {
-    ctx.fail(v, path, "expected an object");
-    return std::nullopt;
-  }
-  check_keys(ctx, v, path, {"start", "end", "group_a", "group_b", "asymmetric"});
+Partition read_partition(Reader& in) {
   Partition p;
-  if (!get_number(ctx, v, path, "start", &p.start_s) ||
-      !get_number(ctx, v, path, "end", &p.end_s) ||
-      !get_group(ctx, v, path, "group_a", &p.group_a) ||
-      !get_group(ctx, v, path, "group_b", &p.group_b) ||
-      !get_bool(ctx, v, path, "asymmetric", &p.asymmetric)) {
-    return std::nullopt;
-  }
-  if (p.group_a.empty()) {
-    ctx.fail(v, path + ".group_a", "required non-empty array");
-    return std::nullopt;
+  in.number("start", &p.start_s)
+      .number("end", &p.end_s)
+      .boolean("asymmetric", &p.asymmetric);
+  read_group(in, "group_a", &p.group_a);
+  read_group(in, "group_b", &p.group_b);
+  if (in.done() && p.group_a.empty()) {
+    in.fail("group_a", "required non-empty array");
   }
   return p;
 }
 
-std::optional<NodeFault> parse_node_fault(ParseCtx& ctx, const Value& v,
-                                          const std::string& path) {
-  if (!v.is_object()) {
-    ctx.fail(v, path, "expected an object");
-    return std::nullopt;
-  }
-  check_keys(ctx, v, path, {"kind", "node", "at", "restart"});
+NodeFault read_node_fault(Reader& in) {
   NodeFault f;
-  const Value* kind = v.find("kind");
-  if (kind != nullptr) {
-    if (!kind->is_string()) {
-      ctx.fail(*kind, path + ".kind", "expected a string");
-      return std::nullopt;
-    }
-    if (kind->string == "crash") {
-      f.kind = NodeFaultKind::kCrash;
-    } else if (kind->string == "pause") {
-      f.kind = NodeFaultKind::kPause;
-    } else {
-      ctx.fail(*kind, path + ".kind",
-               "unknown fault kind '" + kind->string + "' (crash|pause)");
-      return std::nullopt;
-    }
-  }
-  if (!get_node(ctx, v, path, "node", &f.node, &f.reference) ||
-      !get_number(ctx, v, path, "at", &f.at_s) ||
-      !get_number(ctx, v, path, "restart", &f.restart_s)) {
-    return std::nullopt;
-  }
-  if (!f.reference && f.node == mac::kNoNode) {
-    ctx.fail(v, path + ".node", "required (node id or \"reference\")");
-    return std::nullopt;
-  }
+  std::string kind{kNodeKinds[0]};
+  in.string("kind", &kind, kNodeKinds)
+      .number("at", &f.at_s)
+      .number("restart", &f.restart_s);
+  read_node(in, "node", &f.node, &f.reference);
+  require_victim(in, f.reference, f.node);
+  f.kind = kind_named<NodeFaultKind>(kNodeKinds, kind);
   return f;
 }
 
-std::optional<ClockFault> parse_clock_fault(ParseCtx& ctx, const Value& v,
-                                            const std::string& path) {
-  if (!v.is_object()) {
-    ctx.fail(v, path, "expected an object");
-    return std::nullopt;
-  }
-  check_keys(ctx, v, path, {"node", "at", "step_us", "drift_delta_ppm"});
+ClockFault read_clock_fault(Reader& in) {
   ClockFault f;
-  if (!get_node(ctx, v, path, "node", &f.node, &f.reference) ||
-      !get_number(ctx, v, path, "at", &f.at_s) ||
-      !get_number(ctx, v, path, "step_us", &f.step_us) ||
-      !get_number(ctx, v, path, "drift_delta_ppm", &f.drift_delta_ppm)) {
-    return std::nullopt;
-  }
-  if (!f.reference && f.node == mac::kNoNode) {
-    ctx.fail(v, path + ".node", "required (node id or \"reference\")");
-    return std::nullopt;
-  }
+  in.number("at", &f.at_s)
+      .number("step_us", &f.step_us)
+      .number("drift_delta_ppm", &f.drift_delta_ppm);
+  read_node(in, "node", &f.node, &f.reference);
+  require_victim(in, f.reference, f.node);
   return f;
+}
+
+/// Reads the array `key` of plan entries into `out`, one nested reader per
+/// entry; each entry's reader ends with its done().
+template <class Entry>
+void read_section(Reader& in, std::string_view key, std::vector<Entry>* out,
+                  Entry (*read_entry)(Reader&)) {
+  const Value* list = in.member(key);
+  if (list == nullptr) return;
+  if (!list->is_array()) {
+    in.fail(key, "expected an array");
+    return;
+  }
+  for (std::size_t i = 0; i < list->array.size() && in.ok(); ++i) {
+    Reader entry(in, list->array[i],
+                 in.path() + "." + std::string(key) + "[" + std::to_string(i) +
+                     "]");
+    out->push_back(read_entry(entry));
+  }
 }
 
 void append_node(Writer& w, std::string_view key, bool reference,
@@ -264,92 +159,25 @@ void append_node(Writer& w, std::string_view key, bool reference,
 }  // namespace
 
 const char* to_string(PacketFaultKind kind) {
-  switch (kind) {
-    case PacketFaultKind::kDrop:
-      return "drop";
-    case PacketFaultKind::kDuplicate:
-      return "duplicate";
-    case PacketFaultKind::kDelay:
-      return "delay";
-    case PacketFaultKind::kReorder:
-      return "reorder";
-    case PacketFaultKind::kCorrupt:
-      return "corrupt";
-  }
-  return "?";
+  return kPacketKinds[static_cast<std::size_t>(kind)].data();
 }
 
 const char* to_string(NodeFaultKind kind) {
-  switch (kind) {
-    case NodeFaultKind::kCrash:
-      return "crash";
-    case NodeFaultKind::kPause:
-      return "pause";
-  }
-  return "?";
+  return kNodeKinds[static_cast<std::size_t>(kind)].data();
 }
 
-std::optional<FaultPlan> parse_plan(const Value& v, std::string* error) {
-  ParseCtx ctx{error};
-  if (!v.is_object()) {
-    ctx.fail(v, "plan", "expected an object");
-    return std::nullopt;
-  }
-  check_keys(ctx, v, "plan",
-             {"seed", "packet", "partitions", "node_faults", "clock_faults"});
-  if (ctx.failed) return std::nullopt;
+std::optional<FaultPlan> parse_plan(const Value& v, std::string* error,
+                                    std::string_view path) {
+  Reader in(v, std::string(path), error);
   FaultPlan plan;
   double seed = static_cast<double>(plan.seed);
-  if (!get_number(ctx, v, "plan", "seed", &seed)) return std::nullopt;
+  in.number("seed", &seed, 0.0, 9007199254740992.0);  // 2^53: exact in JSON
   plan.seed = static_cast<std::uint64_t>(seed);
-
-  struct Section {
-    const char* key;
-    // NOLINTNEXTLINE(google-runtime-references) — local parse plumbing.
-    bool (*parse)(ParseCtx&, const Value&, const std::string&, FaultPlan&);
-  };
-  const Section sections[] = {
-      {"packet",
-       [](ParseCtx& c, const Value& e, const std::string& p, FaultPlan& out) {
-         auto f = parse_packet(c, e, p);
-         if (f) out.packet.push_back(*f);
-         return f.has_value();
-       }},
-      {"partitions",
-       [](ParseCtx& c, const Value& e, const std::string& p, FaultPlan& out) {
-         auto f = parse_partition(c, e, p);
-         if (f) out.partitions.push_back(*f);
-         return f.has_value();
-       }},
-      {"node_faults",
-       [](ParseCtx& c, const Value& e, const std::string& p, FaultPlan& out) {
-         auto f = parse_node_fault(c, e, p);
-         if (f) out.node_faults.push_back(*f);
-         return f.has_value();
-       }},
-      {"clock_faults",
-       [](ParseCtx& c, const Value& e, const std::string& p, FaultPlan& out) {
-         auto f = parse_clock_fault(c, e, p);
-         if (f) out.clock_faults.push_back(*f);
-         return f.has_value();
-       }},
-  };
-  for (const Section& section : sections) {
-    const Value* list = v.find(section.key);
-    if (list == nullptr) continue;
-    if (!list->is_array()) {
-      ctx.fail(*list, section.key, "expected an array");
-      return std::nullopt;
-    }
-    for (std::size_t i = 0; i < list->array.size(); ++i) {
-      std::ostringstream path;
-      path << section.key << "[" << i << "]";
-      if (!section.parse(ctx, list->array[i], path.str(), plan)) {
-        return std::nullopt;
-      }
-    }
-  }
-  if (ctx.failed) return std::nullopt;
+  read_section(in, "packet", &plan.packet, read_packet);
+  read_section(in, "partitions", &plan.partitions, read_partition);
+  read_section(in, "node_faults", &plan.node_faults, read_node_fault);
+  read_section(in, "clock_faults", &plan.clock_faults, read_clock_fault);
+  if (!in.done()) return std::nullopt;
   return plan;
 }
 

@@ -118,11 +118,13 @@ struct FaultPlan {
   }
 };
 
-/// Parses a plan from a JSON value.  On failure returns nullopt and, when
-/// error != nullptr, sets it to a message naming the offending field path and
-/// source line (e.g. "line 4: node_faults[0].kind: unknown fault kind ...").
-[[nodiscard]] std::optional<FaultPlan> parse_plan(const obs::json::Value& v,
-                                                 std::string* error);
+/// Parses a plan from a JSON value through obs::json::Reader.  On failure
+/// returns nullopt and, when error != nullptr, sets it to a message naming
+/// the offending key path under `path` and the source line (e.g. "line 4:
+/// plan.node_faults[0].kind: 'melt' is not one of: crash, pause").
+[[nodiscard]] std::optional<FaultPlan> parse_plan(
+    const obs::json::Value& v, std::string* error,
+    std::string_view path = "plan");
 
 /// Parses a plan from JSON text.
 [[nodiscard]] std::optional<FaultPlan> parse_plan_text(std::string_view text,

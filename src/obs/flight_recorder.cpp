@@ -2,39 +2,17 @@
 
 #include <sstream>
 
+#include "obs/export.h"
 #include "obs/json.h"
 
 namespace sstsp::obs {
 namespace {
 
-// Mirrors obs::write_event_jsonl, plus the flight_seq tag that marks the
-// line as replayed history rather than part of the live stream.
-std::string flight_event_line(const trace::TraceEvent& event,
-                              std::uint64_t seq) {
-  std::ostringstream os;
-  json::Writer w(os);
-  w.begin_object();
-  w.kv("type", "event");
-  w.kv("t_s", event.time.to_sec());
-  w.kv("node", static_cast<std::uint64_t>(event.node));
-  w.kv("kind", to_string(event.kind));
-  if (event.peer != mac::kNoNode) {
-    w.kv("peer", static_cast<std::uint64_t>(event.peer));
-  }
-  if (event.trace_id != 0) w.kv("trace_id", event.trace_id);
-  w.kv("value_us", event.value_us);
-  w.kv("flight_seq", seq);
-  w.end_object();
-  return os.str();
-}
-
-std::string flight_sample_line(const TelemetrySample& sample,
-                               std::uint64_t seq) {
-  // telemetry_to_jsonl ends with the closing brace; splice the tag in.
-  std::string line = telemetry_to_jsonl(sample);
+// Tags one JSON object line with flight_seq, marking it as replayed
+// history rather than part of the live stream.
+std::string flight_line(std::string line, std::uint64_t seq) {
   line.pop_back();  // '}'
-  line += ",\"flight_seq\":" + std::to_string(seq) + "}";
-  return line;
+  return line + ",\"flight_seq\":" + std::to_string(seq) + "}";
 }
 
 }  // namespace
@@ -84,10 +62,14 @@ void FlightRecorder::dump(double now_s, std::string_view reason,
   sink_->write_line(header.str());
 
   for (const trace::TraceEvent& event : events_) {
-    sink_->write_line(flight_event_line(event, seq));
+    std::ostringstream line;
+    write_event_jsonl(line, event);
+    std::string text = line.str();
+    text.pop_back();  // '\n'
+    sink_->write_line(flight_line(std::move(text), seq));
   }
   for (const TelemetrySample& sample : samples_) {
-    sink_->write_line(flight_sample_line(sample, seq));
+    sink_->write_line(flight_line(telemetry_to_jsonl(sample), seq));
   }
 
   std::ostringstream footer;

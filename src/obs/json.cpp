@@ -5,6 +5,7 @@
 #include <charconv>
 #include <cmath>
 #include <cstdio>
+#include <limits>
 #include <sstream>
 
 namespace sstsp::obs::json {
@@ -400,6 +401,131 @@ std::string dump(const Value& v) {
   Writer w(os);
   write(v, w);
   return os.str();
+}
+
+std::string error_at(const Value& at, std::string_view path,
+                     std::string_view message) {
+  std::string out = at.line > 0 ? "line " + std::to_string(at.line) + ": " : "";
+  return out.append(path).append(": ").append(message);
+}
+
+namespace {
+
+constexpr double kMaxDouble = std::numeric_limits<double>::max();
+
+std::string number_text(double v) {
+  char buf[32];
+  return std::string(buf, format_number(buf, v));
+}
+
+std::string in_range(double lo, double hi) {
+  return " in [" + number_text(lo) + ", " + number_text(hi) + "]";
+}
+
+std::string joined(std::span<const std::string_view> names) {
+  std::string out;
+  for (const std::string_view name : names) {
+    if (!out.empty()) out += ", ";
+    out += name;
+  }
+  return out;
+}
+
+}  // namespace
+
+Reader::Reader(const Value& v, std::string path, std::string* error)
+    : own_{error}, status_(&own_), value_(v), path_(std::move(path)) {
+  if (!v.is_object()) fail(v, path_, "expected an object");
+}
+
+Reader::Reader(Reader& parent, const Value& v, std::string path)
+    : own_{nullptr}, status_(parent.status_), value_(v), path_(std::move(path)) {
+  if (!v.is_object()) fail(v, path_, "expected an object");
+}
+
+const Value* Reader::member(std::string_view key) {
+  known_.push_back(key);
+  return ok() ? value_.find(key) : nullptr;
+}
+
+Reader& Reader::number(std::string_view key, double* out) {
+  return number(key, out, -kMaxDouble, kMaxDouble);
+}
+
+Reader& Reader::number(std::string_view key, double* out, double lo,
+                       double hi) {
+  const Value* v = member(key);
+  if (v == nullptr) return *this;
+  if (v->is_number() && v->number >= lo && v->number <= hi) {
+    *out = v->number;
+  } else {
+    const bool bounded = lo != -kMaxDouble || hi != kMaxDouble;
+    fail(key, "expected a number" + (bounded ? in_range(lo, hi) : ""));
+  }
+  return *this;
+}
+
+Reader& Reader::integer(std::string_view key, int* out, int lo, int hi) {
+  const Value* v = member(key);
+  if (v == nullptr) return *this;
+  if (v->is_number() && v->number == std::floor(v->number) &&
+      v->number >= lo && v->number <= hi) {
+    *out = static_cast<int>(v->number);
+  } else {
+    fail(key, "expected a whole number" + in_range(lo, hi));
+  }
+  return *this;
+}
+
+Reader& Reader::boolean(std::string_view key, bool* out) {
+  const Value* v = member(key);
+  if (v == nullptr) return *this;
+  if (v->kind == Value::Kind::kBool) {
+    *out = v->boolean;
+  } else {
+    fail(key, "expected true or false");
+  }
+  return *this;
+}
+
+Reader& Reader::string(std::string_view key, std::string* out,
+                       std::span<const std::string_view> names) {
+  const Value* v = member(key);
+  if (v == nullptr) return *this;
+  if (!v->is_string()) {
+    fail(key, names.empty() ? "expected a string"
+                            : "expected one of: " + joined(names));
+  } else if (!names.empty() &&
+             std::find(names.begin(), names.end(), v->string) == names.end()) {
+    fail(key, "'" + v->string + "' is not one of: " + joined(names));
+  } else {
+    *out = v->string;
+  }
+  return *this;
+}
+
+bool Reader::fail(std::string_view key, std::string_view message) {
+  const Value* at = value_.find(key);
+  return fail(at != nullptr ? *at : value_, path_ + "." + std::string(key),
+              message);
+}
+
+bool Reader::fail(const Value& at, std::string_view path,
+                  std::string_view message) {
+  if (status_->failed) return false;
+  status_->failed = true;
+  if (status_->error != nullptr) *status_->error = error_at(at, path, message);
+  return false;
+}
+
+bool Reader::done() {
+  if (!ok()) return false;
+  for (const auto& [key, member] : value_.object) {
+    if (std::find(known_.begin(), known_.end(), key) == known_.end()) {
+      return fail(key, "unknown key (have: " + joined(known_) + ")");
+    }
+  }
+  return true;
 }
 
 }  // namespace sstsp::obs::json

@@ -9,12 +9,17 @@
 // Value/parse: a small recursive-descent parser, enough to round-trip what
 // the Writer produces.  Used by the JSONL round-trip tests and available to
 // tools; not meant as a general-purpose JSON library.
+//
+// Reader: the typed reads of a nested config block (a fault plan,
+// "discipline", "clock-model", an adversary's params), naming the key path
+// and source line of the first error.
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <optional>
 #include <ostream>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -114,5 +119,64 @@ void write(const Value& v, Writer& w);
 /// and dump(parse(dump(v))) is a fixpoint — the identity the config
 /// round-trip tests assert.
 [[nodiscard]] std::string dump(const Value& v);
+
+/// "line N: <path>: <message>", the one error format of the config blocks;
+/// the line prefix only for a value parsed from text (line > 0).
+[[nodiscard]] std::string error_at(const Value& at, std::string_view path,
+                                   std::string_view message);
+
+/// Typed reads of one object of a nested config block.  Every member read
+/// is optional (an absent key keeps *out) and records its key as one the
+/// block knows; done() then rejects any other member.  The first error is
+/// kept, in error_at's format, and every read after it is a no-op, so a
+/// block's reader is a plain list of reads checked once at the end.
+class Reader {
+ public:
+  /// Reads the object `v` at key path `path`; the first error goes to
+  /// *error (which may be null).  Fails at once when `v` is no object.
+  Reader(const Value& v, std::string path, std::string* error);
+  /// Reads a nested object, sharing `parent`'s first error.
+  Reader(Reader& parent, const Value& v, std::string path);
+
+  Reader(const Reader&) = delete;
+  Reader& operator=(const Reader&) = delete;
+
+  [[nodiscard]] bool ok() const { return !status_->failed; }
+  [[nodiscard]] const std::string& path() const { return path_; }
+
+  /// A finite number; with bounds, one in [lo, hi].
+  Reader& number(std::string_view key, double* out);
+  Reader& number(std::string_view key, double* out, double lo, double hi);
+  /// A whole number in [lo, hi].
+  Reader& integer(std::string_view key, int* out, int lo, int hi);
+  Reader& boolean(std::string_view key, bool* out);
+  /// A string; one of `names` unless that is empty.
+  Reader& string(std::string_view key, std::string* out,
+                 std::span<const std::string_view> names = {});
+  /// Member `key` for a block-specific read; nullptr when it is absent or
+  /// an error came first.
+  [[nodiscard]] const Value* member(std::string_view key);
+
+  /// Records an error at member `key` (at the object when it is absent);
+  /// returns false.
+  bool fail(std::string_view key, std::string_view message);
+  /// Records an error at `at`, named by its full `path`; returns false.
+  bool fail(const Value& at, std::string_view path, std::string_view message);
+
+  /// Rejects the first member no read asked for; returns ok().
+  bool done();
+
+ private:
+  struct Status {
+    std::string* error;
+    bool failed{false};
+  };
+
+  Status own_;
+  Status* status_;
+  const Value& value_;
+  std::string path_;
+  std::vector<std::string_view> known_;
+};
 
 }  // namespace sstsp::obs::json

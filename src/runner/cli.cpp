@@ -668,6 +668,15 @@ std::optional<CliOptions> parse_cli(const std::vector<std::string>& args,
     }
   }
 
+  if (!s.attack_params_json.empty()) {
+    // Read by the adversary they configure, whose --attack may come later.
+    if (s.attack.empty()) return fail("--attack-params needs an --attack");
+    std::string why;
+    if (!attack::configure_adversary(s.attack, s.attack_params_json, {},
+                                     &why)) {
+      return fail("--attack-params: " + why);
+    }
+  }
   if (s.sstsp.chain_length == 0) {
     // Size the chain to the run, with slack for the coarse/election phases.
     // A live node's interval indices count from the shared epoch, so its

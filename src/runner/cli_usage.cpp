@@ -80,8 +80,9 @@ attack:
   --attack NAME         adversary by registry name: tsf-slow, internal-ref,
                         replay, forge, delayed-disclosure
   --attack-window A,B   active interval in seconds (default 400,600)
-  --attack-params JSON  adversary-specific overrides as a JSON object
-                        (e.g. '{"skew":80,"delay_us":5000}')
+  --attack-params JSON  overrides as a JSON object of numbers, only keys
+                        the --attack adversary reads (README "Config
+                        files"; e.g. internal-ref '{"skew":80}')
   --skew R              internal-ref skew rate in us/s (default 50)
 
 faults:

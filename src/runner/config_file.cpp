@@ -4,7 +4,9 @@
 #include <sstream>
 #include <string_view>
 
+#include "attack/adversary.h"
 #include "core/discipline.h"
+#include "fault/plan.h"
 
 namespace sstsp::run {
 
@@ -35,199 +37,106 @@ bool scalar_to_string(const obs::json::Value& v, std::string* out) {
   }
 }
 
-std::string at_line(const obs::json::Value& v) {
-  return v.line > 0 ? "line " + std::to_string(v.line) + ": " : "";
-}
+/// Clock-stressor kind names, in clk::DriftStressKind order.
+constexpr std::string_view kClockModels[] = {"none", "temp-ramp", "aging",
+                                             "random-walk"};
 
 }  // namespace
 
 std::optional<clk::DriftStressKind> clock_model_kind_from_string(
     std::string_view name) {
-  if (name == "none") return clk::DriftStressKind::kNone;
-  if (name == "temp-ramp") return clk::DriftStressKind::kTempRamp;
-  if (name == "aging") return clk::DriftStressKind::kAging;
-  if (name == "random-walk") return clk::DriftStressKind::kRandomWalk;
+  for (std::size_t i = 0; i < std::size(kClockModels); ++i) {
+    if (name == kClockModels[i]) return static_cast<clk::DriftStressKind>(i);
+  }
   return std::nullopt;
-}
-
-bool clock_model_param_key_known(std::string_view key) {
-  return key == "kind" || key == "period" || key == "ramp-ppm-per-s" ||
-         key == "ramp-start" || key == "ramp-end" ||
-         key == "aging-ppm-per-day" || key == "walk-sigma-ppm";
 }
 
 bool apply_clock_model_json(const obs::json::Value& value,
                             clk::DriftStress* stress, std::string* error) {
-  auto fail = [error](std::string message) {
-    if (error != nullptr) *error = std::move(message);
-    return false;
-  };
-
-  if (value.kind == obs::json::Value::Kind::kString) {
-    const auto kind = clock_model_kind_from_string(value.string);
-    if (!kind) {
-      return fail(at_line(value) + "unknown clock model '" + value.string +
-                  "' (have: none, temp-ramp, aging, random-walk)");
-    }
-    stress->kind = *kind;
-    return true;
-  }
   if (!value.is_object()) {
-    return fail(at_line(value) +
-                "config key 'clock-model' must be a kind string or an "
-                "object {kind, period, ...}");
-  }
-  for (const auto& [key, v] : value.object) {
-    if (!clock_model_param_key_known(key)) {
-      return fail(at_line(v) + "unknown config key 'clock-model." + key +
-                  "'");
-    }
-    auto need_number = [&](double lo, double hi) -> bool {
-      return v.kind == obs::json::Value::Kind::kNumber && v.number >= lo &&
-             v.number <= hi;
-    };
-    if (key == "kind") {
-      std::optional<clk::DriftStressKind> kind;
-      if (v.kind == obs::json::Value::Kind::kString) {
-        kind = clock_model_kind_from_string(v.string);
-      }
-      if (!kind) {
-        return fail(at_line(v) + "config key 'clock-model.kind' must be one "
-                                 "of: none, temp-ramp, aging, random-walk");
-      }
+    const auto kind = value.is_string()
+                          ? clock_model_kind_from_string(value.string)
+                          : std::nullopt;
+    if (kind) {
       stress->kind = *kind;
-    } else if (key == "period") {
-      if (!need_number(1e-3, 1e6)) {
-        return fail(at_line(v) + "config key 'clock-model.period' must be a "
-                                 "number of seconds >= 0.001");
-      }
-      stress->period_s = v.number;
-    } else if (key == "ramp-ppm-per-s") {
-      if (!need_number(0.0, 1e6)) {
-        return fail(at_line(v) + "config key 'clock-model.ramp-ppm-per-s' "
-                                 "must be a number >= 0");
-      }
-      stress->ramp_ppm_per_s = v.number;
-    } else if (key == "ramp-start") {
-      if (!need_number(0.0, 1e9)) {
-        return fail(at_line(v) + "config key 'clock-model.ramp-start' must "
-                                 "be a number of seconds >= 0");
-      }
-      stress->ramp_start_s = v.number;
-    } else if (key == "ramp-end") {
-      if (!need_number(-1.0, 1e9)) {
-        return fail(at_line(v) + "config key 'clock-model.ramp-end' must be "
-                                 "a number of seconds (-1 = whole run)");
-      }
-      stress->ramp_end_s = v.number;
-    } else if (key == "aging-ppm-per-day") {
-      if (!need_number(0.0, 1e6)) {
-        return fail(at_line(v) + "config key 'clock-model.aging-ppm-per-day' "
-                                 "must be a number >= 0");
-      }
-      stress->aging_ppm_per_day = v.number;
-    } else if (key == "walk-sigma-ppm") {
-      if (!need_number(0.0, 1e6)) {
-        return fail(at_line(v) + "config key 'clock-model.walk-sigma-ppm' "
-                                 "must be a number >= 0");
-      }
-      stress->walk_sigma_ppm = v.number;
+      return true;
     }
+    if (error != nullptr) {
+      *error = obs::json::error_at(
+          value, "clock-model",
+          value.is_string()
+              ? "unknown clock model '" + value.string +
+                    "' (have: none, temp-ramp, aging, random-walk)"
+              : "expected a kind string or an object");
+    }
+    return false;
   }
-  return true;
+  obs::json::Reader in(value, "clock-model", error);
+  std::string kind;
+  in.string("kind", &kind, kClockModels)
+      .number("period", &stress->period_s, 1e-3, 1e6)
+      .number("ramp-ppm-per-s", &stress->ramp_ppm_per_s, 0.0, 1e6)
+      .number("ramp-start", &stress->ramp_start_s, 0.0, 1e9)
+      .number("ramp-end", &stress->ramp_end_s, -1.0, 1e9)
+      .number("aging-ppm-per-day", &stress->aging_ppm_per_day, 0.0, 1e6)
+      .number("walk-sigma-ppm", &stress->walk_sigma_ppm, 0.0, 1e6);
+  if (!kind.empty()) stress->kind = *clock_model_kind_from_string(kind);
+  return in.done();
 }
 
 std::optional<std::vector<std::string>> config_to_args(
     const obs::json::Value& root, ConfigTool tool, std::string* error) {
-  auto fail =
-      [error](std::string message) -> std::optional<std::vector<std::string>> {
-    if (error != nullptr) *error = std::move(message);
+  // Every error names its key path and line, in the nested blocks' format.
+  auto fail = [error](const obs::json::Value& at, std::string_view path,
+                      std::string_view message)
+      -> std::optional<std::vector<std::string>> {
+    if (error != nullptr) *error = obs::json::error_at(at, path, message);
     return std::nullopt;
   };
 
-  if (!root.is_object()) return fail("config must be a JSON object");
+  if (!root.is_object()) return fail(root, "config", "expected an object");
 
   std::vector<std::string> args;
   for (const auto& [key, value] : root.object) {
-    if (key.empty()) return fail("config keys must be non-empty");
+    if (key.empty()) return fail(value, "config", "keys must be non-empty");
     if (key == "config") {
-      return fail(at_line(value) + "config files cannot nest (key 'config')");
+      return fail(value, key, "config files cannot nest");
     }
     if (!config_key_applies(key, ConfigTool::kAny)) {
-      return fail(at_line(value) + "unknown config key '" + key + "'");
+      return fail(value, key, "unknown config key");
     }
     if (!config_key_applies(key, tool)) continue;  // another tool's key
     const std::string flag = "--" + key;
 
-    // First-class structured keys.
+    // The structured keys: each nested object is read (and so checked, with
+    // its file line) by the reader its flag runs, then spliced as a dump.
     if (key == "faults") {
-      if (value.is_object()) {
-        // Splice the plan inline; the tool's --faults-json flag parses
-        // (and so validates) it with plan-level line diagnostics lost to
-        // the re-dump, which is why parse errors here are rare: the
-        // document already parsed as JSON.
-        args.push_back("--faults-json");
-        args.push_back(obs::json::dump(value));
-      } else if (value.kind == obs::json::Value::Kind::kString) {
+      if (value.kind == obs::json::Value::Kind::kString) {
         args.push_back("--faults");
         args.push_back(value.string);
-      } else {
-        return fail(at_line(value) +
-                    "config key 'faults' must be a plan object or a path "
-                    "string");
+        continue;
       }
+      if (!fault::parse_plan(value, error, "faults")) return std::nullopt;
+      args.push_back("--faults-json");
+      args.push_back(obs::json::dump(value));
       continue;
     }
     if (key == "discipline") {
-      if (value.kind == obs::json::Value::Kind::kString) {
-        if (!core::discipline_known(value.string)) {
-          return fail(at_line(value) + "unknown discipline '" + value.string +
-                      "'");
-        }
-        args.push_back("--discipline");
-        args.push_back(value.string);
-        continue;
+      core::SstspConfig scratch;
+      if (!core::apply_discipline_json(value, &scratch, error)) {
+        return std::nullopt;
       }
-      if (!value.is_object()) {
-        return fail(at_line(value) +
-                    "config key 'discipline' must be a name string or an "
-                    "object {name, window, forgetting, ...}");
-      }
-      // Validate the nested keys here so errors carry file line numbers;
-      // --discipline-params re-parses (and so re-validates) the dump.
-      for (const auto& [dkey, dvalue] : value.object) {
-        if (!core::discipline_param_key_known(dkey)) {
-          return fail(at_line(dvalue) + "unknown config key 'discipline." +
-                      dkey + "'");
-        }
-      }
-      args.push_back("--discipline-params");
-      args.push_back(obs::json::dump(value));
+      args.push_back(value.is_object() ? "--discipline-params"
+                                       : "--discipline");
+      args.push_back(value.is_object() ? obs::json::dump(value) : value.string);
       continue;
     }
     if (key == "clock-model") {
-      if (value.kind == obs::json::Value::Kind::kString) {
-        if (!clock_model_kind_from_string(value.string)) {
-          return fail(at_line(value) + "unknown clock model '" + value.string +
-                      "' (have: none, temp-ramp, aging, random-walk)");
-        }
-        args.push_back("--clock-model");
-        args.push_back(value.string);
-        continue;
-      }
-      if (!value.is_object()) {
-        return fail(at_line(value) +
-                    "config key 'clock-model' must be a kind string or an "
-                    "object {kind, period, ...}");
-      }
-      for (const auto& [ckey, cvalue] : value.object) {
-        if (!clock_model_param_key_known(ckey)) {
-          return fail(at_line(cvalue) + "unknown config key 'clock-model." +
-                      ckey + "'");
-        }
-      }
-      args.push_back("--clock-model-params");
-      args.push_back(obs::json::dump(value));
+      clk::DriftStress scratch;
+      if (!apply_clock_model_json(value, &scratch, error)) return std::nullopt;
+      args.push_back(value.is_object() ? "--clock-model-params"
+                                       : "--clock-model");
+      args.push_back(value.is_object() ? obs::json::dump(value) : value.string);
       continue;
     }
     if (key == "attack") {
@@ -236,48 +145,28 @@ std::optional<std::vector<std::string>> config_to_args(
         args.push_back(value.string);
         continue;
       }
-      if (!value.is_object()) {
-        return fail(at_line(value) +
-                    "config key 'attack' must be a name string or an "
-                    "object {name, window, params}");
+      obs::json::Reader in(value, "attack", error);
+      std::string name;
+      in.string("name", &name);
+      const obs::json::Value* window = in.member("window");
+      const obs::json::Value* params = in.member("params");
+      if (name.empty()) in.fail("name", "required string");
+      if (window != nullptr &&
+          (!window->is_array() || window->array.size() != 2 ||
+           !window->array[0].is_number() || !window->array[1].is_number())) {
+        in.fail("window", "expected [start_s, end_s]");
       }
-      const obs::json::Value* name = nullptr;
-      const obs::json::Value* window = nullptr;
-      const obs::json::Value* params = nullptr;
-      for (const auto& [akey, avalue] : value.object) {
-        if (akey == "name") {
-          name = &avalue;
-        } else if (akey == "window") {
-          window = &avalue;
-        } else if (akey == "params") {
-          params = &avalue;
-        } else {
-          return fail(at_line(avalue) + "attack: unknown key '" + akey +
-                      "'");
-        }
-      }
-      if (name == nullptr ||
-          name->kind != obs::json::Value::Kind::kString) {
-        return fail(at_line(value) + "attack: needs a 'name' string");
-      }
+      if (!in.done()) return std::nullopt;
       args.push_back("--attack");
-      args.push_back(name->string);
+      args.push_back(name);
       if (window != nullptr) {
-        if (window->kind != obs::json::Value::Kind::kArray ||
-            window->array.size() != 2 ||
-            window->array[0].kind != obs::json::Value::Kind::kNumber ||
-            window->array[1].kind != obs::json::Value::Kind::kNumber) {
-          return fail(at_line(*window) +
-                      "attack: 'window' must be [start_s, end_s]");
-        }
         args.push_back("--attack-window");
         args.push_back(format_number(window->array[0].number) + "," +
                        format_number(window->array[1].number));
       }
       if (params != nullptr) {
-        if (!params->is_object()) {
-          return fail(at_line(*params) +
-                      "attack: 'params' must be an object");
+        if (!attack::configure_adversary(name, params, {}, error)) {
+          return std::nullopt;
         }
         args.push_back("--attack-params");
         args.push_back(obs::json::dump(*params));
@@ -307,9 +196,7 @@ std::optional<std::vector<std::string>> config_to_args(
           for (const auto& item : value.array) {
             std::string part;
             if (!scalar_to_string(item, &part)) {
-              return fail(at_line(item) +
-                          "config key 'peer': array items must be "
-                          "HOST:PORT strings");
+              return fail(item, key, "array items must be HOST:PORT strings");
             }
             args.push_back(flag);
             args.push_back(part);
@@ -320,8 +207,7 @@ std::optional<std::vector<std::string>> config_to_args(
         for (const auto& item : value.array) {
           std::string part;
           if (!scalar_to_string(item, &part)) {
-            return fail(at_line(value) + "config key '" + key +
-                        "': arrays may only contain scalars");
+            return fail(value, key, "arrays may only contain scalars");
           }
           if (!joined.empty()) joined += ',';
           joined += part;
@@ -333,8 +219,7 @@ std::optional<std::vector<std::string>> config_to_args(
       case obs::json::Value::Kind::kNull:
         break;  // explicit "leave at default"
       case obs::json::Value::Kind::kObject:
-        return fail(at_line(value) + "config key '" + key +
-                    "': nested objects are not supported");
+        return fail(value, key, "nested objects are not supported");
     }
   }
   return args;

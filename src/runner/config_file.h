@@ -2,7 +2,8 @@
 //
 // A config file is one JSON object describing a run.  Most keys are CLI
 // flag names (without the leading "--") with the flag's argument as value;
-// two keys are structured:
+// four keys are structured ("faults", "discipline", "clock-model",
+// "attack"):
 //
 //   {
 //     "protocol": "sstsp",
@@ -25,7 +26,10 @@
 // understands is legal everywhere; keys that do not apply to the invoking
 // tool (e.g. "protocol" under sstsp_swarm) are skipped, so a single config
 // describes one experiment across the sim and live runners.  A key no tool
-// knows is an error naming the key and its line in the file.
+// knows is an error naming the key and its line in the file.  Each nested
+// object is read here by the same obs::json::Reader its flag runs, so an
+// unknown nested key, a wrong type or an out-of-range value fails as
+// "line N: <key path>: <message>" with the file's line.
 //
 // The object is converted to the equivalent argv vector and spliced into
 // the command line at the position of the --config flag, so flags after
@@ -42,9 +46,13 @@
 //                    "peer" arrays repeat the flag per element
 //   * "faults"    -> object: --faults-json <compact dump>
 //                    string: --faults <path>
+//   * "discipline", "clock-model"
+//                 -> object: --discipline-params / --clock-model-params
+//                    <compact dump>; string: --discipline / --clock-model
 //   * "attack"    -> string: --attack NAME; object {name, window, params}:
 //                    --attack NAME [--attack-window A,B]
-//                    [--attack-params <compact dump>]
+//                    [--attack-params <compact dump>], the params read by
+//                    the named adversary
 //   * "config"    -> rejected (config files do not nest)
 #pragma once
 
@@ -63,14 +71,11 @@ namespace sstsp::run {
 [[nodiscard]] std::optional<clk::DriftStressKind> clock_model_kind_from_string(
     std::string_view name);
 
-/// Is `key` valid inside the nested "clock-model" config block?
-[[nodiscard]] bool clock_model_param_key_known(std::string_view key);
-
 /// Applies a parsed "clock-model" JSON object (or kind string) onto
 /// `stress`: {"kind": "temp-ramp", "period": 1, "ramp-ppm-per-s": 0.5,
 /// "ramp-start": 0, "ramp-end": -1, "aging-ppm-per-day": 25,
-/// "walk-sigma-ppm": 0.25}.  Unknown or ill-typed keys fail with the nested
-/// path in *error.
+/// "walk-sigma-ppm": 0.25}.  An unknown key, an ill-typed or out-of-range
+/// value fails through obs::json::Reader, naming the key path and line.
 [[nodiscard]] bool apply_clock_model_json(const obs::json::Value& value,
                                           clk::DriftStress* stress,
                                           std::string* error);

@@ -8,7 +8,6 @@
 #include "attack/adversary.h"
 #include "cluster/sstsp_cluster.h"
 #include "core/sstsp.h"
-#include "obs/json.h"
 #include "protocols/tsf_family.h"
 
 namespace sstsp::run {
@@ -27,6 +26,26 @@ void derive_series_stats(RunResult& result, double duration_s) {
       result.max_diff.quantile_in(0.99, steady_from, duration_s);
 }
 
+/// The scenario's adversary build step.  Throws std::runtime_error on
+/// attack params without an attack, an unknown adversary or params it does
+/// not read — CLI and config validation reject these first, but a
+/// programmatic Scenario must fail loudly, not run with them ignored.
+attack::AdversaryBuild configure_attack(const Scenario& scenario) {
+  if (scenario.attack.empty()) {
+    if (!scenario.attack_params_json.empty()) {
+      throw std::runtime_error("attack params without an attack: " +
+                               scenario.attack_params_json);
+    }
+    return {};
+  }
+  std::string error;
+  auto build = attack::configure_adversary(
+      scenario.attack, scenario.attack_params_json,
+      {scenario.tsf_attack, scenario.sstsp_attack}, &error);
+  if (!build) throw std::runtime_error(error);
+  return build;
+}
+
 }  // namespace
 
 Deployment::Deployment(const Scenario& scenario, sim::Simulator& timeline,
@@ -37,6 +56,7 @@ Deployment::Deployment(const Scenario& scenario, sim::Simulator& timeline,
       attacker_index_(static_cast<std::size_t>(scenario.num_nodes)) {}
 
 void Deployment::validate(const Scenario& scenario) {
+  (void)configure_attack(scenario);
   if (!scenario.cluster.enabled()) return;
   const auto& c = scenario.cluster;
   if (scenario.protocol != ProtocolKind::kSstsp) {
@@ -125,28 +145,7 @@ std::unique_ptr<proto::SyncProtocol> Deployment::make_protocol(
     std::size_t i, core::KeyDirectory& directory) {
   proto::Station& st = *stations_[i];
   if (i == attacker_index_) {
-    std::optional<obs::json::Value> params;
-    if (!scenario_.attack_params_json.empty()) {
-      params = obs::json::parse(scenario_.attack_params_json);
-      if (!params) {
-        throw std::runtime_error("invalid attack params JSON: " +
-                                 scenario_.attack_params_json);
-      }
-    }
-    attack::AdversaryContext ctx{st,
-                                 directory,
-                                 scenario_.sstsp,
-                                 scenario_.tsf_attack,
-                                 scenario_.sstsp_attack,
-                                 params ? &*params : nullptr};
-    auto adversary = attack::make_adversary(scenario_.attack, ctx);
-    if (adversary == nullptr) {
-      // CLI / config validation rejects unknown names before we get here;
-      // a programmatic Scenario with a typo'd name should fail loudly, not
-      // run attacker-less.
-      throw std::runtime_error("unknown adversary: " + scenario_.attack);
-    }
-    return adversary;
+    return configure_attack(scenario_)({st, directory, scenario_.sstsp});
   }
   switch (scenario_.protocol) {
     case ProtocolKind::kTsf:

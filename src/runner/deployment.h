@@ -41,9 +41,11 @@ class Deployment {
   Deployment(const Deployment&) = delete;
   Deployment& operator=(const Deployment&) = delete;
 
-  /// Throws std::runtime_error on a cluster scenario that cannot be built
-  /// (wrong protocol, attacker, node count, gateways or geometry).  A
-  /// kernel calls it before opening any observer output.
+  /// Throws std::runtime_error on a scenario that cannot be built: attack
+  /// params without an attack or that its adversary does not read, or a
+  /// cluster scenario with the wrong protocol, an attacker, node count,
+  /// gateways or geometry.  A kernel calls it before opening any observer
+  /// output.
   static void validate(const Scenario& scenario);
 
   struct NodeDraw {
@@ -74,7 +76,7 @@ class Deployment {
 
   /// Builds station `i`'s protocol — its adversary when `i` is the
   /// attacker — verifying against `directory`, and installs it.  Throws
-  /// std::runtime_error on an unknown adversary or bad attack params JSON.
+  /// std::runtime_error on an unknown adversary or bad attack params.
   void install_protocol(std::size_t i, core::KeyDirectory& directory) {
     stations_[i]->set_protocol(make_protocol(i, directory));
   }

@@ -12,17 +12,22 @@ namespace sstsp::run {
 
 void print_result_summary(std::ostream& out, const RunResult& result) {
   const auto& honest = result.honest;
-  out << "\nsync latency (<25 us sustained): "
-      << (result.sync_latency_s
-              ? metrics::fmt(*result.sync_latency_s, 2) + " s"
-              : std::string("never"))
-      << "\nsteady max / p99 clock difference: "
-      << (result.steady_max_us ? metrics::fmt(*result.steady_max_us, 2)
-                               : std::string("-"))
-      << " / "
-      << (result.steady_p99_us ? metrics::fmt(*result.steady_p99_us, 2)
-                               : std::string("-"))
-      << " us\nbeacons: " << result.channel.transmissions << " ("
+  // A lone node (sstsp_node) has no pairwise series to judge sync by.
+  std::string latency = "n/a (no pairwise series)";
+  std::string steady = latency;
+  if (!result.max_diff.empty()) {
+    const auto fmt_or_dash = [](const std::optional<double>& v) {
+      return v ? metrics::fmt(*v, 2) : std::string("-");
+    };
+    latency = result.sync_latency_s
+                  ? metrics::fmt(*result.sync_latency_s, 2) + " s"
+                  : std::string("never");
+    steady = fmt_or_dash(result.steady_max_us) + " / " +
+             fmt_or_dash(result.steady_p99_us) + " us";
+  }
+  out << "\nsync latency (<25 us sustained): " << latency
+      << "\nsteady max / p99 clock difference: " << steady
+      << "\nbeacons: " << result.channel.transmissions << " ("
       << result.channel.collided_transmissions << " collided), "
       << result.channel.bytes_on_air << " bytes on air\n"
       << "adjustments/adoptions: " << honest.adjustments << "/"

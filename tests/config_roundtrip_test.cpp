@@ -119,13 +119,27 @@ TEST(ConfigRoundTrip, FaultsStringBecomesPathFlag) {
 TEST(ConfigRoundTrip, AttackObjectExpandsToAttackFlags) {
   const auto args = args_for(R"({
     "attack": {"name": "internal-ref", "window": [400, 600],
-               "params": {"skew_ppm": 80}}
+               "params": {"skew": 80}}
   })",
                              ConfigTool::kSim);
   const std::vector<std::string> expected = {
       "--attack",        "internal-ref",      "--attack-window",
-      "400,600",         "--attack-params",   R"({"skew_ppm":80})"};
+      "400,600",         "--attack-params",   R"({"skew":80})"};
   EXPECT_EQ(args, expected);
+}
+
+TEST(ConfigRoundTrip, AttackParamsUnknownKeyNamesPathAndLine) {
+  // "skew_ppm" is no key internal-ref reads; its params reader rejects it
+  // with the file line instead of ignoring it.
+  const std::string json =
+      "{\n  \"attack\": {\"name\": \"internal-ref\",\n    \"params\": "
+      "{\n      \"skew_ppm\": 80}}\n}";
+  const auto root = obs::json::parse(json);
+  ASSERT_TRUE(root.has_value());
+  std::string error;
+  EXPECT_FALSE(config_to_args(*root, ConfigTool::kSim, &error).has_value());
+  EXPECT_NE(error.find("attack.params.skew_ppm"), std::string::npos) << error;
+  EXPECT_NE(error.find("line 4"), std::string::npos) << error;
 }
 
 TEST(ConfigRoundTrip, AttackIsSimOnlyAndSkippedElsewhere) {

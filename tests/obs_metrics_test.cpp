@@ -6,11 +6,11 @@
 #include <cmath>
 #include <random>
 #include <sstream>
+#include <thread>
 #include <vector>
 
 #include "obs/json.h"
 #include "obs/metrics.h"
-#include "runner/thread_pool.h"
 
 namespace sstsp::obs {
 namespace {
@@ -105,20 +105,21 @@ TEST(Registry, MergeAcrossThreadPool) {
   constexpr int kPerTask = 1000;
   std::vector<Registry> parts(kTasks);
 
-  run::ThreadPool pool(4);
-  for (unsigned t = 0; t < kTasks; ++t) {
-    pool.submit([&parts, t] {
-      Registry& reg = parts[t];
-      Counter& c = reg.counter("events");
-      Histogram& h = reg.histogram("err_us");
-      for (int i = 0; i < kPerTask; ++i) {
-        c.inc();
-        h.record(static_cast<double>(t) + 1.0);
-      }
-      reg.gauge("last_depth").set(static_cast<double>(t));
-    });
-  }
-  pool.wait_idle();
+  {
+    std::vector<std::jthread> workers;
+    for (unsigned t = 0; t < kTasks; ++t) {
+      workers.emplace_back([&parts, t] {
+        Registry& reg = parts[t];
+        Counter& c = reg.counter("events");
+        Histogram& h = reg.histogram("err_us");
+        for (int i = 0; i < kPerTask; ++i) {
+          c.inc();
+          h.record(static_cast<double>(t) + 1.0);
+        }
+        reg.gauge("last_depth").set(static_cast<double>(t));
+      });
+    }
+  }  // the jthreads join here
 
   Registry total;
   for (const Registry& part : parts) total.merge_from(part);

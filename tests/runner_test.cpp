@@ -1,10 +1,11 @@
 #include <gtest/gtest.h>
 
-#include <atomic>
+#include <sstream>
+#include <stdexcept>
 
 #include "runner/network.h"
+#include "runner/run_output.h"
 #include "runner/sweep.h"
-#include "runner/thread_pool.h"
 
 namespace sstsp::run {
 namespace {
@@ -17,34 +18,6 @@ Scenario tiny(ProtocolKind kind, std::uint64_t seed) {
   s.seed = seed;
   s.sstsp.chain_length = 400;
   return s;
-}
-
-TEST(ThreadPool, RunsAllTasks) {
-  std::atomic<int> count{0};
-  {
-    ThreadPool pool(4);
-    for (int i = 0; i < 100; ++i) {
-      pool.submit([&count] { ++count; });
-    }
-    pool.wait_idle();
-    EXPECT_EQ(count.load(), 100);
-  }
-}
-
-TEST(ThreadPool, WaitIdleOnEmptyPoolReturns) {
-  ThreadPool pool(2);
-  pool.wait_idle();  // must not hang
-  SUCCEED();
-}
-
-TEST(ThreadPool, RunParallelHelper) {
-  std::atomic<int> sum{0};
-  std::vector<std::function<void()>> tasks;
-  for (int i = 1; i <= 10; ++i) {
-    tasks.push_back([&sum, i] { sum += i; });
-  }
-  run_parallel(std::move(tasks), 3);
-  EXPECT_EQ(sum.load(), 55);
 }
 
 TEST(Sweep, ResultsInInputOrderAndDeterministic) {
@@ -64,6 +37,15 @@ TEST(Sweep, ResultsInInputOrderAndDeterministic) {
           << "scenario " << i << " point " << p;
     }
   }
+}
+
+TEST(Sweep, ScenarioFailureIsRethrownAfterTheWorkersJoin) {
+  Scenario bad = tiny(ProtocolKind::kSstsp, 4);
+  bad.attack = "internal-ref";
+  bad.attack_params_json = R"({"skw":500})";
+  const std::vector<Scenario> scenarios{tiny(ProtocolKind::kTsf, 1), bad,
+                                        tiny(ProtocolKind::kTsf, 2)};
+  EXPECT_THROW((void)run_sweep(scenarios, 2), std::runtime_error);
 }
 
 TEST(Scenario, PaperSection5Factory) {
@@ -150,6 +132,33 @@ TEST(Determinism, DifferentSeedsDiffer) {
     any_diff = a.max_diff.points()[i].value_us != b.max_diff.points()[i].value_us;
   }
   EXPECT_TRUE(any_diff);
+}
+
+TEST(RunOutput, SummaryWithoutPairwiseSeriesSaysNotApplicable) {
+  // A lone node (sstsp_node) has no pairwise series; its summary must not
+  // read like a run that never synchronized.
+  std::ostringstream lone;
+  print_result_summary(lone, RunResult{});
+  EXPECT_NE(lone.str().find("sync latency (<25 us sustained): n/a (no "
+                            "pairwise series)\n"),
+            std::string::npos)
+      << lone.str();
+  EXPECT_NE(lone.str().find("steady max / p99 clock difference: n/a (no "
+                            "pairwise series)\n"),
+            std::string::npos)
+      << lone.str();
+
+  // A series that never settles keeps its verdicts.
+  RunResult unsynced;
+  unsynced.max_diff.push(1.0, 500.0);
+  std::ostringstream out;
+  print_result_summary(out, unsynced);
+  EXPECT_NE(out.str().find("sync latency (<25 us sustained): never\n"),
+            std::string::npos)
+      << out.str();
+  EXPECT_NE(out.str().find("steady max / p99 clock difference: - / - us\n"),
+            std::string::npos)
+      << out.str();
 }
 
 }  // namespace
