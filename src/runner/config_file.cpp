@@ -140,23 +140,32 @@ std::optional<std::vector<std::string>> config_to_args(
       continue;
     }
     if (key == "attack") {
-      if (value.kind == obs::json::Value::Kind::kString) {
-        args.push_back("--attack");
-        args.push_back(value.string);
-        continue;
+      std::string name = value.string;
+      const obs::json::Value* window = nullptr;
+      const obs::json::Value* params = nullptr;
+      if (value.kind != obs::json::Value::Kind::kString) {
+        obs::json::Reader in(value, "attack", error);
+        in.string("name", &name);
+        window = in.member("window");
+        params = in.member("params");
+        if (name.empty()) in.fail("name", "required string");
+        if (window != nullptr &&
+            (!window->is_array() || window->array.size() != 2 ||
+             !window->array[0].is_number() || !window->array[1].is_number())) {
+          in.fail("window", "expected [start_s, end_s]");
+        }
+        if (!in.done()) return std::nullopt;
       }
-      obs::json::Reader in(value, "attack", error);
-      std::string name;
-      in.string("name", &name);
-      const obs::json::Value* window = in.member("window");
-      const obs::json::Value* params = in.member("params");
-      if (name.empty()) in.fail("name", "required string");
-      if (window != nullptr &&
-          (!window->is_array() || window->array.size() != 2 ||
-           !window->array[0].is_number() || !window->array[1].is_number())) {
-        in.fail("window", "expected [start_s, end_s]");
+      // Checked here as well as by --attack, so a file's unknown name
+      // carries its line.
+      if (!attack::adversary_known(name)) {
+        std::string known;
+        for (const std::string& n : attack::adversary_names()) {
+          known += (known.empty() ? "" : ", ") + n;
+        }
+        return fail(value, key,
+                    "unknown attack '" + name + "' (known: " + known + ")");
       }
-      if (!in.done()) return std::nullopt;
       args.push_back("--attack");
       args.push_back(name);
       if (window != nullptr) {

@@ -55,6 +55,16 @@ Deployment::Deployment(const Scenario& scenario, sim::Simulator& timeline,
       observers_(observers),
       attacker_index_(static_cast<std::size_t>(scenario.num_nodes)) {}
 
+obs::ObservedRun Deployment::observed_run(const Scenario& scenario) {
+  obs::ObservedRun run;
+  run.sstsp_checks = scenario.protocol == ProtocolKind::kSstsp;
+  run.sstsp = scenario.sstsp;
+  run.beacon_period_us = scenario.phy.beacon_period.to_us();
+  run.cluster = scenario.cluster;
+  run.faults = scenario.faults;
+  return run;
+}
+
 void Deployment::validate(const Scenario& scenario) {
   (void)configure_attack(scenario);
   if (!scenario.cluster.enabled()) return;

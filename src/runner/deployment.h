@@ -48,6 +48,10 @@ class Deployment {
   /// output.
   static void validate(const Scenario& scenario);
 
+  /// What the observers need to know about the scenario's run, for every
+  /// kernel's observer bundles.
+  [[nodiscard]] static obs::ObservedRun observed_run(const Scenario& scenario);
+
   struct NodeDraw {
     mac::Position pos;
     clk::DriftModel drift;

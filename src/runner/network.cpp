@@ -9,13 +9,8 @@ namespace {
 std::unique_ptr<obs::Observers> make_observers(const Scenario& scenario,
                                                const sim::Simulator& sim) {
   Deployment::validate(scenario);
-  obs::ObservedRun run;
-  run.sstsp_checks = scenario.protocol == ProtocolKind::kSstsp;
-  run.sstsp = scenario.sstsp;
-  run.beacon_period_us = scenario.phy.beacon_period.to_us();
-  run.cluster = scenario.cluster;
-  run.faults = scenario.faults;
-  return std::make_unique<obs::Observers>(scenario, run, sim);
+  return std::make_unique<obs::Observers>(
+      scenario, Deployment::observed_run(scenario), sim);
 }
 
 }  // namespace

@@ -19,8 +19,8 @@ namespace {
 /// any member construction, so unsupported scenarios fail loudly instead
 /// of half-building.
 sim::ShardExecutor::Options exec_options(const Scenario& s) {
+  Deployment::validate(s);
   if (s.monitor) reject("the invariant monitor (--monitor)");
-  if (s.cluster.enabled()) reject("cluster scenarios (--clusters)");
   if (!s.faults.empty()) reject("fault plans");
   if (!s.telemetry_out.empty()) reject("telemetry streaming");
   if (!s.flight_recorder_out.empty()) reject("the flight recorder");
@@ -38,19 +38,14 @@ sim::ShardExecutor::Options exec_options(const Scenario& s) {
   return opt;
 }
 
-obs::ObservedRun observed_run(const Scenario& s) {
-  obs::ObservedRun run;
-  run.sstsp = s.sstsp;
-  return run;
-}
-
 /// The control timeline's bundle: clock-spread instruments and the kernel
 /// gauges.  No injector, so the deployment's fault step is a no-op here.
 std::unique_ptr<obs::Observers> control_bundle(const Scenario& s,
                                                const sim::Simulator& control) {
   obs::ObserverConfig config;
   config.collect_metrics = s.collect_metrics;
-  return std::make_unique<obs::Observers>(config, observed_run(s), control);
+  return std::make_unique<obs::Observers>(config, Deployment::observed_run(s),
+                                         control);
 }
 
 std::size_t vm_hwm_kb() {
@@ -76,7 +71,7 @@ ParallelNetwork::ParallelNetwork(const Scenario& scenario)
   // (trace, metrics, profiler; exec_options rejects the rest).
   for (int s = 0; s < shards; ++s) {
     shard_observers_.push_back(std::make_unique<obs::Observers>(
-        scenario, observed_run(scenario), exec_.shard(s)));
+        scenario, Deployment::observed_run(scenario), exec_.shard(s)));
   }
   if (scenario.profile) exec_.set_collect_wall_stats(true);
 
@@ -176,7 +171,7 @@ void ParallelNetwork::publish_shard_metrics() {
     if (!ws.busy_ns.empty()) {
       r.gauge(prefix + ".busy_ns").set(static_cast<double>(ws.busy_ns[i]));
       r.gauge(prefix + ".barrier_wait_ns")
-          .set(static_cast<double>(ws.wait_ns[i]));
+          .set(static_cast<double>(ws.phase_wall_ns - ws.busy_ns[i]));
     }
   }
 }

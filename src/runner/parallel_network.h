@@ -12,10 +12,9 @@
 // any --threads/--shards combination.
 //
 // Deliberately narrower than Network: fault plans, invariant monitoring,
-// telemetry streaming, flight recording, the phase sampler and cluster
-// scenarios are not wired into the sharded kernel yet, and the constructor
-// rejects scenarios requesting them (std::runtime_error) rather than
-// silently dropping them.
+// telemetry streaming, flight recording and the phase sampler are not
+// wired into the sharded kernel yet, and the constructor rejects scenarios
+// requesting them (std::runtime_error) rather than silently dropping them.
 #pragma once
 
 #include <memory>

@@ -1,8 +1,11 @@
 #include "sim/shard_exec.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cassert>
 #include <chrono>
+#include <exception>
+#include <thread>
 
 namespace sstsp::sim {
 
@@ -14,6 +17,39 @@ std::uint64_t now_ns() {
           std::chrono::steady_clock::now().time_since_epoch())
           .count());
 }
+
+/// Central barrier: an arrival count plus a generation.  The last arrival
+/// runs the serial step and then bumps the generation; the others spin
+/// briefly, then park on it.  Every thread's work before arriving happens
+/// before the serial step, which happens before every thread's return.
+/// All orders are seq_cst: notify_all skips the wake-up when it sees no
+/// parked thread, so a thread parking meanwhile must see the new
+/// generation, which a release store does not ensure.
+class Barrier {
+ public:
+  explicit Barrier(int threads) : threads_(threads) {}
+
+  template <typename Serial>
+  void arrive_and_wait(const Serial& serial) {
+    const std::uint32_t gen = generation_;
+    if (++arrived_ == threads_) {
+      serial();
+      arrived_ = 0;
+      generation_ = gen + 1;
+      generation_.notify_all();
+      return;
+    }
+    for (int spin = 0; spin < 4096; ++spin) {
+      if (generation_ != gen) return;
+    }
+    while (generation_ == gen) generation_.wait(gen);
+  }
+
+ private:
+  const int threads_;
+  std::atomic<int> arrived_{0};
+  std::atomic<std::uint32_t> generation_{0};
+};
 
 }  // namespace
 
@@ -32,7 +68,7 @@ double ShardWallStats::imbalance() const {
 }
 
 ShardExecutor::ShardExecutor(const Options& opt, std::uint64_t seed)
-    : lookahead_(opt.lookahead) {
+    : lookahead_(opt.lookahead), threads_(std::min(opt.threads, opt.shards)) {
   assert(opt.shards >= 1);
   assert(opt.threads >= 1);
   assert(lookahead_ > SimTime::zero());
@@ -41,109 +77,6 @@ ShardExecutor::ShardExecutor(const Options& opt, std::uint64_t seed)
     shards_.push_back(std::make_unique<Simulator>(seed));
   }
   control_ = std::make_unique<Simulator>(seed);
-
-  const int threads = std::min(opt.threads, opt.shards);
-  for (int w = 1; w < threads; ++w) {
-    workers_.emplace_back([this] {
-      std::uint32_t seen = 0;
-      for (;;) {
-        std::function<void(int)> fn;
-        {
-          std::unique_lock<std::mutex> lk(m_);
-          cv_work_.wait(lk, [&] { return stop_ || round_ != seen; });
-          if (stop_) return;
-          seen = round_;
-          fn = phase_fn_;
-        }
-        work_loop(seen, fn);
-      }
-    });
-  }
-}
-
-ShardExecutor::~ShardExecutor() {
-  {
-    std::lock_guard<std::mutex> lk(m_);
-    stop_ = true;
-  }
-  cv_work_.notify_all();
-  for (std::thread& t : workers_) t.join();
-}
-
-int ShardExecutor::claim(std::uint32_t round) {
-  std::uint64_t cur = task_slot_.load(std::memory_order_acquire);
-  for (;;) {
-    if (static_cast<std::uint32_t>(cur >> 32) != round) return -1;
-    const auto idx = static_cast<std::uint32_t>(cur & 0xffffffffULL);
-    if (idx >= static_cast<std::uint32_t>(shard_count())) return -1;
-    const std::uint64_t next =
-        (static_cast<std::uint64_t>(round) << 32) | (idx + 1);
-    if (task_slot_.compare_exchange_weak(cur, next, std::memory_order_acq_rel,
-                                         std::memory_order_acquire)) {
-      return static_cast<int>(idx);
-    }
-  }
-}
-
-void ShardExecutor::work_loop(std::uint32_t round,
-                              const std::function<void(int)>& fn) {
-  for (;;) {
-    const int s = claim(round);
-    if (s < 0) return;
-    const std::uint64_t t0 = collect_wall_ ? now_ns() : 0;
-    fn(s);
-    if (collect_wall_) {
-      // Each task writes only its own shard's slot; no two tasks of a round
-      // share an index, so this is race-free without atomics.
-      wall_stats_.busy_ns[static_cast<std::size_t>(s)] += now_ns() - t0;
-    }
-    std::lock_guard<std::mutex> lk(m_);
-    if (++done_count_ == shard_count()) cv_done_.notify_all();
-  }
-}
-
-void ShardExecutor::run_phase(const std::function<void(int)>& fn) {
-  const int shards = shard_count();
-  const std::uint64_t phase_t0 = collect_wall_ ? now_ns() : 0;
-  if (collect_wall_) busy_before_ = wall_stats_.busy_ns;
-  if (workers_.empty()) {
-    // threads == 1 (or a single shard): dispatch in-order on this thread,
-    // no synchronization at all.
-    for (int s = 0; s < shards; ++s) {
-      const std::uint64_t t0 = collect_wall_ ? now_ns() : 0;
-      fn(s);
-      if (collect_wall_) {
-        wall_stats_.busy_ns[static_cast<std::size_t>(s)] += now_ns() - t0;
-      }
-    }
-  } else {
-    std::uint32_t round = 0;
-    {
-      std::lock_guard<std::mutex> lk(m_);
-      phase_fn_ = fn;
-      done_count_ = 0;
-      round = ++round_;
-      task_slot_.store(static_cast<std::uint64_t>(round) << 32,
-                       std::memory_order_release);
-    }
-    cv_work_.notify_all();
-    work_loop(round, fn);
-    {
-      std::unique_lock<std::mutex> lk(m_);
-      cv_done_.wait(lk, [&] { return done_count_ == shards; });
-    }
-  }
-  if (collect_wall_) {
-    const std::uint64_t wall = now_ns() - phase_t0;
-    wall_stats_.phase_wall_ns += wall;
-    // A shard's barrier wait is the part of the phase wall it did not spend
-    // dispatching its own events.
-    for (int s = 0; s < shards; ++s) {
-      const auto i = static_cast<std::size_t>(s);
-      const std::uint64_t busy = wall_stats_.busy_ns[i] - busy_before_[i];
-      wall_stats_.wait_ns[i] += wall > busy ? wall - busy : 0;
-    }
-  }
 }
 
 void ShardExecutor::run(SimTime horizon, const ExchangeFn& exchange,
@@ -151,43 +84,114 @@ void ShardExecutor::run(SimTime horizon, const ExchangeFn& exchange,
   // Events scheduled exactly at the horizon must still fire (run_until is
   // inclusive), so the open upper bound of the last window is horizon + 1.
   const SimTime cap = horizon + SimTime{1};
-  for (;;) {
+  assert(exchange && settle && commit);
+
+  // Written by the serial steps only and read by every thread after the
+  // barrier that publishes them; errors[t] is written by thread t.
+  SimTime end;
+  bool control_due = false;
+  bool stop = false;
+  std::vector<std::exception_ptr> errors(static_cast<std::size_t>(threads_));
+  std::uint64_t phase_t0 = collect_wall_ ? now_ns() : 0;
+
+  const auto plan = [&] {
     SimTime t_min = SimTime::never();
     for (const auto& sh : shards_) {
       t_min = std::min(t_min, sh->next_event_time());
     }
     const SimTime next_control = control_->next_event_time();
-    if (t_min > horizon && next_control > horizon) break;
-
-    SimTime end = cap;
+    if (t_min > horizon && next_control > horizon) {
+      stop = true;
+      return;
+    }
+    end = cap;
     if (t_min < SimTime::never() && t_min + lookahead_ < end) {
       end = t_min + lookahead_;
     }
     if (next_control < end) end = next_control;
-    const bool control_due = next_control == end && next_control <= horizon;
+    control_due = next_control == end && next_control <= horizon;
+  };
 
-    // Phase 1 (parallel): every shard dispatches its events in [.., end).
-    run_phase([&](int s) {
-      Simulator& sim = *shards_[static_cast<std::size_t>(s)];
-      while (sim.next_event_time() < end) sim.step();
+  // Thread t's part of a parallel phase: the shards it owns.
+  const auto phase = [&](int t, const auto& fn) {
+    try {
+      for (int s = t; s < shard_count(); s += threads_) {
+        const std::uint64_t t0 = collect_wall_ ? now_ns() : 0;
+        fn(s);
+        if (collect_wall_) {
+          wall_stats_.busy_ns[static_cast<std::size_t>(s)] += now_ns() - t0;
+        }
+      }
+    } catch (...) {
+      errors[static_cast<std::size_t>(t)] = std::current_exception();
+    }
+  };
+
+  // The barrier after a phase.  Its last arrival, thread t, closes the
+  // phase's wall time and runs the serial `step` unless a thread has
+  // failed.  Returns false once the run stops.
+  Barrier barrier(threads_);
+  const auto sync = [&](int t, const auto& step) {
+    barrier.arrive_and_wait([&] {
+      if (collect_wall_) wall_stats_.phase_wall_ns += now_ns() - phase_t0;
+      for (const std::exception_ptr& e : errors) stop = stop || e != nullptr;
+      if (stop) return;
+      try {
+        step();
+      } catch (...) {
+        errors[static_cast<std::size_t>(t)] = std::current_exception();
+        stop = true;
+      }
+      if (collect_wall_) phase_t0 = now_ns();
     });
+    return !stop;
+  };
 
-    // Phase 2 (serial) + 3 (parallel): cross-shard message exchange and
-    // per-shard settlement at the barrier.
-    if (exchange) exchange(end);
-    if (settle) {
-      run_phase([&](int s) { settle(s, end); });
+  const auto window_loop = [&](int t) {
+    while (!stop) {
+      phase(t, [&](int s) {
+        Simulator& sim = *shards_[static_cast<std::size_t>(s)];
+        while (sim.next_event_time() < end) sim.step();
+      });
+      if (!sync(t, [&] { exchange(end); })) return;
+      phase(t, [&](int s) { settle(s, end); });
+      sync(t, [&] {
+        commit(end);
+        // Control events due exactly at the window edge run with every
+        // shard clock lined up, so their callbacks read a consistent now().
+        if (control_due) {
+          for (const auto& sh : shards_) sh->advance_to(end);
+          control_->run_until(end);
+        }
+        ++windows_;
+        plan();
+      });
     }
-    if (commit) commit(end);
+  };
 
-    // Phase 4 (serial): control-timeline events due exactly at the window
-    // edge, with every shard clock lined up so their callbacks read a
-    // consistent now().
-    if (control_due) {
-      for (const auto& sh : shards_) sh->advance_to(end);
-      control_->run_until(next_control);
+  plan();
+  {
+    // Workers start once every thread exists, so a failed spawn stops the
+    // run before any of them reaches the barrier.
+    std::atomic<bool> go{false};
+    std::vector<std::jthread> workers;
+    try {
+      for (int t = 1; t < threads_ && !stop; ++t) {
+        workers.emplace_back([&, t] {
+          go.wait(false);
+          window_loop(t);
+        });
+      }
+    } catch (...) {
+      errors[0] = std::current_exception();
+      stop = true;
     }
-    ++windows_;
+    go = true;
+    go.notify_all();
+    window_loop(0);
+  }  // joins every worker
+  for (const std::exception_ptr& e : errors) {
+    if (e) std::rethrow_exception(e);
   }
 }
 
@@ -201,7 +205,6 @@ void ShardExecutor::set_collect_wall_stats(bool on) {
   collect_wall_ = on;
   if (on && wall_stats_.busy_ns.empty()) {
     wall_stats_.busy_ns.assign(shards_.size(), 0);
-    wall_stats_.wait_ns.assign(shards_.size(), 0);
   }
 }
 

@@ -8,30 +8,24 @@
 //
 //     E_k = min(t_min + L, next_control, horizon + 1 tick)
 //
-// where t_min is the globally earliest pending shard event.  One window
-// dispatches, in parallel, every shard event with time < E_k; at the
-// barrier the caller first exchanges cross-shard messages (serial), then
-// settles them per shard (parallel), and finally the control simulator runs
-// its events due exactly at E_k with every shard clock advanced to E_k.
+// where t_min is the globally earliest pending shard event.  A window runs
+// dispatch (parallel: every shard event with time < E_k), exchange
+// (serial), settle (parallel) and commit (serial), then the control events
+// due exactly at E_k with every shard clock advanced to E_k.
 // The mac-layer exactness argument for why L = min(cca_time, rx_latency_min)
 // makes this windowing *physically exact* — not an approximation — lives in
 // DESIGN.md §12; this class only enforces the schedule.
 //
-// Determinism: the worker pool affects which OS thread runs which shard,
-// never what a shard computes (shards share no mutable state between
-// barriers, and both barrier callbacks run under a strict happens-before
-// edge).  Results are therefore bit-identical for any thread count,
-// including 1 — with one thread no workers are even spawned and the phases
-// degenerate to an in-order loop over shards.
+// run() starts T = min(threads, shards) threads (the caller plus T-1
+// std::jthreads); thread t always owns shards t, t+T, ...  One barrier ends
+// each parallel phase, and its last arrival runs the serial step.  Shards
+// share no mutable state between barriers, so results are bit-identical
+// for any thread count; one thread runs the same loop on a barrier of one.
 #pragma once
 
-#include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
-#include <thread>
 #include <vector>
 
 #include "sim/simulator.h"
@@ -45,9 +39,10 @@ namespace sstsp::sim {
 /// numbers are wall-time-derived and must never feed anything covered by
 /// the bit-identity contract (they are surfaced via the profile block).
 struct ShardWallStats {
-  std::vector<std::uint64_t> busy_ns;  ///< per shard: time inside phase fns
-  std::vector<std::uint64_t> wait_ns;  ///< per shard: phase wall - busy
-  std::uint64_t phase_wall_ns{0};      ///< total wall across parallel phases
+  /// Per shard: time inside phase fns; phase_wall_ns - busy_ns[s] is the
+  /// part of the phase wall shard s spent waiting at barriers.
+  std::vector<std::uint64_t> busy_ns;
+  std::uint64_t phase_wall_ns{0};  ///< total wall across parallel phases
 
   /// Imbalance of the busiest shard vs the mean busy time (1.0 = balanced).
   [[nodiscard]] double imbalance() const;
@@ -65,7 +60,6 @@ class ShardExecutor {
   };
 
   ShardExecutor(const Options& opt, std::uint64_t seed);
-  ~ShardExecutor();
 
   ShardExecutor(const ShardExecutor&) = delete;
   ShardExecutor& operator=(const ShardExecutor&) = delete;
@@ -88,7 +82,10 @@ class ShardExecutor {
   using CommitFn = std::function<void(SimTime end)>;
 
   /// Advances shards + control through `horizon` (events at exactly the
-  /// horizon still fire, matching Simulator::run_until).
+  /// horizon still fire, matching Simulator::run_until); all three
+  /// callbacks are required.  An exception thrown on any thread (by a shard
+  /// event, a callback or a control event) stops every thread at the next
+  /// barrier and is rethrown here once all of them have joined.
   void run(SimTime horizon, const ExchangeFn& exchange, const SettleFn& settle,
            const CommitFn& commit);
 
@@ -102,34 +99,14 @@ class ShardExecutor {
   }
 
  private:
-  void run_phase(const std::function<void(int)>& fn);
-  void work_loop(std::uint32_t round, const std::function<void(int)>& fn);
-  /// Claims the next shard index of `round`; -1 when the round is drained
-  /// or a newer round has started (a straggler from the previous phase can
-  /// never steal work from the current one).
-  int claim(std::uint32_t round);
-
   SimTime lookahead_;
+  int threads_;
   std::vector<std::unique_ptr<Simulator>> shards_;
   std::unique_ptr<Simulator> control_;
   std::uint64_t windows_{0};
 
-  // Worker pool (empty when threads == 1).
-  std::vector<std::thread> workers_;
-  std::mutex m_;
-  std::condition_variable cv_work_;
-  std::condition_variable cv_done_;
-  std::uint32_t round_{0};              // guarded by m_
-  std::function<void(int)> phase_fn_;   // guarded by m_ (set), read per round
-  int done_count_{0};                   // guarded by m_
-  bool stop_{false};                    // guarded by m_
-  /// (round << 32) | next-task-index, claimed by CAS so a stale worker
-  /// observing an old round cannot acquire a task of the new one.
-  std::atomic<std::uint64_t> task_slot_{0};
-
   bool collect_wall_{false};
   ShardWallStats wall_stats_;
-  std::vector<std::uint64_t> busy_before_;  ///< scratch, per-phase snapshot
 };
 
 }  // namespace sstsp::sim

@@ -402,6 +402,24 @@ TEST(AttackParams, ConfigFileTypoFailsWithItsLine) {
   std::remove(path.c_str());
 }
 
+TEST(AttackParams, ConfigFileUnknownAttackNameFailsWithItsLine) {
+  std::string known;
+  for (const std::string& name : attack::adversary_names()) {
+    known += (known.empty() ? "" : ", ") + name;
+  }
+  for (const char* text : {"{\n  \"nodes\": 5,\n  \"attack\": \"bogus\"\n}",
+                           "{\n  \"nodes\": 5,\n"
+                           "  \"attack\": {\"name\": \"bogus\"}\n}"}) {
+    SCOPED_TRACE(text);
+    const auto root = obs::json::parse(text);
+    ASSERT_TRUE(root.has_value());
+    std::string error;
+    EXPECT_FALSE(run::config_to_args(*root, run::ConfigTool::kSim, &error));
+    EXPECT_EQ(error, "line 3: attack: unknown attack 'bogus' (known: " +
+                         known + ")");
+  }
+}
+
 TEST(AttackParams, ProgrammaticScenarioFailsInTheNetworkConstructor) {
   run::Scenario typo;
   typo.num_nodes = 4;

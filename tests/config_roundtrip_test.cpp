@@ -143,8 +143,14 @@ TEST(ConfigRoundTrip, AttackParamsUnknownKeyNamesPathAndLine) {
 }
 
 TEST(ConfigRoundTrip, AttackIsSimOnlyAndSkippedElsewhere) {
-  const std::string json = R"({"attack": "external-forge", "nodes": 4})";
-  EXPECT_TRUE(has_flag(args_for(json, ConfigTool::kSim), "--attack"));
+  const std::string json = R"({"attack": "forge", "nodes": 4})";
+  const auto sim_args = args_for(json, ConfigTool::kSim);
+  EXPECT_TRUE(has_flag(sim_args, "--attack"));
+  // The spliced flags parse back: the name is a registered adversary.
+  std::string error;
+  const auto cli = parse_cli(sim_args, ConfigTool::kSim, &error);
+  ASSERT_TRUE(cli.has_value()) << error;
+  EXPECT_EQ(cli->scenario.attack, "forge");
   EXPECT_FALSE(has_flag(args_for(json, ConfigTool::kSwarm), "--attack"));
   EXPECT_FALSE(has_flag(args_for(json, ConfigTool::kNode), "--attack"));
 }

@@ -4,6 +4,7 @@
 // owns its Simulator and RNG substreams; threads never share state).
 #include <gtest/gtest.h>
 
+#include <initializer_list>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -91,36 +92,65 @@ TEST(RunnerDeterminism, SweepResultsIndependentOfThreadCount) {
 // The sharded kernel's determinism contract (DESIGN.md §12): for a fixed
 // scenario, the serialized run document is byte-identical for every
 // (shards, threads) combination — wall_seconds is the single wall-derived
-// field in the document, so it is pinned before serializing.  Exercised
-// over both partition modes (single-hop id blocks and spatial column
-// strips) with churn active so the control timeline interleaves windows.
-TEST(RunnerDeterminism, ShardThreadMatrixByteIdentical) {
-  for (const bool spatial : {false, true}) {
-    Scenario base = small_scenario(ProtocolKind::kSstsp);
-    base.churn = ChurnSpec{2.0, 0.2, 1.0};
-    if (spatial) base.phy.radio_range_m = 30.0;
-
-    std::string reference;
-    for (const int shards : {1, 2, 8}) {
-      for (const int threads : {1, 2, 4}) {
-        Scenario s = base;
-        s.shards = shards;
-        s.threads = threads;
-        RunResult r = run_scenario(s);
-        EXPECT_GT(r.channel.deliveries, 0u);
-        r.wall_seconds = 0.0;
-        std::ostringstream os;
-        write_run_json(os, s, r);
-        if (reference.empty()) {
-          reference = os.str();
-        } else {
-          EXPECT_EQ(reference, os.str())
-              << "shards=" << shards << " threads=" << threads
-              << " spatial=" << spatial;
-        }
+// field in the document, so it is pinned before serializing.  `check` sees
+// every run's result.
+template <typename Check>
+void expect_shard_thread_identity(const Scenario& base,
+                                  std::initializer_list<int> shard_counts,
+                                  const Check& check) {
+  std::string reference;
+  for (const int shards : shard_counts) {
+    for (const int threads : {1, 2, 4}) {
+      Scenario s = base;
+      s.shards = shards;
+      s.threads = threads;
+      RunResult r = run_scenario(s);
+      check(r);
+      r.wall_seconds = 0.0;
+      std::ostringstream os;
+      write_run_json(os, s, r);
+      if (reference.empty()) {
+        reference = os.str();
+      } else {
+        EXPECT_EQ(reference, os.str())
+            << "shards=" << shards << " threads=" << threads;
       }
     }
   }
+}
+
+// Exercised over both partition modes (single-hop id blocks and spatial
+// column strips) with churn active so the control timeline interleaves
+// windows.
+TEST(RunnerDeterminism, ShardThreadMatrixByteIdentical) {
+  for (const bool spatial : {false, true}) {
+    SCOPED_TRACE(spatial ? "spatial" : "single-hop");
+    Scenario base = small_scenario(ProtocolKind::kSstsp);
+    base.churn = ChurnSpec{2.0, 0.2, 1.0};
+    if (spatial) base.phy.radio_range_m = 30.0;
+    expect_shard_thread_identity(base, {1, 2, 8}, [](const RunResult& r) {
+      EXPECT_GT(r.channel.deliveries, 0u);
+    });
+  }
+}
+
+// Cluster scenarios (DESIGN.md §13) on the sharded kernel: gateway bridge
+// announcements cross shards like any other frame, so the same contract
+// holds, and the inter-cluster spread stays inside the cross-cluster bound.
+TEST(RunnerDeterminism, ClusterShardThreadMatrixByteIdentical) {
+  Scenario base;
+  base.cluster.clusters = 3;
+  base.cluster.nodes_per_cluster = 8;
+  base.num_nodes = base.cluster.total_nodes();
+  base.duration_s = 30.0;  // the steady window opens 20 s in
+  base.seed = 5;
+  base.phy.radio_range_m = 50.0;
+  base.preestablished_reference = true;
+  base.sstsp.chain_length = 400;
+  expect_shard_thread_identity(base, {1, 3, 6}, [&](const RunResult& r) {
+    ASSERT_TRUE(r.cluster_steady_max_us.has_value());
+    EXPECT_LE(*r.cluster_steady_max_us, base.cluster.cross_cluster_bound_us());
+  });
 }
 
 }  // namespace
