@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
+#include <ranges>
 
 #include "fault/injector.h"
 
@@ -14,104 +14,12 @@ Channel::Channel(sim::Simulator& sim, const PhyParams& phy)
 std::size_t Channel::add_station(Position pos, RxHandler handler) {
   stations_.push_back(StationRec{pos, std::move(handler), true,
                                  sim::SimTime::never(), sim::SimTime::zero()});
-  invalidate_caches();
+  grid_.reset();
   return stations_.size() - 1;
 }
 
 void Channel::set_listening(std::size_t idx, bool listening) {
   stations_[idx].listening = listening;
-}
-
-void Channel::invalidate_caches() {
-  dist_rows_.clear();
-  grid_.built = false;
-}
-
-bool Channel::in_range(const Position& a, const Position& b) const {
-  if (phy_.radio_range_m <= 0.0) return true;  // single-hop: everyone hears
-  return distance_m(a, b) <= phy_.radio_range_m;
-}
-
-const std::vector<double>& Channel::dist_row(std::size_t idx) const {
-  if (dist_rows_.size() != stations_.size()) {
-    dist_rows_.assign(stations_.size(), {});
-  }
-  std::vector<double>& row = dist_rows_[idx];
-  if (row.empty() && !stations_.empty()) {
-    row.resize(stations_.size());
-    const Position& me = stations_[idx].pos;
-    for (std::size_t j = 0; j < stations_.size(); ++j) {
-      row[j] = distance_m(me, stations_[j].pos);
-    }
-  }
-  return row;
-}
-
-void Channel::build_grid() const {
-  grid_.cell_m = phy_.radio_range_m;
-  double min_x = 0.0;
-  double min_y = 0.0;
-  double max_x = 0.0;
-  double max_y = 0.0;
-  bool first = true;
-  for (const StationRec& st : stations_) {
-    if (first) {
-      min_x = max_x = st.pos.x_m;
-      min_y = max_y = st.pos.y_m;
-      first = false;
-    } else {
-      min_x = std::min(min_x, st.pos.x_m);
-      max_x = std::max(max_x, st.pos.x_m);
-      min_y = std::min(min_y, st.pos.y_m);
-      max_y = std::max(max_y, st.pos.y_m);
-    }
-  }
-  grid_.min_x = min_x;
-  grid_.min_y = min_y;
-  grid_.nx = std::max(
-      1, static_cast<int>(std::floor((max_x - min_x) / grid_.cell_m)) + 1);
-  grid_.ny = std::max(
-      1, static_cast<int>(std::floor((max_y - min_y) / grid_.cell_m)) + 1);
-  grid_.cells.assign(static_cast<std::size_t>(grid_.nx) *
-                         static_cast<std::size_t>(grid_.ny),
-                     {});
-  for (std::size_t i = 0; i < stations_.size(); ++i) {
-    const Position& p = stations_[i].pos;
-    const int cx = std::clamp(
-        static_cast<int>(std::floor((p.x_m - min_x) / grid_.cell_m)), 0,
-        grid_.nx - 1);
-    const int cy = std::clamp(
-        static_cast<int>(std::floor((p.y_m - min_y) / grid_.cell_m)), 0,
-        grid_.ny - 1);
-    grid_.cells[static_cast<std::size_t>(cy) *
-                    static_cast<std::size_t>(grid_.nx) +
-                static_cast<std::size_t>(cx)]
-        .push_back(static_cast<std::uint32_t>(i));
-  }
-  grid_.built = true;
-}
-
-void Channel::grid_candidates(const Position& pos) const {
-  if (!grid_.built) build_grid();
-  candidates_.clear();
-  const int cx = std::clamp(
-      static_cast<int>(std::floor((pos.x_m - grid_.min_x) / grid_.cell_m)), 0,
-      grid_.nx - 1);
-  const int cy = std::clamp(
-      static_cast<int>(std::floor((pos.y_m - grid_.min_y) / grid_.cell_m)), 0,
-      grid_.ny - 1);
-  for (int y = std::max(0, cy - 1); y <= std::min(grid_.ny - 1, cy + 1); ++y) {
-    for (int x = std::max(0, cx - 1); x <= std::min(grid_.nx - 1, cx + 1);
-         ++x) {
-      const auto& cell = grid_.cells[static_cast<std::size_t>(y) *
-                                         static_cast<std::size_t>(grid_.nx) +
-                                     static_cast<std::size_t>(x)];
-      candidates_.insert(candidates_.end(), cell.begin(), cell.end());
-    }
-  }
-  // Ascending station index: the RNG draw-order contract requires visiting
-  // receivers exactly as the full scan would.
-  std::sort(candidates_.begin(), candidates_.end());
 }
 
 void Channel::prune_old(sim::SimTime now) {
@@ -144,9 +52,6 @@ std::uint64_t Channel::transmit(std::size_t idx, Frame frame,
   stats_.bytes_on_air += tx.frame.air_bytes;
   stations_[idx].last_tx_start = now;
   stations_[idx].last_tx_end = tx.end;
-  // Materialize the sender's distance row up front: carrier sense and the
-  // delivery fan-out for this transmission will read it.
-  (void)dist_row(idx);
 
   const std::uint64_t id = tx.id;
   recent_.push_back(std::move(tx));
@@ -174,7 +79,7 @@ void Channel::finish_transmission(std::uint64_t tx_id) {
   const sim::SimTime start = tx->start;
   const sim::SimTime end = tx->end;
   const double nominal_us = nominal_delay_us(end - start);
-  const std::vector<double>& dist = dist_row(sender);
+  const Position& sender_pos = stations_[sender].pos;
   const bool finite_range = phy_.radio_range_m > 0.0;
 
   // Transmissions overlapping this frame, collected once instead of
@@ -196,7 +101,8 @@ void Channel::finish_transmission(std::uint64_t tx_id) {
     if (s == sender) return;
     StationRec& rx = stations_[s];
     if (!rx.listening) return;
-    if (finite_range && dist[s] > phy_.radio_range_m) return;
+    const double d = distance_m(sender_pos, rx.pos);
+    if (finite_range && d > phy_.radio_range_m) return;
     // Half duplex: if the receiver transmitted during this frame it heard
     // nothing (its own tx would also have collided, but cover the edge
     // where it started transmitting mid-frame).
@@ -210,7 +116,7 @@ void Channel::finish_transmission(std::uint64_t tx_id) {
     bool corrupted = false;
     if (finite_range) {
       for (const std::size_t o : overlap_senders_) {
-        if (dist_row(o)[s] <= phy_.radio_range_m) {
+        if (distance_m(stations_[o].pos, rx.pos) <= phy_.radio_range_m) {
           corrupted = true;
           break;
         }
@@ -235,7 +141,7 @@ void Channel::finish_transmission(std::uint64_t tx_id) {
                                     static_cast<NodeId>(s));
       if (verdict.drop) return;
     }
-    const sim::SimTime prop = propagation_from_distance(dist[s]);
+    const sim::SimTime prop = propagation_from_distance(d);
     const sim::SimTime rx_latency = sim::SimTime::from_us_double(rng_.uniform(
         phy_.rx_latency_min.to_us(), phy_.rx_latency_max.to_us()));
     sim::SimTime delivered = end + prop + rx_latency;
@@ -274,7 +180,11 @@ void Channel::finish_transmission(std::uint64_t tx_id) {
   };
 
   if (finite_range) {
-    grid_candidates(stations_[sender].pos);
+    if (!grid_) {
+      grid_.emplace(stations_ | std::views::transform(&StationRec::pos),
+                    phy_.radio_range_m);
+    }
+    grid_->neighbours(sender_pos, candidates_);
     for (const std::uint32_t s : candidates_) consider_receiver(s);
   } else {
     for (std::size_t s = 0; s < stations_.size(); ++s) consider_receiver(s);
@@ -286,17 +196,12 @@ void Channel::finish_transmission(std::uint64_t tx_id) {
 }
 
 bool Channel::would_detect_busy(std::size_t idx, sim::SimTime at) const {
-  const bool finite_range = phy_.radio_range_m > 0.0;
+  const Position& me = stations_[idx].pos;
   for (const Tx& tx : recent_) {
     if (tx.sender == idx) continue;
-    // Distances are read through the *sender's* row (symmetric, and already
-    // materialized by transmit()), so carrier sensing never allocates.
-    const double d = dist_row(tx.sender)[idx];
-    if (finite_range && d > phy_.radio_range_m) continue;
-    const sim::SimTime prop = propagation_from_distance(d);
-    const sim::SimTime detectable_from = tx.start + prop + phy_.cca_time;
-    const sim::SimTime busy_until = tx.end + prop + phy_.ifs_guard;
-    if (at >= detectable_from && at <= busy_until) return true;
+    if (senses(stations_[tx.sender].pos, me, tx.start, tx.end, at)) {
+      return true;
+    }
   }
   return false;
 }

@@ -22,14 +22,13 @@
 //     its own transmissions.
 //
 // Hot-path engineering (behaviour-preserving; see DESIGN.md "Performance"):
-//   * Station positions never move, so pairwise distances are cached in
-//     lazily materialized per-sender rows; propagation delays and range
-//     checks read the cache instead of recomputing sqrt per delivery.
-//   * With a finite radio range, receiver candidates come from a uniform
-//     grid (cell size = radio range, 3x3 neighbourhood query) instead of a
-//     scan over every station.  Candidates are visited in ascending station
-//     index, which keeps the per-receiver RNG draw order — and therefore
-//     every seeded run — byte-identical to the brute-force scan.
+//   * With a finite radio range, receiver candidates come from a
+//     mac::CellGrid (cell size = radio range, 3x3 neighbourhood query)
+//     instead of a scan over every station.  Candidates are visited in
+//     ascending station index, which keeps the per-receiver RNG draw order —
+//     and therefore every seeded run — byte-identical to the brute-force
+//     scan.  Distances are computed at each use (sender first, as
+//     mac::ShardChannel does), so memory stays linear in the station count.
 //   * The delivery fan-out shares one heap-allocated Frame between all
 //     receivers of a transmission (shared_ptr<const Frame>) instead of
 //     copying the frame into every receiver's closure.
@@ -39,8 +38,10 @@
 #include <deque>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <vector>
 
+#include "mac/cell_grid.h"
 #include "mac/frame.h"
 #include "mac/medium.h"
 #include "mac/phy_params.h"
@@ -65,10 +66,6 @@ class Channel final : public Medium {
                          sim::SimTime duration) override;
   [[nodiscard]] bool would_detect_busy(std::size_t idx,
                                        sim::SimTime at) const override;
-
-  /// Mutual audibility under the configured radio range (always true in
-  /// the default single-hop configuration).
-  [[nodiscard]] bool in_range(const Position& a, const Position& b) const;
 
   /// Attaches a fault injector (nullptr detaches): every delivery that
   /// survives the physical-layer model is submitted for a verdict (drop /
@@ -98,32 +95,9 @@ class Channel final : public Medium {
     bool delivered_processed{false};
   };
 
-  /// Uniform grid over the station positions, cell size = radio range; a
-  /// 3x3 neighbourhood query returns every station within range (plus near
-  /// misses, filtered by the exact distance check).  Only used when
-  /// radio_range_m > 0.
-  struct Grid {
-    bool built{false};
-    double cell_m{0.0};
-    double min_x{0.0};
-    double min_y{0.0};
-    int nx{0};
-    int ny{0};
-    std::vector<std::vector<std::uint32_t>> cells;
-  };
-
   void finish_transmission(std::uint64_t tx_id);
   void prune_old(sim::SimTime now);
   [[nodiscard]] Tx* find_tx(std::uint64_t tx_id);
-
-  /// Cached distances from station `idx` to every station (lazily
-  /// materialized; positions are immutable after add_station).
-  const std::vector<double>& dist_row(std::size_t idx) const;
-  void invalidate_caches();
-  void build_grid() const;
-  /// Fills `candidates_` with the stations in the 3x3 cell neighbourhood of
-  /// `pos`, in ascending index order (RNG draw-order contract).
-  void grid_candidates(const Position& pos) const;
 
   sim::Simulator& sim_;
   std::vector<StationRec> stations_;
@@ -132,11 +106,11 @@ class Channel final : public Medium {
   sim::Rng rng_;
   fault::FaultInjector* fault_{nullptr};
 
-  // Position-derived caches (mutable: lazily filled through const paths).
-  mutable std::vector<std::vector<double>> dist_rows_;
-  mutable Grid grid_;
-  mutable std::vector<std::uint32_t> candidates_;  // grid query scratch
-  std::vector<std::size_t> overlap_senders_;       // per-finish scratch
+  /// Receiver index over the station positions (finite range only); built
+  /// at the first delivery after the last add_station.
+  std::optional<CellGrid> grid_;
+  std::vector<std::uint32_t> candidates_;     // grid query scratch
+  std::vector<std::size_t> overlap_senders_;  // per-finish scratch
 };
 
 }  // namespace sstsp::mac

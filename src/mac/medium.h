@@ -71,7 +71,12 @@ class Medium {
  public:
   using RxHandler = std::function<void(const Frame&, const RxInfo&)>;
 
-  explicit Medium(const PhyParams& phy) : phy_(phy) {}
+  explicit Medium(const PhyParams& phy)
+      : phy_(phy),
+        sense_tail_(phy.radio_range_m > 0.0
+                        ? propagation_from_distance(phy.radio_range_m) +
+                              phy.ifs_guard
+                        : sim::SimTime::zero()) {}
   virtual ~Medium() = default;
 
   Medium(const Medium&) = delete;
@@ -124,7 +129,32 @@ class Medium {
   }
 
  protected:
+  /// The carrier-sense rule of both simulated channels: does a listener at
+  /// `listener`, checking at `at`, find a frame sent from `sender` over
+  /// [start, end) on the air?  It does from start + prop + cca_time (the
+  /// CCA latency) through end + prop + ifs_guard, and only within radio
+  /// range.  The two time bounds come first and are exact (DESIGN.md §8):
+  /// propagation is never negative, so nothing reads busy before
+  /// start + cca_time; it is monotone in distance, so nothing audible reads
+  /// busy after end + prop(range) + ifs_guard.  Most retained records fail
+  /// one of them, and only the rest pay for the distance.
+  [[nodiscard]] bool senses(const Position& sender, const Position& listener,
+                            sim::SimTime start, sim::SimTime end,
+                            sim::SimTime at) const {
+    const bool finite_range = phy_.radio_range_m > 0.0;
+    if (at < start + phy_.cca_time) return false;
+    if (finite_range && at > end + sense_tail_) return false;
+    const double d = distance_m(sender, listener);
+    if (finite_range && d > phy_.radio_range_m) return false;
+    const sim::SimTime prop = propagation_from_distance(d);
+    return at >= start + prop + phy_.cca_time &&
+           at <= end + prop + phy_.ifs_guard;
+  }
+
   PhyParams phy_;
+  /// prop(radio range) + ifs_guard: the last instant past a frame's end at
+  /// which any station in range still senses it (finite range only).
+  sim::SimTime sense_tail_;
   ChannelStats stats_;
   obs::Instruments* instruments_{nullptr};
   obs::Profiler* profiler_{nullptr};

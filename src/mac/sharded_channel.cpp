@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
+#include <ranges>
 
 #include "obs/instruments.h"
 
@@ -18,7 +18,7 @@ std::size_t ShardChannel::add_station(Position pos, RxHandler handler) {
   st.pos = pos;
   st.handler = std::move(handler);
   stations_.push_back(std::move(st));
-  grid_.built = false;
+  grid_.reset();
   return stations_.size() - 1;
 }
 
@@ -86,26 +86,9 @@ std::uint64_t ShardChannel::transmit(std::size_t idx, Frame frame,
 
 bool ShardChannel::would_detect_busy(std::size_t idx, sim::SimTime at) const {
   const LocalStation& me = stations_[idx];
-  const bool finite_range = phy_.radio_range_m > 0.0;
-  // Time bounds first: propagation is never negative, so nothing reads busy
-  // before start + cca; within range it is at most the range's own delay
-  // (monotone in distance), so nothing audible reads busy after
-  // end + prop(range) + ifs_guard.  Most retained records fail one of the
-  // two, and the exact distance check below runs only on the rest.
-  const sim::SimTime tail =
-      finite_range ? propagation_from_distance(phy_.radio_range_m) +
-                         phy_.ifs_guard
-                   : sim::SimTime::zero();
   for (const TxRec& tx : txs_) {
-    if (at < tx.start + phy_.cca_time) continue;
-    if (finite_range && at > tx.end + tail) continue;
     if (tx.sender == me.global) continue;
-    const double d = distance_m(tx.sender_pos, me.pos);
-    if (finite_range && d > phy_.radio_range_m) continue;
-    const sim::SimTime prop = propagation_from_distance(d);
-    const sim::SimTime detectable_from = tx.start + prop + phy_.cca_time;
-    const sim::SimTime busy_until = tx.end + prop + phy_.ifs_guard;
-    if (at >= detectable_from && at <= busy_until) return true;
+    if (senses(tx.sender_pos, me.pos, tx.start, tx.end, at)) return true;
   }
   return false;
 }
@@ -214,79 +197,16 @@ void ShardChannel::evaluate(const TxRec& tx) {
   };
 
   if (finite_range) {
-    if (!grid_.built) build_grid();
-    local_candidates(tx.sender_pos);
+    if (!grid_) {
+      grid_.emplace(stations_ | std::views::transform(&LocalStation::pos),
+                    phy_.radio_range_m);
+    }
+    grid_->neighbours(tx.sender_pos, candidates_);
     for (const std::uint32_t s : candidates_) consider_receiver(s);
   } else {
     for (std::size_t s = 0; s < stations_.size(); ++s) consider_receiver(s);
   }
   eval_results_.emplace_back(tx.id, corrupted_any);
-}
-
-void ShardChannel::build_grid() {
-  grid_.cell_m = phy_.radio_range_m;
-  double min_x = 0.0;
-  double min_y = 0.0;
-  double max_x = 0.0;
-  double max_y = 0.0;
-  bool first = true;
-  for (const LocalStation& st : stations_) {
-    if (first) {
-      min_x = max_x = st.pos.x_m;
-      min_y = max_y = st.pos.y_m;
-      first = false;
-    } else {
-      min_x = std::min(min_x, st.pos.x_m);
-      max_x = std::max(max_x, st.pos.x_m);
-      min_y = std::min(min_y, st.pos.y_m);
-      max_y = std::max(max_y, st.pos.y_m);
-    }
-  }
-  grid_.min_x = min_x;
-  grid_.min_y = min_y;
-  grid_.nx = std::max(
-      1, static_cast<int>(std::floor((max_x - min_x) / grid_.cell_m)) + 1);
-  grid_.ny = std::max(
-      1, static_cast<int>(std::floor((max_y - min_y) / grid_.cell_m)) + 1);
-  grid_.cells.assign(static_cast<std::size_t>(grid_.nx) *
-                         static_cast<std::size_t>(grid_.ny),
-                     {});
-  for (std::size_t i = 0; i < stations_.size(); ++i) {
-    const Position& p = stations_[i].pos;
-    const int cx = std::clamp(
-        static_cast<int>(std::floor((p.x_m - min_x) / grid_.cell_m)), 0,
-        grid_.nx - 1);
-    const int cy = std::clamp(
-        static_cast<int>(std::floor((p.y_m - min_y) / grid_.cell_m)), 0,
-        grid_.ny - 1);
-    grid_.cells[static_cast<std::size_t>(cy) *
-                    static_cast<std::size_t>(grid_.nx) +
-                static_cast<std::size_t>(cx)]
-        .push_back(static_cast<std::uint32_t>(i));
-  }
-  grid_.built = true;
-}
-
-void ShardChannel::local_candidates(const Position& pos) const {
-  candidates_.clear();
-  const int cx = std::clamp(
-      static_cast<int>(std::floor((pos.x_m - grid_.min_x) / grid_.cell_m)), 0,
-      grid_.nx - 1);
-  const int cy = std::clamp(
-      static_cast<int>(std::floor((pos.y_m - grid_.min_y) / grid_.cell_m)), 0,
-      grid_.ny - 1);
-  for (int y = std::max(0, cy - 1); y <= std::min(grid_.ny - 1, cy + 1); ++y) {
-    for (int x = std::max(0, cx - 1); x <= std::min(grid_.nx - 1, cx + 1);
-         ++x) {
-      const auto& cell = grid_.cells[static_cast<std::size_t>(y) *
-                                         static_cast<std::size_t>(grid_.nx) +
-                                     static_cast<std::size_t>(x)];
-      candidates_.insert(candidates_.end(), cell.begin(), cell.end());
-    }
-  }
-  // Ascending local index == ascending global id (the partition hands each
-  // shard its members in order), mirroring mac::Channel's visiting order.
-  std::sort(candidates_.begin(), candidates_.end());
 }
 
 ShardedWorld::ShardedWorld(const PhyParams& phy,
@@ -308,34 +228,30 @@ void ShardedWorld::partition(const std::vector<Position>& positions) {
   members_.assign(static_cast<std::size_t>(num_shards), {});
   spatial_ = phy_.radio_range_m > 0.0 && n > 0;
   if (spatial_) {
-    cell_m_ = phy_.radio_range_m;
     double min_x = positions[0].x_m;
     double max_x = positions[0].x_m;
     for (const Position& p : positions) {
       min_x = std::min(min_x, p.x_m);
       max_x = std::max(max_x, p.x_m);
     }
-    min_x_ = min_x;
-    ncols_ = std::max(
-        1, static_cast<int>(std::floor((max_x - min_x) / cell_m_)) + 1);
-    std::vector<std::size_t> col_count(static_cast<std::size_t>(ncols_), 0);
+    columns_ = CellGrid::Axis::fit(min_x, max_x, phy_.radio_range_m);
+    const int ncols = columns_.cells;
+    std::vector<std::size_t> col_count(static_cast<std::size_t>(ncols), 0);
     std::vector<int> col_of(n);
     for (std::size_t i = 0; i < n; ++i) {
-      const int cx = std::clamp(
-          static_cast<int>(std::floor((positions[i].x_m - min_x) / cell_m_)),
-          0, ncols_ - 1);
+      const int cx = columns_.index(positions[i].x_m);
       col_of[i] = cx;
       ++col_count[static_cast<std::size_t>(cx)];
     }
     // Contiguous column strips balanced by station count: close a strip
     // once the running total reaches the shard's pro-rata quota.  Shards
     // can own zero columns when there are fewer columns than shards.
-    col_shard_.assign(static_cast<std::size_t>(ncols_), 0);
+    col_shard_.assign(static_cast<std::size_t>(ncols), 0);
     const double per_shard =
         static_cast<double>(n) / static_cast<double>(num_shards);
     int shard = 0;
     std::size_t cum = 0;
-    for (int c = 0; c < ncols_; ++c) {
+    for (int c = 0; c < ncols; ++c) {
       while (shard < num_shards - 1 &&
              static_cast<double>(cum) >=
                  per_shard * static_cast<double>(shard + 1)) {
@@ -378,9 +294,9 @@ void ShardedWorld::announce_targets(double x_m, std::vector<int>& out) const {
     for (int s = 0; s < shard_count(); ++s) out.push_back(s);
     return;
   }
-  const int cx = std::clamp(
-      static_cast<int>(std::floor((x_m - min_x_) / cell_m_)), 0, ncols_ - 1);
-  for (int c = std::max(0, cx - 1); c <= std::min(ncols_ - 1, cx + 1); ++c) {
+  const int cx = columns_.index(x_m);
+  for (int c = std::max(0, cx - 1); c <= std::min(columns_.cells - 1, cx + 1);
+       ++c) {
     const int s = col_shard_[static_cast<std::size_t>(c)];
     // col_shard_ is non-decreasing, so duplicates are adjacent.
     if (out.empty() || out.back() != s) out.push_back(s);

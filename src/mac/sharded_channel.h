@@ -41,8 +41,10 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
+#include <optional>
 #include <vector>
 
+#include "mac/cell_grid.h"
 #include "mac/medium.h"
 #include "sim/simulator.h"
 
@@ -122,11 +124,6 @@ class ShardChannel final : public Medium {
   void evaluate(const TxRec& tx);
   void prune(sim::SimTime now);
 
-  void build_grid();
-  /// Local stations in the 3x3 neighbourhood of `pos`, ascending local
-  /// index (== ascending global id; the partition preserves order).
-  void local_candidates(const Position& pos) const;
-
   ShardedWorld& world_;
   int shard_;
   sim::Simulator& sim_;
@@ -137,25 +134,16 @@ class ShardChannel final : public Medium {
   /// drained serially at commit.
   std::vector<std::pair<std::uint64_t, bool>> eval_results_;
 
-  // Uniform grid over this shard's stations only (cell = radio range,
-  // locally-fitted bounds).  Queries clamp into the local bounds exactly
-  // like mac::Channel's grid; the exact distance check downstream makes a
-  // remote sender's clamped query correct — candidates are a superset of
-  // the in-range stations.
-  struct Grid {
-    bool built{false};
-    double cell_m{0.0};
-    double min_x{0.0};
-    double min_y{0.0};
-    int nx{0};
-    int ny{0};
-    std::vector<std::vector<std::uint32_t>> cells;
-  };
-  Grid grid_;
-  mutable std::vector<std::uint32_t> candidates_;  // grid query scratch
-  std::vector<TxRec*> due_;                        // settle scratch
-  std::vector<Position> interferers_;              // evaluate scratch
-  std::vector<int> targets_;                       // transmit scratch
+  /// mac::CellGrid over this shard's stations only (finite range only),
+  /// built at the first evaluation after the last add_station.  A remote
+  /// sender outside its bounds is clamped to the nearest cell (see
+  /// cell_grid.h); ascending local index == ascending global id, because
+  /// the partition hands each shard its members in order.
+  std::optional<CellGrid> grid_;
+  std::vector<std::uint32_t> candidates_;  // grid query scratch
+  std::vector<TxRec*> due_;                // settle scratch
+  std::vector<Position> interferers_;      // evaluate scratch
+  std::vector<int> targets_;               // transmit scratch
 
   std::uint64_t announcements_sent_{0};
   std::size_t peak_txs_{0};
@@ -203,20 +191,17 @@ class ShardedWorld {
   [[nodiscard]] std::uint64_t announcements_total() const;
 
   /// Shards whose stations can hear a node at this x coordinate — the
-  /// announce fan-out set.  The runner keys per-shard KeyDirectory
-  /// registration off this (NOT off home-shard adjacency: when shards
-  /// outnumber grid columns, neighbouring columns can map to
-  /// non-consecutive shard indices).
-  void audible_shards(double x_m, std::vector<int>& out) const {
-    announce_targets(x_m, out);
-  }
+  /// announce fan-out set: the shards owning any grid column in
+  /// [cx-1, cx+1], or all shards in the single-hop (radio_range_m == 0)
+  /// configuration.  The runner keys per-shard KeyDirectory registration
+  /// off this (NOT off home-shard adjacency: when shards outnumber grid
+  /// columns, neighbouring columns can map to non-consecutive shard
+  /// indices).
+  void announce_targets(double x_m, std::vector<int>& out) const;
 
  private:
   friend class ShardChannel;
 
-  /// Shards owning any grid column in [cx-1, cx+1]; all shards in the
-  /// single-hop (radio_range_m == 0) configuration.
-  void announce_targets(double x_m, std::vector<int>& out) const;
   [[nodiscard]] NodeId next_global_id(int shard) const;
 
   PhyParams phy_;
@@ -226,11 +211,10 @@ class ShardedWorld {
   /// Per-shard members in ascending global id (add_station consumes these).
   std::vector<std::vector<NodeId>> members_;
 
-  // Column partition (finite range only).
+  // Column partition (finite range only): the x axis of a mac::CellGrid
+  // fitted to every station, without its cells.
   bool spatial_{false};
-  double cell_m_{0.0};
-  double min_x_{0.0};
-  int ncols_{0};
+  CellGrid::Axis columns_;
   std::vector<int> col_shard_;  ///< grid column -> owning shard
 
   std::uint64_t collided_{0};

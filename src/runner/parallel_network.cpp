@@ -104,7 +104,7 @@ void ParallelNetwork::build_stations() {
     for (std::size_t i = 0; i < draws.size(); ++i) {
       const auto id = static_cast<mac::NodeId>(i);
       const crypto::ChainParams params = deployment_.chain_params(id);
-      world_->audible_shards(positions[i].x_m, audible);
+      world_->announce_targets(positions[i].x_m, audible);
       for (const int s : audible) {
         directories_[static_cast<std::size_t>(s)]->register_node(id, params);
       }
@@ -171,7 +171,7 @@ void ParallelNetwork::publish_shard_metrics() {
     if (!ws.busy_ns.empty()) {
       r.gauge(prefix + ".busy_ns").set(static_cast<double>(ws.busy_ns[i]));
       r.gauge(prefix + ".barrier_wait_ns")
-          .set(static_cast<double>(ws.phase_wall_ns - ws.busy_ns[i]));
+          .set(static_cast<double>(ws.barrier_wait_ns(i)));
     }
   }
 }

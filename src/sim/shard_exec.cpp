@@ -67,6 +67,15 @@ double ShardWallStats::imbalance() const {
   return static_cast<double>(peak) / mean;
 }
 
+std::uint64_t ShardWallStats::barrier_wait_ns(std::size_t shard) const {
+  const auto stride = static_cast<std::size_t>(threads);
+  std::uint64_t busy = 0;
+  for (std::size_t s = shard % stride; s < busy_ns.size(); s += stride) {
+    busy += busy_ns[s];
+  }
+  return phase_wall_ns > busy ? phase_wall_ns - busy : 0;
+}
+
 ShardExecutor::ShardExecutor(const Options& opt, std::uint64_t seed)
     : lookahead_(opt.lookahead), threads_(std::min(opt.threads, opt.shards)) {
   assert(opt.shards >= 1);
@@ -205,6 +214,7 @@ void ShardExecutor::set_collect_wall_stats(bool on) {
   collect_wall_ = on;
   if (on && wall_stats_.busy_ns.empty()) {
     wall_stats_.busy_ns.assign(shards_.size(), 0);
+    wall_stats_.threads = threads_;
   }
 }
 

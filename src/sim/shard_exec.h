@@ -39,13 +39,19 @@ namespace sstsp::sim {
 /// numbers are wall-time-derived and must never feed anything covered by
 /// the bit-identity contract (they are surfaced via the profile block).
 struct ShardWallStats {
-  /// Per shard: time inside phase fns; phase_wall_ns - busy_ns[s] is the
-  /// part of the phase wall shard s spent waiting at barriers.
+  /// Per shard: time inside phase fns.
   std::vector<std::uint64_t> busy_ns;
   std::uint64_t phase_wall_ns{0};  ///< total wall across parallel phases
+  /// Threads that ran the shards, min(threads, shards); thread t owns
+  /// shards t, t+T, ...
+  int threads{1};
 
   /// Imbalance of the busiest shard vs the mean busy time (1.0 = balanced).
   [[nodiscard]] double imbalance() const;
+  /// Barrier wait of the thread owning `shard`: the phase wall minus the
+  /// summed busy time of every shard that thread runs (near 0 on one
+  /// thread, whose barrier never waits).
+  [[nodiscard]] std::uint64_t barrier_wait_ns(std::size_t shard) const;
 };
 
 class ShardExecutor {

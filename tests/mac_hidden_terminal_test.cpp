@@ -92,13 +92,30 @@ TEST(RangedChannel, CarrierSenseIsRangeLimited) {
   EXPECT_FALSE(ch.would_detect_busy(far, mid));  // cannot sense: hidden
 }
 
-TEST(RangedChannel, InRangeHelper) {
+// The range is inclusive: a station exactly at the radio range receives,
+// one just past it does not, and with no range everyone receives.
+TEST(RangedChannel, ReceptionRangeIsInclusive) {
   sim::Simulator sim(4);
   Channel limited(sim, ranged_phy(50.0));
-  EXPECT_TRUE(limited.in_range({0, 0}, {50, 0}));
-  EXPECT_FALSE(limited.in_range({0, 0}, {50.1, 0}));
   Channel unlimited(sim, ranged_phy(0.0));
-  EXPECT_TRUE(unlimited.in_range({0, 0}, {1e6, 0}));
+  Receiver at_range;
+  Receiver past_range;
+  Receiver far;
+  const auto tx =
+      limited.add_station({0, 0}, Channel::RxHandler([](auto&&...) {}));
+  limited.add_station({50, 0}, at_range.handler());
+  limited.add_station({50.1, 0}, past_range.handler());
+  const auto tx2 =
+      unlimited.add_station({0, 0}, Channel::RxHandler([](auto&&...) {}));
+  unlimited.add_station({1e6, 0}, far.handler());
+  sim.at(1_ms, [&] {
+    limited.transmit(tx, beacon(0, 1), 36_us);
+    unlimited.transmit(tx2, beacon(0, 2), 36_us);
+  });
+  sim.run_until(1_sec);
+  EXPECT_EQ(at_range.frames.size(), 1u);
+  EXPECT_TRUE(past_range.frames.empty());
+  EXPECT_EQ(far.frames.size(), 1u);
 }
 
 TEST(RangedChannel, SpatialReuseDeliversBothFrames) {

@@ -258,5 +258,29 @@ TEST(ShardExec, ControlEventThrowComesOutOfRun) {
   }
 }
 
+// A shard's barrier wait is its owning thread's: the phase wall minus the
+// busy time of every shard that thread runs, not of the shard alone.
+TEST(ShardExec, BarrierWaitIsTheOwningThreadsIdleTime) {
+  ShardWallStats ws;
+  ws.busy_ns = {1, 2, 3, 4};
+  ws.phase_wall_ns = 10;
+  const auto waits = [&](int threads) {
+    ws.threads = threads;
+    std::vector<std::uint64_t> out;
+    for (std::size_t s = 0; s < ws.busy_ns.size(); ++s) {
+      out.push_back(ws.barrier_wait_ns(s));
+    }
+    return out;
+  };
+  EXPECT_EQ(waits(1), (std::vector<std::uint64_t>{0, 0, 0, 0}));
+  EXPECT_EQ(waits(2), (std::vector<std::uint64_t>{6, 4, 6, 4}));
+  EXPECT_EQ(waits(4), (std::vector<std::uint64_t>{9, 8, 7, 6}));
+
+  // The executor records T = min(threads, shards).
+  ShardExecutor exec({.shards = 3, .threads = 8, .lookahead = 3_us}, 1);
+  exec.set_collect_wall_stats(true);
+  EXPECT_EQ(exec.wall_stats().threads, 3);
+}
+
 }  // namespace
 }  // namespace sstsp::sim
