@@ -29,9 +29,10 @@
 //     and therefore every seeded run — byte-identical to the brute-force
 //     scan.  Distances are computed at each use (sender first, as
 //     mac::ShardChannel does), so memory stays linear in the station count.
-//   * The delivery fan-out shares one heap-allocated Frame between all
-//     receivers of a transmission (shared_ptr<const Frame>) instead of
-//     copying the frame into every receiver's closure.
+//   * A transmission's receptions are one event-queue entry: a mac::FanOut
+//     (fan_out.h) holding one shared Frame and the (delivered, receiver)
+//     entries, handed to Simulator::schedule_batch, which dispatches them in
+//     the order one event per receiver would have fired.
 #pragma once
 
 #include <cstdint>

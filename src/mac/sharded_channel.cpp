@@ -4,6 +4,7 @@
 #include <cassert>
 #include <ranges>
 
+#include "mac/fan_out.h"
 #include "obs/instruments.h"
 
 namespace sstsp::mac {
@@ -138,6 +139,18 @@ void ShardChannel::evaluate(const TxRec& tx) {
     interferers_.push_back(other.sender_pos);
   }
 
+  if (finite_range) {
+    if (!grid_) {
+      grid_.emplace(stations_ | std::views::transform(&LocalStation::pos),
+                    phy_.radio_range_m);
+    }
+    grid_->neighbours(tx.sender_pos, candidates_);
+  }
+  // The shard's whole fan-out of this frame is one queue entry.
+  auto fan = std::make_unique<FanOut<LocalStation>>(
+      stations_, tx.frame, nominal_us, tx.start,
+      finite_range ? candidates_.size() : stations_.size());
+
   auto consider_receiver = [&](std::size_t s) {
     LocalStation& rx = stations_[s];
     if (rx.global == tx.sender) return;
@@ -182,30 +195,15 @@ void ShardChannel::evaluate(const TxRec& tx) {
     const sim::SimTime rx_latency = sim::SimTime::from_us_double(draw.uniform(
         phy_.rx_latency_min.to_us(), phy_.rx_latency_max.to_us()));
 
-    RxInfo info;
-    info.delivered = tx.end + prop + rx_latency;
-    info.nominal_delay_us = nominal_us;
-    info.tx_start = tx.start;
-    ++stats_.deliveries;
-    if (instruments_ != nullptr) {
-      instruments_->on_delivery((info.delivered - tx.start).to_us());
-    }
-    std::shared_ptr<const Frame> frame = tx.frame;
-    sim_.at(info.delivered, [this, s, frame, info] {
-      if (stations_[s].listening) stations_[s].handler(*frame, info);
-    });
+    fan->add(s, tx.end + prop + rx_latency, {}, stats_, instruments_);
   };
 
   if (finite_range) {
-    if (!grid_) {
-      grid_.emplace(stations_ | std::views::transform(&LocalStation::pos),
-                    phy_.radio_range_m);
-    }
-    grid_->neighbours(tx.sender_pos, candidates_);
     for (const std::uint32_t s : candidates_) consider_receiver(s);
   } else {
     for (std::size_t s = 0; s < stations_.size(); ++s) consider_receiver(s);
   }
+  sim_.schedule_batch(std::move(fan));
   eval_results_.emplace_back(tx.id, corrupted_any);
 }
 

@@ -17,8 +17,9 @@
 //   * settle (parallel, per shard per window): each shard evaluates every
 //     known transmission whose end lies inside the closed window — in
 //     (end, tx id) order — against its OWN stations only: range check,
-//     half-duplex, per-receiver interference, PER draw, latency draw,
-//     delivery scheduling on the shard's simulator.
+//     half-duplex, per-receiver interference, PER draw, latency draw — and
+//     schedules the frame's receptions on the shard's simulator as one
+//     queue entry (a mac::FanOut, fan_out.h).
 //   * commit (serial, per window): per-receiver-shard corruption verdicts
 //     are OR-ed across shards so collided_transmissions counts each
 //     transmission once, exactly like the single-kernel channel.

@@ -42,10 +42,14 @@ EventQueue::Key EventQueue::pop_top() {
   const Key top = heap_.front();
   const Key last = heap_.back();
   heap_.pop_back();
+  if (!heap_.empty()) replace_top(last);
+  return top;
+}
+
+void EventQueue::replace_top(Key key) {
+  // Sift `key` down from the root: move the least child up while it
+  // orders before `key`.
   const std::size_t n = heap_.size();
-  if (n == 0) return top;
-  // Sift `last` down from the root: move the least child up while it
-  // orders before `last`.
   std::size_t hole = 0;
   for (;;) {
     const std::size_t first = hole * kArity + 1;
@@ -55,12 +59,36 @@ EventQueue::Key EventQueue::pop_top() {
     for (std::size_t c = first + 1; c < end; ++c) {
       if (before(heap_[c], heap_[least])) least = c;
     }
-    if (!before(heap_[least], last)) break;
+    if (!before(heap_[least], key)) break;
     heap_[hole] = heap_[least];
     hole = least;
   }
-  heap_[hole] = last;
-  return top;
+  heap_[hole] = key;
+}
+
+EventQueue::Key EventQueue::batch_key(std::uint32_t index) const {
+  const DeliveryBatch& batch = *batches_[index];
+  const std::size_t head = batch.head();
+  return Key{batch.fire_time(head), batch.first_seq_ + head,
+             index | kBatchBit};
+}
+
+void EventQueue::schedule_batch(SimTime floor,
+                                std::unique_ptr<DeliveryBatch> batch) {
+  if (batch->empty()) return;
+  batch->arm(floor, next_seq_);
+  next_seq_ += batch->size();
+  live_ += batch->size();
+  std::uint32_t index;
+  if (free_batches_.empty()) {
+    index = static_cast<std::uint32_t>(batches_.size());
+    batches_.push_back(std::move(batch));
+  } else {
+    index = free_batches_.back();
+    free_batches_.pop_back();
+    batches_[index] = std::move(batch);
+  }
+  push_key(batch_key(index));
 }
 
 bool EventQueue::cancel(EventId id) {
@@ -78,7 +106,8 @@ bool EventQueue::cancel(EventId id) {
 }
 
 void EventQueue::drop_cancelled_head() {
-  while (!heap_.empty() && slots_[heap_.front().slot].cancelled) {
+  while (!heap_.empty() && (heap_.front().slot & kBatchBit) == 0 &&
+         slots_[heap_.front().slot].cancelled) {
     const std::uint32_t slot = pop_top().slot;
     // Destroy the callback only once the queue is consistent again: its
     // captures' destructors may schedule or cancel.
@@ -92,15 +121,43 @@ SimTime EventQueue::next_time() {
   return heap_.empty() ? SimTime::never() : heap_.front().time;
 }
 
-EventQueue::Fired EventQueue::pop() {
+EventQueue::Fired EventQueue::pop_due(SimTime horizon) {
   drop_cancelled_head();
-  assert(!heap_.empty() && "pop() on empty EventQueue");
-  const Key key = pop_top();
+  if (heap_.empty() || heap_.front().time > horizon) return Fired{};
+  const Key key = heap_.front();
+  --live_;
+  if ((key.slot & kBatchBit) != 0) return take_batch_entry(key);
+  return take_callback(key);
+}
+
+EventQueue::Fired EventQueue::take_callback(Key key) {
+  pop_top();
   Slot& s = slots_[key.slot];
   Fired fired{key.time, make_id(key.slot, s.generation), std::move(s.fn)};
   release_slot(key.slot);
-  --live_;
   return fired;
+}
+
+EventQueue::Fired EventQueue::take_batch_entry(Key key) {
+  // Re-key the batch to its next entry before this one runs, so the queue
+  // is consistent when the entry's handler schedules.
+  const std::uint32_t index = key.slot & ~kBatchBit;
+  DeliveryBatch& batch = *batches_[index];
+  Fired fired{key.time, 0, {}, &batch, batch.entries_[batch.head()]};
+  ++batch.next_;
+  if (!batch.done()) {
+    replace_top(batch_key(index));
+  } else {
+    pop_top();
+    fired.last = std::move(batches_[index]);
+    free_batches_.push_back(index);
+  }
+  return fired;
+}
+
+EventQueue::Fired EventQueue::pop() {
+  assert(!empty() && "pop() on empty EventQueue");
+  return pop_due(SimTime::never());
 }
 
 }  // namespace sstsp::sim

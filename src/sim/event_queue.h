@@ -9,23 +9,31 @@
 // stored inline (EventQueue::Callback), so scheduling an event allocates
 // nothing once the heap and slot vectors have grown to the run's peak depth.
 //
+// A heap key can also stand for a whole sim::DeliveryBatch (a transmission's
+// receptions): the key carries the batch's next entry, and firing that
+// entry re-keys the batch to the one after it in place (a sift down from
+// the root, not a pop and a push).  A broadcast to n receivers thus costs
+// one heap entry, not n, in the same (time, seq) order (delivery_batch.h).
+//
 // Cancellation is lazy, with no hash tables on the per-event path: the
 // EventId handed back to callers packs (slot index, generation).  cancel()
 // flips a tombstone bit in the slot (O(1)); a tombstoned key is discarded
-// when it reaches the head (pop()/next_time() compact cancelled heads away),
-// and its callback, with everything it captured, is destroyed then.  So pop()
-// stays amortized O(log n) and next_time() never degrades to a linear scan.
-// Slot generations are bumped on release, so a stale EventId (already fired
-// or cancelled) can never alias a newer event.
+// when it reaches the head (pop_due()/next_time() compact cancelled heads
+// away), and its callback, with everything it captured, is destroyed then.
+// So a pop stays amortized O(log n) and next_time() never degrades to a
+// linear scan.  Slot generations are bumped on release, so a stale EventId
+// (already fired or cancelled) can never alias a newer event.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <new>
 #include <type_traits>
 #include <utility>
 #include <vector>
 
+#include "sim/delivery_batch.h"
 #include "sim/time_types.h"
 
 namespace sstsp::sim {
@@ -38,9 +46,11 @@ using EventId = std::uint64_t;
 /// capture a handle (shared_ptr, index, `this`) instead of a large value.
 class InlineCallback {
  public:
-  /// Fits the largest hot closure, the channel delivery lambdas
-  /// (`this`, receiver index, shared frame, RxInfo: 56 bytes).
-  static constexpr std::size_t kCapacity = 64;
+  /// Fits the largest closures the library schedules (the fault transport's
+  /// and sstsp_node's, up to 48 bytes) and keeps EventQueue's slot to one
+  /// 64-byte cache line.  Receptions do not come through here: they travel
+  /// in a sim::DeliveryBatch.
+  static constexpr std::size_t kCapacity = 48;
 
   InlineCallback() noexcept = default;
 
@@ -69,6 +79,10 @@ class InlineCallback {
 
   /// Precondition: holds a callable.
   void operator()() { ops_->invoke(storage_); }
+
+  [[nodiscard]] explicit operator bool() const noexcept {
+    return ops_ != nullptr;
+  }
 
  private:
   static constexpr std::size_t kAlign = alignof(void*);
@@ -116,6 +130,11 @@ class EventQueue {
     return make_id(slot, slots_[slot].generation);
   }
 
+  /// Schedules every entry of `batch` as if by one schedule(max(at, floor),
+  /// ...) call per entry in entry order: the entries take the next
+  /// size() sequence numbers.  Batch entries cannot be cancelled.
+  void schedule_batch(SimTime floor, std::unique_ptr<DeliveryBatch> batch);
+
   /// Cancels a pending event.  Returns false if the event already fired,
   /// was already cancelled, or never existed.
   bool cancel(EventId id);
@@ -128,12 +147,35 @@ class EventQueue {
   /// is why it is not const); amortized O(log n) per cancelled event.
   [[nodiscard]] SimTime next_time();
 
-  /// Pops the earliest pending event.  Precondition: !empty().
+  /// The earliest pending event, taken off the queue; calling it runs it.
+  /// Empty (false) when nothing was due.
   struct Fired {
     SimTime time;
-    EventId id;
-    Callback fn;
+    EventId id{0};  ///< 0 for a batch entry
+    Callback fn;    ///< the event's callable; empty for a batch entry
+    DeliveryBatch* batch{nullptr};
+    DeliveryBatch::Entry entry{};
+    /// Keeps the batch alive while its last entry runs.
+    std::unique_ptr<DeliveryBatch> last{};
+
+    [[nodiscard]] explicit operator bool() const {
+      return batch != nullptr || static_cast<bool>(fn);
+    }
+    void operator()() {
+      if (batch != nullptr) {
+        batch->deliver(entry);
+      } else {
+        fn();
+      }
+    }
   };
+
+  /// Takes the earliest pending event off the queue if it is due at or
+  /// before `horizon`; otherwise returns an empty Fired.  Checks the head
+  /// once: the queue is consistent again before the event runs.
+  Fired pop_due(SimTime horizon);
+
+  /// Pops the earliest pending event.  Precondition: !empty().
   Fired pop();
 
  private:
@@ -151,6 +193,9 @@ class EventQueue {
     return a.seq < b.seq;
   }
 
+  /// Marks a key's `slot` as an index into batches_.
+  static constexpr std::uint32_t kBatchBit = std::uint32_t{1} << 31;
+
   /// One slot per in-heap event, holding its callback.  `generation`
   /// advances every time the slot is released (fired or cancelled entry
   /// popped), invalidating old ids; `cancelled` is the tombstone the heap
@@ -161,6 +206,7 @@ class EventQueue {
     bool cancelled{false};
     bool in_use{false};
   };
+  static_assert(sizeof(Slot) <= 64, "a slot fills one cache line at most");
 
   [[nodiscard]] static EventId make_id(std::uint32_t slot,
                                        std::uint32_t generation) {
@@ -170,10 +216,19 @@ class EventQueue {
   }
 
   /// Heap primitives: push_key sifts a new key up from the end; pop_top
-  /// removes and returns the minimum key.  Precondition for pop_top:
-  /// !heap_.empty().
+  /// removes and returns the minimum key; replace_top puts `key` in the
+  /// minimum's place.  Precondition for the last two: !heap_.empty().
   void push_key(Key key);
   Key pop_top();
+  void replace_top(Key key);
+
+  /// The key of batch `index`'s next entry.
+  [[nodiscard]] Key batch_key(std::uint32_t index) const;
+
+  /// pop_due's two ways to take the head `key` off (one named result each,
+  /// so the returned Fired is built in place).
+  Fired take_callback(Key key);
+  Fired take_batch_entry(Key key);
 
   void drop_cancelled_head();
   std::uint32_t acquire_slot();
@@ -182,6 +237,8 @@ class EventQueue {
   std::vector<Key> heap_;
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_slots_;
+  std::vector<std::unique_ptr<DeliveryBatch>> batches_;
+  std::vector<std::uint32_t> free_batches_;
   std::uint64_t next_seq_{0};
   std::size_t live_{0};
 };

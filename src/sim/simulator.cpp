@@ -5,15 +5,14 @@
 namespace sstsp::sim {
 
 bool Simulator::step(SimTime horizon) {
-  if (queue_.empty()) return false;
-  if (queue_.next_time() > horizon) return false;
-  auto fired = queue_.pop();
+  auto fired = queue_.pop_due(horizon);
+  if (!fired) return false;
   now_ = fired.time;
   ++processed_;
   if (instruments_ != nullptr) instruments_->on_dispatch(queue_.size());
   if (sampler_ != nullptr) sampler_->on_dispatch(now_.to_sec(), queue_.size());
   obs::Span span(profiler_, obs::Phase::kDispatch);
-  fired.fn();
+  fired();
   return true;
 }
 

@@ -10,10 +10,12 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <utility>
 
 #include "obs/profiler.h"
 #include "obs/sampler.h"
+#include "sim/delivery_batch.h"
 #include "sim/event_queue.h"
 #include "sim/rng.h"
 #include "sim/time_types.h"
@@ -47,6 +49,14 @@ class Simulator {
   template <class F>
   EventId after(SimTime delay, F&& fn) {
     return at(now_ + delay, std::forward<F>(fn));
+  }
+
+  /// Schedules every entry of `batch` as if by one at(entry.at, ...) call
+  /// per entry, in entry order, with the past clamped to now: same
+  /// sequence numbers, same dispatch order, one event each in
+  /// events_processed() and events_pending() (delivery_batch.h).
+  void schedule_batch(std::unique_ptr<DeliveryBatch> batch) {
+    queue_.schedule_batch(now_, std::move(batch));
   }
 
   bool cancel(EventId id) { return queue_.cancel(id); }
