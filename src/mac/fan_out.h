@@ -1,9 +1,8 @@
-// A transmission's receptions as one event-queue entry: the fan-out both
-// simulated channels build.
+// A transmission's receptions as one event-queue entry.
 //
-// mac::Channel (at a frame's end) and mac::ShardChannel (at the barrier
-// that evaluates it) visit a frame's receivers in ascending station order
-// and add() each one that gets the frame.  The batch then goes to the
+// mac::RadioMedium::evaluate (radio_medium.h), run by both simulated
+// channels, visits a frame's receivers in ascending station order and
+// add()s each one that gets the frame.  The batch then goes to the
 // simulator whole (Simulator::schedule_batch), which dispatches the entries
 // in the order one Simulator::at call per add() would have.  The batch
 // holds one reference to the frame and at most one corrupted copy, shared
@@ -23,12 +22,12 @@
 
 namespace sstsp::mac {
 
-/// `Station` is the channel's station record: it has `listening` and
-/// `handler` members.  `stations` must outlive the batch.
-template <class Station>
+struct RadioStation;
+
+/// `stations`, the channel's station records, must outlive the batch.
 class FanOut final : public sim::DeliveryBatch {
  public:
-  FanOut(const std::vector<Station>& stations,
+  FanOut(const std::vector<RadioStation>& stations,
          std::shared_ptr<const Frame> frame, double nominal_delay_us,
          sim::SimTime tx_start, std::size_t expected)
       : sim::DeliveryBatch(expected),
@@ -63,12 +62,7 @@ class FanOut final : public sim::DeliveryBatch {
   }
 
  private:
-  void deliver(const Entry& e) override {
-    const Station& rx = stations_[e.receiver];
-    if (!rx.listening) return;
-    rx.handler(e.copy == 0 ? *frame_ : *corrupted_,
-               RxInfo{e.at, nominal_delay_us_, tx_start_});
-  }
+  void deliver(const Entry& e) override;  // radio_medium.cpp
 
   void count(sim::SimTime delivered, ChannelStats& stats,
              obs::Instruments* instruments) const {
@@ -78,7 +72,7 @@ class FanOut final : public sim::DeliveryBatch {
     }
   }
 
-  const std::vector<Station>& stations_;
+  const std::vector<RadioStation>& stations_;
   std::shared_ptr<const Frame> frame_;
   std::optional<Frame> corrupted_;
   double nominal_delay_us_;

@@ -1,19 +1,22 @@
 // Medium: the radio interface a station programs against.
 //
-// Three implementations exist.  mac::Channel is the original single-threaded
-// broadcast channel: one instance owns every station and runs on the one
-// simulator of the run.  mac::ShardChannel (sharded_channel.h) is one shard
-// of the parallel kernel: it owns only the stations placed in its region of
-// the deployment and cooperates with its sibling shards through barrier-
-// committed transmission announcements.  net::NodeRuntime's wire medium
-// (net/node.h) carries one live station's frames to its transport.
-// Protocol code sees none of them — a proto::Station exposes exactly this
-// surface, so the same protocol binary runs on every host.
+// Three implementations exist: two simulated channels on one shared
+// reception layer, and the live wire medium.  mac::Channel is the original
+// single-threaded broadcast channel: one instance owns every station and
+// runs on the one simulator of the run.  mac::ShardChannel
+// (sharded_channel.h) is one shard of the parallel kernel: it owns only the
+// stations placed in its region of the deployment and cooperates with its
+// sibling shards through barrier-committed transmission announcements.
+// Both decide receptions, carrier sense and collisions by the one rule of
+// mac::RadioMedium (radio_medium.h).  net::WireMedium (net/node.h) carries
+// one live station's frames to its transport.  Protocol code sees none of
+// them — a proto::Station exposes exactly this surface, so the same
+// protocol binary runs on every host.
 //
 // The interface is the *station-facing* slice of the channel plus the
-// observer hooks every host wires the same way (Observers::attach); fault
-// injectors and grids stay on the concrete classes, because each kernel
-// wires those differently.
+// observer hooks every host wires the same way (Observers::attach); the
+// cell grid and the fault injector stay below it, in mac::RadioMedium and
+// mac::Channel, because the wire medium has neither.
 #pragma once
 
 #include <cstdint>
@@ -71,12 +74,7 @@ class Medium {
  public:
   using RxHandler = std::function<void(const Frame&, const RxInfo&)>;
 
-  explicit Medium(const PhyParams& phy)
-      : phy_(phy),
-        sense_tail_(phy.radio_range_m > 0.0
-                        ? propagation_from_distance(phy.radio_range_m) +
-                              phy.ifs_guard
-                        : sim::SimTime::zero()) {}
+  explicit Medium(const PhyParams& phy) : phy_(phy) {}
   virtual ~Medium() = default;
 
   Medium(const Medium&) = delete;
@@ -129,32 +127,7 @@ class Medium {
   }
 
  protected:
-  /// The carrier-sense rule of both simulated channels: does a listener at
-  /// `listener`, checking at `at`, find a frame sent from `sender` over
-  /// [start, end) on the air?  It does from start + prop + cca_time (the
-  /// CCA latency) through end + prop + ifs_guard, and only within radio
-  /// range.  The two time bounds come first and are exact (DESIGN.md §8):
-  /// propagation is never negative, so nothing reads busy before
-  /// start + cca_time; it is monotone in distance, so nothing audible reads
-  /// busy after end + prop(range) + ifs_guard.  Most retained records fail
-  /// one of them, and only the rest pay for the distance.
-  [[nodiscard]] bool senses(const Position& sender, const Position& listener,
-                            sim::SimTime start, sim::SimTime end,
-                            sim::SimTime at) const {
-    const bool finite_range = phy_.radio_range_m > 0.0;
-    if (at < start + phy_.cca_time) return false;
-    if (finite_range && at > end + sense_tail_) return false;
-    const double d = distance_m(sender, listener);
-    if (finite_range && d > phy_.radio_range_m) return false;
-    const sim::SimTime prop = propagation_from_distance(d);
-    return at >= start + prop + phy_.cca_time &&
-           at <= end + prop + phy_.ifs_guard;
-  }
-
   PhyParams phy_;
-  /// prop(radio range) + ifs_guard: the last instant past a frame's end at
-  /// which any station in range still senses it (finite range only).
-  sim::SimTime sense_tail_;
   ChannelStats stats_;
   obs::Instruments* instruments_{nullptr};
   obs::Profiler* profiler_{nullptr};

@@ -16,10 +16,10 @@
 //     shard-index order, appending announcements to the target shards.
 //   * settle (parallel, per shard per window): each shard evaluates every
 //     known transmission whose end lies inside the closed window — in
-//     (end, tx id) order — against its OWN stations only: range check,
-//     half-duplex, per-receiver interference, PER draw, latency draw — and
-//     schedules the frame's receptions on the shard's simulator as one
-//     queue entry (a mac::FanOut, fan_out.h).
+//     (end, tx id) order — against its OWN stations only, by the reception
+//     rule both simulated channels share (mac::RadioMedium::evaluate,
+//     radio_medium.h), and schedules the frame's receptions on the shard's
+//     simulator as one queue entry.
 //   * commit (serial, per window): per-receiver-shard corruption verdicts
 //     are OR-ed across shards so collided_transmissions counts each
 //     transmission once, exactly like the single-kernel channel.
@@ -29,9 +29,8 @@
 // sense only from start + prop + cca >= E_k, and delivers only from
 // end + prop + rx_latency >= E_k — both beyond the window's open end — so
 // deferring its visibility to the barrier changes nothing any station can
-// observe.  DESIGN.md §12 carries the full argument and the two documented
-// deviations from mac::Channel (identity-keyed RNG draws, two-deep
-// half-duplex history).
+// observe.  DESIGN.md §12 carries the full argument and the one documented
+// deviation from mac::Channel (identity-keyed RNG draws).
 //
 // Determinism: every cross-shard draw is keyed by (tx id, receiver node id)
 // off the shard simulator's root RNG — never by thread or arrival order —
@@ -40,114 +39,60 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <memory>
-#include <optional>
+#include <utility>
 #include <vector>
 
 #include "mac/cell_grid.h"
-#include "mac/medium.h"
+#include "mac/radio_medium.h"
 #include "sim/simulator.h"
 
 namespace sstsp::mac {
 
 class ShardedWorld;
 
-class ShardChannel final : public Medium {
+class ShardChannel final : public RadioMedium {
  public:
   ShardChannel(ShardedWorld& world, int shard, sim::Simulator& sim,
                const PhyParams& phy);
 
-  /// Registers the next station of this shard.  Stations must be added in
-  /// ascending global-node-id order across the whole world (the runner
-  /// builds them that way); the world's partition supplies the id.
-  std::size_t add_station(Position pos, RxHandler handler) override;
-
-  void set_listening(std::size_t idx, bool listening) override;
-
   std::uint64_t transmit(std::size_t idx, Frame frame,
                          sim::SimTime duration) override;
 
-  [[nodiscard]] bool would_detect_busy(std::size_t idx,
-                                       sim::SimTime at) const override;
-
-  [[nodiscard]] std::size_t station_count() const { return stations_.size(); }
-
-  // Deterministic load counters (virtual-time-derived, safe to publish
+  // Deterministic load counter (virtual-time-derived, safe to publish
   // under the bit-identity contract).
   [[nodiscard]] std::uint64_t announcements_sent() const {
     return announcements_sent_;
   }
-  [[nodiscard]] std::size_t peak_tx_records() const { return peak_txs_; }
 
  private:
   friend class ShardedWorld;
 
-  /// One past transmission window of a local station; two-deep history so
-  /// the barrier-deferred half-duplex check still sees the transmission
-  /// that was current at the frame's end even if the station has started
-  /// another one later in the same window.
-  struct TxWin {
-    sim::SimTime start{sim::SimTime::never()};
-    sim::SimTime end{sim::SimTime::zero()};
-  };
-
-  struct LocalStation {
-    NodeId global;
-    Position pos;
-    RxHandler handler;
-    bool listening{true};
-    std::uint32_t tx_seq{0};
-    TxWin hist[2];  ///< [0] = most recent transmission
-  };
-
-  /// A transmission this shard knows about: its own, or an announcement
-  /// committed at a barrier.  Carries everything evaluation needs, so
-  /// remote lookups never happen.
-  struct TxRec {
-    std::uint64_t id{0};
-    NodeId sender{kNoNode};
-    Position sender_pos;
-    sim::SimTime start;
-    sim::SimTime end;
-    std::shared_ptr<const Frame> frame;
-    bool evaluated{false};
-  };
-
   struct Announcement {
     int target;
-    TxRec rec;
+    Tx rec;
   };
 
-  /// Barrier hooks, driven by the world.
-  void accept(const TxRec& rec);
+  /// The partition's next member of this shard: stations must be added in
+  /// ascending global-node-id order across the whole world (the runner
+  /// builds them that way).  So ascending local index is ascending global
+  /// id, and the shared grid visits receivers in global-id order; a remote
+  /// sender outside the shard's grid is clamped to its nearest cell.
+  [[nodiscard]] NodeId next_station_id() const override;
+
+  /// Barrier hook, driven by the world.
   void settle(sim::SimTime window_end);
-  void evaluate(const TxRec& tx);
-  void prune(sim::SimTime now);
 
   ShardedWorld& world_;
   int shard_;
-  sim::Simulator& sim_;
-  std::vector<LocalStation> stations_;
-  std::deque<TxRec> txs_;
-  std::vector<Announcement> outbox_;  ///< drained serially at exchange
+  std::vector<std::uint32_t> tx_seq_;  ///< per station: next tx sequence
+  std::vector<Announcement> outbox_;   ///< drained serially at exchange
   /// (tx id, any-local-receiver-corrupted) for this window's evaluations;
   /// drained serially at commit.
   std::vector<std::pair<std::uint64_t, bool>> eval_results_;
-
-  /// mac::CellGrid over this shard's stations only (finite range only),
-  /// built at the first evaluation after the last add_station.  A remote
-  /// sender outside its bounds is clamped to the nearest cell (see
-  /// cell_grid.h); ascending local index == ascending global id, because
-  /// the partition hands each shard its members in order.
-  std::optional<CellGrid> grid_;
-  std::vector<std::uint32_t> candidates_;  // grid query scratch
-  std::vector<TxRec*> due_;                // settle scratch
-  std::vector<Position> interferers_;      // evaluate scratch
-  std::vector<int> targets_;               // transmit scratch
-
+  std::vector<Tx*> due_;     // settle scratch
+  std::vector<int> targets_;  // transmit scratch
   std::uint64_t announcements_sent_{0};
-  std::size_t peak_txs_{0};
 };
 
 /// Coordinator: owns the shards, the spatial partition, and the barrier

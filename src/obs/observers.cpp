@@ -176,6 +176,7 @@ void Observers::attach_shard(sim::Simulator& shard,
                              mac::Medium& channel) const {
   shard.set_profiler(profiler_.get());
   channel.set_instruments(instruments_.get());
+  channel.set_profiler(profiler_.get());
 }
 
 void Observers::on_spread_sample(sim::SimTime now,

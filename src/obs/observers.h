@@ -151,8 +151,8 @@ class Observers {
   /// sampler) and the medium-side ones (instruments, profiler): the one
   /// wiring of run::Network's channel and a live node's wire medium.
   void attach(sim::Simulator& sim, mac::Medium& medium) const;
-  /// One shard of the parallel kernel: the profiler on the shard
-  /// simulator, the instruments on the shard channel only — a per-shard
+  /// One shard of the parallel kernel: the profiler on the shard simulator
+  /// and channel, the instruments on the shard channel only — a per-shard
   /// queue-depth histogram would change with the partition and break the
   /// any-shard-count bit-identity (DESIGN.md §12).
   void attach_shard(sim::Simulator& shard, mac::Medium& channel) const;

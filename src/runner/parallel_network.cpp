@@ -134,14 +134,7 @@ void ParallelNetwork::run() {
   exec_.run(
       sim::SimTime::from_sec_double(scenario().duration_s),
       [this](sim::SimTime end) { world_->exchange(end); },
-      [this](int s, sim::SimTime end) {
-        // Attribute barrier settlement (interference + delivery fan-out)
-        // to the channel-delivery phase, like Channel::finish_transmission.
-        obs::Span span(
-            shard_observers_[static_cast<std::size_t>(s)]->profiler(),
-            obs::Phase::kChannelDelivery);
-        world_->settle(s, end);
-      },
+      [this](int s, sim::SimTime end) { world_->settle(s, end); },
       [this](sim::SimTime end) { world_->commit(end); });
   if (scenario().profile) publish_shard_metrics();
 }

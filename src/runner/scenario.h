@@ -103,7 +103,8 @@ struct Scenario : obs::ObserverConfig {
   /// count when only threads is given.  Results are bit-identical for any
   /// (threads, shards) combination — including the single-threaded legacy
   /// kernel when PER is 0 and rx latency is fixed; see DESIGN.md §12 for
-  /// the exactness contract and the two documented RNG-stream deviations.
+  /// the exactness contract and the one documented deviation (the
+  /// identity-keyed RNG draws).
   int threads = 0;
   int shards = 0;
 
