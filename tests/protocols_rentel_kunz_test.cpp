@@ -5,9 +5,11 @@
 #include <memory>
 #include <vector>
 
+#include "obs/observers.h"
 #include "protocols/rentel_kunz.h"
 #include "runner/experiment.h"
 #include "support/hand_net.h"
+#include "trace/event_trace.h"
 
 namespace sstsp::proto {
 namespace {
@@ -76,6 +78,23 @@ TEST(RentelKunz, ProbabilityDecaysWhenCovered) {
     if (p->p() < net.params.p_initial) ++below_initial;
   }
   EXPECT_GE(below_initial, 3);
+}
+
+TEST(RentelKunz, BeaconsAppearInTheTrace) {
+  // Every beacon a Rentel-Kunz station sends is a beacon-tx trace event,
+  // as for the TSF family it shares the contention engine with.
+  obs::ObserverConfig cfg;
+  cfg.trace_capacity = 1 << 16;
+  cfg.collect_metrics = false;
+  RkNet net;
+  obs::Observers observers(cfg, {}, net.sim);
+  net.station_observers = observers.for_stations();
+  for (int i = 0; i < 6; ++i) net.add(-50.0 + 20.0 * i, 2.0 * i);
+  net.run(30.0);
+  std::uint64_t sent = 0;
+  for (const auto* p : net.protos) sent += p->stats().beacons_sent;
+  EXPECT_GT(sent, 0u);
+  EXPECT_EQ(observers.trace()->count(trace::EventKind::kBeaconTx), sent);
 }
 
 TEST(RentelKunz, SilenceSavesTraffic) {
