@@ -7,8 +7,8 @@
 // This bench sweeps N and reports post-stabilization error and traffic.
 //
 // Every run uses the sharded parallel kernel (Scenario::threads /
-// Scenario::shards, DESIGN.md §12) instead of the old process-level
-// SSTSP_BENCH_THREADS sweep: each scenario shards its own deployment, which
+// Scenario::shards, DESIGN.md §12) instead of a process-level sweep over
+// scenarios: each scenario shards its own deployment, which
 // is what actually scales past n = 2000, and results stay bit-identical for
 // any worker-thread count.  The shard count is pinned so the numbers are
 // machine-independent; the invariant monitor is unsupported on the sharded

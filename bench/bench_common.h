@@ -31,18 +31,6 @@ inline std::string out_dir() {
   return dir;
 }
 
-/// Worker-thread count for run_sweep-based benches: the SSTSP_BENCH_THREADS
-/// environment variable when set (0 = hardware concurrency), otherwise 0.
-/// Per-point results are independent of the thread count — each scenario
-/// runs on its own Simulator with its own seeded RNG streams (verified by
-/// tests/runner_determinism_test.cpp).
-inline unsigned bench_threads() {
-  const char* env = std::getenv("SSTSP_BENCH_THREADS");
-  if (env == nullptr || *env == '\0') return 0;
-  const long v = std::strtol(env, nullptr, 10);
-  return v > 0 ? static_cast<unsigned>(v) : 0;
-}
-
 inline void banner(const std::string& id, const std::string& title,
                    const std::string& paper_claim) {
   std::cout << "================================================================\n"

@@ -42,7 +42,7 @@ int main() {
       scenarios.push_back(s);
     }
   }
-  const auto results = run::run_sweep(scenarios, bench::bench_threads());
+  const auto results = run::run_sweep(scenarios);
 
   bench::JsonReport report("tab1");
   for (std::size_t i = 0; i < scenarios.size(); ++i) {

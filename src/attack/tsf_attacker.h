@@ -56,24 +56,22 @@ class TsfSlowBeaconAttacker final : public proto::TsfFamilyBase {
     return t >= params_.start_s && t < params_.end_s;
   }
 
-  void on_receive(const mac::Frame& frame, const mac::RxInfo& rx) override {
-    TsfFamilyBase::on_receive(frame, rx);
-    if (!attacking() || !frame.is_tsf()) return;
+ protected:
+  void on_beacon(const mac::Frame& frame, const mac::RxInfo& rx) override {
+    TsfFamilyBase::on_beacon(frame, rx);
+    if (!attacking()) return;
     // Re-anchor just ahead of whatever got through.  Forward-only: the
     // escapes worth chasing come from the fast cohort; anchoring down onto
     // a straggler's beacon would move the burst away from the fast
     // stations' windows and free them.  (The attacker's own fast oscillator
     // plus the ~300 us burst coverage absorbs the slow upward overshoot.)
-    const double ts_est =
-        static_cast<double>(frame.tsf().timestamp_us) + rx.nominal_delay_us;
-    const double target = ts_est + params_.timer_advance_us;
+    const double target = sender_time_us(frame, rx) + params_.timer_advance_us;
     if (target > timer_.read_us(rx.delivered)) {
-      timer_.set_value(rx.delivered, target);
+      timer_.step_to(target, station_.hw().read_us(rx.delivered));
       schedule_next_tbtt();
     }
   }
 
- protected:
   [[nodiscard]] bool participates(std::uint64_t) override {
     // Honest contention only outside the attack window; during the attack
     // the burst machinery below does the transmitting.

@@ -1,15 +1,17 @@
-// The SSTSP adjusted clock: c(t) = k * t + b over the hardware reading t.
+// The adjustable clock: c(t) = k * t + b over the hardware reading t.
 //
-// This is the paper's equation (1).  The two parameters are re-solved on each
-// authenticated reference beacon (see core/adjustment.h); this class only
-// owns the piecewise-affine evaluation and enforces the paper's structural
-// guarantees at the representation level:
+// This is the paper's equation (1) and the only clock protocols adjust.
+// SSTSP re-solves (k, b) on each authenticated reference beacon (see
+// core/adjustment.h); the TSF timer is this clock held at k = 1, stepped
+// forward on adoption; Rentel–Kunz's controlled clock sets both.  This
+// class only owns the piecewise-affine evaluation and enforces the paper's
+// structural guarantees at the representation level:
 //
-//   * continuity   — set_params_continuous() recomputes b so that the value
+//   * continuity   — set_slope_continuous() recomputes b so that the value
 //                    at the switch instant is preserved exactly (eq. 2);
 //   * monotonicity — callers can query k to verify the slope stays positive;
-//                    the protocol clamps pathological solves (see
-//                    core::AdjustmentSolver) so time never flows backwards.
+//                    the SSTSP discipline rejects solves outside
+//                    [k_min, k_max] so time never flows backwards.
 #pragma once
 
 #include <cstdint>
@@ -25,7 +27,6 @@ class AdjustedClock {
 
   [[nodiscard]] double k() const { return k_; }
   [[nodiscard]] double b() const { return b_; }
-  [[nodiscard]] std::uint64_t adjustments() const { return adjustments_; }
 
   /// Adjusted value as a function of the hardware reading.
   [[nodiscard]] double value_at_hw(double hw_us) const {
@@ -35,6 +36,14 @@ class AdjustedClock {
   /// Adjusted value at simulation time `real`.
   [[nodiscard]] double read_us(sim::SimTime real) const {
     return value_at_hw(hw_->read_us(real));
+  }
+
+  /// The 1 us-resolution counter a TSF timer register shows: the floor of
+  /// read_us, which is what gets stamped into TSF beacons.
+  [[nodiscard]] std::int64_t read_counter(sim::SimTime real) const {
+    const double v = read_us(real);
+    const auto f = static_cast<std::int64_t>(v);
+    return (static_cast<double>(f) > v) ? f - 1 : f;  // floor
   }
 
   /// Real time at which the adjusted clock reads `value_us`.
@@ -48,17 +57,15 @@ class AdjustedClock {
     const double value_now = value_at_hw(hw_now_us);
     k_ = new_k;
     b_ = value_now - new_k * hw_now_us;
-    ++adjustments_;
   }
 
-  /// One-time coarse step: aligns the adjusted clock to `value_us` at
-  /// hardware instant `hw_now_us` keeping slope 1 relative to the hardware
-  /// clock.  Used only in the coarse synchronization phase, before the
-  /// fine-grained no-leap guarantee is in force.
+  /// Step: aligns the adjusted clock to `value_us` at hardware instant
+  /// `hw_now_us` with slope 1 relative to the hardware clock.  SSTSP uses
+  /// it only in the coarse synchronization phase, before the fine-grained
+  /// no-leap guarantee is in force; TSF adoption is this step.
   void step_to(double value_us, double hw_now_us) {
     k_ = 1.0;
     b_ = value_us - hw_now_us;
-    ++adjustments_;
   }
 
   /// Direct parameter install (the SSTSP solver already builds b for
@@ -66,14 +73,12 @@ class AdjustedClock {
   void set_params(double k, double b) {
     k_ = k;
     b_ = b;
-    ++adjustments_;
   }
 
  private:
   const HardwareClock* hw_{nullptr};
   double k_{1.0};
   double b_{0.0};
-  std::uint64_t adjustments_{0};
 };
 
 }  // namespace sstsp::clk

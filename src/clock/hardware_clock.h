@@ -1,17 +1,16 @@
 // Free-running hardware oscillator.
 //
 // Models the 64-bit, 1 us-resolution counter the 802.11 standard mandates:
-// reading(real) = offset + frequency * real.  The continuous (double) reading
-// is used by protocol math; read_counter() applies the 1 us truncation that a
-// real TSF timer register exhibits and is what gets stamped into beacons.
+// reading(real) = offset + frequency * real, kept continuous (double) for
+// protocol math.  The 1 us truncation a real TSF timer register exhibits is
+// AdjustedClock::read_counter, the value stamped into beacons.
 //
-// The clock is intentionally *not* settable: protocols that step their time
-// base (TSF adoption) layer a SettableClock on top, and SSTSP layers an
-// AdjustedClock.  Keeping the oscillator immutable mirrors the paper's split
-// between the "original clock" and the "adjusted clock".
+// The clock is intentionally *not* settable: every protocol that adjusts
+// its time base (TSF adoption, Rentel–Kunz's controlled clock, SSTSP's
+// discipline) layers an AdjustedClock on top.  Keeping the oscillator
+// immutable mirrors the paper's split between the "original clock" and the
+// "adjusted clock".
 #pragma once
-
-#include <cstdint>
 
 #include "clock/drift_model.h"
 #include "sim/time_types.h"
@@ -30,13 +29,6 @@ class HardwareClock {
   /// Continuous reading in microseconds at simulation (real) time `real`.
   [[nodiscard]] double read_us(sim::SimTime real) const {
     return offset_us_ + drift_.frequency * real.to_us();
-  }
-
-  /// Quantized counter value: what the TSF register shows.
-  [[nodiscard]] std::int64_t read_counter(sim::SimTime real) const {
-    const double v = read_us(real);
-    const auto f = static_cast<std::int64_t>(v);
-    return (static_cast<double>(f) > v) ? f - 1 : f;  // floor
   }
 
   /// Inverse mapping: the real time at which the continuous reading equals

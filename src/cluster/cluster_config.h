@@ -116,15 +116,4 @@ struct ClusterSpec {
   return {(home.x_m + parent.x_m) / 2.0, y};
 }
 
-/// Deterministic emission offset of a staggered transmitter inside its
-/// interval: `level` stagger windows, then a fixed per-node slot.  Shared by
-/// the multi-hop relay tree and the gateway bridge so slot arithmetic stays
-/// in one place.
-[[nodiscard]] inline double stagger_offset_us(int level, int slot,
-                                              double stagger_us,
-                                              double slot_us) {
-  return static_cast<double>(level) * stagger_us +
-         static_cast<double>(slot) * slot_us;
-}
-
 }  // namespace sstsp::cluster

@@ -73,9 +73,6 @@ class ClusterSstsp : public proto::SyncProtocol {
   [[nodiscard]] const core::Sstsp& member() const { return *member_; }
   [[nodiscard]] const core::Sstsp* uplink() const { return uplink_.get(); }
   [[nodiscard]] const GatewayBridge* bridge() const { return bridge_.get(); }
-  [[nodiscard]] const TauTracker* home_tau() const {
-    return home_tau_ ? &*home_tau_ : nullptr;
-  }
 
  private:
   void schedule_announce();

@@ -148,9 +148,9 @@ struct SstspConfig {
 
 /// Guard-time threshold in force `hw_now_us - last_sync_hw_us` after the
 /// last piece of sync evidence: base fine guard plus the physical drift
-/// bound per second of silence, capped at the coarse guard.  Shared by the
-/// single-hop protocol, the multi-hop relay and the cluster bridge so the
-/// §3.3 check cannot diverge between layers.
+/// bound per second of silence, capped at the coarse guard.  The one
+/// definition of the §3.3 check: every Sstsp instance evaluates it, cluster
+/// members and gateway uplinks included.
 [[nodiscard]] inline double effective_guard_us(const SstspConfig& cfg,
                                                double hw_now_us,
                                                double last_sync_hw_us) {

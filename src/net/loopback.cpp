@@ -27,10 +27,6 @@ void LoopbackHub::broadcast(
         (hi > lo) ? static_cast<std::int64_t>(rng_.uniform_int(
                         0, static_cast<std::uint64_t>(hi - lo)))
                   : 0;
-    if (config_.drop_probability > 0.0 &&
-        rng_.bernoulli(config_.drop_probability)) {
-      continue;
-    }
     LoopbackTransport* receiver = endpoints_[i].get();
     sim_.after(sim::SimTime{lo + jitter},
                [receiver, bytes] { receiver->deliver(*bytes); });

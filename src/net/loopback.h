@@ -10,8 +10,9 @@
 //
 // The payload is shared between all deliveries of one send via a
 // shared_ptr<const vector> (the same zero-copy fan-out idiom as the
-// simulated broadcast channel's frame delivery).  An optional drop probability emulates
-// datagram loss for robustness tests; it defaults to lossless.
+// simulated broadcast channel's frame delivery).  The hub itself is
+// lossless: datagram loss comes from a fault plan's drop directive, which
+// fault::FaultyTransport applies to every swarm endpoint.
 #pragma once
 
 #include <cstdint>
@@ -35,8 +36,6 @@ struct LoopbackConfig {
   /// same-instant with the send.
   sim::SimTime latency_min = sim::SimTime::from_us(35);
   sim::SimTime latency_max = sim::SimTime::from_us(45);
-  /// Per-delivery drop probability (0 = lossless).
-  double drop_probability = 0.0;
 };
 
 class LoopbackTransport;

@@ -1,107 +1,35 @@
 #include "protocols/rentel_kunz.h"
 
 #include <algorithm>
-#include <cmath>
 
 namespace sstsp::proto {
 
-void RentelKunz::start() {
-  running_ = true;
-  beacon_seen_this_bp_ = false;
-  silent_bps_ = 0;
-  last_tbtt_us_ = -1.0;
-  last_obs_.clear();
-  schedule_next_tbtt();
-}
-
-void RentelKunz::stop() {
-  running_ = false;
-  if (tbtt_event_ != 0) {
-    station_.sim().cancel(tbtt_event_);
-    tbtt_event_ = 0;
-  }
-  if (backoff_event_ != 0) {
-    station_.sim().cancel(backoff_event_);
-    backoff_event_ = 0;
-  }
-}
-
-void RentelKunz::schedule_next_tbtt() {
-  if (tbtt_event_ != 0) station_.sim().cancel(tbtt_event_);
-  const double bp_us = station_.channel().phy().beacon_period.to_us();
-  const double c_now = network_time_us(station_.sim().now());
-  double next = (std::floor(c_now / bp_us) + 1.0) * bp_us;
-  if (next <= last_tbtt_us_) next = last_tbtt_us_ + bp_us;
-  next_tbtt_us_ = next;
-  // Invert the controlled clock to real time: hw at value, then real at hw.
-  const double hw_at = (next - b_) / s_;
-  tbtt_event_ =
-      station_.sim().at(station_.hw().real_at(hw_at), [this] { handle_tbtt(); });
-}
-
-void RentelKunz::handle_tbtt() {
-  tbtt_event_ = 0;
-  if (!running_) return;
-  last_tbtt_us_ = next_tbtt_us_;
-
-  if (!beacon_seen_this_bp_) {
+void RentelKunz::on_bp_begin(std::uint64_t) {
+  if (!beacon_seen_this_bp()) {
     ++silent_bps_;
     p_ = std::min(params_.p_max, p_ * params_.p_recovery);
   }
-  beacon_seen_this_bp_ = false;
-
-  if (silent_bps_ >= params_.t_delay_bps) {
-    // Eligibility restores at least the baseline probability: T_DELAY
-    // beacon-free periods mean nobody is covering the duty, however hard
-    // this node backed off before.
-    p_ = std::max(p_, params_.p_initial);
-  }
-  if (silent_bps_ >= params_.t_delay_bps &&
-      station_.rng().bernoulli(p_)) {
-    const auto& phy = station_.channel().phy();
-    const auto slot = static_cast<std::int64_t>(station_.rng().uniform_int(
-        0, static_cast<std::uint64_t>(phy.contention_window)));
-    if (backoff_event_ != 0) station_.sim().cancel(backoff_event_);
-    backoff_event_ = station_.sim().after(phy.slot_time * slot,
-                                          [this] { handle_backoff_expiry(); });
-  }
-  schedule_next_tbtt();
 }
 
-void RentelKunz::handle_backoff_expiry() {
-  backoff_event_ = 0;
-  if (!running_ || beacon_seen_this_bp_) return;
-  const sim::SimTime now = station_.sim().now();
-  if (station_.medium_busy(now)) return;
-
-  const auto& phy = station_.channel().phy();
-  mac::Frame frame;
-  frame.sender = station_.id();
-  frame.air_bytes = phy.tsf_beacon_bytes;
-  const double c = network_time_us(now);
-  frame.body = mac::TsfBeaconBody{static_cast<std::int64_t>(std::floor(c))};
-  station_.transmit(std::move(frame), phy.tsf_beacon_duration);
-  ++stats_.beacons_sent;
-  beacon_seen_this_bp_ = true;
+bool RentelKunz::participates(std::uint64_t) {
+  if (silent_bps_ < params_.t_delay_bps) return false;
+  // Eligibility restores at least the baseline probability: T_DELAY
+  // beacon-free periods mean nobody is covering the duty, however hard
+  // this node backed off before.
+  p_ = std::max(p_, params_.p_initial);
+  return station_.rng().bernoulli(p_);
 }
 
-void RentelKunz::on_receive(const mac::Frame& frame, const mac::RxInfo& rx) {
-  if (!frame.is_tsf()) return;  // shares the plain beacon format
-  ++stats_.beacons_received;
-  beacon_seen_this_bp_ = true;
+void RentelKunz::on_beacon(const mac::Frame& frame, const mac::RxInfo& rx) {
   silent_bps_ = 0;
   p_ = std::max(1e-3, p_ * params_.p_decay);
-  if (backoff_event_ != 0) {
-    station_.sim().cancel(backoff_event_);
-    backoff_event_ = 0;
-  }
 
   const double hw = station_.hw().read_us(rx.delivered);
-  const double ts_est =
-      static_cast<double>(frame.tsf().timestamp_us) + rx.nominal_delay_us;
+  const double ts_est = sender_time_us(frame, rx);
 
   // Rate slew: the sender's clock rate against our oscillator, from this
   // sender's previous observation.
+  double s = timer_.k();
   const auto obs = last_obs_.find(frame.sender);
   if (obs != last_obs_.end() && ts_est > obs->second.second + 1.0 &&
       hw > obs->second.first + 1.0) {
@@ -109,16 +37,16 @@ void RentelKunz::on_receive(const mac::Frame& frame, const mac::RxInfo& rx) {
         (ts_est - obs->second.second) / (hw - obs->second.first);
     const double band = params_.s_max_ppm * 1e-6;
     if (observed_rate > 1.0 - 2.0 * band && observed_rate < 1.0 + 2.0 * band) {
-      s_ += params_.beta * (observed_rate - s_);
-      s_ = std::clamp(s_, 1.0 - band, 1.0 + band);
+      s += params_.beta * (observed_rate - s);
+      s = std::clamp(s, 1.0 - band, 1.0 + band);
     }
   }
   if (last_obs_.size() > 32) last_obs_.clear();  // bounded memory
   last_obs_[frame.sender] = {hw, ts_est};
 
   // Offset half-step toward the sender (both directions: controlled clock).
-  const double c = value_at_hw(hw);
-  b_ += params_.alpha * (ts_est - c);
+  const double c = s * hw + timer_.b();
+  timer_.set_params(s, timer_.b() + params_.alpha * (ts_est - c));
   ++stats_.adjustments;
   schedule_next_tbtt();  // the controlled clock moved; re-derive the TBTT
 }

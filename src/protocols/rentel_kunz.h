@@ -25,18 +25,19 @@
 // Unlike TSF there is no forward-only rule: the controlled clock converges
 // from both sides (and is therefore not leap-free; SSTSP's continuity
 // guarantee is the paper's answer to that).
+//
+// The contention itself — TBTT, backoff, yielding to a received beacon,
+// deferring on a busy medium, the beacon — is TsfFamilyBase's; the controlled clock is its
+// timer with k = s.  This class adds the T_DELAY/p participation rule and
+// replaces adoption with the controlled-clock update.
 #pragma once
 
-#include <optional>
 #include <unordered_map>
 #include <utility>
 
-#include "clock/settable_clock.h"
-#include "protocols/station.h"
-#include "protocols/sync_protocol.h"
+#include "protocols/tsf_family.h"
 
 namespace sstsp::proto {
-
 struct RentelKunzParams {
   int t_delay_bps = 3;       ///< silent BPs before joining the contention
   double p_initial = 0.3;    ///< initial contention probability
@@ -54,35 +55,29 @@ struct RentelKunzParams {
   double s_max_ppm = 300.0;
 };
 
-class RentelKunz final : public SyncProtocol {
+class RentelKunz final : public TsfFamilyBase {
  public:
   RentelKunz(Station& station, RentelKunzParams params)
-      : SyncProtocol(station), params_(params), p_(params.p_initial) {}
+      : TsfFamilyBase(station), params_(params), p_(params.p_initial) {}
 
-  void start() override;
-  void stop() override;
-  void on_receive(const mac::Frame& frame, const mac::RxInfo& rx) override;
-
-  [[nodiscard]] double network_time_us(sim::SimTime real) const override {
-    return value_at_hw(station_.hw().read_us(real));
+  /// A returning node waits out T_DELAY silent BPs again and forgets the
+  /// rate observations it made before it left.
+  void start() override {
+    silent_bps_ = 0;
+    last_obs_.clear();
+    TsfFamilyBase::start();
   }
-  [[nodiscard]] bool is_synchronized() const override { return true; }
 
-  [[nodiscard]] double s() const { return s_; }
+  [[nodiscard]] double s() const { return timer_.k(); }
   [[nodiscard]] double p() const { return p_; }
 
- private:
-  [[nodiscard]] double value_at_hw(double hw_us) const {
-    return s_ * hw_us + b_;
-  }
-  void schedule_next_tbtt();
-  void handle_tbtt();
-  void handle_backoff_expiry();
+ protected:
+  void on_bp_begin(std::uint64_t bp_count) override;
+  [[nodiscard]] bool participates(std::uint64_t bp_count) override;
+  void on_beacon(const mac::Frame& frame, const mac::RxInfo& rx) override;
 
+ private:
   RentelKunzParams params_;
-  // Controlled clock c = s * hw + b.
-  double s_{1.0};
-  double b_{0.0};
   double p_;
   int silent_bps_{0};
 
@@ -90,13 +85,6 @@ class RentelKunz final : public SyncProtocol {
   /// two different senders would read their clock offset as frequency and
   /// random-walk s into divergence.
   std::unordered_map<mac::NodeId, std::pair<double, double>> last_obs_;
-
-  sim::EventId tbtt_event_{0};
-  sim::EventId backoff_event_{0};
-  double last_tbtt_us_{-1.0};
-  double next_tbtt_us_{0.0};
-  bool beacon_seen_this_bp_{false};
-  bool running_{false};
 };
 
 }  // namespace sstsp::proto

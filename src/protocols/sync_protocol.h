@@ -2,9 +2,10 @@
 //
 // A Station owns exactly one SyncProtocol.  The station layer provides the
 // hardware (clock, radio, rng); the protocol decides when to beacon and how
-// to discipline its notion of network time.  All five protocols in the
-// library (TSF, ATSP, TATSP, SATSF, SSTSP) and the attacker behaviours
-// implement this interface, so scenarios and metrics are protocol-agnostic.
+// to discipline its notion of network time.  All six protocols in the
+// library (TSF, ATSP, TATSP, SATSF, Rentel–Kunz, SSTSP) and the attacker
+// behaviours implement this interface, so scenarios and metrics are
+// protocol-agnostic.
 #pragma once
 
 #include <array>

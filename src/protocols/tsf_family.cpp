@@ -45,38 +45,31 @@ void TsfFamilyBase::handle_tbtt() {
   if (!running_) return;
   last_tbtt_us_ = next_tbtt_us_;
   ++bp_count_;
-  beacon_seen_this_bp_ = false;
   on_bp_begin(bp_count_);
+  beacon_seen_this_bp_ = false;
 
   if (participates(bp_count_)) {
     const auto& phy = station_.channel().phy();
+    const auto slots = static_cast<std::int64_t>(station_.rng().uniform_int(
+        0, static_cast<std::uint64_t>(phy.contention_window)));
     if (backoff_event_ != 0) station_.sim().cancel(backoff_event_);
-    backoff_event_ = station_.sim().after(phy.slot_time * backoff_slots(),
+    backoff_event_ = station_.sim().after(phy.slot_time * slots,
                                           [this] { handle_backoff_expiry(); });
   }
   schedule_next_tbtt();
 }
 
-std::int64_t TsfFamilyBase::backoff_slots() {
-  const auto& phy = station_.channel().phy();
-  return static_cast<std::int64_t>(station_.rng().uniform_int(
-      0, static_cast<std::uint64_t>(phy.contention_window)));
-}
-
 void TsfFamilyBase::handle_backoff_expiry() {
   backoff_event_ = 0;
-  if (!running_) return;
+  if (!running_ || beacon_seen_this_bp_) return;
   const sim::SimTime now = station_.sim().now();
-  if (!force_transmit()) {
-    if (beacon_seen_this_bp_) return;
-    if (station_.medium_busy(now)) return;  // defer: someone else won
-  }
+  if (station_.medium_busy(now)) return;  // defer: someone else won
 
   const auto& phy = station_.channel().phy();
   mac::Frame frame;
   frame.sender = station_.id();
   frame.air_bytes = phy.tsf_beacon_bytes;
-  frame.body = mac::TsfBeaconBody{beacon_timestamp(now)};
+  frame.body = mac::TsfBeaconBody{timer_.read_counter(now)};
   const std::uint64_t tid =
       station_.transmit(std::move(frame), phy.tsf_beacon_duration);
   ++stats_.beacons_sent;
@@ -93,15 +86,17 @@ void TsfFamilyBase::on_receive(const mac::Frame& frame,
     station_.sim().cancel(backoff_event_);
     backoff_event_ = 0;
   }
+  on_beacon(frame, rx);
+}
 
-  const double ts_est =
-      static_cast<double>(frame.tsf().timestamp_us) + rx.nominal_delay_us;
+void TsfFamilyBase::on_beacon(const mac::Frame& frame, const mac::RxInfo& rx) {
+  const double ts_est = sender_time_us(frame, rx);
   const double own = timer_.read_us(rx.delivered);
   const bool later = ts_est > own;
   if (later) {
     // Forward-only adoption (standard TSF rule) — the timer never leaps
     // backwards, which tests/protocols_tsf_test.cpp asserts.
-    timer_.set_value(rx.delivered, ts_est);
+    timer_.step_to(ts_est, station_.hw().read_us(rx.delivered));
     ++stats_.adoptions;
     station_.trace_event(trace::EventKind::kAdoption, frame.sender,
                          ts_est - own, frame.trace_id);

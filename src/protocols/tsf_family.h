@@ -1,20 +1,24 @@
-// Shared machinery for the TSF protocol family (TSF, ATSP, TATSP, SATSF).
+// The beacon-contention engine of the TSF family (TSF, ATSP, TATSP, SATSF)
+// and Rentel–Kunz.
 //
-// All four follow the IEEE 802.11 IBSS beacon generation scheme: at each
+// All of them follow the IEEE 802.11 IBSS beacon generation scheme: at each
 // Target Beacon Transmission Time (a multiple of the beacon period on the
-// station's own TSF timer) a participating station draws a random delay
+// station's own timer) a participating station draws a random delay
 // uniform in [0, w] slots, cancels its pending beacon if one is received
 // first, defers if the medium is sensed busy at expiry, and otherwise
-// transmits a beacon carrying its TSF timestamp.  Receivers adopt a
-// timestamp if and only if it is later than their own timer (forward-only —
-// TSF's "no backward leap" guarantee).
+// transmits a beacon carrying its timer's counter value (traced as
+// beacon-tx).  By default receivers adopt a timestamp if and only if it is
+// later than their own timer (forward-only — TSF's "no backward leap"
+// guarantee).
 //
-// The variants differ *only* in the participation policy (which BPs a
-// station contends in) — exactly the axis ATSP/TATSP/SATSF explore — so the
-// base class exposes that policy as a virtual and keeps everything else.
+// The TSF variants differ *only* in the participation policy (which BPs a
+// station contends in) — exactly the axis ATSP/TATSP/SATSF explore.
+// Rentel–Kunz also replaces adoption with its controlled-clock update
+// (on_beacon) and keeps its own per-BP state (on_bp_begin).  The timer is
+// an AdjustedClock: k stays 1 under adoption, Rentel–Kunz sets both k and b.
 #pragma once
 
-#include "clock/settable_clock.h"
+#include "clock/adjusted_clock.h"
 #include "protocols/station.h"
 #include "protocols/sync_protocol.h"
 
@@ -33,37 +37,42 @@ class TsfFamilyBase : public SyncProtocol {
   }
   [[nodiscard]] bool is_synchronized() const override { return true; }
 
-  [[nodiscard]] const clk::SettableClock& timer() const { return timer_; }
-
  protected:
-  /// Does this station contend for beacon transmission in this BP?
+  /// Does this station contend for beacon transmission in this BP?  Runs
+  /// at TBTT after on_bp_begin and before the backoff draw.
   [[nodiscard]] virtual bool participates(std::uint64_t bp_count) = 0;
 
-  /// Backoff draw in slots; the standard behaviour is uniform [0, w].
-  /// Attackers override this to seize the window.
-  [[nodiscard]] virtual std::int64_t backoff_slots();
-
-  /// When true, the station transmits even if the medium is busy or a
-  /// beacon was already received this BP (malicious behaviour).
-  [[nodiscard]] virtual bool force_transmit() const { return false; }
-
-  /// Timestamp stamped into an outgoing beacon; the standard behaviour is
-  /// the TSF register.  Attackers override this to lie.
-  [[nodiscard]] virtual std::int64_t beacon_timestamp(sim::SimTime now) const {
-    return timer_.read_counter(now);
-  }
-
-  /// End-of-reception hook: `heard_later` is true when the received
-  /// timestamp was ahead of the local timer (i.e. the sender is faster).
-  virtual void on_beacon_observation(bool /*heard_later*/) {}
-
-  /// Per-BP hook, fired at TBTT before the contention draw.
+  /// Per-BP hook, fired at TBTT before the contention draw, while
+  /// beacon_seen_this_bp() still describes the BP that just ended.
   virtual void on_bp_begin(std::uint64_t /*bp_count*/) {}
 
-  clk::SettableClock timer_;
+  /// A TSF beacon was received, after the shared bookkeeping (receive
+  /// count, beacon flag, backoff cancel).  The standard behaviour is
+  /// forward-only adoption followed by on_beacon_observation.
+  virtual void on_beacon(const mac::Frame& frame, const mac::RxInfo& rx);
+
+  /// Adoption hook: `heard_later` is true when the received timestamp was
+  /// ahead of the local timer (i.e. the sender is faster).
+  virtual void on_beacon_observation(bool /*heard_later*/) {}
+
+  /// Whether a beacon was received or sent in the current BP.
+  [[nodiscard]] bool beacon_seen_this_bp() const {
+    return beacon_seen_this_bp_;
+  }
+
+  /// The sender's timer at delivery: the stamped timestamp plus the
+  /// nominal air delay.
+  [[nodiscard]] static double sender_time_us(const mac::Frame& frame,
+                                             const mac::RxInfo& rx) {
+    return static_cast<double>(frame.tsf().timestamp_us) +
+           rx.nominal_delay_us;
+  }
+
+  clk::AdjustedClock timer_;
 
   /// Re-derives the next TBTT from the current timer value (needed after
-  /// any externally induced timer jump, e.g. an attacker biasing itself).
+  /// any timer jump: adoption, a controlled-clock update, an attacker
+  /// biasing itself).
   void schedule_next_tbtt();
 
  private:

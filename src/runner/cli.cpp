@@ -462,10 +462,6 @@ constexpr Flag kFlags[] = {
        o.live.loopback.latency_max = sim::SimTime::from_us_double(hi);
        return true;
      }},
-    {"drop", kSwarm, "--drop needs a probability in [0, 1)",
-     [](Cli& o, Arg v, Why) {
-       return real(v, &o.live.loopback.drop_probability, kProbability);
-     }},
     {"wire-latency", kLive, "--wire-latency needs a value in us",
      [](Cli& o, Arg v, Why) {
        return real(v, &o.live.wire_latency_us, kNonNegative);

@@ -163,7 +163,6 @@ deployment:
   --base-port P         UDP: node i binds P+i (default 0 = ephemeral)
   --latency MIN,MAX     loopback one-way latency bounds in us (default
                         35,45)
-  --drop P              loopback per-delivery drop probability (default 0)
   --wire-latency US     expected one-way wire latency compensated on
                         receive (default: loopback model midpoint, or 10
                         for UDP)

@@ -3,10 +3,10 @@
 // Owns the master clock and the event queue; everything else in the library
 // (channel, stations, attackers, metric probes) schedules callbacks here.
 // The simulator is strictly single-threaded per instance — parallelism in
-// this project lives one level up, in runner::Sweep, which runs independent
-// Simulator instances on a thread pool (one scenario per task, no shared
-// mutable state), following the explicit-parallelism discipline of the HPC
-// guides.
+// this project lives one level up: run::run_sweep runs independent
+// scenarios, one Simulator each, on worker threads (no shared mutable
+// state), and sim::ShardExecutor advances one Simulator per shard of a
+// single run in lockstep windows (DESIGN.md §12).
 #pragma once
 
 #include <cstdint>
@@ -88,9 +88,8 @@ class Simulator {
   [[nodiscard]] std::size_t events_processed() const { return processed_; }
   [[nodiscard]] std::size_t events_pending() const { return queue_.size(); }
 
-  /// Root RNG of the scenario; consumers should derive substreams rather
-  /// than draw from it directly (see sim::Rng::substream).
-  [[nodiscard]] const Rng& root_rng() const { return root_rng_; }
+  /// A stream derived from the scenario's root RNG; consumers draw from
+  /// substreams, never from the root (see sim::Rng::substream).
   [[nodiscard]] Rng substream(std::string_view label,
                               std::uint64_t index) const {
     return root_rng_.substream(label, index);

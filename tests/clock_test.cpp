@@ -5,7 +5,6 @@
 #include "clock/adjusted_clock.h"
 #include "clock/drift_model.h"
 #include "clock/hardware_clock.h"
-#include "clock/settable_clock.h"
 #include "sim/rng.h"
 
 namespace sstsp::clk {
@@ -49,40 +48,12 @@ TEST(HardwareClock, InverseMapping) {
   }
 }
 
-TEST(HardwareClock, CounterTruncates) {
-  const HardwareClock hw(DriftModel::perfect(), 0.25);
-  EXPECT_EQ(hw.read_counter(SimTime::zero()), 0);
-  EXPECT_EQ(hw.read_counter(SimTime::from_us(3)), 3);  // 3.25 -> 3
-  const HardwareClock neg(DriftModel::perfect(), -0.25);
-  EXPECT_EQ(neg.read_counter(SimTime::zero()), -1);  // floor(-0.25)
-}
-
 TEST(HardwareClock, DriftAccumulatesAsExpected) {
   // Two clocks +/-100 ppm apart diverge by 200 us per second.
   const HardwareClock fast(DriftModel::from_ppm(100), 0.0);
   const HardwareClock slow(DriftModel::from_ppm(-100), 0.0);
   const SimTime t = SimTime::from_sec(10);
   EXPECT_NEAR(fast.read_us(t) - slow.read_us(t), 2000.0, 1e-6);
-}
-
-TEST(SettableClock, SetValueJumps) {
-  const HardwareClock hw(DriftModel::from_ppm(40), 10.0);
-  SettableClock timer(&hw);
-  const SimTime t1 = SimTime::from_sec(1);
-  EXPECT_DOUBLE_EQ(timer.read_us(t1), hw.read_us(t1));
-  timer.set_value(t1, 5'000'000.0);
-  EXPECT_DOUBLE_EQ(timer.read_us(t1), 5'000'000.0);
-  // Keeps ticking at the hardware rate afterwards.
-  const SimTime t2 = SimTime::from_sec(2);
-  EXPECT_NEAR(timer.read_us(t2) - timer.read_us(t1), 1.00004e6, 1e-3);
-}
-
-TEST(SettableClock, RealAtInverse) {
-  const HardwareClock hw(DriftModel::from_ppm(-100), 3.0);
-  SettableClock timer(&hw);
-  timer.set_value(SimTime::from_sec(5), 123456.0);
-  const SimTime when = timer.real_at(200000.0);
-  EXPECT_NEAR(timer.read_us(when), 200000.0, 1e-5);
 }
 
 TEST(AdjustedClock, IdentityByDefault) {
@@ -103,7 +74,6 @@ TEST(AdjustedClock, SlopeChangeIsContinuous) {
   adj.set_slope_continuous(0.99997, hw_now);
   EXPECT_NEAR(adj.value_at_hw(hw_now), before, 1e-6);
   EXPECT_DOUBLE_EQ(adj.k(), 0.99997);
-  EXPECT_EQ(adj.adjustments(), 2u);
 }
 
 TEST(AdjustedClock, StepToSetsValue) {
@@ -112,6 +82,37 @@ TEST(AdjustedClock, StepToSetsValue) {
   adj.step_to(777.0, 100.0);
   EXPECT_DOUBLE_EQ(adj.value_at_hw(100.0), 777.0);
   EXPECT_DOUBLE_EQ(adj.k(), 1.0);
+}
+
+TEST(AdjustedClock, CounterFloors) {
+  const HardwareClock hw(DriftModel::perfect(), 0.25);
+  const AdjustedClock adj(&hw);
+  EXPECT_EQ(adj.read_counter(SimTime::zero()), 0);
+  EXPECT_EQ(adj.read_counter(SimTime::from_us(3)), 3);  // 3.25 -> 3
+  const HardwareClock neg(DriftModel::perfect(), -0.25);
+  EXPECT_EQ(AdjustedClock(&neg).read_counter(SimTime::zero()),
+            -1);  // floor(-0.25)
+}
+
+TEST(AdjustedClock, StepToJumpsAtHardwareRate) {
+  // The TSF timer: a step sets the reading, which then ticks at the
+  // hardware rate.
+  const HardwareClock hw(DriftModel::from_ppm(40), 10.0);
+  AdjustedClock timer(&hw);
+  const SimTime t1 = SimTime::from_sec(1);
+  EXPECT_DOUBLE_EQ(timer.read_us(t1), hw.read_us(t1));
+  timer.step_to(5'000'000.0, hw.read_us(t1));
+  EXPECT_DOUBLE_EQ(timer.read_us(t1), 5'000'000.0);
+  const SimTime t2 = SimTime::from_sec(2);
+  EXPECT_NEAR(timer.read_us(t2) - timer.read_us(t1), 1.00004e6, 1e-3);
+}
+
+TEST(AdjustedClock, RealAtInverseAfterStep) {
+  const HardwareClock hw(DriftModel::from_ppm(-100), 3.0);
+  AdjustedClock timer(&hw);
+  timer.step_to(123456.0, hw.read_us(SimTime::from_sec(5)));
+  const SimTime when = timer.real_at(200000.0);
+  EXPECT_NEAR(timer.read_us(when), 200000.0, 1e-5);
 }
 
 TEST(AdjustedClock, RealAtInverse) {
