@@ -86,17 +86,18 @@ void BM_MuTeslaVerifyStep(benchmark::State& state) {
   for (std::int64_t j = 1; j <= 2000; ++j) {
     keys.push_back(signer.key_for_interval(j));
   }
-  crypto::MuTeslaVerifier verifier(signer.anchor(), schedule);
+  crypto::MuTeslaVerifier verifier(signer.anchor());
   std::int64_t j = 0;
   for (auto _ : state) {
     if (j == 2000) {
       state.PauseTiming();
-      verifier = crypto::MuTeslaVerifier(signer.anchor(), schedule);
+      verifier = crypto::MuTeslaVerifier(signer.anchor());
       j = 0;
       state.ResumeTiming();
     }
     benchmark::DoNotOptimize(
-        verifier.verify_key(j + 1, keys[static_cast<std::size_t>(j)]));
+        verifier.verify_key({schedule}, j + 1,
+                            keys[static_cast<std::size_t>(j)]));
     ++j;
   }
 }

@@ -51,14 +51,16 @@ void BM_ChannelBroadcast(benchmark::State& state) {
   mac::PhyParams phy;
   phy.packet_error_rate = 0.0;
   mac::Channel channel(simulator, phy);
-  std::size_t delivered = 0;
-  const auto tx =
-      channel.add_station({0, 0}, [](const mac::Frame&, const mac::RxInfo&) {});
+  struct Counter final : mac::Receiver {
+    std::size_t delivered = 0;
+    void receive(const mac::Frame&, const mac::RxInfo&) override {
+      ++delivered;
+    }
+  } counter, sender;
+  const auto tx = channel.add_station({0, 0}, sender);
   for (int i = 0; i < receivers; ++i) {
-    channel.add_station({static_cast<double>(i % 50), static_cast<double>(i / 50)},
-                        [&delivered](const mac::Frame&, const mac::RxInfo&) {
-                          ++delivered;
-                        });
+    channel.add_station(
+        {static_cast<double>(i % 50), static_cast<double>(i / 50)}, counter);
   }
   mac::Frame frame;
   frame.sender = 0;
@@ -68,7 +70,7 @@ void BM_ChannelBroadcast(benchmark::State& state) {
     channel.transmit(tx, frame, 36_us);
     simulator.run_until(simulator.now() + 1_ms);
   }
-  benchmark::DoNotOptimize(delivered);
+  benchmark::DoNotOptimize(counter.delivered);
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           receivers);
 }

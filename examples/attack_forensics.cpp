@@ -22,13 +22,14 @@ struct Cell {
   sim::Simulator sim{1234};
   mac::PhyParams phy;
   std::unique_ptr<mac::Channel> channel;
-  core::KeyDirectory directory;
+  static constexpr std::size_t kChain = 1000;
   core::SstspConfig cfg;
+  core::KeyDirectory directory{1234, kChain};
   std::vector<std::unique_ptr<proto::Station>> stations;
 
   Cell() {
     phy.packet_error_rate = 0.0;
-    cfg.chain_length = 1000;
+    cfg.chain_length = kChain;
     channel = std::make_unique<mac::Channel>(sim, phy);
   }
 
@@ -43,9 +44,7 @@ struct Cell {
 
   proto::Station& add_honest(double ppm, double offset_us) {
     auto& st = add_station(ppm, offset_us);
-    directory.register_node(
-        st.id(), crypto::ChainParams{crypto::derive_seed(1234, st.id()),
-                                     cfg.chain_length});
+    directory.register_node(st.id());
     st.set_protocol(std::make_unique<core::Sstsp>(st, cfg, directory,
                                                   core::Sstsp::Options{}));
     return st;
@@ -147,12 +146,12 @@ int main() {
     // Standalone filter demonstration: 10 honest offsets near +70 us, three
     // malicious ones trying to pull the joining node 8 ms into the future.
     core::SstspConfig cfg;
-    core::CoarseSync coarse(cfg);
+    core::CoarseSync coarse;
     sim::Rng rng(99);
     for (int i = 0; i < 10; ++i) coarse.add_offset(rng.uniform(60.0, 80.0));
     for (int i = 0; i < 3; ++i) coarse.add_offset(8000.0 + i);
     std::size_t rejected = 0;
-    const auto est = coarse.estimate(&rejected);
+    const auto est = coarse.estimate(cfg, &rejected);
     std::cout << "13 offset samples (3 poisoned at +8000 us) -> estimate "
               << metrics::fmt(est.value_or(-1), 1) << " us, " << rejected
               << " rejected by GESD + threshold filter\n"

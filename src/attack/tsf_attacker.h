@@ -98,8 +98,10 @@ class TsfSlowBeaconAttacker final : public proto::TsfFamilyBase {
     frame.body = mac::TsfBeaconBody{
         timer_.read_counter(now) -
         static_cast<std::int64_t>(params_.slow_offset_us)};
-    station_.transmit(std::move(frame), phy.tsf_beacon_duration);
+    const std::uint64_t tid =
+        station_.transmit(std::move(frame), phy.tsf_beacon_duration);
     ++stats_.beacons_sent;
+    station_.trace_event(trace::EventKind::kBeaconTx, mac::kNoNode, 0.0, tid);
   }
 
   TsfAttackParams params_;

@@ -44,8 +44,7 @@ TauTracker::Announcer* TauTracker::announcer_for(mac::NodeId sender) {
       }
     }
   }
-  auto [ins, _] = announcers_.emplace(
-      sender, Announcer(*anchor, schedule_, &directory_.verify_cache()));
+  auto [ins, _] = announcers_.emplace(sender, Announcer(*anchor));
   return &ins->second;
 }
 
@@ -66,7 +65,8 @@ TauIngest TauTracker::ingest(const mac::SstspBeaconBody& body,
   a->local_at[static_cast<std::size_t>(j) % a->local_at.size()] = {j,
                                                                    local_us};
   const core::PipelineResult res =
-      a->pipeline.ingest(body, sender, arrival_hw_us, ts_est_us, trace_id);
+      a->pipeline.ingest({schedule_, &directory_.verify_cache()}, body, sender,
+                         arrival_hw_us, ts_est_us, trace_id);
   if (!res.key_valid) return out;
   out.key_valid = true;
   if (j > 1) out.disclosed_index = j - 1;

@@ -86,10 +86,7 @@ class TauTracker {
 
  private:
   struct Announcer {
-    Announcer(const crypto::Digest& anchor,
-              const crypto::MuTeslaSchedule& schedule,
-              crypto::VerifyCache* cache)
-        : pipeline(anchor, schedule, cache) {}
+    explicit Announcer(const crypto::Digest& anchor) : pipeline(anchor) {}
 
     core::SenderPipeline pipeline;
     /// Context-clock reading at ingest, keyed by claimed interval: µTESLA

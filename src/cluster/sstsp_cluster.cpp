@@ -13,20 +13,20 @@ constexpr double kAnnounceSlotUs = 200.0;
 }  // namespace
 
 ClusterSstsp::ClusterSstsp(proto::Station& station,
-                           const core::SstspConfig& base_cfg,
+                           std::shared_ptr<const core::SstspConfig> base_cfg,
                            core::KeyDirectory& directory, Options options)
     : SyncProtocol(station),
       options_(options),
-      home_schedule_{base_cfg.t0_us + phase_of(options.spec, options.cluster),
+      home_schedule_{base_cfg->t0_us + phase_of(options.spec, options.cluster),
                      station.channel().phy().beacon_period.to_us(),
-                     base_cfg.chain_length},
+                     base_cfg->chain_length},
       directory_(directory) {
   const double bp = home_schedule_.interval_us;
   tau_stale_us_ = static_cast<double>(options_.spec.tau_stale_bps) * bp;
+  const double slack_us = base_cfg->interval_slack_us;
 
-  core::SstspConfig home_cfg = base_cfg;
-  home_cfg.t0_us = home_schedule_.t0_us;
   core::Sstsp::Options member_opts;
+  member_opts.phase_us = phase_of(options_.spec, options_.cluster);
   member_opts.calibrated_boot = options_.calibrated_boot;
   member_opts.start_as_reference = options_.start_as_reference;
   member_opts.domain = member_domain(options_.cluster);
@@ -41,30 +41,27 @@ ClusterSstsp::ClusterSstsp(proto::Station& station,
   // beacon air time instead of silently dropping intervals.  The retry
   // window stays inside the receivers' interval slack.
   member_opts.busy_retries = 8;
-  member_opts.busy_retry_step_us =
-      std::max(50.0, base_cfg.interval_slack_us / 8.0);
-  member_ = std::make_unique<core::Sstsp>(station, home_cfg, directory,
+  member_opts.busy_retry_step_us = std::max(50.0, slack_us / 8.0);
+  member_ = std::make_unique<core::Sstsp>(station, base_cfg, directory,
                                           member_opts);
 
   if (options_.cluster > 0) {
-    home_tau_.emplace(directory, home_schedule_, base_cfg.interval_slack_us,
-                      tau_stale_us_);
+    home_tau_.emplace(directory, home_schedule_, slack_us, tau_stale_us_);
   }
   if (options_.gateway) {
     const int parent = parent_of(options_.spec, options_.cluster);
-    core::SstspConfig parent_cfg = base_cfg;
-    parent_cfg.t0_us = base_cfg.t0_us + phase_of(options_.spec, parent);
     core::Sstsp::Options uplink_opts;
+    uplink_opts.phase_us = phase_of(options_.spec, parent);
     uplink_opts.calibrated_boot = options_.calibrated_boot;
     uplink_opts.domain = member_domain(parent);
     uplink_opts.passive = true;
-    uplink_ = std::make_unique<core::Sstsp>(station, parent_cfg, directory,
-                                            uplink_opts);
+    const crypto::MuTeslaSchedule parent_schedule{
+        base_cfg->t0_us + uplink_opts.phase_us, bp, base_cfg->chain_length};
+    uplink_ = std::make_unique<core::Sstsp>(station, std::move(base_cfg),
+                                            directory, uplink_opts);
     if (parent > 0) {
-      const crypto::MuTeslaSchedule parent_schedule{parent_cfg.t0_us, bp,
-                                                    base_cfg.chain_length};
-      parent_tau_.emplace(directory, parent_schedule,
-                          base_cfg.interval_slack_us, tau_stale_us_);
+      parent_tau_.emplace(directory, parent_schedule, slack_us,
+                          tau_stale_us_);
     }
     bridge_ = std::make_unique<GatewayBridge>(
         station, directory, home_schedule_,

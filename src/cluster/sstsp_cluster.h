@@ -47,7 +47,10 @@ class ClusterSstsp : public proto::SyncProtocol {
     bool calibrated_boot{true};
   };
 
-  ClusterSstsp(proto::Station& station, const core::SstspConfig& base_cfg,
+  /// Every domain instance of the node (member, uplink) shares `base_cfg`;
+  /// each offsets its schedule by its domain's phase.
+  ClusterSstsp(proto::Station& station,
+               std::shared_ptr<const core::SstspConfig> base_cfg,
                core::KeyDirectory& directory, Options options);
 
   void start() override;

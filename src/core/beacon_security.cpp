@@ -6,7 +6,8 @@
 
 namespace sstsp::core {
 
-PipelineResult SenderPipeline::ingest(const mac::SstspBeaconBody& body,
+PipelineResult SenderPipeline::ingest(const crypto::VerifyContext& ctx,
+                                      const mac::SstspBeaconBody& body,
                                       mac::NodeId sender, double arrival_hw_us,
                                       double ts_est_us,
                                       std::uint64_t trace_id) {
@@ -19,7 +20,7 @@ PipelineResult SenderPipeline::ingest(const mac::SstspBeaconBody& body,
     // can authenticate it.
     result.key_valid = true;
   } else {
-    result.key_valid = verifier_.verify_key(j - 1, body.disclosed_key);
+    result.key_valid = verifier_.verify_key(ctx, j - 1, body.disclosed_key);
     if (!result.key_valid) return result;  // suspect frame: do not buffer
 
     // Step 3: authenticate the newest stored beacon K_{j-1} can vouch for.
@@ -49,8 +50,8 @@ PipelineResult SenderPipeline::ingest(const mac::SstspBeaconBody& body,
                         : crypto::hash_times(body.disclosed_key, distance);
       const auto bytes = mac::serialize_unsecured_beacon(
           stored.timestamp_us, sender, stored.level);
-      if (verifier_.check_mac(
-              key, stored.interval,
+      if (crypto::MuTeslaVerifier::check_mac(
+              ctx.cache, key, stored.interval,
               std::span<const std::uint8_t>(bytes.data(), bytes.size()),
               stored.mac)) {
         result.authenticated = PipelineResult::Authenticated{
@@ -82,6 +83,22 @@ void SenderPipeline::drop_oldest(std::size_t count) {
   buffered_ -= count;
 }
 
+mac::SstspBeaconBody sign_beacon(const crypto::MuTeslaSigner& signer,
+                                 std::int64_t j, std::int64_t timestamp_us,
+                                 mac::NodeId sender, std::uint8_t level) {
+  mac::SstspBeaconBody body;
+  body.timestamp_us = timestamp_us;
+  body.interval = j;
+  body.level = level;
+  const auto bytes =
+      mac::serialize_unsecured_beacon(timestamp_us, sender, level);
+  const crypto::MuTeslaSigner::Signature sig = signer.sign(
+      j, std::span<const std::uint8_t>(bytes.data(), bytes.size()));
+  body.mac = sig.mac;
+  body.disclosed_key = sig.disclosed_key;
+  return body;
+}
+
 mac::SstspBeaconBody BeaconSigner::sign(std::int64_t j,
                                         std::int64_t timestamp_us,
                                         mac::NodeId sender,
@@ -89,18 +106,7 @@ mac::SstspBeaconBody BeaconSigner::sign(std::int64_t j,
   if (!signer_) {
     signer_ = std::make_unique<crypto::MuTeslaSigner>(chain_, schedule_, j);
   }
-
-  mac::SstspBeaconBody body;
-  body.timestamp_us = timestamp_us;
-  body.interval = j;
-  body.level = level;
-  const auto bytes =
-      mac::serialize_unsecured_beacon(timestamp_us, sender, level);
-  const crypto::MuTeslaSigner::Signature sig = signer_->sign(
-      j, std::span<const std::uint8_t>(bytes.data(), bytes.size()));
-  body.mac = sig.mac;
-  body.disclosed_key = sig.disclosed_key;
-  return body;
+  return sign_beacon(*signer_, j, timestamp_us, sender, level);
 }
 
 }  // namespace sstsp::core

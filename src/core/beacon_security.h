@@ -49,18 +49,19 @@ struct PipelineResult {
 
 /// Per-sender µTESLA receiver state: verifier cache plus the short beacon
 /// buffer (the paper notes nodes buffer the beacons of the last 2 BPs).
-/// Both are held inline, so a heard sender's pipeline owns no heap memory.
+/// Both are held inline, so a heard sender's pipeline owns no heap memory;
+/// the schedule and result cache every sender of a node shares come with
+/// each call (crypto::VerifyContext).
 class SenderPipeline {
  public:
-  SenderPipeline(crypto::Digest anchor, crypto::MuTeslaSchedule schedule,
-                 crypto::VerifyCache* cache = nullptr)
-      : verifier_(anchor, schedule, cache) {}
+  explicit SenderPipeline(const crypto::Digest& anchor) : verifier_(anchor) {}
 
   /// Processes the secured fields of a beacon received from this sender.
   /// `arrival_hw_us` / `ts_est_us` are recorded so the beacon can be turned
   /// into an adjustment sample once authenticated one interval later;
   /// `trace_id` rides along for the same deferred hand-back.
-  PipelineResult ingest(const mac::SstspBeaconBody& body, mac::NodeId sender,
+  PipelineResult ingest(const crypto::VerifyContext& ctx,
+                        const mac::SstspBeaconBody& body, mac::NodeId sender,
                         double arrival_hw_us, double ts_est_us,
                         std::uint64_t trace_id = 0);
 
@@ -74,11 +75,12 @@ class SenderPipeline {
   /// produce a fresh disclosure, so a replayed/spoofed frame (stale or
   /// invalid key) can never be pinned on the identity it claims.  On
   /// success the verifier cache advances (the key is authentic material).
-  [[nodiscard]] bool verify_key_fresh(std::int64_t j,
+  [[nodiscard]] bool verify_key_fresh(const crypto::VerifyContext& ctx,
+                                      std::int64_t j,
                                       const crypto::Digest& key) {
-    const std::size_t before = verifier_.verified_position();
-    return verifier_.verify_key(j, key) &&
-           verifier_.verified_position() < before;
+    const std::int64_t before = verifier_.verified_interval();
+    return verifier_.verify_key(ctx, j, key) &&
+           verifier_.verified_interval() > before;
   }
 
  private:
@@ -101,6 +103,12 @@ class SenderPipeline {
   std::array<StoredBeacon, kBufferSlots> buffer_{};  // oldest first
   std::size_t buffered_{0};                          // live slots
 };
+
+/// The secured fields of an interval-j beacon over timestamp/sender/level,
+/// signed with `signer`'s chain.
+[[nodiscard]] mac::SstspBeaconBody sign_beacon(
+    const crypto::MuTeslaSigner& signer, std::int64_t j,
+    std::int64_t timestamp_us, mac::NodeId sender, std::uint8_t level = 0);
 
 /// Signer wrapper: lazily builds the chain walker the first time the node
 /// actually transmits (most nodes never become reference, and the walker

@@ -5,21 +5,21 @@
 
 namespace sstsp::core {
 
-std::optional<double> CoarseSync::estimate(std::size_t* rejected_out) const {
+std::optional<double> CoarseSync::estimate(const SstspConfig& cfg,
+                                           std::size_t* rejected_out) const {
   if (offsets_.empty()) return std::nullopt;
   std::size_t rejected = 0;
 
   std::vector<double> candidates = offsets_;
-  if (cfg_->coarse_use_gesd && candidates.size() >= 5) {
+  if (cfg.coarse_use_gesd && candidates.size() >= 5) {
     const std::size_t before = candidates.size();
-    candidates =
-        filter::gesd_filter(candidates, cfg_->gesd_max_outliers,
-                            cfg_->gesd_alpha);
+    candidates = filter::gesd_filter(candidates, cfg.gesd_max_outliers,
+                                     cfg.gesd_alpha);
     rejected += before - candidates.size();
   }
 
   const filter::ThresholdResult thr =
-      filter::threshold_filter(candidates, cfg_->guard_coarse_us);
+      filter::threshold_filter(candidates, cfg.guard_coarse_us);
   rejected += thr.rejected;
   if (rejected_out != nullptr) *rejected_out = rejected;
   return thr.mean();

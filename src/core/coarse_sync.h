@@ -19,21 +19,19 @@ namespace sstsp::core {
 
 class CoarseSync {
  public:
-  explicit CoarseSync(const SstspConfig& cfg) : cfg_(&cfg) {}
-
   void reset() { offsets_.clear(); }
 
   void add_offset(double offset_us) { offsets_.push_back(offset_us); }
 
   [[nodiscard]] std::size_t samples() const { return offsets_.size(); }
 
-  /// Filtered mean offset; nullopt when no sample survives (the node keeps
-  /// scanning).  `rejected_out`, if non-null, receives the rejection count.
+  /// Filtered mean offset under `cfg`'s filter settings; nullopt when no
+  /// sample survives (the node keeps scanning).  `rejected_out`, if
+  /// non-null, receives the rejection count.
   [[nodiscard]] std::optional<double> estimate(
-      std::size_t* rejected_out = nullptr) const;
+      const SstspConfig& cfg, std::size_t* rejected_out = nullptr) const;
 
  private:
-  const SstspConfig* cfg_;
   std::vector<double> offsets_;
 };
 

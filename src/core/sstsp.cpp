@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <iterator>
 #include <tuple>
 
 #include "obs/profiler.h"
@@ -16,29 +17,28 @@ namespace {
 constexpr double kTickFraction = 0.75;
 }  // namespace
 
-Sstsp::Sstsp(proto::Station& station, const SstspConfig& cfg,
+Sstsp::Sstsp(proto::Station& station, std::shared_ptr<const SstspConfig> cfg,
              KeyDirectory& directory, Options options)
     : SyncProtocol(station),
-      cfg_(cfg),
+      cfg_(std::move(cfg)),
       directory_(directory),
-      schedule_{cfg.t0_us, station.channel().phy().beacon_period.to_us(),
-                cfg.chain_length},
+      schedule_{cfg_->t0_us + options.phase_us,
+                station.channel().phy().beacon_period.to_us(),
+                cfg_->chain_length},
       adjusted_(&station.hw()),
-      signer_(directory.chain_of(station.id()).value(), schedule_),
       options_(options),
-      election_cw_(cfg.election_cw_min),
-      coarse_(cfg_) {}
+      election_cw_(cfg_->election_cw_min) {}
 
 void Sstsp::start() {
   running_ = true;
-  tracks_.clear();
+  tracks_ = std::vector<SenderTrack>();  // frees the tracks' storage
   coarse_.reset();
   coarse_bps_seen_ = 0;
   missed_ = 0;
   last_accepted_interval_ = -1;
   last_tx_interval_ = -1;
   last_tick_j_ = INT64_MIN;
-  election_cw_ = cfg_.election_cw_min;
+  election_cw_ = cfg_->election_cw_min;
   confirm_left_ = 0;
   current_ref_ = mac::kNoNode;
   last_sync_hw_us_ = station_.hw_us_now();
@@ -107,13 +107,13 @@ void Sstsp::handle_tick(std::int64_t j) {
   switch (state_) {
     case State::kCoarse: {
       ++coarse_bps_seen_;
-      if (coarse_bps_seen_ >= cfg_.coarse_scan_bps) finish_coarse();
+      if (coarse_bps_seen_ >= cfg_->coarse_scan_bps) finish_coarse();
       break;
     }
     case State::kFollower: {
       if (last_accepted_interval_ < j) {
         ++missed_;
-        if (synced_ && missed_ >= cfg_.l && !options_.passive) {
+        if (synced_ && missed_ >= cfg_->l && !options_.passive) {
           arm_contention(j + 1, election_cw_);
         }
       } else {
@@ -137,7 +137,7 @@ void Sstsp::handle_tick(std::int64_t j) {
       if (state_ == State::kReference) {
         schedule_reference_emission(j + 1);
       } else {
-        arm_contention(j + 1, cfg_.election_cw_min);
+        arm_contention(j + 1, cfg_->election_cw_min);
       }
       break;
     }
@@ -150,7 +150,7 @@ void Sstsp::handle_tick(std::int64_t j) {
 }
 
 double Sstsp::effective_guard_us(double hw_now_us) const {
-  return core::effective_guard_us(cfg_, hw_now_us, last_sync_hw_us_);
+  return core::effective_guard_us(*cfg_, hw_now_us, last_sync_hw_us_);
 }
 
 void Sstsp::arm_contention(std::int64_t j, int window) {
@@ -169,7 +169,7 @@ void Sstsp::arm_contention(std::int64_t j, int window) {
                                 [this, j] { handle_contention_expiry(j); });
   // DCF-style growth for the next unresolved round; reset on any accepted
   // beacon (see on_receive).
-  election_cw_ = std::min(window * 2 + 1, cfg_.election_cw_max);
+  election_cw_ = std::min(window * 2 + 1, cfg_->election_cw_max);
 }
 
 void Sstsp::handle_contention_expiry(std::int64_t j) {
@@ -182,7 +182,7 @@ void Sstsp::handle_contention_expiry(std::int64_t j) {
   transmit_beacon(j);
   if (state_ == State::kFollower) {
     state_ = State::kTentativeRef;
-    confirm_left_ = cfg_.confirm_bps;
+    confirm_left_ = cfg_->confirm_bps;
   }
 }
 
@@ -223,7 +223,11 @@ void Sstsp::transmit_beacon(std::int64_t j) {
   frame.sender = station_.id();
   frame.air_bytes = phy.sstsp_beacon_bytes;
   frame.domain = options_.domain;
-  frame.body = signer_.sign(j, ts, station_.id());
+  if (!signer_) {
+    signer_ = std::make_unique<crypto::MuTeslaSigner>(
+        directory_.chain_of(station_.id()).value(), schedule_, j);
+  }
+  frame.body = sign_beacon(*signer_, j, ts, station_.id());
   const std::uint64_t tid =
       station_.transmit(std::move(frame), phy.sstsp_beacon_duration);
   ++stats_.beacons_sent;
@@ -246,7 +250,7 @@ void Sstsp::transmit_beacon(std::int64_t j) {
 
 void Sstsp::finish_coarse() {
   obs::Span span(station_.profiler(), obs::Phase::kFilterEval);
-  const auto estimate = coarse_.estimate();
+  const auto estimate = coarse_.estimate(*cfg_);
   if (!estimate) {
     // Nothing heard (or everything rejected): keep scanning another window.
     coarse_bps_seen_ = 0;
@@ -275,14 +279,14 @@ void Sstsp::finish_coarse() {
 
 bool Sstsp::is_blacklisted(mac::NodeId sender) const {
   // Only note_rejection blacklists, and it never does at threshold <= 0.
-  if (cfg_.blacklist_threshold <= 0) return false;
-  const auto it = tracks_.find(sender);
+  if (cfg_->blacklist_threshold <= 0) return false;
+  const auto it = std::ranges::find(tracks_, sender, &SenderTrack::sender);
   return it != tracks_.end() &&
-         it->second.blacklisted_until_hw_us > station_.hw_us_now();
+         it->blacklisted_until_hw_us > station_.hw_us_now();
 }
 
 void Sstsp::note_rejection(mac::NodeId sender, double hw_now_us) {
-  if (cfg_.blacklist_threshold <= 0) return;
+  if (cfg_->blacklist_threshold <= 0) return;
   // The guard/interval checks run before any track exists for a
   // first-contact sender; materialize one so repeat offenders are counted
   // from their first frame.  Unknown identities return nullptr and are
@@ -290,33 +294,35 @@ void Sstsp::note_rejection(mac::NodeId sender, double hw_now_us) {
   SenderTrack* track_ptr = track_for(sender);
   if (track_ptr == nullptr) return;
   SenderTrack& track = *track_ptr;
-  if (++track.consecutive_rejections >= cfg_.blacklist_threshold) {
+  if (++track.consecutive_rejections >= cfg_->blacklist_threshold) {
     track.consecutive_rejections = 0;
     track.blacklisted_until_hw_us =
-        hw_now_us + cfg_.blacklist_penalty_s * 1e6;
+        hw_now_us + cfg_->blacklist_penalty_s * 1e6;
     station_.trace_event(trace::EventKind::kTakeover, sender,
-                         cfg_.blacklist_penalty_s * 1e6);
+                         cfg_->blacklist_penalty_s * 1e6);
   }
 }
 
 Sstsp::SenderTrack* Sstsp::track_for(mac::NodeId sender) {
-  auto it = tracks_.find(sender);
-  if (it != tracks_.end()) return &it->second;
+  const auto it = std::ranges::find(tracks_, sender, &SenderTrack::sender);
+  if (it != tracks_.end()) return &*it;
   const auto anchor = directory_.anchor_of(sender);
   if (!anchor) return nullptr;  // unknown identity: external attacker
   if (tracks_.size() >= kMaxSenderTracks) {
-    // Bounded memory: evict an arbitrary non-current entry.
-    for (auto evict = tracks_.begin(); evict != tracks_.end(); ++evict) {
-      if (evict->first != current_ref_) {
-        tracks_.erase(evict);
-        break;
-      }
-    }
+    // Bounded memory: the newest track other than the current reference's
+    // yields.  The older ones hold verified chain positions and sample
+    // history, and a rotation of more senders than tracks then churns one
+    // track instead of evicting every sender just before its next beacon
+    // (as evicting the oldest would).
+    const auto newest = std::ranges::find_if(
+        tracks_.rbegin(), tracks_.rend(),
+        [this](const SenderTrack& t) { return t.sender != current_ref_; });
+    tracks_.erase(std::next(newest).base());
   }
-  auto [ins, _] = tracks_.emplace(
-      sender, SenderTrack(*anchor, schedule_, &directory_.verify_cache(),
-                          make_discipline(cfg_)));
-  return &ins->second;
+  if (tracks_.size() == tracks_.capacity()) {
+    tracks_.reserve(tracks_.size() + 1);
+  }
+  return &tracks_.emplace_back(sender, *anchor);
 }
 
 void Sstsp::on_receive(const mac::Frame& frame, const mac::RxInfo& rx) {
@@ -342,7 +348,7 @@ void Sstsp::on_receive(const mac::Frame& frame, const mac::RxInfo& rx) {
   const std::int64_t j = body.interval;
   // Check 1 (paper §3.3): the claimed interval must be the current one,
   // otherwise the key may already be disclosed (replay / delay attack).
-  if (!schedule_.interval_check(j, c_now, cfg_.interval_slack_us)) {
+  if (!schedule_.interval_check(j, c_now, cfg_->interval_slack_us)) {
     ++stats_.rejected_interval;
     station_.trace_event(trace::EventKind::kRejectInterval, frame.sender,
                          ts_est - c_now, frame.trace_id);
@@ -376,12 +382,13 @@ void Sstsp::on_receive(const mac::Frame& frame, const mac::RxInfo& rx) {
     const bool role_conflict =
         (state_ == State::kTentativeRef || state_ == State::kReference) &&
         !never_demote();
-    if ((cfg_.blacklist_threshold > 0 || role_conflict) && j > 1) {
+    if ((cfg_->blacklist_threshold > 0 || role_conflict) && j > 1) {
       SenderTrack* track = track_for(frame.sender);
       obs::Span span(station_.profiler(), obs::Phase::kCryptoVerify);
       if (track != nullptr &&
-          track->pipeline.verify_key_fresh(j - 1, body.disclosed_key)) {
-        if (cfg_.blacklist_threshold > 0) {
+          track->pipeline.verify_key_fresh(verify_context(), j - 1,
+                                           body.disclosed_key)) {
+        if (cfg_->blacklist_threshold > 0) {
           note_rejection(frame.sender, arrival_hw);
         }
         if (role_conflict) {
@@ -408,8 +415,8 @@ void Sstsp::on_receive(const mac::Frame& frame, const mac::RxInfo& rx) {
   PipelineResult res;
   {
     obs::Span span(station_.profiler(), obs::Phase::kCryptoVerify);
-    res = track->pipeline.ingest(body, frame.sender, arrival_hw, ts_est,
-                                 frame.trace_id);
+    res = track->pipeline.ingest(verify_context(), body, frame.sender,
+                                 arrival_hw, ts_est, frame.trace_id);
   }
   if (!res.key_valid) {
     ++stats_.rejected_key;
@@ -435,7 +442,7 @@ void Sstsp::on_receive(const mac::Frame& frame, const mac::RxInfo& rx) {
   track->consecutive_rejections = 0;
   last_accepted_interval_ = std::max(last_accepted_interval_, j);
   missed_ = 0;
-  election_cw_ = cfg_.election_cw_min;
+  election_cw_ = cfg_->election_cw_min;
 
   // RULE R: yield the (tentative) reference role to an earlier transmitter.
   if ((state_ == State::kTentativeRef || state_ == State::kReference) &&
@@ -463,6 +470,7 @@ void Sstsp::on_receive(const mac::Frame& frame, const mac::RxInfo& rx) {
     // (the paper discipline declares solver_span_bps, preserving the
     // span+1 / span+4-BP arithmetic bit-for-bit).  A screened-out sample
     // (RLS innovation gating) is booked but never blocks the §3.3 flow.
+    if (!track->discipline) track->discipline = make_discipline(*cfg_);
     if (const auto screened = track->discipline->add_sample(
             RefSample{res.authenticated->arrival_hw_us,
                       res.authenticated->ts_est_us},
@@ -480,7 +488,7 @@ void Sstsp::try_adjust(SenderTrack& track, std::int64_t cur_interval,
     return;
   }
   const double target =
-      schedule_.emission_time(cur_interval + cfg_.m);
+      schedule_.emission_time(cur_interval + cfg_->m);
   const ClockParams previous{adjusted_.k(), adjusted_.b()};
   obs::Span span(station_.profiler(), obs::Phase::kFilterEval);
   const double hw_now = station_.hw_us_now();
@@ -554,7 +562,7 @@ void Sstsp::restart_coarse() {
   coarse_bps_seen_ = 0;
   missed_ = 0;
   confirm_left_ = 0;
-  tracks_.clear();
+  tracks_ = std::vector<SenderTrack>();
   current_ref_ = mac::kNoNode;
   cancel_tx_event();
 }

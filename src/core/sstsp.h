@@ -25,7 +25,7 @@
 
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
+#include <vector>
 
 #include "clock/adjusted_clock.h"
 #include "core/adjustment.h"
@@ -70,10 +70,21 @@ class Sstsp : public proto::SyncProtocol {
     /// election storm.  0 reproduces the original skip behaviour.
     int busy_retries = 0;
     double busy_retry_step_us = 250.0;
+    /// Offset of this instance's µTESLA schedule origin from cfg.t0_us: a
+    /// cluster domain's phase (cluster/cluster_config.h), so every domain
+    /// of a deployment shares one config.  0 for single-domain SSTSP.
+    double phase_us = 0.0;
   };
 
-  Sstsp(proto::Station& station, const SstspConfig& cfg,
+  /// `cfg` is shared, never copied: a deployment hands every station the
+  /// same one.
+  Sstsp(proto::Station& station, std::shared_ptr<const SstspConfig> cfg,
         KeyDirectory& directory, Options options);
+  /// Builds on a private copy of `cfg`.
+  Sstsp(proto::Station& station, const SstspConfig& cfg,
+        KeyDirectory& directory, Options options)
+      : Sstsp(station, std::make_shared<const SstspConfig>(cfg), directory,
+              options) {}
 
   void start() override;
   void stop() override;
@@ -94,13 +105,17 @@ class Sstsp : public proto::SyncProtocol {
     return adjusted_;
   }
   [[nodiscard]] mac::NodeId current_reference() const { return current_ref_; }
-  [[nodiscard]] const SstspConfig& config() const { return cfg_; }
+  [[nodiscard]] const SstspConfig& config() const { return *cfg_; }
+
+  /// Senders whose receive state this node holds right now.
+  [[nodiscard]] std::size_t sender_tracks() const { return tracks_.size(); }
 
   /// Recovery extension: is this sender currently locally blacklisted?
   [[nodiscard]] bool is_blacklisted(mac::NodeId sender) const;
 
   /// Senders whose receive state (µTESLA buffer, verified chain position,
-  /// sample history) a node keeps at once; a further sender evicts one.
+  /// sample history) a node keeps at once; a further sender evicts one
+  /// (track_for).
   static constexpr std::size_t kMaxSenderTracks = 8;
 
  protected:
@@ -136,16 +151,17 @@ class Sstsp : public proto::SyncProtocol {
 
  private:
   struct SenderTrack {
-    SenderTrack(crypto::Digest anchor, crypto::MuTeslaSchedule schedule,
-                crypto::VerifyCache* cache,
-                std::unique_ptr<ClockDiscipline> disc)
-        : pipeline(anchor, schedule, cache), discipline(std::move(disc)) {}
-    SenderPipeline pipeline;
-    /// Per-sender clock discipline (core/discipline.h): owns the
-    /// authenticated sample history and the (k, b) estimator.
-    std::unique_ptr<ClockDiscipline> discipline;
+    SenderTrack(mac::NodeId from, const crypto::Digest& anchor)
+        : sender(from), pipeline(anchor) {}
+    mac::NodeId sender;
     int consecutive_rejections{0};
     double blacklisted_until_hw_us{-1.0};
+    SenderPipeline pipeline;
+    /// Per-sender clock discipline (core/discipline.h): owns the
+    /// authenticated sample history and the (k, b) estimator.  Built at
+    /// the track's first authenticated sample; most heard senders never
+    /// authenticate one.
+    std::unique_ptr<ClockDiscipline> discipline;
   };
 
   void schedule_tick();
@@ -161,43 +177,54 @@ class Sstsp : public proto::SyncProtocol {
   /// is the *previous* interval's transmission, not the one delivering it).
   void try_adjust(SenderTrack& track, std::int64_t cur_interval,
                   std::uint64_t trace_id);
+  /// The sender's track, made (and an old one evicted) on first contact;
+  /// nullptr for an identity without a published anchor.  Making a track
+  /// may move the others: do not hold a track across the call.
   SenderTrack* track_for(mac::NodeId sender);
   void note_rejection(mac::NodeId sender, double hw_now_us);
   /// Books a discipline verdict: per-verdict stats array, the legacy
   /// solver_rejections aggregate, and (when enabled) the metric counters.
   void note_verdict(DisciplineVerdict verdict);
   void cancel_tx_event();
+  [[nodiscard]] crypto::VerifyContext verify_context() const {
+    return {schedule_, &directory_.verify_cache()};
+  }
 
-  SstspConfig cfg_;
+  std::shared_ptr<const SstspConfig> cfg_;
   KeyDirectory& directory_;
   crypto::MuTeslaSchedule schedule_;
   clk::AdjustedClock adjusted_;
-  BeaconSigner signer_;
+  /// This node's chain walker, built at its first transmission (most
+  /// nodes never sign): keys of later intervals sit lower on the chain, so
+  /// the bootstrap walk stops at the first signed interval's key.
+  std::unique_ptr<crypto::MuTeslaSigner> signer_;
   Options options_;
 
   State state_{State::kCoarse};
   bool running_{false};
   bool synced_{false};
-
-  std::unordered_map<mac::NodeId, SenderTrack> tracks_;
+  bool started_before_{false};
   mac::NodeId current_ref_{mac::kNoNode};
-  std::int64_t last_accepted_interval_{-1};
-  std::int64_t last_tx_interval_{-1};
-  std::int64_t last_tick_j_{INT64_MIN};
-  double last_sync_hw_us_{0.0};  // hw clock at last sync evidence
-  sim::SimTime last_tx_start_{sim::SimTime::never()};
   int missed_{0};
   int election_cw_;
   int confirm_left_{0};
   int coarse_bps_seen_{0};
   int resync_adjustments_{0};  // fine adjustments since leaving coarse
-  bool started_before_{false};
+  int emission_retries_left_{0};
+
+  /// Oldest first, at most kMaxSenderTracks, grown one slot at a time: most
+  /// nodes hear a sender or two.
+  std::vector<SenderTrack> tracks_;
+  std::int64_t last_accepted_interval_{-1};
+  std::int64_t last_tx_interval_{-1};
+  std::int64_t last_tick_j_{INT64_MIN};
+  double last_sync_hw_us_{0.0};  // hw clock at last sync evidence
+  sim::SimTime last_tx_start_{sim::SimTime::never()};
 
   CoarseSync coarse_;
 
   sim::EventId tick_event_{0};
   sim::EventId tx_event_{0};
-  int emission_retries_left_{0};
 };
 
 }  // namespace sstsp::core

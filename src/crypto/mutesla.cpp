@@ -61,24 +61,26 @@ MuTeslaSigner::Signature MuTeslaSigner::sign(
   return Signature{keyed_mac(key, j, body), hash_once(key)};
 }
 
-bool MuTeslaVerifier::verify_key(std::int64_t j, const Digest& key) {
-  if (j < 1 || static_cast<std::size_t>(j) > schedule_.n) return false;
-  const std::size_t pos = schedule_.n - static_cast<std::size_t>(j);
-  if (pos >= verified_pos_) {
-    // Stale or already-known disclosure.  Equal positions are accepted only
-    // if the key matches what we already authenticated (idempotent re-check).
-    return pos == verified_pos_ && digest_equal(key, verified_);
+bool MuTeslaVerifier::verify_key(const VerifyContext& ctx, std::int64_t j,
+                                 const Digest& key) {
+  if (j < 1 || static_cast<std::size_t>(j) > ctx.schedule.n) return false;
+  if (j <= verified_j_) {
+    // Stale or already-known disclosure.  The newest interval is accepted
+    // again only if the key matches what we already authenticated
+    // (idempotent re-check).
+    return j == verified_j_ && digest_equal(key, verified_);
   }
-  const std::size_t distance = verified_pos_ - pos;
+  // K_j sits j - verified_j_ positions below the last authenticated element.
+  const auto distance = static_cast<std::size_t>(j - verified_j_);
   // The modeled cost is charged regardless of the simulator-side cache: a
   // real station walks the chain; only our wall-clock is being saved.
   hash_ops_ += distance;
   const bool match =
-      cache_ != nullptr
-          ? cache_->chain_walk_matches(key, distance, verified_)
+      ctx.cache != nullptr
+          ? ctx.cache->chain_walk_matches(key, distance, verified_)
           : digest_equal(hash_times(key, distance), verified_);
   if (!match) return false;
-  verified_pos_ = pos;
+  verified_j_ = j;
   verified_ = key;
   return true;
 }
@@ -89,11 +91,12 @@ bool MuTeslaVerifier::verify_mac(const Digest& key, std::int64_t j,
   return digest_equal(keyed_mac(key, j, body), mac);
 }
 
-bool MuTeslaVerifier::check_mac(const Digest& key, std::int64_t j,
+bool MuTeslaVerifier::check_mac(VerifyCache* cache, const Digest& key,
+                                std::int64_t j,
                                 std::span<const std::uint8_t> body,
-                                const Digest128& mac) const {
-  if (cache_ == nullptr) return verify_mac(key, j, body, mac);
-  return cache_->mac_matches(key, mac_input(j, body).bytes(), mac);
+                                const Digest128& mac) {
+  if (cache == nullptr) return verify_mac(key, j, body, mac);
+  return cache->mac_matches(key, mac_input(j, body).bytes(), mac);
 }
 
 }  // namespace sstsp::crypto

@@ -96,48 +96,55 @@ class MuTeslaSigner {
   MuTeslaSchedule schedule_;
 };
 
+/// What every verifier of one receiving node shares: the µTESLA schedule it
+/// verifies against and, when non-null, the network's memo of pure hash/MAC
+/// results (crypto/verify_cache.h; results are identical with or without
+/// it).  Passed per call, so a node's per-sender verifiers do not each hold
+/// a copy.
+struct VerifyContext {
+  MuTeslaSchedule schedule;
+  VerifyCache* cache{nullptr};
+};
+
 /// Verifies disclosed keys against a published anchor, caching the most
 /// recent authenticated element so steady-state verification costs one hash
-/// per beacon (the optimization §3.3 calls out).
+/// per beacon (the optimization §3.3 calls out).  Holds that element, its
+/// interval and the modeled hash count, nothing else.
 class MuTeslaVerifier {
  public:
-  /// `cache`, when non-null, memoizes the pure hash/MAC comparisons across
-  /// the verifiers of one network (see crypto/verify_cache.h); results are
-  /// identical with or without it.
-  MuTeslaVerifier(Digest anchor, MuTeslaSchedule schedule,
-                  VerifyCache* cache = nullptr)
-      : schedule_(schedule), verified_pos_(schedule.n), verified_(anchor),
-        cache_(cache) {}
+  explicit MuTeslaVerifier(const Digest& anchor) : verified_(anchor) {}
 
-  [[nodiscard]] const MuTeslaSchedule& schedule() const { return schedule_; }
-
-  /// Checks that `key` is the chain element for interval j (position n-j),
-  /// by hashing it forward to the last authenticated element.  On success
-  /// the cache advances.  Returns false for stale intervals (j older than
-  /// an already-verified disclosure) and for mismatching keys.
-  [[nodiscard]] bool verify_key(std::int64_t j, const Digest& key);
+  /// Checks that `key` is the chain element for interval j (position n-j,
+  /// 1 <= j <= ctx.schedule.n), by hashing it forward to the last
+  /// authenticated element.  On success the cache advances.  Returns false
+  /// for stale intervals (j older than an already-verified disclosure) and
+  /// for mismatching keys.
+  [[nodiscard]] bool verify_key(const VerifyContext& ctx, std::int64_t j,
+                                const Digest& key);
 
   /// MAC check of an interval-j beacon body against an already-verified key.
   [[nodiscard]] static bool verify_mac(const Digest& key, std::int64_t j,
                                        std::span<const std::uint8_t> body,
                                        const Digest128& mac);
 
-  /// Same check through the attached result cache (falls back to
-  /// verify_mac when no cache is set).
-  [[nodiscard]] bool check_mac(const Digest& key, std::int64_t j,
-                               std::span<const std::uint8_t> body,
-                               const Digest128& mac) const;
+  /// Same check through `cache` (verify_mac when it is null).
+  [[nodiscard]] static bool check_mac(VerifyCache* cache, const Digest& key,
+                                      std::int64_t j,
+                                      std::span<const std::uint8_t> body,
+                                      const Digest128& mac);
 
+  /// Hash invocations a station makes for the walks so far, whether or not
+  /// the simulator's result cache spared them.
   [[nodiscard]] std::uint64_t hash_ops() const { return hash_ops_; }
-  /// Chain position of the newest verified element (n means "anchor only").
-  [[nodiscard]] std::size_t verified_position() const { return verified_pos_; }
+  /// Interval of the newest verified element (0 means "anchor only").
+  [[nodiscard]] std::int64_t verified_interval() const {
+    return verified_j_;
+  }
 
  private:
-  MuTeslaSchedule schedule_;
-  std::size_t verified_pos_;  // position of verified_ in the chain
   Digest verified_;
+  std::int64_t verified_j_{0};  // K_0 = v_n, the anchor
   std::uint64_t hash_ops_{0};
-  VerifyCache* cache_{nullptr};
 };
 
 /// Canonical MAC input for beacon interval j: body || LE64(j).  Shared by

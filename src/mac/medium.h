@@ -20,7 +20,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 
 #include "mac/frame.h"
 #include "mac/phy_params.h"
@@ -70,19 +69,27 @@ inline constexpr double kMeanDiscDistanceFactor = 0.905414787;
   return sim::SimTime::from_us_double(dist_m / kSpeedOfLightMPerUs);
 }
 
+/// A station's receive path, as a medium delivers to it.
+class Receiver {
+ public:
+  /// Called at the frame's delivery instant.
+  virtual void receive(const Frame& frame, const RxInfo& rx) = 0;
+
+ protected:
+  ~Receiver() = default;
+};
+
 class Medium {
  public:
-  using RxHandler = std::function<void(const Frame&, const RxInfo&)>;
-
   explicit Medium(const PhyParams& phy) : phy_(phy) {}
   virtual ~Medium() = default;
 
   Medium(const Medium&) = delete;
   Medium& operator=(const Medium&) = delete;
 
-  /// Registers a station; returns its index on this medium.  The handler
-  /// fires at the frame's delivery instant.
-  virtual std::size_t add_station(Position pos, RxHandler handler) = 0;
+  /// Registers a station; returns its index on this medium.  `receiver`
+  /// must outlive the medium's deliveries to it.
+  virtual std::size_t add_station(Position pos, Receiver& receiver) = 0;
 
   /// Stations that are powered off neither receive nor sense.
   virtual void set_listening(std::size_t idx, bool listening) = 0;

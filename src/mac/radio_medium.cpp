@@ -8,8 +8,8 @@ namespace sstsp::mac {
 void FanOut::deliver(const Entry& e) {
   const RadioStation& rx = stations_[e.receiver];
   if (!rx.listening) return;
-  rx.handler(e.copy == 0 ? *frame_ : *corrupted_,
-             RxInfo{e.at, nominal_delay_us_, tx_start_});
+  rx.receiver->receive(e.copy == 0 ? *frame_ : *corrupted_,
+                       RxInfo{e.at, nominal_delay_us_, tx_start_});
 }
 
 RadioMedium::RadioMedium(sim::Simulator& sim, const PhyParams& phy)
@@ -20,9 +20,9 @@ RadioMedium::RadioMedium(sim::Simulator& sim, const PhyParams& phy)
                             phy.ifs_guard
                       : sim::SimTime::zero()) {}
 
-std::size_t RadioMedium::add_station(Position pos, RxHandler handler) {
+std::size_t RadioMedium::add_station(Position pos, Receiver& receiver) {
   stations_.push_back(
-      RadioStation{next_station_id(), pos, std::move(handler), true, {}});
+      RadioStation{next_station_id(), true, pos, &receiver, {}});
   grid_.reset();
   return stations_.size() - 1;
 }

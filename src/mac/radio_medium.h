@@ -65,15 +65,18 @@ struct AirTime {
 /// A station on a simulated channel.
 struct RadioStation {
   NodeId id;  ///< node id (a transmission names its sender by it)
-  Position pos;
-  Medium::RxHandler handler;
   bool listening{true};
+  Position pos;
+  Receiver* receiver;
   AirTime sent[2];  ///< its last two transmissions, [0] the most recent
 };
 
 class RadioMedium : public Medium {
  public:
-  std::size_t add_station(Position pos, RxHandler handler) final;
+  std::size_t add_station(Position pos, Receiver& receiver) final;
+  /// Sizes the station table for `count` stations, for a host that knows
+  /// the population before the first add_station.
+  void reserve_stations(std::size_t count) { stations_.reserve(count); }
   void set_listening(std::size_t idx, bool listening) final;
   [[nodiscard]] bool would_detect_busy(std::size_t idx,
                                        sim::SimTime at) const final;

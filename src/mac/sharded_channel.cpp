@@ -132,6 +132,9 @@ void ShardedWorld::partition(const std::vector<Position>& positions) {
     members_[static_cast<std::size_t>(shard_of_[i])].push_back(
         static_cast<NodeId>(i));
   }
+  for (std::size_t s = 0; s < shards_.size(); ++s) {
+    shards_[s]->reserve_stations(members_[s].size());
+  }
 }
 
 NodeId ShardedWorld::next_global_id(int shard) const {

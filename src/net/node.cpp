@@ -80,17 +80,15 @@ NodeRuntime::NodeRuntime(sim::Simulator& sim, Transport& transport,
       transport_(transport),
       config_(config),
       medium_(sim, live_phy(config.phy), config.id,
-              [this](const mac::Frame& frame) { on_local_frame(frame); }) {
+              [this](const mac::Frame& frame) { on_local_frame(frame); }),
+      directory_(config.seed, config.sstsp.chain_length) {
   station_ = std::make_unique<proto::Station>(
       sim_, medium_, config_.id, make_clock(config_), mac::Position{});
 
   // Trust bootstrap: every node of the deployment derives the same anchor
   // directory from the shared seed (see core/key_directory.h).
   for (int i = 0; i < config_.total_nodes; ++i) {
-    const auto id = static_cast<mac::NodeId>(i);
-    directory_.register_node(
-        id, crypto::ChainParams{crypto::derive_seed(config_.seed, id),
-                                config_.sstsp.chain_length});
+    directory_.register_node(static_cast<mac::NodeId>(i));
   }
 
   core::Sstsp::Options options;

@@ -128,7 +128,9 @@ class WireMedium final : public mac::Medium {
   WireMedium(sim::Simulator& sim, const mac::PhyParams& phy, mac::NodeId id,
              std::function<void(const mac::Frame&)> to_wire);
 
-  std::size_t add_station(mac::Position, RxHandler) override { return 0; }
+  std::size_t add_station(mac::Position, mac::Receiver&) override {
+    return 0;
+  }
   void set_listening(std::size_t, bool) override {}
   std::uint64_t transmit(std::size_t idx, mac::Frame frame,
                          sim::SimTime duration) override;

@@ -48,6 +48,8 @@ void RentelKunz::on_beacon(const mac::Frame& frame, const mac::RxInfo& rx) {
   const double c = s * hw + timer_.b();
   timer_.set_params(s, timer_.b() + params_.alpha * (ts_est - c));
   ++stats_.adjustments;
+  station_.trace_event(trace::EventKind::kAdjustment, frame.sender,
+                       (s - 1.0) * 1e6, frame.trace_id);
   schedule_next_tbtt();  // the controlled clock moved; re-derive the TBTT
 }
 

@@ -11,10 +11,7 @@ Station::Station(sim::Simulator& sim, mac::Medium& channel, mac::NodeId id,
       id_(id),
       hw_(hw),
       rng_(sim.substream("station", id)) {
-  channel_index_ = channel_.add_station(
-      pos, [this](const mac::Frame& frame, const mac::RxInfo& rx) {
-        if (awake_ && proto_) proto_->on_receive(frame, rx);
-      });
+  channel_index_ = channel_.add_station(pos, *this);
   channel_.set_listening(channel_index_, false);
 }
 

@@ -15,7 +15,7 @@
 
 namespace sstsp::proto {
 
-class Station {
+class Station final : private mac::Receiver {
  public:
   /// `channel` may be the run-wide mac::Channel or one shard of the
   /// parallel kernel — the station only uses the mac::Medium surface.
@@ -98,15 +98,20 @@ class Station {
   }
 
  private:
+  /// The channel's delivery: an awake station hands it to its protocol.
+  void receive(const mac::Frame& frame, const mac::RxInfo& rx) override {
+    if (awake_ && proto_) proto_->on_receive(frame, rx);
+  }
+
   sim::Simulator& sim_;
   mac::Medium& channel_;
   mac::NodeId id_;
+  bool awake_{false};
   clk::HardwareClock hw_;
   sim::Rng rng_;
   std::size_t channel_index_;
   std::unique_ptr<SyncProtocol> proto_;
   const obs::Observers* observers_{nullptr};
-  bool awake_{false};
 };
 
 }  // namespace sstsp::proto

@@ -51,6 +51,7 @@ attack::AdversaryBuild configure_attack(const Scenario& scenario) {
 Deployment::Deployment(const Scenario& scenario, sim::Simulator& timeline,
                        const obs::Observers& observers)
     : scenario_(scenario),
+      sstsp_(std::make_shared<const core::SstspConfig>(scenario.sstsp)),
       timeline_(timeline),
       observers_(observers),
       attacker_index_(static_cast<std::size_t>(scenario.num_nodes)) {}
@@ -146,11 +147,6 @@ std::vector<Deployment::NodeDraw> Deployment::draw_nodes() const {
   return draws;
 }
 
-crypto::ChainParams Deployment::chain_params(mac::NodeId id) const {
-  return crypto::ChainParams{crypto::derive_seed(scenario_.seed, id),
-                             scenario_.sstsp.chain_length};
-}
-
 std::unique_ptr<proto::SyncProtocol> Deployment::make_protocol(
     std::size_t i, core::KeyDirectory& directory) {
   proto::Station& st = *stations_[i];
@@ -186,13 +182,13 @@ std::unique_ptr<proto::SyncProtocol> Deployment::make_protocol(
         scenario_.preestablished_reference &&
         cluster::member_index(spec, cid) ==
             (copts.cluster == 0 ? 0 : spec.gateways);
-    return std::make_unique<cluster::ClusterSstsp>(st, scenario_.sstsp,
-                                                   directory, copts);
+    return std::make_unique<cluster::ClusterSstsp>(st, sstsp_, directory,
+                                                   copts);
   }
   core::Sstsp::Options opts;
   opts.calibrated_boot = true;
   opts.start_as_reference = scenario_.preestablished_reference && i == 0;
-  return std::make_unique<core::Sstsp>(st, scenario_.sstsp, directory, opts);
+  return std::make_unique<core::Sstsp>(st, sstsp_, directory, opts);
 }
 
 void Deployment::arm() {

@@ -22,7 +22,6 @@
 
 #include "clock/drift_model.h"
 #include "core/key_directory.h"
-#include "crypto/hash_chain.h"
 #include "metrics/series.h"
 #include "obs/observers.h"
 #include "protocols/station.h"
@@ -61,10 +60,6 @@ class Deployment {
   /// nodes, then the attacker): disc or cluster placement, then drift and
   /// initial offset, then the adversary's tuned drift factor.
   [[nodiscard]] std::vector<NodeDraw> draw_nodes() const;
-
-  /// Node `id`'s published hash chain (SSTSP runs register one per node,
-  /// the internal attacker included; see core/key_directory.h).
-  [[nodiscard]] crypto::ChainParams chain_params(mac::NodeId id) const;
 
   /// Appends the next station in global-id order: one built in place and
   /// owned here (the kernels), or one its host owns and keeps alive for as
@@ -135,6 +130,8 @@ class Deployment {
                       double sum);
 
   Scenario scenario_;
+  /// scenario_.sstsp, shared by every SSTSP instance of the run.
+  std::shared_ptr<const core::SstspConfig> sstsp_;
   sim::Simulator& timeline_;
   const obs::Observers& observers_;  // the timeline bundle
   std::vector<proto::Station*> stations_;  // global id order

@@ -19,6 +19,7 @@ Network::Network(const Scenario& scenario)
     : sim_(scenario.seed),
       observers_(make_observers(scenario, sim_)),
       channel_(sim_, scenario.phy),
+      directory_(scenario.seed, scenario.sstsp.chain_length),
       deployment_(scenario, sim_, *observers_) {
   observers_->attach(sim_, channel_);
   channel_.set_fault_injector(observers_->injector());
@@ -29,13 +30,15 @@ void Network::build_stations() {
   const auto draws = deployment_.draw_nodes();
   const bool is_sstsp =
       deployment_.scenario().protocol == ProtocolKind::kSstsp;
+  channel_.reserve_stations(draws.size());
+  if (is_sstsp) directory_.reserve(draws.size());
   for (std::size_t i = 0; i < draws.size(); ++i) {
     const auto id = static_cast<mac::NodeId>(i);
     const Deployment::NodeDraw& d = draws[i];
     deployment_.emplace_station(sim_, channel_, id,
                                 clk::HardwareClock(d.drift, d.offset_us),
                                 d.pos);
-    if (is_sstsp) directory_.register_node(id, deployment_.chain_params(id));
+    if (is_sstsp) directory_.register_node(id);
   }
   for (std::size_t i = 0; i < draws.size(); ++i) {
     deployment_.install_protocol(i, directory_);

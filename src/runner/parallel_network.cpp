@@ -93,20 +93,29 @@ void ParallelNetwork::build_stations() {
 
   directories_.clear();
   for (int s = 0; s < shards; ++s) {
-    directories_.push_back(std::make_unique<core::KeyDirectory>());
+    directories_.push_back(std::make_unique<core::KeyDirectory>(
+        scenario().seed, scenario().sstsp.chain_length));
   }
   if (scenario().protocol == ProtocolKind::kSstsp) {
     // A shard verifies only frames its stations can hear, so each node's
     // chain goes into exactly the directories of its announce fan-out set
     // (all shards in the single-hop configuration) — memory stays linear
-    // in the shard's audible population, not the whole deployment.
+    // in the shard's audible population, not the whole deployment.  The
+    // first pass sizes each directory, the second fills it.
     std::vector<int> audible;
+    std::vector<std::size_t> counts(static_cast<std::size_t>(shards));
+    for (const mac::Position& p : positions) {
+      world_->announce_targets(p.x_m, audible);
+      for (const int s : audible) ++counts[static_cast<std::size_t>(s)];
+    }
+    for (std::size_t s = 0; s < counts.size(); ++s) {
+      directories_[s]->reserve(counts[s]);
+    }
     for (std::size_t i = 0; i < draws.size(); ++i) {
-      const auto id = static_cast<mac::NodeId>(i);
-      const crypto::ChainParams params = deployment_.chain_params(id);
       world_->announce_targets(positions[i].x_m, audible);
       for (const int s : audible) {
-        directories_[static_cast<std::size_t>(s)]->register_node(id, params);
+        directories_[static_cast<std::size_t>(s)]->register_node(
+            static_cast<mac::NodeId>(i));
       }
     }
   }

@@ -56,6 +56,12 @@ class ParallelNetwork {
   [[nodiscard]] proto::ProtocolStats honest_stats() const {
     return deployment_.honest_stats();
   }
+  [[nodiscard]] std::size_t station_count() const {
+    return deployment_.station_count();
+  }
+  [[nodiscard]] proto::Station& station(std::size_t i) {
+    return deployment_.station(i);
+  }
 
   [[nodiscard]] mac::ChannelStats channel_stats() const {
     return world_->stats();

@@ -101,7 +101,7 @@ TEST(SstspAttack, InternalReferenceDragsTheVirtualClock) {
 // Hand-wired fixture: a small SSTSP network plus one custom attacker
 // station (the scenario runner only wires the two §5 attackers).
 struct ManualSstspNet : rig::HandNet {
-  ManualSstspNet() : HandNet(77) { cfg.chain_length = 1200; }
+  ManualSstspNet() : HandNet(77, rig::lossless_phy(), 1200) {}
 
   proto::ProtocolStats honest_totals() const {
     proto::ProtocolStats agg;

@@ -25,13 +25,13 @@ constexpr double kStale = 8.0 * kBp;
 /// defers authentication, so the (local, tau) sample for interval j only
 /// materializes when interval j+1's announcement discloses K_j.
 struct BridgeRig {
-  core::KeyDirectory directory;
+  core::KeyDirectory directory{9, 64};
   crypto::MuTeslaSchedule schedule{0.0, kBp, 64};
   crypto::ChainParams chain{crypto::derive_seed(9, kGw), 64};
   core::BeaconSigner signer{chain, schedule};
   TauTracker tracker{directory, schedule, kSlack, kStale};
 
-  BridgeRig() { directory.register_node(kGw, chain); }
+  BridgeRig() { directory.register_node(kGw); }
 
   TauIngest feed(std::int64_t j, double local_us, double tau_us) {
     const double ts_est = local_us + tau_us;

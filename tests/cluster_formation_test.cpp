@@ -111,11 +111,11 @@ struct ClusterDuelNet : rig::HandNet {
   ClusterSpec spec;
   std::vector<ClusterSstsp*> protos;
 
-  ClusterDuelNet() : HandNet(97, duel_phy()) {
+  ClusterDuelNet() : HandNet(97, duel_phy(), 400) {
     spec.clusters = 2;
     spec.nodes_per_cluster = 4;
-    cfg.chain_length = 400;
     sim::Rng rng(97);
+    const auto shared_cfg = std::make_shared<const core::SstspConfig>(cfg);
     for (int i = 0; i < spec.total_nodes(); ++i) {
       const auto id = static_cast<mac::NodeId>(i);
       auto& st = add_station(clk::HardwareClock(clk::DriftModel::uniform(rng),
@@ -128,7 +128,8 @@ struct ClusterDuelNet : rig::HandNet {
       opts.gateway = is_gateway(spec, id);
       // The duel: both 5 and 6 claim cluster 1's reference role at boot.
       opts.start_as_reference = (i == 0 || i == 5 || i == 6);
-      auto proto = std::make_unique<ClusterSstsp>(st, cfg, directory, opts);
+      auto proto =
+          std::make_unique<ClusterSstsp>(st, shared_cfg, directory, opts);
       protos.push_back(proto.get());
       st.set_protocol(std::move(proto));
     }

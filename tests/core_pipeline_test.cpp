@@ -64,14 +64,15 @@ struct Fixture {
   crypto::ChainParams chain{crypto::derive_seed(1, kSender), 64};
   crypto::MuTeslaSchedule schedule{0.0, kBpUs, 64};
   BeaconSigner signer{chain, schedule};
-  SenderPipeline pipeline{chain.anchor(), schedule};
+  SenderPipeline pipeline{chain.anchor()};
 
   mac::SstspBeaconBody beacon(std::int64_t j) {
     return signer.sign(j, static_cast<std::int64_t>(j * kBpUs), kSender);
   }
 
   PipelineResult feed(const mac::SstspBeaconBody& b) {
-    return pipeline.ingest(b, kSender, static_cast<double>(b.interval) * kBpUs,
+    return pipeline.ingest({schedule}, b, kSender,
+                           static_cast<double>(b.interval) * kBpUs,
                            static_cast<double>(b.timestamp_us) + 40.0);
   }
 };
@@ -165,7 +166,7 @@ TEST(SenderPipeline, WrongSenderIdentityFailsMac) {
   // Verify against a different claimed sender: the MAC covers the sender id
   // through the serialized body.
   auto b2 = fx.beacon(2);
-  const auto r = fx.pipeline.ingest(b2, /*sender=*/kSender + 1,
+  const auto r = fx.pipeline.ingest({fx.schedule}, b2, /*sender=*/kSender + 1,
                                     2 * kBpUs, 2 * kBpUs + 40.0);
   // Key still chains to the anchor (same chain), but beacon 1's MAC check
   // re-serializes with the wrong sender and fails.
@@ -241,7 +242,7 @@ bool same_result(const PipelineResult& a, const PipelineResult& b) {
 class DequePipeline {
  public:
   DequePipeline(crypto::Digest anchor, crypto::MuTeslaSchedule schedule)
-      : verifier_(anchor, schedule) {}
+      : verifier_(anchor), schedule_(schedule) {}
 
   PipelineResult ingest(const mac::SstspBeaconBody& body, mac::NodeId sender,
                         double arrival_hw_us, double ts_est_us,
@@ -252,7 +253,8 @@ class DequePipeline {
     if (j == 1) {
       result.key_valid = true;
     } else {
-      result.key_valid = verifier_.verify_key(j - 1, body.disclosed_key);
+      result.key_valid =
+          verifier_.verify_key({schedule_}, j - 1, body.disclosed_key);
       if (!result.key_valid) return result;
 
       constexpr std::int64_t kMaxAuthWalk = 2;
@@ -270,8 +272,8 @@ class DequePipeline {
                           : crypto::hash_times(body.disclosed_key, distance);
         const auto bytes = mac::serialize_unsecured_beacon(
             stored.timestamp_us, sender, stored.level);
-        if (verifier_.check_mac(
-                key, stored.interval,
+        if (crypto::MuTeslaVerifier::check_mac(
+                nullptr, key, stored.interval,
                 std::span<const std::uint8_t>(bytes.data(), bytes.size()),
                 stored.mac)) {
           result.authenticated = PipelineResult::Authenticated{
@@ -303,6 +305,7 @@ class DequePipeline {
   };
 
   crypto::MuTeslaVerifier verifier_;
+  crypto::MuTeslaSchedule schedule_;
   std::deque<StoredBeacon> buffer_;
 };
 
@@ -324,7 +327,7 @@ TEST(SenderPipeline, MatchesTheDequeOracleOnRandomBeaconSequences) {
   sim::Rng rng(20261018);
   std::uint64_t steps = 0, auths = 0, mac_failures = 0, key_rejects = 0;
   for (int seq = 0; seq < 10000; ++seq) {
-    SenderPipeline lean(anchor, schedule);
+    SenderPipeline lean(anchor);
     DequePipeline oracle(anchor, schedule);
     std::vector<mac::SstspBeaconBody> sent;
     auto j = static_cast<std::int64_t>(rng.uniform_int(1, 8));
@@ -365,7 +368,7 @@ TEST(SenderPipeline, MatchesTheDequeOracleOnRandomBeaconSequences) {
       const double ts_est = rng.uniform(0.0, 1e7);
       const std::uint64_t trace_id = rng();
       const PipelineResult got =
-          lean.ingest(body, sender, arrival, ts_est, trace_id);
+          lean.ingest({schedule}, body, sender, arrival, ts_est, trace_id);
       const PipelineResult want =
           oracle.ingest(body, sender, arrival, ts_est, trace_id);
       ASSERT_TRUE(same_result(got, want))
@@ -407,7 +410,7 @@ TEST(SenderPipeline, SteadyStateIngestAndSampleAllocateNothing) {
     SstspConfig cfg;
     cfg.discipline.name = name;
     const auto disc = make_discipline(cfg);
-    SenderPipeline pipeline(chain.anchor(), schedule);
+    SenderPipeline pipeline(chain.anchor());
     std::size_t j = 1;
     std::uint64_t samples = 0;
     // One beacon drought every 1 000 intervals, longer than any window's
@@ -417,7 +420,7 @@ TEST(SenderPipeline, SteadyStateIngestAndSampleAllocateNothing) {
       const auto& body = bodies[j];
       const double arrival = static_cast<double>(j) * kBpUs * (1.0 + 2e-5);
       const PipelineResult res = pipeline.ingest(
-          body, kSender, arrival, static_cast<double>(body.timestamp_us), j);
+          {schedule}, body, kSender, arrival, static_cast<double>(body.timestamp_us), j);
       if (res.authenticated) {
         (void)disc->add_sample(RefSample{res.authenticated->arrival_hw_us,
                                          res.authenticated->ts_est_us},
@@ -455,14 +458,13 @@ struct RotationCell : rig::HandNet {
     return config;
   }
 
-  RotationCell() : HandNet(21, mac::PhyParams{}) {
-    cfg.chain_length = kChain;
+  RotationCell() : HandNet(21, mac::PhyParams{}, kChain) {
     schedule = {cfg.t0_us, phy.beacon_period.to_us(), kChain};
     register_chain(0);
     signers.reserve(kSenders);
     for (mac::NodeId s = 1; s <= kSenders; ++s) {
       const crypto::ChainParams chain{crypto::derive_seed(21, s), kChain};
-      directory.register_node(s, chain);
+      directory.register_node(s);
       signers.emplace_back(chain, schedule);
     }
     receiver.set_observers(observers.for_stations());

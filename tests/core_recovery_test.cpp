@@ -33,8 +33,7 @@ struct ReplayedCell : rig::HandNet {
   trace::EventTrace& trace = *observers.trace();
 
   explicit ReplayedCell(int blacklist_threshold, double penalty_s = 30.0)
-      : HandNet(55) {
-    cfg.chain_length = 1200;
+      : HandNet(55, rig::lossless_phy(), 1200) {
     cfg.blacklist_threshold = blacklist_threshold;
     cfg.blacklist_penalty_s = penalty_s;
     spacing_m = 2.0;
@@ -124,8 +123,7 @@ struct ForgedCell : rig::HandNet {
   trace::EventTrace& trace = *observers.trace();
 
   explicit ForgedCell(int blacklist_threshold, double penalty_s = 30.0)
-      : HandNet(56) {
-    cfg.chain_length = 1200;
+      : HandNet(56, rig::lossless_phy(), 1200) {
     cfg.blacklist_threshold = blacklist_threshold;
     cfg.blacklist_penalty_s = penalty_s;
     spacing_m = 2.0;

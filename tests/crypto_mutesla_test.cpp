@@ -89,23 +89,23 @@ TEST(MuTesla, VerifierAcceptsSequentialDisclosures) {
   const std::size_t n = 40;
   const ChainParams c = chain(n);
   MuTeslaSigner signer(c, sched(n));
-  MuTeslaVerifier verifier(signer.anchor(), sched(n));
+  MuTeslaVerifier verifier(signer.anchor());
   // Beacon of interval j disclosed K_{j-1}; feed them in order.
   for (std::int64_t j = 2; j <= static_cast<std::int64_t>(n); ++j) {
-    EXPECT_TRUE(verifier.verify_key(j - 1, signer.disclosed_key(j)))
+    EXPECT_TRUE(verifier.verify_key({sched(n)}, j - 1, signer.disclosed_key(j)))
         << "j=" << j;
   }
-  EXPECT_EQ(verifier.verified_position(), 1u);
+  EXPECT_EQ(verifier.verified_interval(), static_cast<std::int64_t>(n) - 1);
 }
 
 TEST(MuTesla, SteadyStateVerificationIsOneHash) {
   const std::size_t n = 40;
   const ChainParams c = chain(n);
   MuTeslaSigner signer(c, sched(n));
-  MuTeslaVerifier verifier(signer.anchor(), sched(n));
-  ASSERT_TRUE(verifier.verify_key(1, signer.key_for_interval(1)));
+  MuTeslaVerifier verifier(signer.anchor());
+  ASSERT_TRUE(verifier.verify_key({sched(n)}, 1, signer.key_for_interval(1)));
   const std::uint64_t before = verifier.hash_ops();
-  ASSERT_TRUE(verifier.verify_key(2, signer.key_for_interval(2)));
+  ASSERT_TRUE(verifier.verify_key({sched(n)}, 2, signer.key_for_interval(2)));
   EXPECT_EQ(verifier.hash_ops() - before, 1u);
 }
 
@@ -113,8 +113,8 @@ TEST(MuTesla, FirstContactCostsJHashes) {
   const std::size_t n = 100;
   const ChainParams c = chain(n);
   MuTeslaSigner signer(c, sched(n));
-  MuTeslaVerifier verifier(signer.anchor(), sched(n));
-  ASSERT_TRUE(verifier.verify_key(30, signer.key_for_interval(30)));
+  MuTeslaVerifier verifier(signer.anchor());
+  ASSERT_TRUE(verifier.verify_key({sched(n)}, 30, signer.key_for_interval(30)));
   EXPECT_EQ(verifier.hash_ops(), 30u);
 }
 
@@ -122,45 +122,45 @@ TEST(MuTesla, GapsInDisclosureAreHandled) {
   const std::size_t n = 40;
   const ChainParams c = chain(n);
   MuTeslaSigner signer(c, sched(n));
-  MuTeslaVerifier verifier(signer.anchor(), sched(n));
-  ASSERT_TRUE(verifier.verify_key(3, signer.key_for_interval(3)));
+  MuTeslaVerifier verifier(signer.anchor());
+  ASSERT_TRUE(verifier.verify_key({sched(n)}, 3, signer.key_for_interval(3)));
   // Intervals 4-6 lost; key 7 still verifies (walks 4 hashes).
-  EXPECT_TRUE(verifier.verify_key(7, signer.key_for_interval(7)));
+  EXPECT_TRUE(verifier.verify_key({sched(n)}, 7, signer.key_for_interval(7)));
 }
 
 TEST(MuTesla, StaleKeysRejected) {
   const std::size_t n = 40;
   const ChainParams c = chain(n);
   MuTeslaSigner signer(c, sched(n));
-  MuTeslaVerifier verifier(signer.anchor(), sched(n));
-  ASSERT_TRUE(verifier.verify_key(10, signer.key_for_interval(10)));
+  MuTeslaVerifier verifier(signer.anchor());
+  ASSERT_TRUE(verifier.verify_key({sched(n)}, 10, signer.key_for_interval(10)));
   // Replaying an older interval's key is rejected...
-  EXPECT_FALSE(verifier.verify_key(5, signer.key_for_interval(5)));
+  EXPECT_FALSE(verifier.verify_key({sched(n)}, 5, signer.key_for_interval(5)));
   // ...but re-presenting the exact same current key is idempotent.
-  EXPECT_TRUE(verifier.verify_key(10, signer.key_for_interval(10)));
+  EXPECT_TRUE(verifier.verify_key({sched(n)}, 10, signer.key_for_interval(10)));
   // Same interval with a *wrong* key is rejected.
-  EXPECT_FALSE(verifier.verify_key(10, signer.key_for_interval(9)));
+  EXPECT_FALSE(verifier.verify_key({sched(n)}, 10, signer.key_for_interval(9)));
 }
 
 TEST(MuTesla, WrongKeyRejected) {
   const std::size_t n = 40;
   MuTeslaSigner signer(chain(n), sched(n));
-  MuTeslaVerifier verifier(signer.anchor(), sched(n));
+  MuTeslaVerifier verifier(signer.anchor());
   Digest bogus = signer.key_for_interval(4);
   bogus[0] ^= 0x80;
-  EXPECT_FALSE(verifier.verify_key(4, bogus));
+  EXPECT_FALSE(verifier.verify_key({sched(n)}, 4, bogus));
   // A key from a different node's chain is also rejected.
   MuTeslaSigner other(ChainParams{derive_seed(3, 6), n}, sched(n));
-  EXPECT_FALSE(verifier.verify_key(4, other.key_for_interval(4)));
+  EXPECT_FALSE(verifier.verify_key({sched(n)}, 4, other.key_for_interval(4)));
 }
 
 TEST(MuTesla, OutOfRangeIntervals) {
   const std::size_t n = 8;
   MuTeslaSigner signer(chain(n), sched(n));
-  MuTeslaVerifier verifier(signer.anchor(), sched(n));
-  EXPECT_FALSE(verifier.verify_key(0, signer.anchor()));
-  EXPECT_FALSE(verifier.verify_key(-1, signer.anchor()));
-  EXPECT_FALSE(verifier.verify_key(9, signer.key_for_interval(8)));
+  MuTeslaVerifier verifier(signer.anchor());
+  EXPECT_FALSE(verifier.verify_key({sched(n)}, 0, signer.anchor()));
+  EXPECT_FALSE(verifier.verify_key({sched(n)}, -1, signer.anchor()));
+  EXPECT_FALSE(verifier.verify_key({sched(n)}, 9, signer.key_for_interval(8)));
 }
 
 TEST(MuTesla, MacRoundTrip) {

@@ -16,17 +16,23 @@ namespace {
 using sim::SimTime;
 using namespace sstsp::sim::literals;
 
-struct Receiver {
+struct Recorder final : Receiver {
   std::vector<Frame> frames;
   std::vector<RxInfo> infos;
 
-  Channel::RxHandler handler() {
-    return [this](const Frame& f, const RxInfo& i) {
-      frames.push_back(f);
-      infos.push_back(i);
-    };
+  void receive(const Frame& f, const RxInfo& i) override {
+    frames.push_back(f);
+    infos.push_back(i);
   }
 };
+
+/// A station whose receptions the test does not look at.
+Receiver& ignored() {
+  static struct final : Receiver {
+    void receive(const Frame&, const RxInfo&) override {}
+  } none;
+  return none;
+}
 
 Frame tsf_frame(NodeId sender, std::int64_t ts) {
   Frame f;
@@ -45,12 +51,12 @@ PhyParams no_loss_phy() {
 TEST(Channel, DeliversToAllListenersExceptSender) {
   sim::Simulator sim(1);
   Channel ch(sim, no_loss_phy());
-  Receiver r0;
-  Receiver r1;
-  Receiver r2;
-  const auto s0 = ch.add_station({0, 0}, r0.handler());
-  ch.add_station({10, 0}, r1.handler());
-  ch.add_station({0, 20}, r2.handler());
+  Recorder r0;
+  Recorder r1;
+  Recorder r2;
+  const auto s0 = ch.add_station({0, 0}, r0);
+  ch.add_station({10, 0}, r1);
+  ch.add_station({0, 20}, r2);
 
   sim.at(1_ms, [&] { ch.transmit(s0, tsf_frame(0, 42), 36_us); });
   sim.run_until(1_sec);
@@ -66,9 +72,9 @@ TEST(Channel, DeliveryTimingWindow) {
   sim::Simulator sim(2);
   PhyParams phy = no_loss_phy();
   Channel ch(sim, phy);
-  Receiver rx;
-  const auto s0 = ch.add_station({0, 0}, Channel::RxHandler([](auto&&...) {}));
-  ch.add_station({30, 0}, rx.handler());
+  Recorder rx;
+  const auto s0 = ch.add_station({0, 0}, ignored());
+  ch.add_station({30, 0}, rx);
 
   const SimTime start = 1_ms;
   sim.at(start, [&] { ch.transmit(s0, tsf_frame(0, 1), 36_us); });
@@ -88,9 +94,9 @@ TEST(Channel, NominalDelayCompensatesWithinEpsilon) {
   sim::Simulator sim(3);
   PhyParams phy = no_loss_phy();
   Channel ch(sim, phy);
-  Receiver rx;
-  const auto s0 = ch.add_station({0, 0}, Channel::RxHandler([](auto&&...) {}));
-  ch.add_station({40, 0}, rx.handler());
+  Recorder rx;
+  const auto s0 = ch.add_station({0, 0}, ignored());
+  ch.add_station({40, 0}, rx);
 
   for (int i = 0; i < 200; ++i) {
     sim.at(SimTime::from_ms(i + 1), [&, i] {
@@ -109,10 +115,10 @@ TEST(Channel, NominalDelayCompensatesWithinEpsilon) {
 TEST(Channel, OverlappingTransmissionsCollide) {
   sim::Simulator sim(4);
   Channel ch(sim, no_loss_phy());
-  Receiver rx;
-  const auto s0 = ch.add_station({0, 0}, Channel::RxHandler([](auto&&...) {}));
-  const auto s1 = ch.add_station({5, 0}, Channel::RxHandler([](auto&&...) {}));
-  ch.add_station({10, 0}, rx.handler());
+  Recorder rx;
+  const auto s0 = ch.add_station({0, 0}, ignored());
+  const auto s1 = ch.add_station({5, 0}, ignored());
+  ch.add_station({10, 0}, rx);
 
   sim.at(1_ms, [&] { ch.transmit(s0, tsf_frame(0, 1), 36_us); });
   sim.at(1_ms + 10_us, [&] { ch.transmit(s1, tsf_frame(1, 2), 36_us); });
@@ -125,10 +131,10 @@ TEST(Channel, OverlappingTransmissionsCollide) {
 TEST(Channel, BackToBackTransmissionsDoNotCollide) {
   sim::Simulator sim(5);
   Channel ch(sim, no_loss_phy());
-  Receiver rx;
-  const auto s0 = ch.add_station({0, 0}, Channel::RxHandler([](auto&&...) {}));
-  const auto s1 = ch.add_station({5, 0}, Channel::RxHandler([](auto&&...) {}));
-  ch.add_station({10, 0}, rx.handler());
+  Recorder rx;
+  const auto s0 = ch.add_station({0, 0}, ignored());
+  const auto s1 = ch.add_station({5, 0}, ignored());
+  ch.add_station({10, 0}, rx);
 
   sim.at(1_ms, [&] { ch.transmit(s0, tsf_frame(0, 1), 36_us); });
   sim.at(1_ms + 40_us, [&] { ch.transmit(s1, tsf_frame(1, 2), 36_us); });
@@ -144,10 +150,10 @@ TEST(Channel, OnlyOverlappingTransmissionsCollide) {
   std::vector<std::size_t> ids;
   for (int i = 0; i < 3; ++i) {
     ids.push_back(ch.add_station({static_cast<double>(i), 0},
-                                 Channel::RxHandler([](auto&&...) {})));
+                                 ignored()));
   }
-  Receiver rx;
-  ch.add_station({20, 0}, rx.handler());
+  Recorder rx;
+  ch.add_station({20, 0}, rx);
   sim.at(1_ms, [&] { ch.transmit(ids[0], tsf_frame(0, 1), 36_us); });
   sim.at(1_ms + 5_us, [&] { ch.transmit(ids[1], tsf_frame(1, 2), 36_us); });
   sim.at(1_ms + 50_us, [&] { ch.transmit(ids[2], tsf_frame(2, 3), 36_us); });
@@ -164,9 +170,9 @@ TEST(Channel, PacketErrorRateDropsIndependently) {
   PhyParams phy = no_loss_phy();
   phy.packet_error_rate = 0.3;
   Channel ch(sim, phy);
-  Receiver rx;
-  const auto s0 = ch.add_station({0, 0}, Channel::RxHandler([](auto&&...) {}));
-  ch.add_station({10, 0}, rx.handler());
+  Recorder rx;
+  const auto s0 = ch.add_station({0, 0}, ignored());
+  ch.add_station({10, 0}, rx);
   constexpr int kSends = 2000;
   for (int i = 0; i < kSends; ++i) {
     sim.at(SimTime::from_ms(1 + i), [&] {
@@ -182,9 +188,9 @@ TEST(Channel, PacketErrorRateDropsIndependently) {
 TEST(Channel, NotListeningReceivesNothingAndResumes) {
   sim::Simulator sim(8);
   Channel ch(sim, no_loss_phy());
-  Receiver rx;
-  const auto s0 = ch.add_station({0, 0}, Channel::RxHandler([](auto&&...) {}));
-  const auto s1 = ch.add_station({10, 0}, rx.handler());
+  Recorder rx;
+  const auto s0 = ch.add_station({0, 0}, ignored());
+  const auto s1 = ch.add_station({10, 0}, rx);
   ch.set_listening(s1, false);
   sim.at(1_ms, [&] { ch.transmit(s0, tsf_frame(0, 1), 36_us); });
   sim.at(10_ms, [&] { ch.set_listening(s1, true); });
@@ -197,10 +203,10 @@ TEST(Channel, NotListeningReceivesNothingAndResumes) {
 TEST(Channel, HalfDuplexSuppression) {
   sim::Simulator sim(9);
   Channel ch(sim, no_loss_phy());
-  Receiver r0;
-  Receiver r1;
-  const auto s0 = ch.add_station({0, 0}, r0.handler());
-  const auto s1 = ch.add_station({5, 0}, r1.handler());
+  Recorder r0;
+  Recorder r1;
+  const auto s0 = ch.add_station({0, 0}, r0);
+  const auto s1 = ch.add_station({5, 0}, r1);
   // Overlapping: both collide, and even aside from corruption neither may
   // hear the other while transmitting.
   sim.at(1_ms, [&] { ch.transmit(s0, tsf_frame(0, 1), 36_us); });
@@ -214,8 +220,8 @@ TEST(Channel, CarrierSenseDetectionWindow) {
   sim::Simulator sim(10);
   PhyParams phy = no_loss_phy();
   Channel ch(sim, phy);
-  const auto s0 = ch.add_station({0, 0}, Channel::RxHandler([](auto&&...) {}));
-  const auto s1 = ch.add_station({3, 0}, Channel::RxHandler([](auto&&...) {}));
+  const auto s0 = ch.add_station({0, 0}, ignored());
+  const auto s1 = ch.add_station({3, 0}, ignored());
 
   const SimTime start = 1_ms;
   sim.at(start, [&] { ch.transmit(s0, tsf_frame(0, 1), 36_us); });
@@ -238,8 +244,8 @@ TEST(Channel, CarrierSenseDetectionWindow) {
 TEST(Channel, BytesOnAirAccounting) {
   sim::Simulator sim(11);
   Channel ch(sim, no_loss_phy());
-  const auto s0 = ch.add_station({0, 0}, Channel::RxHandler([](auto&&...) {}));
-  ch.add_station({1, 0}, Channel::RxHandler([](auto&&...) {}));
+  const auto s0 = ch.add_station({0, 0}, ignored());
+  ch.add_station({1, 0}, ignored());
   sim.at(1_ms, [&] { ch.transmit(s0, tsf_frame(0, 1), 36_us); });
   sim.run_until(1_sec);
   EXPECT_EQ(ch.stats().bytes_on_air, 56u);
@@ -259,7 +265,7 @@ TEST(Channel, GridMatchesBruteForceAtRandomPlacements) {
 
     std::uint64_t mix = 99;
     std::vector<Position> pos;
-    std::deque<Receiver> rx;  // stable addresses for the handler captures
+    std::deque<Recorder> rx;  // stable addresses for the channel
     constexpr int kStations = 60;
     for (int i = 0; i < kStations; ++i) {
       Position p;
@@ -275,7 +281,7 @@ TEST(Channel, GridMatchesBruteForceAtRandomPlacements) {
       }
       pos.push_back(p);
       rx.emplace_back();
-      ch.add_station(p, rx.back().handler());
+      ch.add_station(p, rx.back());
     }
 
     // One transmission per station, spaced far apart so nothing collides.
@@ -314,11 +320,11 @@ TEST(Channel, FiniteRangeLimitsCarrierSense) {
   PhyParams phy = no_loss_phy();
   phy.radio_range_m = 100.0;
   Channel ch(sim, phy);
-  const auto s0 = ch.add_station({0, 0}, Channel::RxHandler([](auto&&...) {}));
+  const auto s0 = ch.add_station({0, 0}, ignored());
   const auto near = ch.add_station({50, 0},
-                                   Channel::RxHandler([](auto&&...) {}));
+                                   ignored());
   const auto far = ch.add_station({150, 0},
-                                  Channel::RxHandler([](auto&&...) {}));
+                                  ignored());
   sim.at(1_ms, [&] { ch.transmit(s0, tsf_frame(0, 1), 36_us); });
   sim.run_until(10_ms);
   EXPECT_TRUE(ch.would_detect_busy(near, 1_ms + 20_us));

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <deque>
 #include <vector>
 
 #include "mac/channel.h"
@@ -17,12 +18,18 @@ namespace {
 
 using namespace sstsp::sim::literals;
 
-struct Receiver {
+struct Recorder final : Receiver {
   std::vector<Frame> frames;
-  Channel::RxHandler handler() {
-    return [this](const Frame& f, const RxInfo&) { frames.push_back(f); };
-  }
+  void receive(const Frame& f, const RxInfo&) override { frames.push_back(f); }
 };
+
+/// A station whose receptions the test does not look at.
+Receiver& ignored() {
+  static struct final : Receiver {
+    void receive(const Frame&, const RxInfo&) override {}
+  } none;
+  return none;
+}
 
 Frame beacon(NodeId sender, std::int64_t ts) {
   Frame f;
@@ -42,11 +49,11 @@ PhyParams ranged_phy(double range_m) {
 TEST(RangedChannel, OutOfRangeStationsHearNothing) {
   sim::Simulator sim(1);
   Channel ch(sim, ranged_phy(50.0));
-  Receiver near;
-  Receiver far;
-  const auto tx = ch.add_station({0, 0}, Channel::RxHandler([](auto&&...) {}));
-  ch.add_station({40, 0}, near.handler());
-  ch.add_station({80, 0}, far.handler());
+  Recorder near;
+  Recorder far;
+  const auto tx = ch.add_station({0, 0}, ignored());
+  ch.add_station({40, 0}, near);
+  ch.add_station({80, 0}, far);
   sim.at(1_ms, [&] { ch.transmit(tx, beacon(0, 1), 36_us); });
   sim.run_until(1_sec);
   EXPECT_EQ(near.frames.size(), 1u);
@@ -59,14 +66,14 @@ TEST(RangedChannel, HiddenTerminalCollidesOnlyInTheMiddle) {
   // at M but received intact by A's and B's *own* neighbours.
   sim::Simulator sim(2);
   Channel ch(sim, ranged_phy(50.0));
-  Receiver at_m;
-  Receiver near_a;
-  Receiver near_b;
-  const auto a = ch.add_station({0, 0}, Channel::RxHandler([](auto&&...) {}));
-  const auto b = ch.add_station({80, 0}, Channel::RxHandler([](auto&&...) {}));
-  ch.add_station({40, 0}, at_m.handler());    // hears both A and B
-  ch.add_station({-30, 0}, near_a.handler());  // hears only A
-  ch.add_station({110, 0}, near_b.handler());  // hears only B
+  Recorder at_m;
+  Recorder near_a;
+  Recorder near_b;
+  const auto a = ch.add_station({0, 0}, ignored());
+  const auto b = ch.add_station({80, 0}, ignored());
+  ch.add_station({40, 0}, at_m);    // hears both A and B
+  ch.add_station({-30, 0}, near_a);  // hears only A
+  ch.add_station({110, 0}, near_b);  // hears only B
 
   sim.at(1_ms, [&] { ch.transmit(a, beacon(0, 1), 36_us); });
   sim.at(1_ms + 5_us, [&] { ch.transmit(b, beacon(1, 2), 36_us); });
@@ -82,9 +89,9 @@ TEST(RangedChannel, HiddenTerminalCollidesOnlyInTheMiddle) {
 TEST(RangedChannel, CarrierSenseIsRangeLimited) {
   sim::Simulator sim(3);
   Channel ch(sim, ranged_phy(50.0));
-  const auto tx = ch.add_station({0, 0}, Channel::RxHandler([](auto&&...) {}));
-  const auto near = ch.add_station({30, 0}, Channel::RxHandler([](auto&&...) {}));
-  const auto far = ch.add_station({90, 0}, Channel::RxHandler([](auto&&...) {}));
+  const auto tx = ch.add_station({0, 0}, ignored());
+  const auto near = ch.add_station({30, 0}, ignored());
+  const auto far = ch.add_station({90, 0}, ignored());
   sim.at(1_ms, [&] { ch.transmit(tx, beacon(0, 1), 36_us); });
   sim.run_until(2_sec);
   const sim::SimTime mid = 1_ms + 20_us;
@@ -98,16 +105,16 @@ TEST(RangedChannel, ReceptionRangeIsInclusive) {
   sim::Simulator sim(4);
   Channel limited(sim, ranged_phy(50.0));
   Channel unlimited(sim, ranged_phy(0.0));
-  Receiver at_range;
-  Receiver past_range;
-  Receiver far;
+  Recorder at_range;
+  Recorder past_range;
+  Recorder far;
   const auto tx =
-      limited.add_station({0, 0}, Channel::RxHandler([](auto&&...) {}));
-  limited.add_station({50, 0}, at_range.handler());
-  limited.add_station({50.1, 0}, past_range.handler());
+      limited.add_station({0, 0}, ignored());
+  limited.add_station({50, 0}, at_range);
+  limited.add_station({50.1, 0}, past_range);
   const auto tx2 =
-      unlimited.add_station({0, 0}, Channel::RxHandler([](auto&&...) {}));
-  unlimited.add_station({1e6, 0}, far.handler());
+      unlimited.add_station({0, 0}, ignored());
+  unlimited.add_station({1e6, 0}, far);
   sim.at(1_ms, [&] {
     limited.transmit(tx, beacon(0, 1), 36_us);
     unlimited.transmit(tx2, beacon(0, 2), 36_us);
@@ -123,12 +130,12 @@ TEST(RangedChannel, SpatialReuseDeliversBothFrames) {
   // receives its own frame (no global collision).
   sim::Simulator sim(5);
   Channel ch(sim, ranged_phy(50.0));
-  Receiver left;
-  Receiver right;
-  const auto a = ch.add_station({0, 0}, Channel::RxHandler([](auto&&...) {}));
-  const auto b = ch.add_station({300, 0}, Channel::RxHandler([](auto&&...) {}));
-  ch.add_station({20, 0}, left.handler());
-  ch.add_station({320, 0}, right.handler());
+  Recorder left;
+  Recorder right;
+  const auto a = ch.add_station({0, 0}, ignored());
+  const auto b = ch.add_station({300, 0}, ignored());
+  ch.add_station({20, 0}, left);
+  ch.add_station({320, 0}, right);
   sim.at(1_ms, [&] { ch.transmit(a, beacon(0, 1), 36_us); });
   sim.at(1_ms, [&] { ch.transmit(b, beacon(1, 2), 36_us); });
   sim.run_until(1_sec);
@@ -158,10 +165,20 @@ struct Probe {
   sim::SimTime at;
 };
 
+/// Appends the sender of every frame a station receives to its list.
+struct SenderLog final : Receiver {
+  explicit SenderLog(std::vector<NodeId>& out) : heard(&out) {}
+  void receive(const Frame& f, const RxInfo&) override {
+    heard->push_back(f.sender);
+  }
+  std::vector<NodeId>* heard;
+};
+
 struct Outcome {
   std::vector<std::vector<NodeId>> heard;  ///< per station: senders heard
   std::uint64_t collided{0};
   std::vector<bool> busy;  ///< per probe
+  std::deque<SenderLog> logs;  ///< the stations' receivers, into `heard`
 };
 
 bool operator==(const Outcome& a, const Outcome& b) {
@@ -182,10 +199,7 @@ void arm(const Script& script, Medium& ch, sim::Simulator& sim, Outcome& out) {
   out.heard.resize(script.stations.size());
   out.busy.resize(script.probes.size());
   for (std::size_t i = 0; i < script.stations.size(); ++i) {
-    ch.add_station(script.stations[i],
-                   [&out, i](const Frame& f, const RxInfo&) {
-                     out.heard[i].push_back(f.sender);
-                   });
+    ch.add_station(script.stations[i], out.logs.emplace_back(out.heard[i]));
   }
   for (const ScriptedTx& t : script.txs) {
     sim.at(t.at, [&ch, t] {

@@ -318,8 +318,7 @@ TEST(InvariantMonitorIntegration, InternalAttackerLeavesAuditTrail) {
 struct MonitoredSstspNet : rig::HandNet {
   std::unique_ptr<Observers> observers;
 
-  MonitoredSstspNet() : HandNet(77) {
-    cfg.chain_length = 1200;
+  MonitoredSstspNet() : HandNet(77, rig::lossless_phy(), 1200) {
     ObserverConfig monitored;
     monitored.collect_metrics = false;
     monitored.monitor = true;

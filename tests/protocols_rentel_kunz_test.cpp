@@ -2,12 +2,14 @@
 // participation, and p-adaptation dynamics.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <memory>
 #include <vector>
 
 #include "obs/observers.h"
 #include "protocols/rentel_kunz.h"
 #include "runner/experiment.h"
+#include "runner/network.h"
 #include "support/hand_net.h"
 #include "trace/event_trace.h"
 
@@ -95,6 +97,32 @@ TEST(RentelKunz, BeaconsAppearInTheTrace) {
   for (const auto* p : net.protos) sent += p->stats().beacons_sent;
   EXPECT_GT(sent, 0u);
   EXPECT_EQ(observers.trace()->count(trace::EventKind::kBeaconTx), sent);
+}
+
+TEST(RentelKunz, AdjustmentsAppearInTheTrace) {
+  // Every controlled-clock update is an adjustment trace event, as for
+  // SSTSP: the sender as peer, the new rate offset in ppm, the frame's
+  // lifecycle id.  The trace counts what the protocol stats count.
+  run::Scenario s;
+  s.protocol = run::ProtocolKind::kRentelKunz;
+  s.num_nodes = 30;
+  s.duration_s = 60.0;
+  s.seed = 3;
+  s.trace_capacity = 1 << 12;
+  run::Network net(s);
+  net.run();
+  const std::uint64_t adjustments = net.honest_stats().adjustments;
+  EXPECT_GT(adjustments, 0u);
+  EXPECT_EQ(net.trace()->count(trace::EventKind::kAdjustment), adjustments);
+  const auto events = net.trace()->by_kind(trace::EventKind::kAdjustment);
+  ASSERT_FALSE(events.empty());
+  const double s_max_ppm = RentelKunzParams{}.s_max_ppm;
+  for (const trace::TraceEvent& e : events) {
+    EXPECT_NE(e.peer, e.node);
+    EXPECT_LT(e.peer, static_cast<mac::NodeId>(s.num_nodes));
+    EXPECT_LE(std::fabs(e.value_us), s_max_ppm + 1e-9);
+    EXPECT_NE(e.trace_id, 0u);
+  }
 }
 
 TEST(RentelKunz, SilenceSavesTraffic) {

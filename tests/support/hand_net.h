@@ -1,8 +1,9 @@
 // HandNet: the hand-wired simulation rig for tests that need stations the
 // scenario runner does not build — custom attackers, duelling references,
 // a lone receiver fed by hand.  One seeded simulator, one broadcast
-// mac::Channel on a PHY fixed at construction, the key directory and SSTSP
-// config its SSTSP stations share, and the stations a test adds in id
+// mac::Channel on a PHY fixed at construction, the key directory (chains
+// derived from the rig's seed, of one length fixed at construction) and
+// SSTSP config its SSTSP stations share, and the stations a test adds in id
 // order.  Fixtures derive from it and add their own protocols.
 #pragma once
 
@@ -44,8 +45,15 @@ struct HandNet {
   std::vector<std::unique_ptr<proto::Station>> stations;
 
   explicit HandNet(std::uint64_t rig_seed,
-                   const mac::PhyParams& rig_phy = lossless_phy())
-      : seed(rig_seed), sim(rig_seed), phy(rig_phy), channel(sim, phy) {}
+                   const mac::PhyParams& rig_phy = lossless_phy(),
+                   std::size_t chain_length = core::SstspConfig{}.chain_length)
+      : seed(rig_seed),
+        sim(rig_seed),
+        phy(rig_phy),
+        channel(sim, phy),
+        directory(rig_seed, chain_length) {
+    cfg.chain_length = chain_length;
+  }
 
   /// Adds the next station (its id is its index) with clock `hw` at `pos`.
   proto::Station& add_station(const clk::HardwareClock& hw,
@@ -68,11 +76,7 @@ struct HandNet {
   }
 
   /// Registers node `id`'s hash chain, derived from the rig's seed.
-  void register_chain(mac::NodeId id) {
-    directory.register_node(
-        id, crypto::ChainParams{crypto::derive_seed(seed, id),
-                                cfg.chain_length});
-  }
+  void register_chain(mac::NodeId id) { directory.register_node(id); }
 
   /// Adds an honest SSTSP station: registered chain, default options.
   proto::Station& add_honest(double ppm, double offset_us) {
