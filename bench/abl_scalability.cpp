@@ -11,9 +11,8 @@
 // scenarios: each scenario shards its own deployment, which
 // is what actually scales past n = 2000, and results stay bit-identical for
 // any worker-thread count.  The shard count is pinned so the numbers are
-// machine-independent; the invariant monitor is unsupported on the sharded
-// kernel, so this bench no longer enables it (tests/ covers the invariants
-// on the single-threaded kernel).
+// machine-independent.  The bench leaves the invariant monitor off; tests/
+// cover the invariants on both kernels.
 #include <algorithm>
 #include <string>
 #include <thread>

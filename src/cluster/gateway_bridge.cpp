@@ -185,13 +185,11 @@ bool GatewayBridge::announce(std::int64_t j, double global_est_us) {
   ++announcements_;
   station_.trace_event(trace::EventKind::kBeaconTx, mac::kNoNode,
                        static_cast<double>(j), tid);
-  if (auto* mon = station_.monitor()) {
-    // Announcements are schedule-staggered, not reference emissions: the
-    // timestamp-integrity check applies (ts is the clock it was read from),
-    // the reference-schedule/uniqueness checks do not.
-    mon->on_beacon_tx(station_.id(), j, static_cast<double>(ts),
-                      global_est_us, /*as_reference=*/false, now);
-  }
+  // Announcements are schedule-staggered, not reference emissions: the
+  // timestamp-integrity check applies (ts is the clock it was read from),
+  // the reference-schedule/uniqueness checks do not.
+  station_.report(obs::BeaconStamped{j, static_cast<double>(ts),
+                                     global_est_us, /*as_reference=*/false});
   return true;
 }
 

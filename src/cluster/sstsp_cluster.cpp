@@ -210,10 +210,8 @@ void ClusterSstsp::ingest_bridge(TauTracker& tracker,
     return;
   }
   if (res.disclosed_index >= 1) {
-    if (auto* mon = station_.monitor()) {
-      mon->on_key_accepted(station_.id(), frame.sender, res.disclosed_index,
-                           local, station_.sim().now());
-    }
+    station_.report(obs::KeyAccepted{res.disclosed_index, local},
+                    frame.sender);
   }
 }
 

@@ -48,10 +48,8 @@ void Sstsp::start() {
     synced_ = true;
     // A preestablished reference is a legitimate role acquisition (the
     // experiment's stand-in for an already-completed election).
-    if (auto* mon = station_.monitor()) {
-      mon->on_role_change(station_.id(), /*is_reference=*/true,
-                          /*via_election=*/true, station_.sim().now());
-    }
+    station_.report(obs::RoleChanged{/*is_reference=*/true,
+                                     /*via_election=*/true});
   } else if (options_.calibrated_boot && !started_before_) {
     state_ = State::kFollower;
     synced_ = true;
@@ -128,10 +126,8 @@ void Sstsp::handle_tick(std::int64_t j) {
           state_ = State::kReference;
           ++stats_.elections_won;
           station_.trace_event(trace::EventKind::kElectionWon);
-          if (auto* mon = station_.monitor()) {
-            mon->on_role_change(station_.id(), /*is_reference=*/true,
-                                /*via_election=*/true, station_.sim().now());
-          }
+          station_.report(obs::RoleChanged{/*is_reference=*/true,
+                                           /*via_election=*/true});
         }
       }
       if (state_ == State::kReference) {
@@ -233,10 +229,8 @@ void Sstsp::transmit_beacon(std::int64_t j) {
   ++stats_.beacons_sent;
   station_.trace_event(trace::EventKind::kBeaconTx, mac::kNoNode,
                        static_cast<double>(j), tid);
-  if (auto* mon = station_.monitor()) {
-    mon->on_beacon_tx(station_.id(), j, static_cast<double>(ts), c_now,
-                      state_ == State::kReference, now);
-  }
+  station_.report(obs::BeaconStamped{j, static_cast<double>(ts), c_now,
+                                     state_ == State::kReference});
   last_tx_interval_ = j;
   last_tx_start_ = now;
   if (state_ == State::kReference) {
@@ -260,11 +254,8 @@ void Sstsp::finish_coarse() {
   const double hw_now = station_.hw_us_now();
   const double before = adjusted_.value_at_hw(hw_now);
   adjusted_.step_to(before + *estimate, hw_now);
-  if (auto* mon = station_.monitor()) {
-    mon->on_clock_adjustment(station_.id(), station_.sim().now(), before,
-                             adjusted_.value_at_hw(hw_now), adjusted_.k(),
-                             /*coarse=*/true);
-  }
+  station_.report(obs::ClockAdjusted{before, adjusted_.value_at_hw(hw_now),
+                                     adjusted_.k(), /*coarse=*/true});
   last_sync_hw_us_ = hw_now;
   ++stats_.coarse_steps;
   station_.trace_event(trace::EventKind::kCoarseStep, mac::kNoNode,
@@ -426,10 +417,7 @@ void Sstsp::on_receive(const mac::Frame& frame, const mac::RxInfo& rx) {
   }
   if (j > 1) {
     // A disclosed chain element (K_{j-1}) was just accepted as authentic.
-    if (auto* mon = station_.monitor()) {
-      mon->on_key_accepted(station_.id(), frame.sender, j - 1, c_now,
-                           station_.sim().now());
-    }
+    station_.report(obs::KeyAccepted{j - 1, c_now}, frame.sender);
   }
   if (res.mac_failed) {
     ++stats_.rejected_mac;
@@ -503,11 +491,8 @@ void Sstsp::try_adjust(SenderTrack& track, std::int64_t cur_interval,
   }
   const double before = adjusted_.value_at_hw(hw_now);
   adjusted_.set_params(outcome.params->k, outcome.params->b);
-  if (auto* mon = station_.monitor()) {
-    mon->on_clock_adjustment(station_.id(), station_.sim().now(), before,
-                             adjusted_.value_at_hw(hw_now),
-                             outcome.params->k, /*coarse=*/false);
-  }
+  station_.report(obs::ClockAdjusted{before, adjusted_.value_at_hw(hw_now),
+                                     outcome.params->k, /*coarse=*/false});
   ++stats_.adjustments;
   station_.trace_event(trace::EventKind::kAdjustment, current_ref_,
                        (outcome.params->k - 1.0) * 1e6, trace_id);
@@ -535,20 +520,16 @@ void Sstsp::force_reference_role() {
   confirm_left_ = 0;
   // A forced acquisition bypasses the §3.3 contention election — the
   // monitor flags it as a takeover (only attacker/test hooks reach this).
-  if (auto* mon = station_.monitor()) {
-    mon->on_role_change(station_.id(), /*is_reference=*/true,
-                        /*via_election=*/false, station_.sim().now());
-  }
+  station_.report(obs::RoleChanged{/*is_reference=*/true,
+                                   /*via_election=*/false});
   schedule_reference_emission(current_interval() + 1);
 }
 
 void Sstsp::force_follower_role() {
   state_ = State::kFollower;
   confirm_left_ = 0;
-  if (auto* mon = station_.monitor()) {
-    mon->on_role_change(station_.id(), /*is_reference=*/false,
-                        /*via_election=*/true, station_.sim().now());
-  }
+  station_.report(obs::RoleChanged{/*is_reference=*/false,
+                                   /*via_election=*/true});
   cancel_tx_event();
 }
 

@@ -34,16 +34,28 @@ bool FaultInjector::link_cut(double now_s, mac::NodeId from,
   return false;
 }
 
+FaultStats& FaultStats::operator+=(const FaultStats& o) {
+  drops += o.drops;
+  partition_drops += o.partition_drops;
+  isolation_drops += o.isolation_drops;
+  duplicates += o.duplicates;
+  delayed += o.delayed;
+  reordered += o.reordered;
+  corrupted += o.corrupted;
+  return *this;
+}
+
 DeliveryVerdict FaultInjector::on_delivery(double now_s, mac::NodeId from,
-                                           mac::NodeId to) {
+                                           mac::NodeId to, sim::Rng& rng,
+                                           FaultStats& stats) const {
   DeliveryVerdict v;
   if (contains(isolated_, from) || contains(isolated_, to)) {
-    ++stats_.isolation_drops;
+    ++stats.isolation_drops;
     v.drop = true;
     return v;
   }
   if (link_cut(now_s, from, to)) {
-    ++stats_.partition_drops;
+    ++stats.partition_drops;
     v.drop = true;
     return v;
   }
@@ -52,30 +64,30 @@ DeliveryVerdict FaultInjector::on_delivery(double now_s, mac::NodeId from,
     if (f.from != mac::kNoNode && f.from != from) continue;
     if (f.to != mac::kNoNode && f.to != to) continue;
     // p == 1 draws nothing, so always-on directives stay draw-free.
-    if (f.probability < 1.0 && !rng_.bernoulli(f.probability)) continue;
+    if (f.probability < 1.0 && !rng.bernoulli(f.probability)) continue;
     switch (f.kind) {
       case PacketFaultKind::kDrop:
-        ++stats_.drops;
+        ++stats.drops;
         v.drop = true;
         return v;
       case PacketFaultKind::kDuplicate:
         for (int c = 1; c <= f.copies; ++c) {
           v.duplicate_delays_us.push_back(c * f.copy_spacing_us);
-          ++stats_.duplicates;
+          ++stats.duplicates;
         }
         break;
       case PacketFaultKind::kDelay:
-        v.extra_delay_us += rng_.uniform(f.delay_min_us, f.delay_max_us);
-        ++stats_.delayed;
+        v.extra_delay_us += rng.uniform(f.delay_min_us, f.delay_max_us);
+        ++stats.delayed;
         break;
       case PacketFaultKind::kReorder:
         // Past the next frame on this link by construction: the successor
         // departs one gap later and overtakes this delivery.
-        v.extra_delay_us += rng_.uniform(f.gap_us, 1.5 * f.gap_us);
-        ++stats_.reordered;
+        v.extra_delay_us += rng.uniform(f.gap_us, 1.5 * f.gap_us);
+        ++stats.reordered;
         break;
       case PacketFaultKind::kCorrupt:
-        if (!v.corrupt) ++stats_.corrupted;
+        if (!v.corrupt) ++stats.corrupted;
         v.corrupt = true;
         break;
     }

@@ -1,22 +1,27 @@
 // FaultInjector: evaluates a FaultPlan against individual deliveries.
 //
-// Both injection points consult the same object:
-//   * mac::Channel (simulation) calls on_delivery() for every frame that
-//     survives the physical-layer model and applies the verdict before
-//     scheduling reception;
+// Every injection point consults the same object:
+//   * the simulated channels (mac::Channel, and each mac::ShardChannel of
+//     the sharded kernel) call on_delivery() for every frame that survives
+//     the physical-layer model and apply the verdict before scheduling
+//     reception;
 //   * fault::FaultyTransport (live UDP/loopback) calls it for every received
 //     datagram.
 //
-// Determinism: the injector owns its own RNG substream (seeded from the
-// plan's seed and the run seed), so faulted and unfaulted runs never perturb
-// each other's draw sequences, and the same plan + seed replays the same
-// verdicts in the simulator bit-for-bit.
+// Determinism: the draws come from a substream of their own, so faulted and
+// unfaulted runs never perturb each other's draw sequences, and the same
+// plan + seed replays the same verdicts in the simulator bit-for-bit.  The
+// single kernel and the live stack draw in delivery order from the
+// injector's sequential substream; a shard channel passes one substream
+// per (transmission, receiver) pair and its own tallies, so a verdict
+// never depends on which shard or thread evaluates it (DESIGN.md §12).
 //
 // schedule_fault_events() turns the plan's node- and clock-level entries into
-// simulator events through a small hook interface, so run::Network (sim),
-// net::Swarm (loopback/UDP) and the standalone node runner share one
-// scheduling implementation.  "reference"-targeted faults resolve the victim
-// when the event fires, not when the plan loads.
+// simulator events through a small hook interface, so both simulation
+// kernels (on the sharded kernel's control timeline), net::Swarm
+// (loopback/UDP) and the standalone node runner share one scheduling
+// implementation.  "reference"-targeted faults resolve the victim when the
+// event fires, not when the plan loads.
 #pragma once
 
 #include <functional>
@@ -54,6 +59,8 @@ struct FaultStats {
   std::uint64_t delayed{0};
   std::uint64_t reordered{0};
   std::uint64_t corrupted{0};
+
+  FaultStats& operator+=(const FaultStats& o);
 };
 
 class FaultInjector {
@@ -66,9 +73,22 @@ class FaultInjector {
   FaultInjector& operator=(const FaultInjector&) = delete;
 
   /// Verdict for one delivery attempt from -> to at now_s (seconds of run
-  /// time).  Mutates the injector's RNG; call exactly once per attempt.
+  /// time).  Draws from the injector's own substream and counts into its
+  /// stats; call exactly once per attempt.
   [[nodiscard]] DeliveryVerdict on_delivery(double now_s, mac::NodeId from,
-                                            mac::NodeId to);
+                                            mac::NodeId to) {
+    return on_delivery(now_s, from, to, rng_, stats_);
+  }
+  /// The same verdict rule, drawing from `rng` and counting into `stats`:
+  /// reads only the plan and the isolation set, so shard channels may call
+  /// it concurrently between window barriers.
+  [[nodiscard]] DeliveryVerdict on_delivery(double now_s, mac::NodeId from,
+                                            mac::NodeId to, sim::Rng& rng,
+                                            FaultStats& stats) const;
+
+  /// Adds tallies counted outside the injector (the shard channels') to
+  /// stats().
+  void add_stats(const FaultStats& stats) { stats_ += stats; }
 
   /// Paused nodes are isolated from the medium in both directions; their
   /// clocks and protocol state keep running.
@@ -116,7 +136,7 @@ struct FaultHooks {
 
 /// Schedules the plan's node_faults and clock_faults on the simulator.
 /// Pauses route through injector->set_isolated (injector may be null when the
-/// plan has no pauses).  Packet faults and partitions need no events — the
+/// plan has no pauses), which every channel consulting the injector sees.  Packet faults and partitions need no events — the
 /// injector evaluates their time windows per delivery.
 void schedule_fault_events(sim::Simulator& sim, const FaultPlan& plan,
                            FaultInjector* injector, FaultHooks hooks);

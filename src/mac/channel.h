@@ -3,9 +3,10 @@
 //
 // The reception rule is mac::RadioMedium's (radio_medium.h).  This channel
 // adds what is its own: transmission ids from one global counter, the
-// end-of-frame event that decides a frame's receivers at its end, and one
+// end-of-frame event that decides a frame's receivers at its end, one
 // sequential RNG stream ("channel") for every PER and receive-latency draw,
-// in ascending receiver order per frame.
+// in ascending receiver order per frame, and the fault injector's own
+// sequential stream for its verdicts.
 #pragma once
 
 #include <cstdint>
@@ -22,17 +23,14 @@ class Channel final : public RadioMedium {
   std::uint64_t transmit(std::size_t idx, Frame frame,
                          sim::SimTime duration) override;
 
-  /// Attaches a fault injector (nullptr detaches): every delivery that
-  /// survives the physical-layer model is submitted for a verdict (drop /
-  /// corrupt / delay / duplicate).  Station channel indices double as node
-  /// ids, as in run::Network, which adds its stations in node-id order.
-  void set_fault_injector(fault::FaultInjector* injector) {
-    fault_ = injector;
-  }
-
  private:
   [[nodiscard]] NodeId next_station_id() const override {
     return static_cast<NodeId>(stations_.size());
+  }
+  /// The injector's own sequential substream, in delivery order.
+  [[nodiscard]] fault::DeliveryVerdict fault_verdict(const Tx& tx,
+                                                     NodeId rx) override {
+    return fault_->on_delivery(tx.end.to_sec(), tx.frame->sender, rx);
   }
 
   std::uint64_t next_tx_id_{1};

@@ -29,9 +29,10 @@
 //     latency; the receiver's MAC sees the frame only at sim-time
 //     `delivered`.
 //
-// Only the source of the PER and latency draws differs per channel (the
-// `draw` argument of evaluate()): the single kernel's one sequential stream,
-// or one substream per (transmission, receiver) pair on a shard.
+// Only the source of the PER, latency and fault draws differs per channel
+// (the `draw` argument of evaluate(), and fault_verdict()): the single
+// kernel's sequential streams, or one substream per (transmission, receiver)
+// pair on a shard.
 //
 // Hot-path engineering (behaviour-preserving; DESIGN.md §8): receiver
 // candidates come from a mac::CellGrid (finite range), visited in
@@ -81,6 +82,13 @@ class RadioMedium : public Medium {
   [[nodiscard]] bool would_detect_busy(std::size_t idx,
                                        sim::SimTime at) const final;
 
+  /// Attaches a fault injector (nullptr detaches): every delivery that
+  /// survives the physical-layer model is submitted for a verdict (drop /
+  /// corrupt / delay / duplicate).
+  void set_fault_injector(fault::FaultInjector* injector) {
+    fault_ = injector;
+  }
+
   [[nodiscard]] std::size_t station_count() const { return stations_.size(); }
   /// Most transmission records retained at once.
   [[nodiscard]] std::size_t peak_tx_records() const { return peak_txs_; }
@@ -102,6 +110,11 @@ class RadioMedium : public Medium {
 
   /// The node id of the station add_station registers next.
   [[nodiscard]] virtual NodeId next_station_id() const = 0;
+
+  /// The attached injector's verdict on `tx` reaching receiver `rx`: the
+  /// channel picks the draws (called only with an injector attached).
+  [[nodiscard]] virtual fault::DeliveryVerdict fault_verdict(const Tx& tx,
+                                                             NodeId rx) = 0;
 
   /// Puts station `idx`'s frame on the air now as transmission `id` (also
   /// stamped into the frame: Frame::trace_id) and retains the record.
@@ -197,11 +210,11 @@ bool RadioMedium::evaluate(Tx& tx, Draw&& draw) {
       ++stats_.per_drops;
       return;
     }
-    // The injector draws from its own substream, so attaching one never
-    // perturbs the channel's draws.
+    // The injector draws from a substream of its own, so attaching one
+    // never perturbs the channel's draws.
     fault::DeliveryVerdict verdict;
     if (fault_ != nullptr) {
-      verdict = fault_->on_delivery(tx.end.to_sec(), tx.frame->sender, rx.id);
+      verdict = fault_verdict(tx, rx.id);
       if (verdict.drop) return;
     }
     const sim::SimTime rx_latency = sim::SimTime::from_us_double(rng.uniform(

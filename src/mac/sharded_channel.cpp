@@ -11,8 +11,24 @@ ShardChannel::ShardChannel(ShardedWorld& world, int shard,
                            sim::Simulator& sim, const PhyParams& phy)
     : RadioMedium(sim, phy), world_(world), shard_(shard) {}
 
+namespace {
+
+/// The substream index of one (transmission, receiver) pair.
+std::uint64_t delivery_key(std::uint64_t tx_id, NodeId rx) {
+  return tx_id ^ (static_cast<std::uint64_t>(rx) * 0x9E3779B97F4A7C15ULL);
+}
+
+}  // namespace
+
 NodeId ShardChannel::next_station_id() const {
   return world_.next_global_id(shard_);
+}
+
+fault::DeliveryVerdict ShardChannel::fault_verdict(const Tx& tx, NodeId rx) {
+  sim::Rng draws = sim_.substream("faults", fault_->plan().seed)
+                       .substream("deliv", delivery_key(tx.id, rx));
+  return fault_->on_delivery(tx.end.to_sec(), tx.frame->sender, rx, draws,
+                             fault_stats_);
 }
 
 std::uint64_t ShardChannel::transmit(std::size_t idx, Frame frame,
@@ -59,10 +75,13 @@ void ShardChannel::settle(sim::SimTime window_end) {
   // mac::Channel does, so a degenerate configuration (PER = 0, fixed
   // latency) reproduces its deliveries exactly.
   const auto draw = [this](std::uint64_t tx_id, NodeId rx) {
-    return sim_.substream(
-        "deliv", tx_id ^ (static_cast<std::uint64_t>(rx) *
-                          0x9E3779B97F4A7C15ULL));
+    return sim_.substream("deliv", delivery_key(tx_id, rx));
   };
+  // A fault delay can move a reception before the frame's end (a negative
+  // copy spacing); the queue runs it at the shard's clock instead.  Lining
+  // that clock up with the window edge keeps the instant independent of the
+  // partition.  Every other reception lands at or after the edge anyway.
+  sim_.advance_to(window_end);
   for (Tx* tx : due_) eval_results_.emplace_back(tx->id, evaluate(*tx, draw));
   prune(window_end);
 }
@@ -209,6 +228,12 @@ ChannelStats ShardedWorld::stats() const {
   // counts each collided transmission once.
   agg.collided_transmissions = collided_;
   return agg;
+}
+
+fault::FaultStats ShardedWorld::fault_stats() const {
+  fault::FaultStats total;
+  for (const auto& sh : shards_) total += sh->fault_stats();
+  return total;
 }
 
 std::uint64_t ShardedWorld::announcements_total() const {

@@ -32,10 +32,11 @@
 // observe.  DESIGN.md §12 carries the full argument and the one documented
 // deviation from mac::Channel (identity-keyed RNG draws).
 //
-// Determinism: every cross-shard draw is keyed by (tx id, receiver node id)
-// off the shard simulator's root RNG — never by thread or arrival order —
-// and tx ids are (sender node id, per-sender sequence), so results are
-// bit-identical for any shard and thread count.
+// Determinism: every cross-shard draw — PER, latency and fault verdicts —
+// is keyed by (tx id, receiver node id) off the shard simulator's root RNG,
+// never by thread or arrival order, and tx ids are (sender node id,
+// per-sender sequence), so results are bit-identical for any shard and
+// thread count.
 #pragma once
 
 #include <cstdint>
@@ -64,6 +65,11 @@ class ShardChannel final : public RadioMedium {
   [[nodiscard]] std::uint64_t announcements_sent() const {
     return announcements_sent_;
   }
+  /// This shard's fault-verdict tallies (the injector's stats() holds none
+  /// of them).
+  [[nodiscard]] const fault::FaultStats& fault_stats() const {
+    return fault_stats_;
+  }
 
  private:
   friend class ShardedWorld;
@@ -80,6 +86,12 @@ class ShardChannel final : public RadioMedium {
   /// sender outside the shard's grid is clamped to its nearest cell.
   [[nodiscard]] NodeId next_station_id() const override;
 
+  /// Identity-keyed like the PER and latency draws: one substream per
+  /// (transmission, receiver) pair under the plan's "faults" substream,
+  /// tallied into this shard's own stats.
+  [[nodiscard]] fault::DeliveryVerdict fault_verdict(const Tx& tx,
+                                                     NodeId rx) override;
+
   /// Barrier hook, driven by the world.
   void settle(sim::SimTime window_end);
 
@@ -93,6 +105,7 @@ class ShardChannel final : public RadioMedium {
   std::vector<Tx*> due_;     // settle scratch
   std::vector<int> targets_;  // transmit scratch
   std::uint64_t announcements_sent_{0};
+  fault::FaultStats fault_stats_;
 };
 
 /// Coordinator: owns the shards, the spatial partition, and the barrier
@@ -135,6 +148,8 @@ class ShardedWorld {
   [[nodiscard]] ChannelStats stats() const;
 
   [[nodiscard]] std::uint64_t announcements_total() const;
+  /// Every shard's fault-verdict tallies, summed.
+  [[nodiscard]] fault::FaultStats fault_stats() const;
 
   /// Shards whose stations can hear a node at this x coordinate — the
   /// announce fan-out set: the shards owning any grid column in

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <sstream>
+#include <variant>
 
 #include "obs/json.h"
 
@@ -159,7 +160,12 @@ void InvariantMonitor::violate(InvariantKind kind, Severity severity,
   if (is_new && on_new_record_) on_new_record_(now, rec);
 }
 
-void InvariantMonitor::on_event(const trace::TraceEvent& event) {
+void InvariantMonitor::on_event(const StationEvent& record) {
+  std::visit([&](const auto& c) { check(record.event, c); }, record.check);
+}
+
+void InvariantMonitor::check(const trace::TraceEvent& event,
+                             std::monostate) {
   switch (event.kind) {
     case trace::EventKind::kBeaconTx: {
       // Lemma-1 flow liveness: a beacon arrived on schedule somewhere.
@@ -194,12 +200,14 @@ void InvariantMonitor::on_event(const trace::TraceEvent& event) {
   }
 }
 
-void InvariantMonitor::on_clock_adjustment(mac::NodeId node, sim::SimTime now,
-                                           double before_us, double after_us,
-                                           double new_k, bool coarse) {
+void InvariantMonitor::check(const trace::TraceEvent& at,
+                             const ClockAdjusted& c) {
   if (!cfg_.sstsp_checks) return;
-  if (!coarse) {
-    const double leap = after_us - before_us;
+  const mac::NodeId node = at.node;
+  const sim::SimTime now = at.time;
+  const double new_k = c.new_k;
+  if (!c.coarse) {
+    const double leap = c.after_us - c.before_us;
     if (std::fabs(leap) > cfg_.continuity_tolerance_us) {
       std::ostringstream detail;
       detail << "fine-phase re-solve leaped the adjusted clock by " << leap
@@ -221,15 +229,18 @@ void InvariantMonitor::on_clock_adjustment(mac::NodeId node, sim::SimTime now,
   }
 }
 
-void InvariantMonitor::on_beacon_tx(mac::NodeId node, std::int64_t j,
-                                    double ts_us, double clock_us,
-                                    bool as_reference, sim::SimTime now) {
+void InvariantMonitor::check(const trace::TraceEvent& at,
+                             const BeaconStamped& b) {
   if (!cfg_.sstsp_checks) return;
+  const mac::NodeId node = at.node;
+  const sim::SimTime now = at.time;
+  const std::int64_t j = b.j;
+  const double clock_us = b.clock_us;
   // Timestamp integrity: the stamped value must be the sender's own
   // adjusted reading at tx start (floor() rounding aside).  An attacker
   // stamping a dragged virtual clock violates this continuously even
   // though every receiver-side check passes.
-  const double skew = ts_us - clock_us;
+  const double skew = b.ts_us - clock_us;
   if (std::fabs(skew) > cfg_.timestamp_tolerance_us) {
     std::ostringstream detail;
     detail << "beacon for interval " << j << " stamped " << skew
@@ -239,7 +250,7 @@ void InvariantMonitor::on_beacon_tx(mac::NodeId node, std::int64_t j,
             detail.str());
   }
 
-  if (!as_reference) return;
+  if (!b.as_reference) return;
 
   // Schedule: a confirmed reference emits at T^j on its own adjusted clock
   // with no random delay (it owns slot 0).  Early emission is the takeover
@@ -282,10 +293,14 @@ void InvariantMonitor::on_beacon_tx(mac::NodeId node, std::int64_t j,
   }
 }
 
-void InvariantMonitor::on_key_accepted(mac::NodeId node, mac::NodeId sender,
-                                       std::int64_t key_index, double local_us,
-                                       sim::SimTime now) {
+void InvariantMonitor::check(const trace::TraceEvent& at,
+                             const KeyAccepted& k) {
   if (!cfg_.sstsp_checks) return;
+  const mac::NodeId node = at.node;
+  const mac::NodeId sender = at.peer;
+  const sim::SimTime now = at.time;
+  const std::int64_t key_index = k.key_index;
+  const double local_us = k.local_us;
   // µTESLA security condition, re-derived independently of the pipeline:
   // key K_{key_index} is disclosed inside the beacon of interval
   // key_index + 1, so accepting it is only safe while the local clock is
@@ -327,13 +342,13 @@ void InvariantMonitor::on_key_accepted(mac::NodeId node, mac::NodeId sender,
   }
 }
 
-void InvariantMonitor::on_role_change(mac::NodeId node, bool is_reference,
-                                      bool via_election, sim::SimTime now) {
-  last_role_event_ = now;
+void InvariantMonitor::check(const trace::TraceEvent& at,
+                             const RoleChanged& r) {
+  last_role_event_ = at.time;
   if (!cfg_.sstsp_checks) return;
-  if (is_reference && !via_election) {
-    violate(InvariantKind::kReferenceTakeover, Severity::kWarning, node,
-            mac::kNoNode, now, 0.0, 0.0,
+  if (r.is_reference && !r.via_election) {
+    violate(InvariantKind::kReferenceTakeover, Severity::kWarning, at.node,
+            mac::kNoNode, at.time, 0.0, 0.0,
             "node assumed the reference role without winning a contention "
             "election");
   }

@@ -1,9 +1,8 @@
 // Online protocol invariant monitor.
 //
-// A passive observer wired into every station (same null-pointer sharing
-// pattern as trace::EventTrace / obs::Instruments) that continuously checks
-// the guarantees the paper proves or assumes, and turns violations into
-// structured audit records:
+// A passive observer of every station's events (obs::Observers fans them
+// out) that continuously checks the guarantees the paper proves or assumes,
+// and turns violations into structured audit records:
 //
 //   clock-continuity     eq. (2): a fine-phase (k, b) re-solve preserves the
 //                        adjusted value at the switch instant; only coarse
@@ -58,6 +57,7 @@
 
 #include "mac/phy_params.h"
 #include "obs/flat_map.h"
+#include "obs/station_event.h"
 #include "sim/time_types.h"
 #include "trace/event_trace.h"
 
@@ -200,36 +200,15 @@ class InvariantMonitor {
 
   [[nodiscard]] const InvariantConfig& config() const { return cfg_; }
 
-  // ---- hooks (called by Station / core::Sstsp / the scenario runner) ----
+  // ---- hooks (called by obs::Observers and the scenario runner) --------
 
-  /// Every traced protocol event (fans out from Station::trace_event).
-  /// Consumes the rejection kinds as aggregated attack-evidence records
-  /// and beacon-tx as Lemma-1 flow liveness.
-  void on_event(const trace::TraceEvent& event);
-
-  /// A fine-phase (k, b) re-solve or a coarse step: `before_us`/`after_us`
-  /// are the adjusted readings at the same hardware instant immediately
-  /// before/after the parameter change.
-  void on_clock_adjustment(mac::NodeId node, sim::SimTime now,
-                           double before_us, double after_us, double new_k,
-                           bool coarse);
-
-  /// A beacon left node `node` claiming interval `j`, stamped `ts_us`,
-  /// while the sender's adjusted clock read `clock_us`; `as_reference` is
-  /// whether the sender held the confirmed reference role.
-  void on_beacon_tx(mac::NodeId node, std::int64_t j, double ts_us,
-                    double clock_us, bool as_reference, sim::SimTime now);
-
-  /// Receiver `node` accepted sender's disclosed key for interval
-  /// `key_index` (= j - 1) while its own adjusted clock read `local_us`.
-  void on_key_accepted(mac::NodeId node, mac::NodeId sender,
-                       std::int64_t key_index, double local_us,
-                       sim::SimTime now);
-
-  /// Role transition.  `via_election` distinguishes the legitimate paths
-  /// (contention win, preestablished boot) from a forced takeover.
-  void on_role_change(mac::NodeId node, bool is_reference, bool via_election,
-                      sim::SimTime now);
+  /// Every station event (obs/station_event.h), fanned out by
+  /// obs::Observers.  Consumes the rejection kinds as aggregated
+  /// attack-evidence records, beacon-tx as Lemma-1 flow liveness and the
+  /// four monitor checks: clock continuity and slope, the beacon's stamp
+  /// and schedule, the disclosure window and chain order of an accepted
+  /// key, and role changes.
+  void on_event(const StationEvent& record);
 
   /// Network-wide max pairwise sync error sample (the Fig. 2 series).
   void on_max_diff_sample(sim::SimTime now, double max_diff_us);
@@ -288,6 +267,13 @@ class InvariantMonitor {
       return peer < o.peer;
     }
   };
+
+  // One per StationEvent alternative; std::monostate is a trace event.
+  void check(const trace::TraceEvent& event, std::monostate);
+  void check(const trace::TraceEvent& at, const ClockAdjusted& c);
+  void check(const trace::TraceEvent& at, const BeaconStamped& b);
+  void check(const trace::TraceEvent& at, const KeyAccepted& k);
+  void check(const trace::TraceEvent& at, const RoleChanged& r);
 
   void violate(InvariantKind kind, Severity severity, mac::NodeId node,
                mac::NodeId peer, sim::SimTime now, double value_us,

@@ -88,6 +88,7 @@ Observers::Observers(const ObserverConfig& config, const ObservedRun& run,
   }
   if (config.monitor) {
     monitor_ = std::make_unique<InvariantMonitor>(invariant_config(run));
+    wants_checks_ = true;
     lifecycle_ = std::make_unique<trace::BeaconLifecycle>(*registry_);
     if (run.cluster.enabled()) {
       std::vector<NodeDomainInfo> topo(
@@ -175,8 +176,17 @@ void Observers::attach(sim::Simulator& sim, mac::Medium& medium) const {
 void Observers::attach_shard(sim::Simulator& shard,
                              mac::Medium& channel) const {
   shard.set_profiler(profiler_.get());
+  shard.set_phase_sampler(phase_sampler_.get());
   channel.set_instruments(instruments_.get());
   channel.set_profiler(profiler_.get());
+}
+
+void Observers::buffer_for(const Observers& control,
+                           std::vector<StationEvent>& buffer) {
+  const bool consumed = control.trace_ || control.monitor_ ||
+                        control.recovery_ || control.flight_;
+  buffer_ = consumed ? &buffer : nullptr;
+  wants_checks_ = control.wants_checks_;
 }
 
 void Observers::on_spread_sample(sim::SimTime now,

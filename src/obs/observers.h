@@ -8,8 +8,12 @@
 // reference uniqueness), the fault injector and recovery tracker, the
 // flight recorder, the telemetry sampler with its JSONL sinks, and the
 // event trace.  run::Network, net::Swarm and sstsp_node each build one
-// bundle; run::ParallelNetwork builds one per shard (plus one for its
-// control timeline) with the subset the sharded kernel supports.
+// bundle.  run::ParallelNetwork builds the same full bundle for its control
+// timeline, where every observer that needs one global order of events
+// runs, plus one bundle per shard holding only the thread-local observers
+// (instruments, profiler, phase sampler).  A shard bundle buffers the
+// station events the control bundle consumes; the kernel replays them into
+// it at each window commit (buffer_for(), deliver(); DESIGN.md §12).
 //
 // What the bundle leaves to its host is the station census behind each
 // spread and telemetry sample, cluster sampling and the power/clock hooks
@@ -38,6 +42,7 @@
 #include "obs/metrics.h"
 #include "obs/profiler.h"
 #include "obs/sampler.h"
+#include "obs/station_event.h"
 #include "obs/telemetry.h"
 #include "protocols/sync_protocol.h"
 #include "sim/simulator.h"
@@ -130,8 +135,10 @@ struct ObservedRun {
 class Observers {
  public:
   /// Builds every observer `config` enables for `run`; the fault injector
-  /// draws from `sim`'s "faults" substream.  Throws std::runtime_error when
-  /// the telemetry or flight-recorder path cannot be opened.
+  /// draws from `sim`'s "faults" substream unless its caller passes draws
+  /// of its own (the sharded kernel's shard channels).  Throws
+  /// std::runtime_error when the telemetry or flight-recorder path cannot
+  /// be opened.
   Observers(const ObserverConfig& config, const ObservedRun& run,
             const sim::Simulator& sim);
 
@@ -143,32 +150,54 @@ class Observers {
   /// branch on unobserved runs.
   [[nodiscard]] const Observers* for_stations() const {
     const bool any = trace_ || instruments_ || profiler_ || monitor_ ||
-                     recovery_ || flight_;
+                     recovery_ || flight_ || buffer_;
     return any ? this : nullptr;
   }
+  /// Whether the monitor checks of a StationEvent have a consumer here, so
+  /// a station builds them only then.
+  [[nodiscard]] bool wants_checks() const { return wants_checks_; }
 
   /// Wires the simulator-side observers (instruments, profiler, phase
   /// sampler) and the medium-side ones (instruments, profiler): the one
   /// wiring of run::Network's channel and a live node's wire medium.
   void attach(sim::Simulator& sim, mac::Medium& medium) const;
-  /// One shard of the parallel kernel: the profiler on the shard simulator
-  /// and channel, the instruments on the shard channel only — a per-shard
-  /// queue-depth histogram would change with the partition and break the
-  /// any-shard-count bit-identity (DESIGN.md §12).
+  /// One shard of the parallel kernel: the profiler and phase sampler on
+  /// the shard simulator, the profiler and instruments on the shard
+  /// channel.  No simulator instruments: a per-shard queue-depth histogram
+  /// would change with the partition and break the any-shard-count
+  /// bit-identity (DESIGN.md §12).
   void attach_shard(sim::Simulator& shard, mac::Medium& channel) const;
+  /// Makes this shard bundle append to `buffer` every station event that
+  /// `control` consumes, instead of delivering it; the kernel replays the
+  /// buffer into control.deliver() at the window commit.  Nothing is
+  /// buffered when `control` has no station-event consumer.
+  void buffer_for(const Observers& control,
+                  std::vector<StationEvent>& buffer);
 
-  /// A station's protocol event, fanned out in a fixed order.  The flight
-  /// recorder comes after the monitor, so a dump the monitor triggers on
-  /// this event does not yet contain it.
-  void on_event(const trace::TraceEvent& event) const {
-    if (trace_) trace_->record(event);
-    if (instruments_) {
-      instruments_->on_protocol_event(event.kind, event.value_us);
+  /// A station's event: counted into the instruments here, then delivered
+  /// (or buffered for the window commit, on a shard bundle).
+  void on_event(const StationEvent& event) const {
+    if (instruments_ && event.traced()) {
+      instruments_->on_protocol_event(event.event.kind, event.event.value_us);
     }
+    if (buffer_ != nullptr) {
+      buffer_->push_back(event);
+    } else {
+      deliver(event);
+    }
+  }
+  /// The observers that need one global order of events, in a fixed
+  /// order.  The flight recorder comes after the monitor, so a dump the
+  /// monitor triggers on this event does not yet contain it.  Monitor
+  /// checks reach the monitor only.
+  void deliver(const StationEvent& event) const {
+    const bool traced = event.traced();
+    if (trace_ && traced) trace_->record(event.event);
     if (monitor_) monitor_->on_event(event);
-    if (lifecycle_) lifecycle_->on_event(event);
-    if (recovery_) recovery_->on_trace_event(event);
-    if (flight_) flight_->on_trace_event(event);
+    if (!traced) return;
+    if (lifecycle_) lifecycle_->on_event(event.event);
+    if (recovery_) recovery_->on_trace_event(event.event);
+    if (flight_) flight_->on_trace_event(event.event);
   }
 
   /// One clock-spread sampling tick over the synchronized honest clocks
@@ -252,6 +281,8 @@ class Observers {
   std::unique_ptr<fault::FaultInjector> injector_;
   std::unique_ptr<TelemetrySampler> sampler_;
   TelemetrySampler::EmitFn on_sample_;
+  std::vector<StationEvent>* buffer_{nullptr};  // shard bundles only
+  bool wants_checks_{false};
   volatile std::sig_atomic_t* dump_flag_{nullptr};
   cluster::ClusterSpec cluster_;
 };

@@ -3,8 +3,7 @@
 // Where the scoped Profiler charges exact exclusive time per span edge, the
 // sampler observes the run at a fixed interval and aggregates what it sees
 // into the metrics registry — cheap enough to leave on in production-style
-// runs, and the measurement hook the future sharded kernel will report
-// per-shard through (Options::prefix names the shard).
+// runs.  The sharded kernel runs one per shard, on that shard's queue.
 //
 // Two modes:
 //   * Sim (virtual-time tick): Simulator::step() calls on_dispatch() for
@@ -48,7 +47,7 @@ class PhaseSampler {
     /// Sampling period: virtual seconds in sim mode, CPU seconds (itimer)
     /// in live mode.  Default ~1 kHz.
     double interval_s{0.001};
-    /// Metric-name prefix; a sharded kernel gives each shard its own.
+    /// Metric-name prefix.
     std::string prefix{"sampler"};
   };
 

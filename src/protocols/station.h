@@ -71,9 +71,6 @@ class Station final : private mac::Receiver {
   [[nodiscard]] obs::Profiler* profiler() const {
     return observers_ != nullptr ? observers_->profiler() : nullptr;
   }
-  [[nodiscard]] obs::InvariantMonitor* monitor() const {
-    return observers_ != nullptr ? observers_->monitor() : nullptr;
-  }
 
   /// Fault injection: applies a hardware-clock step and/or drift change at
   /// the current instant (fault::ClockFault).  The protocol keeps running on
@@ -95,6 +92,15 @@ class Station final : private mac::Receiver {
     if (observers_ == nullptr) return;
     observers_->on_event(trace::TraceEvent{sim_.now(), id_, kind, peer,
                                            value_us, trace_id});
+  }
+
+  /// Hands a monitor check (obs/station_event.h) to the observers, when
+  /// one of them consumes checks; `peer` is the counterparty, if any.
+  void report(const obs::MonitorCheck& check,
+              mac::NodeId peer = mac::kNoNode) {
+    if (observers_ == nullptr || !observers_->wants_checks()) return;
+    observers_->on_event(obs::StationEvent(
+        {.time = sim_.now(), .node = id_, .peer = peer}, check));
   }
 
  private:

@@ -15,8 +15,10 @@ scenario:
   --nodes N             honest station count (default 100)
   --duration S          simulated seconds (default 200)
   --threads N           run on the sharded parallel kernel with N worker
-                        threads (0 = legacy single-threaded kernel);
-                        results are bit-identical for any thread count
+                        threads (0 = legacy single-threaded kernel); it
+                        takes every flag the legacy kernel takes, and its
+                        output is bit-identical for any thread and shard
+                        count (--profile / --sampler figures aside)
   --shards N            shard count for the parallel kernel (default: the
                         thread count); pinning it keeps runs with
                         different --threads byte-identical

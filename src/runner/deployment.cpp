@@ -203,8 +203,9 @@ void Deployment::arm() {
 }
 
 void Deployment::schedule_faults() {
-  // A no-op without a fault plan, and so on the sharded kernel, whose
-  // control bundle has no injector.
+  // A no-op without a fault plan.  On the sharded kernel these events run
+  // on the control timeline, between windows; a pause isolates its node in
+  // the one injector every shard channel consults.
   fault::FaultHooks hooks;
   hooks.current_reference = [this]() -> std::optional<mac::NodeId> {
     const auto idx = current_reference_index();

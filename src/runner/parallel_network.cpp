@@ -9,23 +9,11 @@ namespace sstsp::run {
 
 namespace {
 
-[[noreturn]] void reject(const char* what) {
-  throw std::runtime_error(std::string("the sharded kernel (--threads) does "
-                                       "not support ") +
-                           what + " yet; run with --threads 0");
-}
-
 /// Validates the scenario and derives the executor geometry.  Runs before
-/// any member construction, so unsupported scenarios fail loudly instead
-/// of half-building.
+/// any member construction, so a bad scenario fails before any observer
+/// output is opened.
 sim::ShardExecutor::Options exec_options(const Scenario& s) {
   Deployment::validate(s);
-  if (s.monitor) reject("the invariant monitor (--monitor)");
-  if (!s.faults.empty()) reject("fault plans");
-  if (!s.telemetry_out.empty()) reject("telemetry streaming");
-  if (!s.flight_recorder_out.empty()) reject("the flight recorder");
-  if (s.phase_sampler) reject("the phase sampler");
-
   sim::ShardExecutor::Options opt;
   opt.threads = std::max(1, s.threads);
   opt.shards = s.shards > 0 ? s.shards : opt.threads;
@@ -38,14 +26,30 @@ sim::ShardExecutor::Options exec_options(const Scenario& s) {
   return opt;
 }
 
-/// The control timeline's bundle: clock-spread instruments and the kernel
-/// gauges.  No injector, so the deployment's fault step is a no-op here.
-std::unique_ptr<obs::Observers> control_bundle(const Scenario& s,
-                                               const sim::Simulator& control) {
+/// The control timeline's bundle: every observer of the scenario but the
+/// thread-local ones, which run per shard.
+obs::ObserverConfig control_config(const Scenario& s) {
+  obs::ObserverConfig config = s;
+  config.profile = false;
+  config.phase_sampler = false;
+  return config;
+}
+
+/// A shard's bundle: the thread-local observers only.
+obs::ObserverConfig shard_config(const Scenario& s) {
   obs::ObserverConfig config;
   config.collect_metrics = s.collect_metrics;
-  return std::make_unique<obs::Observers>(config, Deployment::observed_run(s),
-                                         control);
+  config.profile = s.profile;
+  config.phase_sampler = s.phase_sampler;
+  config.phase_sampler_interval_s = s.phase_sampler_interval_s;
+  return config;
+}
+
+/// The kind in the merge key: the trace kinds, then the monitor checks.
+int merge_kind(const obs::StationEvent& e) {
+  return e.traced() ? static_cast<int>(e.event.kind)
+                    : static_cast<int>(trace::kEventKindCount) +
+                          static_cast<int>(e.check.index());
 }
 
 std::size_t vm_hwm_kb() {
@@ -64,14 +68,18 @@ std::size_t vm_hwm_kb() {
 
 ParallelNetwork::ParallelNetwork(const Scenario& scenario)
     : exec_(exec_options(scenario), scenario.seed),
-      control_observers_(control_bundle(scenario, exec_.control())),
-      deployment_(scenario, exec_.control(), *control_observers_) {
+      observers_(std::make_unique<obs::Observers>(
+          control_config(scenario), Deployment::observed_run(scenario),
+          exec_.control())),
+      deployment_(scenario, exec_.control(), *observers_) {
   const int shards = exec_.shard_count();
-  // One bundle per shard with the observers the sharded kernel supports
-  // (trace, metrics, profiler; exec_options rejects the rest).
+  obs::ObservedRun shard_run = Deployment::observed_run(scenario);
+  shard_run.faults = {};  // the control bundle owns the injector
+  shard_events_.resize(static_cast<std::size_t>(shards));
   for (int s = 0; s < shards; ++s) {
-    shard_observers_.push_back(std::make_unique<obs::Observers>(
-        scenario, Deployment::observed_run(scenario), exec_.shard(s)));
+    auto& o = shard_observers_.emplace_back(std::make_unique<obs::Observers>(
+        shard_config(scenario), shard_run, exec_.shard(s)));
+    o->buffer_for(*observers_, shard_events_[static_cast<std::size_t>(s)]);
   }
   if (scenario.profile) exec_.set_collect_wall_stats(true);
 
@@ -123,6 +131,7 @@ void ParallelNetwork::build_stations() {
   for (int s = 0; s < shards; ++s) {
     shard_observers_[static_cast<std::size_t>(s)]->attach_shard(
         exec_.shard(s), world_->channel(s));
+    world_->channel(s).set_fault_injector(observers_->injector());
   }
 
   for (std::size_t i = 0; i < draws.size(); ++i) {
@@ -144,12 +153,35 @@ void ParallelNetwork::run() {
       sim::SimTime::from_sec_double(scenario().duration_s),
       [this](sim::SimTime end) { world_->exchange(end); },
       [this](int s, sim::SimTime end) { world_->settle(s, end); },
-      [this](sim::SimTime end) { world_->commit(end); });
+      [this](sim::SimTime end) {
+        world_->commit(end);
+        replay_events();
+      });
+  replay_events();  // what the last control events recorded
   if (scenario().profile) publish_shard_metrics();
 }
 
+void ParallelNetwork::replay_events() {
+  merged_.clear();
+  for (auto& events : shard_events_) {
+    merged_.insert(merged_.end(), events.begin(), events.end());
+    events.clear();
+  }
+  std::stable_sort(merged_.begin(), merged_.end(),
+                   [](const obs::StationEvent& a, const obs::StationEvent& b) {
+                     if (a.event.time != b.event.time) {
+                       return a.event.time < b.event.time;
+                     }
+                     if (a.event.node != b.event.node) {
+                       return a.event.node < b.event.node;
+                     }
+                     return merge_kind(a) < merge_kind(b);
+                   });
+  for (const obs::StationEvent& e : merged_) observers_->deliver(e);
+}
+
 void ParallelNetwork::publish_shard_metrics() {
-  obs::Registry& r = control_observers_->registry();
+  obs::Registry& r = observers_->registry();
   r.gauge("shard.count").set(static_cast<double>(exec_.shard_count()));
   r.counter("shard.windows").inc(exec_.windows());
   r.counter("shard.announcements").inc(world_->announcements_total());
@@ -180,7 +212,7 @@ void ParallelNetwork::publish_shard_metrics() {
 
 obs::RegistrySnapshot ParallelNetwork::metrics_snapshot() const {
   obs::Registry merged;
-  merged.merge_from(control_observers_->registry());
+  merged.merge_from(observers_->registry());
   for (const auto& o : shard_observers_) merged.merge_from(o->registry());
   return merged.snapshot();
 }
@@ -203,43 +235,16 @@ obs::ProfileSnapshot ParallelNetwork::profile_snapshot(
   return snap;
 }
 
-std::vector<trace::EventTrace*> ParallelNetwork::shard_traces() const {
-  std::vector<trace::EventTrace*> traces;
-  for (const auto& o : shard_observers_) {
-    if (o->trace() != nullptr) traces.push_back(o->trace());
-  }
-  return traces;
-}
-
-std::unique_ptr<trace::EventTrace> ParallelNetwork::merged_trace() const {
-  const auto traces = shard_traces();
-  if (traces.empty()) return nullptr;
-  std::vector<trace::TraceEvent> all;
-  for (const auto* t : traces) {
-    const auto events =
-        t->select([](const trace::TraceEvent&) { return true; });
-    all.insert(all.end(), events.begin(), events.end());
-  }
-  std::stable_sort(all.begin(), all.end(),
-                   [](const trace::TraceEvent& a, const trace::TraceEvent& b) {
-                     if (a.time < b.time) return true;
-                     if (b.time < a.time) return false;
-                     if (a.node != b.node) return a.node < b.node;
-                     return static_cast<int>(a.kind) <
-                            static_cast<int>(b.kind);
-                   });
-  auto merged =
-      std::make_unique<trace::EventTrace>(scenario().trace_capacity);
-  for (const auto& e : all) merged->record(e);
-  return merged;
-}
-
 RunResult collect_result(ParallelNetwork& net, double wall_seconds) {
   RunResult result = net.deployment_.result();
   result.channel = net.channel_stats();
-  result.metrics = net.metrics_snapshot();
   result.events_processed = net.events_processed();
-  result.wall_seconds = wall_seconds;
+  if (fault::FaultInjector* injector = net.observers_->injector()) {
+    injector->add_stats(net.world_->fault_stats());
+  }
+  collect_observers(result, *net.observers_, wall_seconds);
+  // The shards' registries and profilers join the control bundle's.
+  result.metrics = net.metrics_snapshot();
   if (net.scenario().profile) {
     result.profile = net.profile_snapshot(wall_seconds);
   }

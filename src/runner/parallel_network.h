@@ -3,18 +3,22 @@
 // Materializes a Scenario onto the parallel kernel: a sim::ShardExecutor
 // (one simulator per shard + one control simulator), a mac::ShardedWorld
 // partitioning the deployment, and the stations distributed across shards.
-// The run-global timeline — churn, reference departures, clock stress,
-// clock-spread sampling — is the same Deployment (runner/deployment.h)
-// Network uses, armed on the control simulator and so executed between
-// windows, serialized against every shard.  Both kernels therefore share
-// one node draw, one protocol factory and one substream keying; with the
-// kernel's exactness contract (DESIGN.md §12) a run is bit-identical for
-// any --threads/--shards combination.
+// The run-global timeline — churn, reference departures, clock stress, the
+// fault plan's node and clock events, clock-spread sampling — is the same
+// Deployment (runner/deployment.h) Network uses, armed on the control
+// simulator and so executed between windows, serialized against every
+// shard.  Both kernels therefore share one node draw, one protocol factory
+// and one substream keying; with the kernel's exactness contract
+// (DESIGN.md §12) a run is bit-identical for any --threads/--shards
+// combination.
 //
-// Deliberately narrower than Network: fault plans, invariant monitoring,
-// telemetry streaming, flight recording and the phase sampler are not
-// wired into the sharded kernel yet, and the constructor rejects scenarios
-// requesting them (std::runtime_error) rather than silently dropping them.
+// Observers: the control timeline holds the full bundle run::Network builds
+// (trace, monitor, lifecycle, recovery, flight recorder, fault injector,
+// telemetry).  Each shard holds a bundle of the thread-local observers
+// (instruments, profiler, phase sampler) that buffers its stations' events;
+// the window commit replays every shard's buffer into the control bundle in
+// one (time, node, kind) order.
+#pragma once
 #pragma once
 
 #include <memory>
@@ -33,9 +37,10 @@ namespace sstsp::run {
 
 class ParallelNetwork {
  public:
-  /// Throws std::runtime_error when the scenario requests a feature the
-  /// sharded kernel does not support, or when the PHY parameters leave no
-  /// conservative lookahead (cca_time or rx_latency_min of zero).
+  /// Throws std::runtime_error on a scenario Deployment::validate rejects,
+  /// on an unopenable telemetry or flight-recorder path, or when the PHY
+  /// parameters leave no conservative lookahead (cca_time or
+  /// rx_latency_min of zero).
   explicit ParallelNetwork(const Scenario& scenario);
 
   ParallelNetwork(const ParallelNetwork&) = delete;
@@ -74,36 +79,38 @@ class ParallelNetwork {
   /// counters sum, histograms merge bucket-wise, in shard order.
   [[nodiscard]] obs::RegistrySnapshot metrics_snapshot() const;
 
-  /// Per-shard protocol-event traces; empty unless trace_capacity > 0.
-  /// Events of one shard are in record order; use trace::EventTrace::select
-  /// and sort across shards for a global view.
-  [[nodiscard]] std::vector<trace::EventTrace*> shard_traces() const;
+  /// The control timeline's observers (obs/observers.h): the full bundle,
+  /// fed every station event in the merged order.
+  [[nodiscard]] obs::Observers& observers() { return *observers_; }
+  [[nodiscard]] const obs::Observers& observers() const { return *observers_; }
+  /// The merged protocol-event trace; nullptr unless
+  /// Scenario::trace_capacity > 0.
+  [[nodiscard]] trace::EventTrace* trace() { return observers_->trace(); }
 
   /// Merged per-shard profiler phases; meaningful only when
   /// Scenario::profile is set.
   [[nodiscard]] obs::ProfileSnapshot profile_snapshot(
       double wall_seconds) const;
 
-  /// Deterministic cross-shard trace merge: every retained per-shard event
-  /// sorted by (time, node, kind) — a stable sort, so one node's causal
-  /// order survives — replayed into a fresh ring of the scenario's
-  /// capacity.  nullptr unless trace_capacity > 0.  Per-shard rings drop
-  /// their oldest slices independently, so under eviction the merged ring
-  /// holds each shard's newest slice, not a globally-newest window.
-  [[nodiscard]] std::unique_ptr<trace::EventTrace> merged_trace() const;
-
  private:
   friend RunResult collect_result(ParallelNetwork& net, double wall_seconds);
 
   void build_stations();
+  /// Replays the station events buffered since the last replay into the
+  /// control bundle, sorted by (time, node, kind); ties keep shard order,
+  /// then record order.
+  void replay_events();
   void publish_shard_metrics();
 
   sim::ShardExecutor exec_;
-  /// Per shard: trace, instruments and profiler (shard_observers_[s]);
-  /// the control bundle holds the sampling-side instruments and the
-  /// kernel's own gauges.
+  /// The control timeline's full bundle; it also holds the kernel's own
+  /// gauges.
+  std::unique_ptr<obs::Observers> observers_;
+  /// Per shard: the thread-local observers and the station events they
+  /// buffer for the next window commit.
   std::vector<std::unique_ptr<obs::Observers>> shard_observers_;
-  std::unique_ptr<obs::Observers> control_observers_;
+  std::vector<std::vector<obs::StationEvent>> shard_events_;
+  std::vector<obs::StationEvent> merged_;  // replay scratch
   std::unique_ptr<mac::ShardedWorld> world_;
   /// One key directory per shard (verification caches are per-receiver-
   /// shard); each holds the chains of every node audible to that shard.

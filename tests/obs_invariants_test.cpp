@@ -20,6 +20,31 @@ namespace {
 
 sim::SimTime at_s(double s) { return sim::SimTime::from_sec_double(s); }
 
+// The monitor checks, as a station reports them (obs/station_event.h).
+void report(InvariantMonitor& mon, mac::NodeId node, sim::SimTime now,
+            const MonitorCheck& check, mac::NodeId peer = mac::kNoNode) {
+  mon.on_event(StationEvent({.time = now, .node = node, .peer = peer}, check));
+}
+void on_clock_adjustment(InvariantMonitor& mon, mac::NodeId node,
+                         sim::SimTime now, double before_us, double after_us,
+                         double new_k, bool coarse) {
+  report(mon, node, now, ClockAdjusted{before_us, after_us, new_k, coarse});
+}
+void on_beacon_tx(InvariantMonitor& mon, mac::NodeId node, std::int64_t j,
+                  double ts_us, double clock_us, bool as_reference,
+                  sim::SimTime now) {
+  report(mon, node, now, BeaconStamped{j, ts_us, clock_us, as_reference});
+}
+void on_key_accepted(InvariantMonitor& mon, mac::NodeId node,
+                     mac::NodeId sender, std::int64_t key_index,
+                     double local_us, sim::SimTime now) {
+  report(mon, node, now, KeyAccepted{key_index, local_us}, sender);
+}
+void on_role_change(InvariantMonitor& mon, mac::NodeId node,
+                    bool is_reference, bool via_election, sim::SimTime now) {
+  report(mon, node, now, RoleChanged{is_reference, via_election});
+}
+
 bool has_kind(const AuditReport& report, InvariantKind kind) {
   for (const auto& r : report.records) {
     if (r.kind == kind) return true;
@@ -38,7 +63,7 @@ TEST(InvariantMonitor, FinePhaseLeapIsCritical) {
   InvariantMonitor mon{InvariantConfig{}};
   // A misbehaving clock: the re-solve leaps the adjusted value by 40 us at
   // the switch instant — eq. (2) requires continuity.
-  mon.on_clock_adjustment(/*node=*/3, at_s(10.0), /*before_us=*/1e7,
+  on_clock_adjustment(mon, /*node=*/3, at_s(10.0), /*before_us=*/1e7,
                           /*after_us=*/1e7 + 40.0, /*new_k=*/1.0,
                           /*coarse=*/false);
   const auto report = mon.report();
@@ -52,13 +77,13 @@ TEST(InvariantMonitor, FinePhaseLeapIsCritical) {
 
 TEST(InvariantMonitor, CoarseStepsMayLeap) {
   InvariantMonitor mon{InvariantConfig{}};
-  mon.on_clock_adjustment(1, at_s(1.0), 0.0, 112.0, 1.0, /*coarse=*/true);
+  on_clock_adjustment(mon, 1, at_s(1.0), 0.0, 112.0, 1.0, /*coarse=*/true);
   EXPECT_TRUE(mon.report().clean());
 }
 
 TEST(InvariantMonitor, SlopeEscapeIsCritical) {
   InvariantMonitor mon{InvariantConfig{}};
-  mon.on_clock_adjustment(2, at_s(5.0), 100.0, 100.0, /*new_k=*/1.2,
+  on_clock_adjustment(mon, 2, at_s(5.0), 100.0, 100.0, /*new_k=*/1.2,
                           /*coarse=*/false);
   const auto report = mon.report();
   ASSERT_EQ(report.records.size(), 1u);
@@ -70,11 +95,11 @@ TEST(InvariantMonitor, ChainRegressionIsCritical) {
   InvariantConfig cfg;
   InvariantMonitor mon{cfg};
   const double in_window = cfg.t0_us + 6.0 * cfg.bp_us;  // key 5's window
-  mon.on_key_accepted(/*node=*/1, /*sender=*/9, /*key_index=*/5, in_window,
+  on_key_accepted(mon, /*node=*/1, /*sender=*/9, /*key_index=*/5, in_window,
                       at_s(0.6));
   EXPECT_TRUE(mon.report().clean());
   // Re-accepting an older (already-disclosed) index must be flagged.
-  mon.on_key_accepted(1, 9, /*key_index=*/4, in_window, at_s(0.7));
+  on_key_accepted(mon, 1, 9, /*key_index=*/4, in_window, at_s(0.7));
   const auto report = mon.report();
   const auto* rec = find_kind(report, InvariantKind::kChainRegression);
   ASSERT_NE(rec, nullptr);
@@ -97,7 +122,7 @@ TEST(InvariantMonitor, ChainRegressionIsTrackedPerOrderedPairOfWideIds) {
     // Inside key `key`'s disclosure window, so only the chain check fires.
     const double local_us =
         cfg.t0_us + static_cast<double>(key + 1) * cfg.bp_us;
-    mon.on_key_accepted(node, sender, static_cast<std::int64_t>(key),
+    on_key_accepted(mon, node, sender, static_cast<std::int64_t>(key),
                         local_us, at_s(t_s));
   };
   // Pair i sits at chain index 10 + i, so two pairs sharing one tip would
@@ -134,7 +159,7 @@ TEST(InvariantMonitor, KeyAcceptedOutsideDisclosureWindowIsCritical) {
   // Key 5 is disclosed in interval 6; accepting it while the local clock
   // already reads interval 9 means the µTESLA check is broken.
   const double late = cfg.t0_us + 9.0 * cfg.bp_us;
-  mon.on_key_accepted(2, 7, /*key_index=*/5, late, at_s(0.9));
+  on_key_accepted(mon, 2, 7, /*key_index=*/5, late, at_s(0.9));
   const auto report = mon.report();
   const auto* rec = find_kind(report, InvariantKind::kKeyDisclosure);
   ASSERT_NE(rec, nullptr);
@@ -143,10 +168,10 @@ TEST(InvariantMonitor, KeyAcceptedOutsideDisclosureWindowIsCritical) {
 
 TEST(InvariantMonitor, TakeoverWithoutElectionIsFlagged) {
   InvariantMonitor mon{InvariantConfig{}};
-  mon.on_role_change(4, /*is_reference=*/true, /*via_election=*/true,
+  on_role_change(mon, 4, /*is_reference=*/true, /*via_election=*/true,
                      at_s(1.0));
   EXPECT_TRUE(mon.report().clean());
-  mon.on_role_change(5, /*is_reference=*/true, /*via_election=*/false,
+  on_role_change(mon, 5, /*is_reference=*/true, /*via_election=*/false,
                      at_s(2.0));
   const auto report = mon.report();
   const auto* rec = find_kind(report, InvariantKind::kReferenceTakeover);
@@ -159,9 +184,9 @@ TEST(InvariantMonitor, TwoReferencesInOneIntervalAreFlagged) {
   InvariantConfig cfg;
   InvariantMonitor mon{cfg};
   const double t7 = cfg.t0_us + 7.0 * cfg.bp_us;
-  mon.on_beacon_tx(1, 7, t7, t7, /*as_reference=*/true, at_s(0.7));
+  on_beacon_tx(mon, 1, 7, t7, t7, /*as_reference=*/true, at_s(0.7));
   EXPECT_TRUE(mon.report().clean());
-  mon.on_beacon_tx(2, 7, t7, t7, /*as_reference=*/true, at_s(0.75));
+  on_beacon_tx(mon, 2, 7, t7, t7, /*as_reference=*/true, at_s(0.75));
   EXPECT_TRUE(
       has_kind(mon.report(), InvariantKind::kReferenceUniqueness));
 }
@@ -171,7 +196,7 @@ TEST(InvariantMonitor, DraggedTimestampIsFlagged) {
   InvariantMonitor mon{cfg};
   const double t3 = cfg.t0_us + 3.0 * cfg.bp_us;
   // The §5 internal attacker: stamps a virtual clock 20 us behind its own.
-  mon.on_beacon_tx(8, 3, t3 - 20.0, t3, /*as_reference=*/false, at_s(0.3));
+  on_beacon_tx(mon, 8, 3, t3 - 20.0, t3, /*as_reference=*/false, at_s(0.3));
   const auto report = mon.report();
   const auto* rec = find_kind(report, InvariantKind::kTimestampIntegrity);
   ASSERT_NE(rec, nullptr);
@@ -183,10 +208,10 @@ TEST(InvariantMonitor, SstspChecksGateEverythingProtocolSpecific) {
   InvariantConfig cfg;
   cfg.sstsp_checks = false;  // a TSF run
   InvariantMonitor mon{cfg};
-  mon.on_clock_adjustment(1, at_s(1.0), 0.0, 500.0, 2.0, false);
-  mon.on_beacon_tx(1, 3, 0.0, 99999.0, true, at_s(0.3));
-  mon.on_key_accepted(1, 2, 5, 0.0, at_s(0.5));
-  mon.on_role_change(1, true, false, at_s(1.0));
+  on_clock_adjustment(mon, 1, at_s(1.0), 0.0, 500.0, 2.0, false);
+  on_beacon_tx(mon, 1, 3, 0.0, 99999.0, true, at_s(0.3));
+  on_key_accepted(mon, 1, 2, 5, 0.0, at_s(0.5));
+  on_role_change(mon, 1, true, false, at_s(1.0));
   mon.on_max_diff_sample(at_s(60.0), 5000.0);
   EXPECT_TRUE(mon.report().clean());
 }
@@ -196,10 +221,10 @@ TEST(InvariantMonitor, RecordsAggregateAndCap) {
   cfg.max_records = 2;
   InvariantMonitor mon{cfg};
   for (int i = 0; i < 100; ++i) {
-    mon.on_clock_adjustment(1, at_s(i), 0.0, 40.0, 1.0, false);
+    on_clock_adjustment(mon, 1, at_s(i), 0.0, 40.0, 1.0, false);
   }
-  mon.on_role_change(2, true, false, at_s(1.0));
-  mon.on_role_change(3, true, false, at_s(1.0));  // 3rd class: dropped
+  on_role_change(mon, 2, true, false, at_s(1.0));
+  on_role_change(mon, 3, true, false, at_s(1.0));  // 3rd class: dropped
   const auto report = mon.report();
   EXPECT_EQ(report.records.size(), 2u);
   EXPECT_EQ(report.dropped_records, 1u);
@@ -212,7 +237,7 @@ TEST(InvariantMonitor, RecordsAggregateAndCap) {
 
 TEST(InvariantMonitor, AuditJsonRoundTrips) {
   InvariantMonitor mon{InvariantConfig{}};
-  mon.on_role_change(5, true, false, at_s(2.0));
+  on_role_change(mon, 5, true, false, at_s(2.0));
   std::ostringstream os;
   json::Writer w(os);
   mon.report().append_json(w);

@@ -4,13 +4,19 @@
 // owns its Simulator and RNG substreams; threads never share state).
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
 #include <initializer_list>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "runner/cli.h"
 #include "runner/experiment.h"
 #include "runner/json_report.h"
+#include "runner/parallel_network.h"
+#include "runner/run_output.h"
 #include "runner/sweep.h"
 
 namespace sstsp::run {
@@ -151,6 +157,110 @@ TEST(RunnerDeterminism, ClusterShardThreadMatrixByteIdentical) {
     ASSERT_TRUE(r.cluster_steady_max_us.has_value());
     EXPECT_LE(*r.cluster_steady_max_us, base.cluster.cross_cluster_bound_us());
   });
+}
+
+// sstsp_sim's run on the sharded kernel: parse the flags, build and run a
+// ParallelNetwork, and report through RunOutput (wall time pinned to 0).
+// Returns what the tool prints after its "running ..." line.
+std::string run_sharded_cli(const std::vector<std::string>& args,
+                            RunResult* result = nullptr) {
+  std::string error;
+  const auto opts = parse_cli(args, ConfigTool::kSim, &error);
+  EXPECT_TRUE(opts.has_value()) << error;
+  if (!opts) return {};
+  ParallelNetwork net(opts->scenario);
+  RunOutput output(*opts);
+  EXPECT_TRUE(output.begin(net.trace(), &error)) << error;
+  net.run();
+  const RunResult r = collect_result(net, 0.0);
+  std::ostringstream out;
+  std::ostringstream err;
+  (void)output.finish(out, err, opts->scenario, r, net.trace());
+  if (result != nullptr) *result = r;
+  return out.str();
+}
+
+std::string slurp(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+// The merged trace is one stream for any partition: --trace prints the same
+// bytes at 1 and 4 shards, and the ring saw every event the event.*
+// counters counted.
+TEST(RunnerDeterminism, ShardedTraceSummaryIndependentOfShardCount) {
+  RunResult result;
+  const std::vector<std::string> args = {"--nodes", "200", "--duration", "60",
+                                         "--trace", "--threads", "1"};
+  std::vector<std::string> one = args;
+  one.insert(one.end(), {"--shards", "1"});
+  std::vector<std::string> four = args;
+  four.insert(four.end(), {"--shards", "4"});
+  const std::string reference = run_sharded_cli(one, &result);
+  EXPECT_EQ(reference, run_sharded_cli(four));
+
+  std::uint64_t counted = 0;
+  for (const auto& [name, value] : result.metrics.counters) {
+    if (name.rfind("event.", 0) == 0) counted += value;
+  }
+  EXPECT_GT(counted, 0u);
+  EXPECT_NE(reference.find("(recorded " + std::to_string(counted) +
+                           " events total"),
+            std::string::npos)
+      << reference;
+}
+
+// Every observer on the sharded kernel at once, in the shape of the
+// cluster-faults benchmark: three chained clusters under a gateway crash,
+// a reference crash and loss on the gateway's frames, with the monitor,
+// the JSONL stream, telemetry and the flight recorder on.  Deployment seed
+// 1 raises reference-uniqueness audits, so the flight recorder dumps.  The
+// run JSON (audit and recovery blocks included), the JSONL stream, the
+// telemetry JSONL and the flight dump are byte-identical over shards
+// {1, 3, 6} x threads {1, 2, 4}.
+TEST(RunnerDeterminism, ObservedClusterFaultRunByteIdentical) {
+  constexpr const char* kPlan = R"({"seed": 1,
+    "packet": [{"kind": "drop", "probability": 0.05, "start": 30, "end": 70,
+                "from": 20}],
+    "node_faults": [{"kind": "crash", "node": 20, "at": 40, "restart": 46},
+                    {"kind": "crash", "node": "reference", "at": 80}]})";
+  const std::string dir = testing::TempDir() + "/observed_cluster_";
+  const std::vector<std::string> files = {"run.json", "events.jsonl",
+                                          "telemetry.jsonl", "flight.jsonl"};
+  std::vector<std::string> reference;
+  for (const int shards : {1, 3, 6}) {
+    for (const int threads : {1, 2, 4}) {
+      SCOPED_TRACE("shards=" + std::to_string(shards) +
+                   " threads=" + std::to_string(threads));
+      RunResult r;
+      (void)run_sharded_cli(
+          {"--clusters", "3", "--cluster-nodes", "20", "--radio-range", "50",
+           "--preestablished", "--duration", "120", "--seed", "1",
+           "--faults-json", kPlan, "--monitor", "--metrics-out",
+           dir + files[0], "--json-out", dir + files[1], "--telemetry-out",
+           dir + files[2], "--flight-recorder", dir + files[3], "--shards",
+           std::to_string(shards), "--threads", std::to_string(threads)},
+          &r);
+      ASSERT_TRUE(r.audit.has_value());
+      EXPECT_FALSE(r.audit->clean());
+      ASSERT_TRUE(r.recovery.has_value());
+      EXPECT_EQ(r.recovery->records.size(), 2u);
+      EXPECT_GT(r.recovery->packet_faults.drops, 0u);
+      std::vector<std::string> outputs;
+      for (const std::string& f : files) {
+        outputs.push_back(slurp(dir + f));
+        EXPECT_FALSE(outputs.back().empty()) << f;
+        std::remove((dir + f).c_str());
+      }
+      if (reference.empty()) {
+        reference = outputs;
+        continue;
+      }
+      for (std::size_t i = 0; i < files.size(); ++i) {
+        EXPECT_TRUE(outputs[i] == reference[i]) << files[i] << " differs";
+      }
+    }
+  }
 }
 
 }  // namespace

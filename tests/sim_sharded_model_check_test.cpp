@@ -12,9 +12,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <sstream>
+#include <string>
 #include <tuple>
 #include <vector>
 
+#include "obs/json.h"
+#include "runner/experiment.h"
 #include "runner/network.h"
 #include "runner/parallel_network.h"
 
@@ -62,6 +66,16 @@ void expect_stats_equal(const proto::ProtocolStats& a,
   EXPECT_EQ(a.solver_rejections, b.solver_rejections);
 }
 
+/// The JSON of an optional report block, "null" when absent.
+template <class Block>
+std::string block_json(const std::optional<Block>& block) {
+  if (!block) return "null";
+  std::ostringstream os;
+  obs::json::Writer w(os);
+  block->append_json(w);
+  return os.str();
+}
+
 Scenario deterministic_channel_scenario(std::uint64_t seed, int nodes,
                                         double radio_range_m, bool churn) {
   Scenario s;
@@ -80,9 +94,11 @@ Scenario deterministic_channel_scenario(std::uint64_t seed, int nodes,
 }
 
 /// Runs `base` on both kernels and checks them event for event; stores the
-/// legacy kernel's channel stats in `legacy_stats` when given.
+/// legacy kernel's channel stats in `legacy_stats` and its result in
+/// `legacy_out` when given.
 void check_scenario(const Scenario& base,
-                    mac::ChannelStats* legacy_stats = nullptr) {
+                    mac::ChannelStats* legacy_stats = nullptr,
+                    RunResult* legacy_out = nullptr) {
   Network legacy(base);
   legacy.run();
 
@@ -109,19 +125,23 @@ void check_scenario(const Scenario& base,
 
   ASSERT_NE(legacy.trace(), nullptr);
   EXPECT_EQ(legacy.trace()->dropped(), 0u);
-  std::vector<trace::TraceEvent> sharded_events;
-  for (const auto& t : sharded.shard_traces()) {
-    EXPECT_EQ(t->dropped(), 0u);
-    const auto part =
-        t->select([](const trace::TraceEvent&) { return true; });
-    sharded_events.insert(sharded_events.end(), part.begin(), part.end());
-  }
-  const auto legacy_flat = flatten(
-      legacy.trace()->select([](const trace::TraceEvent&) { return true; }));
-  const auto sharded_flat = flatten(sharded_events);
+  ASSERT_NE(sharded.trace(), nullptr);
+  EXPECT_EQ(sharded.trace()->dropped(), 0u);
+  const auto all = [](const trace::TraceEvent&) { return true; };
+  const auto legacy_flat = flatten(legacy.trace()->select(all));
+  const auto sharded_flat = flatten(sharded.trace()->select(all));
   EXPECT_GT(legacy_flat.size(), 0u);
   EXPECT_EQ(legacy_flat, sharded_flat);
+
+  // The monitor's audit and the recovery block, when the scenario asks for
+  // them, see the same run.
+  const RunResult legacy_result = collect_result(legacy, 0.0);
+  const RunResult sharded_result = collect_result(sharded, 0.0);
+  EXPECT_EQ(block_json(legacy_result.audit), block_json(sharded_result.audit));
+  EXPECT_EQ(block_json(legacy_result.recovery),
+            block_json(sharded_result.recovery));
   if (legacy_stats != nullptr) *legacy_stats = legacy.channel_stats();
+  if (legacy_out != nullptr) *legacy_out = legacy_result;
 }
 
 TEST(ShardedModelCheck, SingleHopMatchesLegacyKernel) {
@@ -163,6 +183,51 @@ TEST(ShardedModelCheck, DeparturesAndClockStressMatchLegacyKernel) {
   s.clock_stress.kind = clk::DriftStressKind::kRandomWalk;
   s.clock_stress.period_s = 0.5;
   check_scenario(s);
+}
+
+// The monitor with a fault plan that draws nothing: a partition that heals,
+// a reference crash with a restart, a follower's pause and a clock step.
+// Its node, clock and pause events run on the control timeline, the
+// partition and the pause cut deliveries on every shard channel, and the
+// monitor and recovery tracker see the shards' events merged at each
+// window commit.
+TEST(ShardedModelCheck, MonitoredFaultPlanMatchesLegacyKernel) {
+  Scenario s = deterministic_channel_scenario(/*seed=*/3, /*nodes=*/16,
+                                              /*radio_range_m=*/0.0,
+                                              /*churn=*/false);
+  s.duration_s = 12.0;
+  s.monitor = true;
+  fault::Partition split;
+  split.start_s = 2.0;
+  split.end_s = 4.0;
+  split.group_a = {0, 1, 2, 3, 4, 5, 6, 7};
+  s.faults.partitions.push_back(split);
+  fault::NodeFault crash;
+  crash.reference = true;
+  crash.at_s = 6.0;
+  crash.restart_s = 7.5;
+  s.faults.node_faults.push_back(crash);
+  fault::NodeFault pause;
+  pause.kind = fault::NodeFaultKind::kPause;
+  pause.node = 11;
+  pause.at_s = 10.0;
+  pause.restart_s = 10.5;
+  s.faults.node_faults.push_back(pause);
+  fault::ClockFault step;
+  step.node = 9;
+  step.at_s = 9.0;
+  step.step_us = 300.0;
+  s.faults.clock_faults.push_back(step);
+  RunResult r;
+  check_scenario(s, nullptr, &r);
+  // Not vacuous: the faults opened records, and the partition and the
+  // pause cut frames.
+  ASSERT_TRUE(r.recovery.has_value());
+  EXPECT_EQ(r.recovery->records.size(), 3u);
+  EXPECT_GT(r.recovery->packet_faults.partition_drops, 0u);
+  EXPECT_GT(r.recovery->packet_faults.isolation_drops, 0u);
+  ASSERT_TRUE(r.audit.has_value());
+  EXPECT_FALSE(r.audit->records.empty());
 }
 
 // The attacker station: its drift draw, its adversary from the shared

@@ -13,6 +13,7 @@
 #include <csignal>
 #include <exception>
 #include <iostream>
+#include <string>
 
 #include "runner/cli.h"
 #include "runner/experiment.h"
@@ -25,6 +26,42 @@ namespace {
 // safe: the handler only sets the flag; the run loop does the I/O).
 volatile std::sig_atomic_t g_dump_requested = 0;
 void on_sigusr1(int) { g_dump_requested = 1; }
+
+/// Builds, runs and reports a scenario on either kernel: run::Network, or
+/// run::ParallelNetwork for --threads/--shards.  Both expose the same
+/// observer bundle, fed the same events (the sharded kernel's merged at
+/// each window commit).
+template <class Net>
+int run_kernel(const sstsp::run::CliOptions& opts) {
+  using namespace sstsp;
+  const run::Scenario& s = opts.scenario;
+  Net net(s);
+  if (!s.flight_recorder_out.empty()) {
+    std::signal(SIGUSR1, on_sigusr1);
+    net.observers().set_dump_request_flag(&g_dump_requested);
+  }
+
+  run::RunOutput output(opts);
+  std::string error;
+  if (!output.begin(net.trace(), &error)) {
+    std::cerr << "error: " << error << '\n';
+    return 1;
+  }
+  // Span edges come from the one thread a profiler runs on: the legacy
+  // kernel's.  The sharded kernel's profilers live in its shard bundles,
+  // so its timeline carries no spans (DESIGN.md §12).
+  output.attach_profiler(net.observers().profiler());
+
+  const auto wall_start = std::chrono::steady_clock::now();
+  net.run();
+  const double wall_seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                    wall_start)
+          .count();
+  const run::RunResult result = run::collect_result(net, wall_seconds);
+  return output.finish(std::cout, std::cerr, s, result, net.trace());
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -53,54 +90,11 @@ int main(int argc, char** argv) {
 
   try {
     if (s.threads > 0 || s.shards > 0) {
-      // Sharded parallel kernel.  The JSONL event stream writes at record
-      // time and would interleave nondeterministically across shards, so
-      // it stays a single-kernel feature; traces are merged post-run.
-      if (!opts->json_out_path.empty()) {
-        std::cerr << "error: --json-out is not supported with --threads; "
-                     "use --trace, --metrics-out or --csv\n";
-        return 2;
-      }
-      run::ParallelNetwork net(s);
-      run::RunOutput output(*opts);
-      if (!output.begin(nullptr, &error)) {
-        std::cerr << "error: " << error << '\n';
-        return 1;
-      }
-      const auto wall_start = std::chrono::steady_clock::now();
-      net.run();
-      const double wall_seconds =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                        wall_start)
-              .count();
-      const run::RunResult result = run::collect_result(net, wall_seconds);
-      const auto merged = net.merged_trace();
-      return output.finish(std::cout, std::cerr, s, result, merged.get());
+      return run_kernel<run::ParallelNetwork>(*opts);
     }
-    run::Network net(s);
-    if (!s.flight_recorder_out.empty()) {
-      std::signal(SIGUSR1, on_sigusr1);
-      net.observers().set_dump_request_flag(&g_dump_requested);
-    }
-
-    run::RunOutput output(*opts);
-    if (!output.begin(net.trace(), &error)) {
-      std::cerr << "error: " << error << '\n';
-      return 1;
-    }
-    output.attach_profiler(net.observers().profiler());
-
-    const auto wall_start = std::chrono::steady_clock::now();
-    net.run();
-    const double wall_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      wall_start)
-            .count();
-    const run::RunResult result = run::collect_result(net, wall_seconds);
-
-    return output.finish(std::cout, std::cerr, s, result, net.trace());
+    return run_kernel<run::Network>(*opts);
   } catch (const std::exception& e) {
-    // Network's constructor throws on unopenable telemetry/flight sinks.
+    // Both kernels' constructors throw on unopenable telemetry/flight sinks.
     std::cerr << "error: " << e.what() << '\n';
     return 1;
   }
