@@ -19,27 +19,42 @@ namespace sstsp::proto {
 
 class Station;
 
-struct ProtocolStats {
-  std::uint64_t beacons_sent{0};
-  std::uint64_t beacons_received{0};
-  std::uint64_t adoptions{0};        ///< TSF family: timestamps adopted
-  std::uint64_t adjustments{0};      ///< SSTSP: (k, b) re-solves
-  std::uint64_t rejected_interval{0};
-  std::uint64_t rejected_key{0};
-  std::uint64_t rejected_mac{0};
-  std::uint64_t rejected_guard{0};
-  std::uint64_t elections_won{0};
-  std::uint64_t demotions{0};
-  std::uint64_t coarse_steps{0};
-  std::uint64_t solver_rejections{0};
+/// A protocol's counters, `Count` bits wide each.  A station keeps 32-bit
+/// counters (StationStats): its beacons and receptions stay far below 2^32
+/// over any run.  Sums over stations fold into 64-bit ones (ProtocolStats).
+template <class Count>
+struct BasicProtocolStats {
+  BasicProtocolStats() = default;
+  /// Widens a narrower set of counters, losslessly.
+  template <class Narrower>
+    requires(sizeof(Narrower) < sizeof(Count))
+  BasicProtocolStats(const BasicProtocolStats<Narrower>& o) {  // NOLINT
+    *this += o;
+  }
+
+  Count beacons_sent{0};
+  Count beacons_received{0};
+  Count adoptions{0};        ///< TSF family: timestamps adopted
+  Count adjustments{0};      ///< SSTSP: (k, b) re-solves
+  Count rejected_interval{0};
+  Count rejected_key{0};
+  Count rejected_mac{0};
+  Count rejected_guard{0};
+  Count elections_won{0};
+  Count demotions{0};
+  Count coarse_steps{0};
+  Count solver_rejections{0};
   /// Per-verdict clock-discipline outcomes, indexed by
   /// core::DisciplineVerdict (this layer sits below core, hence the plain
   /// array; core static_asserts the bound).  solver_rejections stays the
   /// legacy aggregate of the rejecting verdicts.
-  std::array<std::uint64_t, 8> discipline_verdicts{};
+  std::array<Count, 8> discipline_verdicts{};
 
   /// Field-wise sum: the fold every host uses to aggregate its stations.
-  ProtocolStats& operator+=(const ProtocolStats& o) {
+  /// Counters never fold into narrower ones.
+  template <class Other>
+    requires(sizeof(Other) <= sizeof(Count))
+  BasicProtocolStats& operator+=(const BasicProtocolStats<Other>& o) {
     beacons_sent += o.beacons_sent;
     beacons_received += o.beacons_received;
     adoptions += o.adoptions;
@@ -58,6 +73,11 @@ struct ProtocolStats {
     return *this;
   }
 };
+
+/// One protocol object's counters.
+using StationStats = BasicProtocolStats<std::uint32_t>;
+/// Counters summed over stations (telemetry, run results).
+using ProtocolStats = BasicProtocolStats<std::uint64_t>;
 
 class SyncProtocol {
  public:
@@ -89,11 +109,11 @@ class SyncProtocol {
 
   /// Virtual so composite protocols (the cluster wrapper runs a member and
   /// an uplink instance per gateway) can aggregate their halves.
-  [[nodiscard]] virtual const ProtocolStats& stats() const { return stats_; }
+  [[nodiscard]] virtual const StationStats& stats() const { return stats_; }
 
  protected:
   Station& station_;
-  ProtocolStats stats_;
+  StationStats stats_;
 };
 
 }  // namespace sstsp::proto

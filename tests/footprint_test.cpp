@@ -71,13 +71,14 @@ void operator delete(void* p, std::size_t) noexcept { operator delete(p); }
 namespace sstsp::run {
 namespace {
 
-// Budgets: what this layout measures (695 B per station built, 425 B of run
+// Budgets: what this layout measures (631 B per station built, 398 B of run
 // growth per live sender track, 4 430 tracks) plus 10 %.  The layout before
-// DESIGN.md §8's cuts measured 1 155 B and 563 B on the same run.  The run
-// growth also holds the event queue's and the channels' growth, so it
-// counts more than the tracks alone.
-constexpr double kBuiltBytesPerStation = 765.0;
-constexpr double kRunBytesPerTrack = 467.0;
+// DESIGN.md §8's cuts measured 1 155 B and 563 B on the same run, and 695 B
+// and 425 B before station counters went 32-bit and station timers moved
+// into tick runs.  The run growth also holds the event queue's and the
+// channels' growth, so it counts more than the tracks alone.
+constexpr double kBuiltBytesPerStation = 695.0;
+constexpr double kRunBytesPerTrack = 438.0;
 
 /// spatial-100k's geometry (same density, range and chain length) at 2 000
 /// nodes on four shards.

@@ -157,5 +157,29 @@ TEST(Observers, TelemetryTotalsFoldFromProtocolStats) {
   EXPECT_EQ(cum.events, 99u);
 }
 
+TEST(Observers, StationCountersFoldPast32BitsLosslessly) {
+  // Stations count in 32 bits; their sum, which telemetry and run results
+  // read, must not wrap where it passes 2^32.
+  static_assert(sizeof(proto::StationStats{}.beacons_received) == 4);
+  static_assert(sizeof(proto::ProtocolStats{}.beacons_received) == 8);
+  proto::StationStats station;
+  station.beacons_received = 0xFFFF'FFF0u;
+  station.adjustments = 3'000'000'000u;
+  station.discipline_verdicts[7] = 0xFFFF'FFFFu;
+  proto::ProtocolStats sum;
+  for (int i = 0; i < 5; ++i) sum += station;
+  EXPECT_EQ(sum.beacons_received, 5 * std::uint64_t{0xFFFF'FFF0u});
+  EXPECT_EQ(sum.adjustments, 15'000'000'000u);
+  EXPECT_EQ(sum.discipline_verdicts[7], 5 * std::uint64_t{0xFFFF'FFFFu});
+  // Widening one station's counters copies them.
+  const proto::ProtocolStats one = station;
+  EXPECT_EQ(one.beacons_received, 0xFFFF'FFF0u);
+  EXPECT_EQ(one.discipline_verdicts[7], 0xFFFF'FFFFu);
+
+  const TelemetryCumulative cum = telemetry_cumulative(sum, 0);
+  EXPECT_EQ(cum.beacons_rx, 5 * std::uint64_t{0xFFFF'FFF0u});
+  EXPECT_EQ(cum.adjustments, 15'000'000'000u);
+}
+
 }  // namespace
 }  // namespace sstsp::obs

@@ -64,7 +64,7 @@ TEST(RentelKunz, ParticipationIsShared) {
   std::uint64_t max_one = 0;
   for (const auto* p : net.protos) {
     total += p->stats().beacons_sent;
-    max_one = std::max(max_one, p->stats().beacons_sent);
+    max_one = std::max<std::uint64_t>(max_one, p->stats().beacons_sent);
   }
   ASSERT_GT(total, 20u);
   EXPECT_LT(static_cast<double>(max_one) / static_cast<double>(total), 0.6);
